@@ -27,6 +27,7 @@ from .errors import (
     MatrixError,
     NormalizationError,
     NumericError,
+    RangeError,
     ShapeError,
     UnidentifiableError,
 )
@@ -338,10 +339,37 @@ def score_pairs(
     enroll_idx: np.ndarray,
     test_idx: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised :func:`plda_score` over aligned index arrays."""
+    """Vectorised :func:`plda_score` over aligned index arrays.
+
+    Trial ``i`` scores ``enroll[enroll_idx[i]]`` against
+    ``test[test_idx[i]]``.  The inputs are checked as in :func:`plda_score`;
+    the index arrays must have equal length and lie within their rows.
+    """
+    enroll = np.asarray(enroll, dtype=np.float64)
+    test = np.asarray(test, dtype=np.float64)
+    enroll_idx = np.asarray(enroll_idx)
+    test_idx = np.asarray(test_idx)
+    for name, vecs in (("enroll", enroll), ("test", test)):
+        if vecs.ndim != 2 or vecs.shape[1] != model.dim:
+            raise ShapeError(
+                f"{name} vectors have shape {vecs.shape}, the model expects "
+                f"(N, {model.dim})"
+            )
+    if not (np.isfinite(enroll).all() and np.isfinite(test).all()):
+        raise NumericError("cannot score non-finite vectors")
+    if enroll_idx.ndim != 1 or enroll_idx.shape != test_idx.shape:
+        raise ShapeError(
+            f"trial index arrays must be 1-D and of equal length, got "
+            f"{enroll_idx.shape} and {test_idx.shape}"
+        )
+    for name, idx, rows in (("enroll", enroll_idx, enroll), ("test", test_idx, test)):
+        if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
+            raise RangeError(
+                f"{name} trial indices must lie in [0, {rows.shape[0]})"
+            )
     cache = model.finalize()
-    e_c = np.asarray(enroll, dtype=np.float64) - model.mu
-    t_c = np.asarray(test, dtype=np.float64) - model.mu
+    e_c = enroll - model.mu
+    t_c = test - model.mu
     half_e = 0.5 * np.einsum("ij,jk,ik->i", e_c, cache.diag_term, e_c)
     half_t = 0.5 * np.einsum("ij,jk,ik->i", t_c, cache.diag_term, t_c)
     cross = np.einsum(

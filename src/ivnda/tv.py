@@ -14,13 +14,24 @@ returns the posterior mean
 with ``L`` required to be positive definite (its Cholesky factor is the
 assertion).  The per-iteration objective is the exact marginal
 log-likelihood of the statistics, which is non-decreasing over iterations.
+
+Posteriors are computed for fixed-size chunks of `CHUNK` sessions at a
+time: ``L`` for a chunk is one (C, G) x (G, R^2) product with the
+per-component grams ``T_g' Sigma_g^-1 T_g``, and the E-step accumulators
+are two more products.  A short chunk is padded with zero-count rows, so
+every product has the same shape and a session's result does not depend on
+which sessions share its chunk (single and batch extraction agree to the
+bit).  Memory is bounded by the (G, R, R) gram and, in training, the
+(G, R, R) second-order accumulator, plus a few (CHUNK, R, R) arrays; it
+does not grow with the number of sessions.  At G=2048, R=500 the gram and
+accumulator alone take about 8 GB.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -40,6 +51,9 @@ log = logging.getLogger(__name__)
 # Callback invoked once per EM iteration with (iteration, model snapshot
 # *before* the update, total marginal log-likelihood of that snapshot).
 IterationCallback = Callable[[int, "TvModel", float], None]
+
+# Sessions per posterior chunk (see the module docstring).
+CHUNK = 64
 
 
 @dataclass
@@ -98,80 +112,129 @@ def _check_stats(stats: Sequence[BwStats], g: int, d: int) -> None:
                 f"recording {s.recording_id!r}: stats shape "
                 f"({s.num_components}, {s.dim}) does not match model ({g}, {d})"
             )
+        if not (np.isfinite(s.n).all() and np.isfinite(s.f).all()):
+            raise NumericError(
+                f"recording {s.recording_id!r}: statistics contain non-finite values"
+            )
+
+
+@dataclass
+class _Precomputed:
+    """Per-model terms shared by every posterior of one (T, Sigma)."""
+
+    t_over_sigma: np.ndarray    # (G * D, R)  Sigma^-1 T
+    gram: np.ndarray            # (G, R * R)  T_g' Sigma_g^-1 T_g, flattened
+    sigma: np.ndarray           # (G, D)
+    log_sigma_rows: np.ndarray  # (G,)  log det Sigma_g
+
+
+def _precompute(t_matrix: np.ndarray, sigma: np.ndarray) -> _Precomputed:
+    g, d = sigma.shape
+    r = t_matrix.shape[1]
+    t_over_sigma = t_matrix / sigma.reshape(-1)[:, None]
+    gram = np.matmul(
+        t_matrix.reshape(g, d, r).transpose(0, 2, 1),
+        t_over_sigma.reshape(g, d, r),
+    )
+    return _Precomputed(
+        t_over_sigma=t_over_sigma,
+        gram=gram.reshape(g, r * r),
+        sigma=sigma,
+        log_sigma_rows=np.log(sigma).sum(axis=1),
+    )
+
+
+def _chunks(
+    stats: Sequence[BwStats],
+) -> Iterator[tuple[Sequence[BwStats], np.ndarray, np.ndarray]]:
+    """(sessions, n, f) per chunk; n is (CHUNK, G) and f (CHUNK, G * D),
+    with rows past ``len(sessions)`` zero."""
+    g, d = stats[0].num_components, stats[0].dim
+    for start in range(0, len(stats), CHUNK):
+        part = stats[start : start + CHUNK]
+        n = np.zeros((CHUNK, g))
+        f = np.zeros((CHUNK, g * d))
+        for i, s in enumerate(part):
+            n[i] = s.n
+            f[i] = s.f.reshape(-1)
+        yield part, n, f
 
 
 def _posterior(
-    t_matrix: np.ndarray,
-    gram: np.ndarray,
-    t_over_sigma: np.ndarray,
-    n: np.ndarray,
-    f_flat: np.ndarray,
-    rank: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(E[w], Cov[w], b, logdet L) for one recording."""
-    l_mat = np.eye(rank) + np.einsum("g,grs->rs", n, gram)
-    b = t_over_sigma.T @ f_flat
+    pre: _Precomputed, n: np.ndarray, f: np.ndarray, with_cov: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """(E[w], Cov[w] or None, b, logdet L) for a chunk of sessions.
+
+    Rows of `n` (C, G) and `f` (C, G * D) are sessions; E[w] and b are
+    (C, R), Cov[w] (C, R, R) and logdet L (C,).
+    """
+    c = n.shape[0]
+    r = pre.t_over_sigma.shape[1]
+    l_mat = (n @ pre.gram).reshape(c, r, r)
+    l_mat[:, np.arange(r), np.arange(r)] += 1.0
+    if not np.isfinite(l_mat).all():
+        raise NumericError("i-vector posterior precision is not finite")
     try:
-        cho = cho_factor(l_mat, lower=True)
-    except LinAlgError as exc:
+        chol = np.linalg.cholesky(l_mat)
+    except np.linalg.LinAlgError as exc:
         raise NumericError("i-vector posterior precision is not positive definite") from exc
-    ew = cho_solve(cho, b)
-    cov = cho_solve(cho, np.eye(rank))
-    logdet_l = 2.0 * float(np.log(np.diag(cho[0])).sum())
+    b = f @ pre.t_over_sigma
+    if with_cov:
+        cov = np.linalg.inv(l_mat)
+        ew = (cov @ b[:, :, None])[:, :, 0]
+    else:
+        cov = None
+        ew = np.linalg.solve(l_mat, b[:, :, None])[:, :, 0]
+    logdet_l = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return ew, cov, b, logdet_l
 
 
-def _session_ll(
-    s: BwStats,
-    sigma: np.ndarray,
-    log_sigma_rows: np.ndarray,
+def _session_lls(
+    pre: _Precomputed,
+    n: np.ndarray,
+    f: np.ndarray,
     b: np.ndarray,
     ew: np.ndarray,
-    logdet_l: float,
-) -> float:
-    active = s.n > 0
-    d = sigma.shape[1]
-    if active.any():
-        logdet_ns = float(
-            (d * np.log(s.n[active]) + log_sigma_rows[active]).sum()
-        )
-        quad_f = float(
-            np.sum(s.f[active] ** 2 / sigma[active] / s.n[active, None])
-        )
-    else:
-        logdet_ns = 0.0
-        quad_f = 0.0
-    m_active = d * int(active.sum())
+    logdet_l: np.ndarray,
+) -> np.ndarray:
+    """Marginal log-likelihood of each session (row) of a chunk."""
+    c = n.shape[0]
+    g, d = pre.sigma.shape
+    active = n > 0
+    safe_n = np.where(active, n, 1.0)
+    logdet_ns = np.where(active, d * np.log(safe_n) + pre.log_sigma_rows, 0.0).sum(axis=1)
+    f_sq = (f.reshape(c, g, d) ** 2 / pre.sigma).sum(axis=2)
+    quad_f = np.where(active, f_sq / safe_n, 0.0).sum(axis=1)
+    m_active = d * active.sum(axis=1)
     return -0.5 * (
         m_active * np.log(2.0 * np.pi)
         + logdet_ns
         + logdet_l
         + quad_f
-        - float(b @ ew)
+        - np.einsum("cr,cr->c", b, ew)
     )
+
+
+def _log_likelihoods(stats: Sequence[BwStats], model: TvModel) -> list[float]:
+    _check_stats(stats, model.num_components, model.dim)
+    if not stats:
+        return []
+    pre = _precompute(model.t_matrix, model.sigma)
+    out: list[float] = []
+    for part, n, f in _chunks(stats):
+        ew, _, b, logdet_l = _posterior(pre, n, f)
+        out.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].tolist())
+    return out
 
 
 def session_log_likelihood(stats: BwStats, model: TvModel) -> float:
     """Exact marginal log-likelihood of one recording's centered statistics."""
-    _check_stats([stats], model.num_components, model.dim)
-    g, d, r = model.num_components, model.dim, model.rank
-    sigma_flat = model.sigma.reshape(-1)
-    t_over_sigma = model.t_matrix / sigma_flat[:, None]
-    gram = np.einsum(
-        "gdr,gds->grs",
-        model.t_matrix.reshape(g, d, r),
-        t_over_sigma.reshape(g, d, r),
-    )
-    ew, _, b, logdet_l = _posterior(
-        model.t_matrix, gram, t_over_sigma, stats.n, stats.f.reshape(-1), r
-    )
-    log_sigma_rows = np.log(model.sigma).sum(axis=1)
-    return _session_ll(stats, model.sigma, log_sigma_rows, b, ew, logdet_l)
+    return _log_likelihoods([stats], model)[0]
 
 
 def tv_log_likelihood(stats: Sequence[BwStats], model: TvModel) -> float:
     """Total marginal log-likelihood over a collection of recordings."""
-    return float(sum(session_log_likelihood(s, model) for s in stats))
+    return float(sum(_log_likelihoods(stats, model)))
 
 
 def train_tv(
@@ -212,33 +275,28 @@ def train_tv(
     t_matrix = rng.standard_normal((m, rank)) * (0.01 * np.sqrt(sigma0.mean()))
     sigma = sigma0.copy()
 
-    n_all = np.stack([s.n for s in stats])          # (S, G)
-    f_all = np.stack([s.f.reshape(-1) for s in stats])  # (S, M)
-    active_counts = (n_all > 0).sum(axis=0)         # per-component session counts
+    active_counts = sum((s.n > 0).astype(np.int64) for s in stats)  # per component
+    if reestimate_sigma:
+        # sum over sessions with n_g > 0 of f~^2 / n; fixed across iterations
+        f2_over_n = np.zeros((g, d))
+        for s in stats:
+            active = s.n > 0
+            f2_over_n[active] += s.f[active] ** 2 / s.n[active, None]
 
     for it in range(iters):
-        sigma_flat = sigma.reshape(-1)
-        t_over_sigma = t_matrix / sigma_flat[:, None]
-        gram = np.einsum(
-            "gdr,gds->grs",
-            t_matrix.reshape(g, d, rank),
-            t_over_sigma.reshape(g, d, rank),
-        )
-        log_sigma_rows = np.log(sigma).sum(axis=1)
-
+        pre = _precompute(t_matrix, sigma)
         c_acc = np.zeros((m, rank))
-        a_acc = np.zeros((g, rank, rank))
+        a_acc = np.zeros((g, rank * rank))
         total_ll = 0.0
-        for s_idx, s in enumerate(stats):
-            ew, cov, b, logdet_l = _posterior(
-                t_matrix, gram, t_over_sigma, n_all[s_idx], f_all[s_idx], rank
+        for part, n, f in _chunks(stats):
+            ew, cov, b, logdet_l = _posterior(pre, n, f, with_cov=True)
+            eww = cov + ew[:, :, None] * ew[:, None, :]
+            c_acc += f.T @ ew
+            a_acc += n.T @ eww.reshape(CHUNK, rank * rank)
+            total_ll += float(
+                _session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].sum()
             )
-            eww = cov + np.outer(ew, ew)
-            c_acc += np.outer(f_all[s_idx], ew)
-            a_acc += n_all[s_idx][:, None, None] * eww[None]
-            total_ll += _session_ll(
-                s, sigma, log_sigma_rows, b, ew, logdet_l
-            )
+        a_acc = a_acc.reshape(g, rank, rank)
 
         if on_iteration is not None:
             on_iteration(it, TvModel(t_matrix.copy(), sigma.copy(), rank), total_ll)
@@ -264,14 +322,6 @@ def train_tv(
             #   sigma_gd = mean over sessions with n_g > 0 of
             #              E[(f~ - n T w)^2] / n
             # which telescopes to the closed form below.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(
-                    (n_all > 0)[:, :, None],
-                    f_all.reshape(len(stats), g, d) ** 2
-                    / np.maximum(n_all, 1e-300)[:, :, None],
-                    0.0,
-                )
-            f2_over_n = ratios.sum(axis=0)
             t_blocks = t_matrix.reshape(g, d, rank)
             cross = np.einsum("gdr,gdr->gd", c_blocks, t_blocks)
             quad = np.einsum("gdr,grs,gds->gd", t_blocks, a_acc, t_blocks)
@@ -287,40 +337,23 @@ def train_tv(
     return TvModel(t_matrix=t_matrix, sigma=sigma, rank=rank)
 
 
+def _extract(stats: Sequence[BwStats], model: TvModel) -> list[IVector]:
+    _check_stats(stats, model.num_components, model.dim)
+    if not stats:
+        return []
+    pre = _precompute(model.t_matrix, model.sigma)
+    out = []
+    for part, n, f in _chunks(stats):
+        ew, _, _, _ = _posterior(pre, n, f)
+        out.extend(IVector(w=w, recording_id=s.recording_id) for s, w in zip(part, ew))
+    return out
+
+
 def extract_ivector(stats: BwStats, model: TvModel) -> IVector:
     """Posterior-mean i-vector of one recording's centered statistics."""
-    _check_stats([stats], model.num_components, model.dim)
-    g, d, r = model.num_components, model.dim, model.rank
-    sigma_flat = model.sigma.reshape(-1)
-    t_over_sigma = model.t_matrix / sigma_flat[:, None]
-    gram = np.einsum(
-        "gdr,gds->grs",
-        model.t_matrix.reshape(g, d, r),
-        t_over_sigma.reshape(g, d, r),
-    )
-    ew, _, _, _ = _posterior(
-        model.t_matrix, gram, t_over_sigma, stats.n, stats.f.reshape(-1), r
-    )
-    return IVector(w=ew, recording_id=stats.recording_id)
+    return _extract([stats], model)[0]
 
 
 def extract_ivectors(stats: Sequence[BwStats], model: TvModel) -> list[IVector]:
-    """Extract i-vectors for many recordings (shared precomputation)."""
-    if not stats:
-        return []
-    _check_stats(stats, model.num_components, model.dim)
-    g, d, r = model.num_components, model.dim, model.rank
-    sigma_flat = model.sigma.reshape(-1)
-    t_over_sigma = model.t_matrix / sigma_flat[:, None]
-    gram = np.einsum(
-        "gdr,gds->grs",
-        model.t_matrix.reshape(g, d, r),
-        t_over_sigma.reshape(g, d, r),
-    )
-    out = []
-    for s in stats:
-        ew, _, _, _ = _posterior(
-            model.t_matrix, gram, t_over_sigma, s.n, s.f.reshape(-1), r
-        )
-        out.append(IVector(w=ew, recording_id=s.recording_id))
-    return out
+    """Extract i-vectors for many recordings, `CHUNK` sessions at a time."""
+    return _extract(stats, model)

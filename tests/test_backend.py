@@ -27,6 +27,7 @@ from ivnda.errors import (
     MatrixError,
     NormalizationError,
     NumericError,
+    RangeError,
     ShapeError,
     UnidentifiableError,
 )
@@ -235,6 +236,38 @@ class TestPldaScore:
             np.array([], dtype=int),
         )
         assert out.shape == (0,)
+
+    def test_score_pairs_dimension_mismatch(self, rng):
+        model = random_plda(rng, 4)
+        idx = np.array([0, 1])
+        with pytest.raises(ShapeError):
+            score_pairs(model, rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), idx, idx)
+        with pytest.raises(ShapeError):
+            score_pairs(model, rng.normal(size=(2, 4)), rng.normal(size=4), idx, idx)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_score_pairs_non_finite_rejected(self, rng, bad):
+        model = random_plda(rng, 4)
+        test = rng.normal(size=(3, 4))
+        test[2, 1] = bad
+        idx = np.array([0, 1])
+        with pytest.raises(NumericError):
+            score_pairs(model, rng.normal(size=(3, 4)), test, idx, idx)
+
+    def test_score_pairs_index_length_mismatch(self, rng):
+        model = random_plda(rng, 4)
+        vecs = rng.normal(size=(3, 4))
+        with pytest.raises(ShapeError):
+            score_pairs(model, vecs, vecs, np.array([0, 1, 2]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("e_idx,t_idx", [([0, 3], [0, 1]), ([0, 1], [-1, 1]), ([0, 1], [0, 5])])
+    def test_score_pairs_index_out_of_range(self, rng, e_idx, t_idx):
+        model = random_plda(rng, 4)
+        with pytest.raises(RangeError):
+            score_pairs(
+                model, rng.normal(size=(3, 4)), rng.normal(size=(5, 4)),
+                np.array(e_idx), np.array(t_idx),
+            )
 
     def test_cache_is_computed_once(self, rng):
         model = random_plda(rng, 3)

@@ -462,3 +462,19 @@ class TestExitCodes:
         )
         assert rc == EXIT_NUMERIC
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_statistics_are_numeric_errors(self, stats_ws, tmp_path, capsys):
+        stats, fp, meta = fileio.read_stats_archive(stats_ws / "enroll.ivbw")
+        stats[1].f[2, 0] = np.nan
+        bad = tmp_path / "enroll.ivbw"
+        fileio.write_stats_archive(bad, stats, fp, meta)
+        rc = main(
+            [
+                "extract-ivectors", "--stats", str(bad),
+                "--ubm", str(stats_ws / "ubm.ivgm"), "--tv", str(stats_ws / "tv.ivtv"),
+                "--out", str(tmp_path / "enroll.iviv"),
+            ]
+        )
+        assert rc == EXIT_NUMERIC
+        assert stats[1].recording_id in capsys.readouterr().err
+        assert not (tmp_path / "enroll.iviv").exists()

@@ -4,10 +4,17 @@ from scipy.linalg import subspace_angles
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
-from helpers import make_gmm
-from ivnda.errors import ContractError, DegenerateDataError, RankError, ShapeError
+from helpers import make_gmm, reference_train_tv
+from ivnda.errors import (
+    ContractError,
+    DegenerateDataError,
+    NumericError,
+    RankError,
+    ShapeError,
+)
 from ivnda.stats import BwStats
 from ivnda.tv import (
+    CHUNK,
     IVector,
     TvModel,
     extract_ivector,
@@ -157,13 +164,14 @@ def test_ll_with_inactive_components(rng):
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_batch_extraction_matches_single(rng):
+@pytest.mark.parametrize("count", [6, 2 * CHUNK + 3])
+def test_batch_extraction_matches_single(rng, count):
     model = random_model(rng, 4, 3, 2)
-    stats = [random_centered_stats(rng, 4, 3) for _ in range(6)]
+    stats = [random_centered_stats(rng, 4, 3) for _ in range(count)]
     for i, s in enumerate(stats):
         s.recording_id = f"rec{i}"
     batch = extract_ivectors(stats, model)
-    assert [iv.recording_id for iv in batch] == [f"rec{i}" for i in range(6)]
+    assert [iv.recording_id for iv in batch] == [f"rec{i}" for i in range(count)]
     for s, iv in zip(stats, batch):
         np.testing.assert_array_equal(iv.w, extract_ivector(s, model).w)
 
@@ -228,6 +236,59 @@ def test_training_ll_monotone_with_noise():
     )
     for prev, cur in zip(lls, lls[1:]):
         assert cur >= prev - 1e-6 * abs(prev)
+
+
+@pytest.mark.parametrize("reestimate_sigma", [False, True])
+def test_training_matches_per_session_reference(reestimate_sigma):
+    """Chunked E-step == one posterior per session, across two full chunks
+    and a padded tail, with sessions and one whole component unobserved."""
+    gen = np.random.default_rng(80)
+    g, d, r = 6, 3, 3
+    truth = random_model(gen, g, d, r)
+    stats = planted_stats(gen, truth, 2 * CHUNK + 3, residual=1.0)
+    for s in stats:
+        off = gen.choice(g - 1, size=int(gen.integers(0, 3)), replace=False)
+        s.n[off] = 0.0
+        s.n[g - 1] = 0.0
+        s.f[s.n == 0.0] = 0.0
+    gmm = make_gmm(gen, g, d)
+    lls: list[float] = []
+    model = train_tv(
+        stats, gmm, rank=r, iters=5, seed=2, reestimate_sigma=reestimate_sigma,
+        on_iteration=lambda it, m, ll: lls.append(ll),
+    )
+    t_ref, sigma_ref, lls_ref = reference_train_tv(
+        stats, gmm, rank=r, iters=5, seed=2, reestimate_sigma=reestimate_sigma
+    )
+    scale = np.abs(t_ref).max()
+    np.testing.assert_allclose(model.t_matrix, t_ref, rtol=1e-9, atol=1e-9 * scale)
+    np.testing.assert_allclose(model.sigma, sigma_ref, rtol=1e-9)
+    np.testing.assert_allclose(lls, lls_ref, rtol=1e-9)
+    assert not model.t_matrix[(g - 1) * d :].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_statistics_rejected(rng, bad):
+    gmm = make_gmm(rng, 3, 2)
+    model = random_model(rng, 3, 2, 2)
+    stats = [random_centered_stats(rng, 3, 2) for _ in range(5)]
+    stats[3].recording_id = "broken"
+    stats[3].f[1, 0] = bad
+    with pytest.raises(NumericError, match="broken"):
+        train_tv(stats, gmm, rank=2, iters=1)
+    with pytest.raises(NumericError, match="broken"):
+        extract_ivectors(stats, model)
+    stats[3].f[1, 0] = 0.0
+    stats[3].n[2] = bad
+    with pytest.raises(NumericError, match="broken"):
+        extract_ivector(stats[3], model)
+
+
+def test_non_finite_model_rejected(rng):
+    model = random_model(rng, 3, 2, 2)
+    model.t_matrix[4, 1] = np.nan
+    with pytest.raises(NumericError):
+        extract_ivector(random_centered_stats(rng, 3, 2), model)
 
 
 def test_train_rejects_bad_rank(rng):
