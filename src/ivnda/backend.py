@@ -98,6 +98,17 @@ def normalize(vector: np.ndarray, normalizer: Normalizer) -> np.ndarray:
 def normalize_rows(vectors: np.ndarray, normalizer: Normalizer) -> np.ndarray:
     """Vectorised :func:`normalize` over rows."""
     vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != normalizer.dim:
+        raise ShapeError(
+            f"vectors have shape {vectors.shape}, normalizer expects "
+            f"(N, {normalizer.dim})"
+        )
+    bad = ~np.isfinite(vectors).all(axis=1)
+    if bad.any():
+        raise NumericError(
+            f"{int(bad.sum())} vectors contain non-finite values (first at row "
+            f"{int(np.flatnonzero(bad)[0])})"
+        )
     whitened = (vectors - normalizer.mean) @ normalizer.whitener.T
     norms = np.linalg.norm(whitened, axis=1)
     if np.any(norms == 0):

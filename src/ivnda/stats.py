@@ -6,6 +6,12 @@ For each recording and mixture component g: the zeroth-order statistic
 Statistics are accumulated and stored *raw*; centering around the component
 means happens explicitly via :func:`center_stats` just before subspace
 training or i-vector extraction.
+
+Accumulation reads the sparse top-N posteriors directly (one bincount for
+``n``, one sparse-by-dense product for ``f``), so a T-frame recording needs
+O(T * N) for its posteriors and O(G * D) for its statistics; the frame
+alignment that produces them is bounded by O(CHUNK_FRAMES * G + T * N)
+(see :mod:`ivnda.ubm`).
 """
 
 from __future__ import annotations
@@ -72,17 +78,7 @@ def accumulate_bw(
             f"recording {recording_id!r}: {retained.shape[0]} speech frames vs "
             f"{posteriors.num_frames} posterior rows"
         )
-    g = posteriors.num_components
-    n = np.zeros(g)
-    f = np.zeros((g, features.dim))
-    if posteriors.indices.size:
-        np.add.at(n, posteriors.indices, posteriors.values)
-        frame_of = np.repeat(
-            np.arange(posteriors.num_frames), np.diff(posteriors.indptr)
-        )
-        np.add.at(
-            f, posteriors.indices, posteriors.values[:, None] * retained[frame_of]
-        )
+    n, f = posteriors.weighted_sums(retained)
     return BwStats(n=n, f=f, recording_id=recording_id, centered=False)
 
 

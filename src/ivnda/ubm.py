@@ -7,6 +7,12 @@ frame renormalised to sum to one.  Posteriors may instead come from an
 external soft aligner (e.g. a senone network) via a simple text format, in
 which case component means/variances can be re-estimated with
 :func:`train_supervised_gaussians`.
+
+EM, alignment and :func:`mean_log_likelihood` share one posterior kernel
+that works on `CHUNK_FRAMES` frames at a time, so no frames x components
+array is ever built whole.  Memory is bounded by the pooled T x D speech
+frames plus O(CHUNK_FRAMES * G) for EM, and by O(CHUNK_FRAMES * G + T * N)
+for the top-N alignment of a T-frame recording.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AlignmentError,
     FormatError,
     InsufficientDataError,
+    NumericError,
     RangeError,
     ShapeError,
 )
@@ -31,6 +37,10 @@ from .frontend import FeatureMatrix
 log = logging.getLogger(__name__)
 
 MIN_FRAMES_PER_COMPONENT = 50
+
+# Frames per posterior chunk: the working set of EM and alignment is a few
+# (CHUNK_FRAMES, G) float64 arrays, whatever the number of frames.
+CHUNK_FRAMES = 1024
 
 # Callback invoked after each EM iteration:
 # (num_components, iteration, model snapshot, mean per-frame log-likelihood)
@@ -54,6 +64,9 @@ class DiagonalGmm:
             raise ShapeError("means must be (G, D)")
         if self.variances.shape != self.means.shape:
             raise ShapeError("variances must match means")
+        for name in ("weights", "means", "variances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NumericError(f"GMM {name} contain non-finite values")
         if np.any(self.variances <= 0):
             raise RangeError("variances must be strictly positive")
         if abs(self.weights.sum() - 1.0) > 1e-8 or np.any(self.weights < 0):
@@ -102,10 +115,7 @@ class PosteriorMatrix:
             raise ShapeError("indptr must be non-decreasing and end at nnz")
         if self.values.shape != self.indices.shape:
             raise ShapeError("values and indices must align")
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= self.num_components
-        ):
-            raise RangeError("posterior component index out of range")
+        self._check_indices()
         if np.any(self.values < 0):
             raise RangeError("posterior values must be non-negative")
         if self.num_frames > 0:
@@ -113,6 +123,30 @@ class PosteriorMatrix:
             sums = csum[self.indptr[1:]] - csum[self.indptr[:-1]]
             if np.any(sums > 1.0 + 1e-6):
                 raise RangeError("posterior row sums exceed 1")
+
+    def _check_indices(self) -> None:
+        if self.indices.size and (
+            self.indices.min() < 0 or self.indices.max() >= self.num_components
+        ):
+            raise RangeError("posterior component index out of range")
+
+    def weighted_sums(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, f)`` with ``n[g] = sum_t gamma_t(g)`` and
+        ``f[g] = sum_t gamma_t(g) * frames[t]``, as one bincount and one
+        sparse product.  Repeated component ids within a row add up."""
+        # Imported here: loading scipy.sparse costs every process import
+        # time and about 1.6 MB of memory, and only statistics need it.
+        from scipy.sparse import csr_matrix
+
+        self._check_indices()  # the sparse product does not bounds-check them
+        n = np.bincount(
+            self.indices, weights=self.values, minlength=self.num_components
+        )
+        gamma = csr_matrix(
+            (self.values, self.indices, self.indptr),
+            shape=(self.num_frames, self.num_components),
+        )
+        return n, np.asarray(gamma.T @ frames)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.num_frames, self.num_components))
@@ -136,11 +170,8 @@ class PosteriorMatrix:
         )
 
 
-def log_component_densities(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
-    """log(w_g) + log N(x_t; mu_g, diag sigma2_g) for all frames/components."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != gmm.dim:
-        raise ShapeError(f"frames must be (T, {gmm.dim})")
+def _density_weights(gmm: DiagonalGmm) -> np.ndarray:
+    """(2D + 1, G) matrix W with ``_augment(x) @ W`` the log densities."""
     inv_var = 1.0 / gmm.variances
     with np.errstate(divide="ignore"):  # zero weights map to -inf cleanly
         log_w = np.log(gmm.weights)
@@ -149,12 +180,64 @@ def log_component_densities(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
         - 0.5 * (gmm.dim * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
         - 0.5 * np.sum(gmm.means**2 * inv_var, axis=1)
     )
-    return const + frames @ (gmm.means * inv_var).T - 0.5 * (frames**2) @ inv_var.T
+    return np.vstack([(gmm.means * inv_var).T, -0.5 * inv_var.T, const])
+
+
+def _augment(frames: np.ndarray) -> np.ndarray:
+    """Rows ``[x, x**2, 1]``: the log densities are linear in them, and the
+    posterior-weighted sums of them are first moments, second moments and
+    occupancy."""
+    t, d = frames.shape
+    out = np.empty((t, 2 * d + 1))
+    out[:, :d] = frames
+    np.square(frames, out=out[:, d : 2 * d])
+    out[:, 2 * d] = 1.0
+    return out
+
+
+def _posteriors(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalise one chunk of log densities into posteriors, in place.
+
+    Returns the posteriors (the same array) and the per-frame mixture
+    log-likelihood ``max + log(sum)``.
+    """
+    top = log_dens.max(axis=1)
+    log_dens -= top[:, None]
+    post = np.exp(log_dens, out=log_dens)
+    total = post.sum(axis=1)
+    post /= total[:, None]
+    return post, top + np.log(total)
+
+
+def _as_frames(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != gmm.dim:
+        raise ShapeError(f"frames must be (T, {gmm.dim})")
+    return frames
+
+
+def _chunked_posteriors(gmm: DiagonalGmm, frames: np.ndarray):
+    """Yield ``(augmented frames, posteriors, per-frame log-likelihood)`` for
+    consecutive chunks of at most `CHUNK_FRAMES` frames."""
+    frames = _as_frames(gmm, frames)
+    weights = _density_weights(gmm)
+    for start in range(0, frames.shape[0], CHUNK_FRAMES):
+        aug = _augment(frames[start : start + CHUNK_FRAMES])
+        yield (aug, *_posteriors(aug @ weights))
+
+
+def log_component_densities(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
+    """log(w_g) + log N(x_t; mu_g, diag sigma2_g) for all frames/components."""
+    return _augment(_as_frames(gmm, frames)) @ _density_weights(gmm)
 
 
 def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
     """Average per-frame log-likelihood under the mixture."""
-    return float(logsumexp(log_component_densities(gmm, frames), axis=1).mean())
+    frames = _as_frames(gmm, frames)
+    if frames.shape[0] == 0:
+        raise InsufficientDataError("no frames to score")
+    total = sum(ll.sum() for _, _, ll in _chunked_posteriors(gmm, frames))
+    return float(total / frames.shape[0])
 
 
 def _collect_speech_frames(features: Sequence[FeatureMatrix]) -> np.ndarray:
@@ -179,21 +262,24 @@ def _split_components(gmm: DiagonalGmm, offset: float = 0.2) -> DiagonalGmm:
 def _em_step(
     gmm: DiagonalGmm, frames: np.ndarray, floor: np.ndarray
 ) -> tuple[DiagonalGmm, float]:
-    densities = log_component_densities(gmm, frames)
-    norm = logsumexp(densities, axis=1)
-    ll = float(norm.mean())
-    resp = np.exp(densities - norm[:, None])
-    occupancy = resp.sum(axis=0)
+    g, d = gmm.means.shape
+    sums = np.zeros((g, 2 * d + 1))  # [first moments, second moments, occupancy]
+    total_ll = 0.0
+    for aug, resp, ll in _chunked_posteriors(gmm, frames):
+        sums += resp.T @ aug
+        total_ll += ll.sum()
+    occupancy = sums[:, 2 * d]
     safe = occupancy > 1e-10
     means = gmm.means.copy()
     variances = gmm.variances.copy()
-    means[safe] = (resp.T @ frames)[safe] / occupancy[safe, None]
-    second = (resp.T @ (frames**2))[safe] / occupancy[safe, None]
+    means[safe] = sums[safe, :d] / occupancy[safe, None]
+    second = sums[safe, d : 2 * d] / occupancy[safe, None]
     variances[safe] = np.maximum(second - means[safe] ** 2, floor)
     if not safe.all():
         log.warning("EM step left %d empty components untouched", (~safe).sum())
     weights = occupancy / occupancy.sum()
-    return DiagonalGmm(weights=weights, means=means, variances=variances), ll
+    updated = DiagonalGmm(weights=weights, means=means, variances=variances)
+    return updated, total_ll / frames.shape[0]
 
 
 def train_gmm(
@@ -216,6 +302,12 @@ def train_gmm(
     if num_components < 1 or num_components & (num_components - 1):
         raise ValueError(f"num_components must be a power of two, got {num_components}")
     frames = _collect_speech_frames(features)
+    finite = np.isfinite(frames).all(axis=1)
+    if not finite.all():
+        raise NumericError(
+            f"training speech frames contain non-finite values (first at "
+            f"pooled speech frame {int(np.argmin(finite))})"
+        )
     if frames.shape[0] < MIN_FRAMES_PER_COMPONENT * num_components:
         raise InsufficientDataError(
             f"{frames.shape[0]} speech frames is too few for {num_components} "
@@ -260,22 +352,28 @@ def gmm_posteriors(
             values=np.zeros(0),
             num_components=gmm.num_components,
         )
-    densities = log_component_densities(gmm, frames)
-    post = np.exp(densities - logsumexp(densities, axis=1)[:, None])
     g = gmm.num_components
     keep = min(top_n, g)
-    if keep == g:
-        picked = np.tile(np.arange(g, dtype=np.int64), (frames.shape[0], 1))
-    else:
-        picked = np.argpartition(post, g - keep, axis=1)[:, g - keep :]
-        picked.sort(axis=1)
-    vals = np.take_along_axis(post, picked, axis=1)
-    vals = vals / vals.sum(axis=1, keepdims=True)
     t = frames.shape[0]
+    indices = np.empty((t, keep), dtype=np.int32)
+    values = np.empty((t, keep))
+    start = 0
+    for _, post, _ in _chunked_posteriors(gmm, frames):
+        stop = start + post.shape[0]
+        if keep == g:
+            indices[start:stop] = np.arange(g)
+            values[start:stop] = post
+        else:
+            picked = np.argpartition(post, g - keep, axis=1)[:, g - keep :]
+            picked.sort(axis=1)
+            vals = np.take_along_axis(post, picked, axis=1)
+            indices[start:stop] = picked
+            values[start:stop] = vals / vals.sum(axis=1, keepdims=True)
+        start = stop
     return PosteriorMatrix(
         indptr=np.arange(t + 1, dtype=np.int64) * keep,
-        indices=picked.reshape(-1).astype(np.int32),
-        values=vals.reshape(-1),
+        indices=indices.reshape(-1),
+        values=values.reshape(-1),
         num_components=g,
     )
 
@@ -318,10 +416,10 @@ def train_supervised_gaussians(
                 f"posterior set has {post.num_components} components, expected "
                 f"{num_components}"
             )
-        frame_of = np.repeat(np.arange(post.num_frames), np.diff(post.indptr))
-        np.add.at(occ, post.indices, post.values)
-        np.add.at(first, post.indices, post.values[:, None] * frames[frame_of])
-        np.add.at(second, post.indices, post.values[:, None] * frames[frame_of] ** 2)
+        n, sums = post.weighted_sums(np.hstack([frames, frames**2]))
+        occ += n
+        first += sums[:, :dim]
+        second += sums[:, dim:]
         total_frames += frames.shape[0]
         total_sum += frames.sum(axis=0)
         total_sq += (frames**2).sum(axis=0)

@@ -1,15 +1,18 @@
-"""Shared builders for test data, and the per-session TV EM reference.
+"""Shared builders for test data, and references for the batched paths.
 
 Most oracle implementations live next to the tests that use them; this
-module provides random-object constructors reused across files and
-:func:`reference_train_tv`, the straightforward one-session-at-a-time EM
-that the batched trainer in :mod:`ivnda.tv` is checked against.
+module provides random-object constructors reused across files and the
+straightforward versions that the chunked and batched code is checked
+against: :func:`reference_em_step` (one dense frames x components EM step),
+:func:`reference_weighted_sums` (an ``np.add.at`` scatter over CSR
+posteriors) and :func:`reference_train_tv` (one-session-at-a-time TV EM).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.special import logsumexp
 
 from ivnda.frontend import FeatureMatrix
 from ivnda.stats import BwStats
@@ -59,6 +62,64 @@ def sparse_random_posteriors(
         values[t * per_frame : (t + 1) * per_frame] = weights
     return PosteriorMatrix(
         indptr=indptr, indices=indices, values=values, num_components=g
+    )
+
+
+def ragged_posteriors(
+    rng: np.random.Generator, num_frames: int, g: int
+) -> PosteriorMatrix:
+    """CSR posteriors with 0-4 entries per row, drawn with replacement, so
+    rows can be empty and can repeat a component id.  Row 0 is always
+    empty and row 1 always holds component 1 twice."""
+    counts = rng.integers(0, 5, size=num_frames)
+    counts[0], counts[1] = 0, 2
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = rng.integers(0, g, size=indptr[-1])
+    indices[0:2] = 1
+    values = rng.uniform(0.0, 0.25, size=indptr[-1])
+    return PosteriorMatrix(
+        indptr=indptr, indices=indices, values=values, num_components=g
+    )
+
+
+def reference_weighted_sums(
+    post: PosteriorMatrix, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, f) by an ``np.add.at`` scatter of every CSR entry."""
+    n = np.zeros(post.num_components)
+    f = np.zeros((post.num_components, frames.shape[1]))
+    frame_of = np.repeat(np.arange(post.num_frames), np.diff(post.indptr))
+    np.add.at(n, post.indices, post.values)
+    np.add.at(f, post.indices, post.values[:, None] * frames[frame_of])
+    return n, f
+
+
+def reference_em_step(
+    gmm: DiagonalGmm, frames: np.ndarray, floor: np.ndarray
+) -> tuple[DiagonalGmm, float]:
+    """One UBM EM step over the dense (T, G) responsibility matrix."""
+    inv_var = 1.0 / gmm.variances
+    with np.errstate(divide="ignore"):
+        log_w = np.log(gmm.weights)
+    densities = (
+        log_w
+        - 0.5 * (gmm.dim * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
+        - 0.5 * np.sum(gmm.means**2 * inv_var, axis=1)
+        + frames @ (gmm.means * inv_var).T
+        - 0.5 * (frames**2) @ inv_var.T
+    )
+    norm = logsumexp(densities, axis=1)
+    resp = np.exp(densities - norm[:, None])
+    occupancy = resp.sum(axis=0)
+    safe = occupancy > 1e-10
+    means = gmm.means.copy()
+    variances = gmm.variances.copy()
+    means[safe] = (resp.T @ frames)[safe] / occupancy[safe, None]
+    second = (resp.T @ (frames**2))[safe] / occupancy[safe, None]
+    variances[safe] = np.maximum(second - means[safe] ** 2, floor)
+    weights = occupancy / occupancy.sum()
+    return DiagonalGmm(weights=weights, means=means, variances=variances), float(
+        norm.mean()
     )
 
 

@@ -158,6 +158,23 @@ class TestNormalizer:
         with pytest.raises(ShapeError):
             normalize(np.zeros(5), norm)
 
+    def test_rows_dimension_mismatch(self, rng):
+        norm = fit_normalizer(rng.normal(size=(10, 4)))
+        with pytest.raises(ShapeError):
+            normalize_rows(rng.normal(size=(3, 5)), norm)
+
+    def test_rows_must_be_matrix(self, rng):
+        norm = fit_normalizer(rng.normal(size=(10, 4)))
+        with pytest.raises(ShapeError):
+            normalize_rows(rng.normal(size=4), norm)
+
+    def test_rows_non_finite(self, rng):
+        norm = fit_normalizer(rng.normal(size=(10, 4)))
+        vectors = rng.normal(size=(3, 4))
+        vectors[1, 2] = np.nan
+        with pytest.raises(NumericError, match="row 1"):
+            normalize_rows(vectors, norm)
+
     def test_container_validation(self):
         with pytest.raises(ShapeError):
             Normalizer(mean=np.zeros(3), whitener=np.zeros((2, 3)))

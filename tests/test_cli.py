@@ -332,6 +332,29 @@ class TestAudioRecipe:
                 audio_ws / "feats" / name
             ).read_bytes()
 
+    def test_non_finite_features_are_numeric_errors(self, audio_ws, tmp_path, capsys):
+        manifest = fileio.read_manifest(audio_ws / "train.manifest")
+        feat_dir = tmp_path / "feats"
+        feat_dir.mkdir()
+        for i, entry in enumerate(manifest):
+            path = fileio.feature_path(audio_ws / "feats", entry.recording_id)
+            features, fp, meta = fileio.read_feature_record(path)
+            if i == 0:
+                features.frames[np.flatnonzero(features.speech_mask)[0], 4] = np.nan
+            fileio.write_feature_record(
+                fileio.feature_path(feat_dir, entry.recording_id), features, fp, meta
+            )
+        rc = main(
+            [
+                "train-ubm", "--config", str(audio_ws / "config.ini"),
+                "--features", str(feat_dir), "--manifest", str(audio_ws / "train.manifest"),
+                "--out", str(tmp_path / "ubm.ivgm"),
+            ]
+        )
+        assert rc == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "ubm.ivgm").exists()
+
     def test_supervised_ubm(self, audio_ws, tmp_path, rng):
         # Hand the trainer externally computed per-frame posteriors.
         from helpers import sparse_random_posteriors

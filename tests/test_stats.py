@@ -7,6 +7,8 @@ from helpers import (
     dense_random_posteriors,
     make_features,
     make_gmm,
+    ragged_posteriors,
+    reference_weighted_sums,
     sparse_random_posteriors,
 )
 from ivnda.errors import AlignmentError, ContractError, RangeError, ShapeError
@@ -60,6 +62,19 @@ def test_accumulate_with_sparse_posteriors(rng):
     np.testing.assert_allclose(got.f, want_f, rtol=1e-10)
 
 
+def test_accumulate_matches_add_at_reference_on_ragged_rows(rng):
+    # empty rows, 1-4 entries per row and repeated component ids in a row,
+    # as external posterior files may hold
+    mask = np.ones(55, dtype=bool)
+    mask[[3, 17]] = False
+    feats = make_features(rng, 55, 3, mask=mask)
+    post = ragged_posteriors(rng, 53, 7)
+    got = accumulate_bw(feats, post)
+    want_n, want_f = reference_weighted_sums(post, feats.speech_frames())
+    np.testing.assert_allclose(got.n, want_n, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(got.f, want_f, rtol=1e-12, atol=1e-15)
+
+
 def test_accumulate_skips_non_speech_frames(rng):
     mask = np.array([True] * 10 + [False] * 5)
     feats = make_features(rng, 15, 2, mask=mask)
@@ -75,6 +90,19 @@ def test_accumulate_row_mismatch(rng):
     dense = dense_random_posteriors(rng, 9, 4)
     with pytest.raises(AlignmentError):
         accumulate_bw(feats, PosteriorMatrix.from_dense(dense))
+
+
+@pytest.mark.parametrize("bad_index", [-1, 4])
+def test_accumulate_rejects_out_of_range_component(rng, bad_index):
+    feats = make_features(rng, 2, 2)
+    post = PosteriorMatrix(
+        indptr=np.array([0, 1, 2]),
+        indices=np.array([0, bad_index]),
+        values=np.array([1.0, 1.0]),
+        num_components=4,
+    )
+    with pytest.raises(RangeError):
+        accumulate_bw(feats, post)
 
 
 def test_accumulate_is_linear_in_posteriors(rng):

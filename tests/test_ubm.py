@@ -3,18 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_features, make_gmm
+from helpers import (
+    make_features,
+    make_gmm,
+    ragged_posteriors,
+    reference_em_step,
+    reference_weighted_sums,
+)
 from ivnda.errors import (
     AlignmentError,
     FormatError,
     InsufficientDataError,
+    NumericError,
     RangeError,
     ShapeError,
 )
 from ivnda.frontend import FeatureMatrix
 from ivnda.ubm import (
+    CHUNK_FRAMES,
     DiagonalGmm,
     PosteriorMatrix,
+    _em_step,
     gmm_posteriors,
     load_external_posteriors,
     log_component_densities,
@@ -125,6 +134,38 @@ def test_posteriors_empty_mask_gives_zero_rows(rng):
     assert post.indices.size == 0
 
 
+def test_posteriors_longer_than_one_chunk_match_oracle(rng):
+    gmm = make_gmm(rng, 4, 2)
+    t = 2 * CHUNK_FRAMES + 3
+    feats = make_features(rng, t, 2)
+    want = oracle_posteriors(gmm, feats.frames)
+    full = gmm_posteriors(gmm, feats, top_n=4)
+    assert full.num_frames == t
+    np.testing.assert_allclose(full.to_dense(), want, rtol=1e-10, atol=1e-12)
+    pruned = gmm_posteriors(gmm, feats, top_n=2)
+    pruned.validate()
+    top2 = np.sort(np.argsort(want, axis=1)[:, -2:], axis=1)
+    np.testing.assert_array_equal(pruned.indices.reshape(t, 2), top2)
+    kept = np.take_along_axis(want, top2, axis=1)
+    np.testing.assert_allclose(
+        pruned.values.reshape(t, 2),
+        kept / kept.sum(axis=1, keepdims=True),
+        rtol=1e-10,
+    )
+
+
+def test_mean_log_likelihood_over_chunks_matches_oracle(rng):
+    gmm = make_gmm(rng, 3, 2)
+    frames = rng.normal(size=(CHUNK_FRAMES + 5, 2))
+    got = mean_log_likelihood(gmm, frames)
+    assert got == pytest.approx(oracle_mixture_ll(gmm, frames), rel=1e-10)
+
+
+def test_mean_log_likelihood_needs_frames(rng):
+    with pytest.raises(InsufficientDataError):
+        mean_log_likelihood(make_gmm(rng, 2, 3), np.zeros((0, 3)))
+
+
 def test_mean_log_likelihood_matches_oracle(rng):
     gmm = make_gmm(rng, 5, 3)
     frames = rng.normal(size=(40, 3))
@@ -158,6 +199,19 @@ def test_gmm_rejects_nonpositive_variance():
             means=np.zeros((1, 2)),
             variances=np.array([[1.0, 0.0]]),
         )
+
+
+@pytest.mark.parametrize("field", ["weights", "means", "variances"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gmm_rejects_non_finite_parameters(field, bad):
+    params = {
+        "weights": np.array([0.5, 0.5]),
+        "means": np.zeros((2, 2)),
+        "variances": np.ones((2, 2)),
+    }
+    params[field].flat[0] = bad
+    with pytest.raises(NumericError, match=field):
+        DiagonalGmm(**params)
 
 
 def test_posterior_matrix_dense_round_trip(rng):
@@ -198,6 +252,44 @@ def test_single_component_is_global_moments(rng):
     np.testing.assert_allclose(gmm.weights, [1.0])
     np.testing.assert_allclose(gmm.means[0], feats.frames.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(gmm.variances[0], feats.frames.var(axis=0), rtol=1e-12)
+
+
+def test_chunked_em_step_matches_dense_reference(rng):
+    t = 2 * CHUNK_FRAMES + 3
+    frames = rng.normal(0.0, 1.5, size=(t, 3))
+    gmm = make_gmm(rng, 4, 3)
+    # component 3 sits far from every frame: zero occupancy, so the step
+    # leaves it untouched and the next step sees a zero weight
+    means = gmm.means.copy()
+    means[3] = 1e3
+    gmm = DiagonalGmm(weights=gmm.weights, means=means, variances=gmm.variances)
+    floor = 1e-3 * frames.var(axis=0)
+    for _ in range(2):
+        got, got_ll = _em_step(gmm, frames, floor)
+        want, want_ll = reference_em_step(gmm, frames, floor)
+        assert got.weights[3] == 0.0
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got.means, want.means, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got.variances, want.variances, rtol=1e-10, atol=0)
+        assert got_ll == pytest.approx(want_ll, rel=1e-10)
+        gmm = got
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_gmm_rejects_non_finite_frames(rng, bad):
+    feats = make_features(rng, 400, 3)
+    feats.frames[123, 1] = bad
+    with pytest.raises(NumericError, match="frame 123"):
+        train_gmm([feats], 2)
+
+
+def test_train_gmm_ignores_non_finite_non_speech_frames(rng):
+    mask = np.ones(400, dtype=bool)
+    mask[5] = False
+    feats = make_features(rng, 400, 3, mask=mask)
+    feats.frames[5, 0] = np.nan
+    gmm = train_gmm([feats], 2)
+    assert np.isfinite(gmm.means).all()
 
 
 def test_train_gmm_requires_power_of_two(rng):
@@ -333,6 +425,21 @@ def test_supervised_dead_component_gets_global_moments(rng, caplog):
     assert "zero occupancy" in caplog.text
     np.testing.assert_allclose(gmm.means[2], feats.frames.mean(axis=0), rtol=1e-12)
     assert gmm.weights[2] > 0  # representable but vanishing
+
+
+def test_supervised_moments_match_add_at_reference(rng):
+    feats = make_features(rng, 60, 2)
+    post = ragged_posteriors(rng, 60, 4)
+    gmm = train_supervised_gaussians([feats], [post], 4)
+    occ, first = reference_weighted_sums(post, feats.frames)
+    _, second = reference_weighted_sums(post, feats.frames**2)
+    assert np.all(occ > 1e-6)
+    means = first / occ[:, None]
+    floor = 1e-3 * feats.frames.var(axis=0)
+    variances = np.maximum(second / occ[:, None] - means**2, floor)
+    np.testing.assert_allclose(gmm.weights, occ / occ.sum(), rtol=1e-12)
+    np.testing.assert_allclose(gmm.means, means, rtol=1e-10)
+    np.testing.assert_allclose(gmm.variances, variances, rtol=1e-10)
 
 
 def test_supervised_alignment_error(rng):
