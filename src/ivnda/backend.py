@@ -9,13 +9,18 @@ The PLDA model is the two-covariance flavour: a speaker variable
 rank.  Training is EM with exact per-speaker posteriors; verification
 scores are the exact log-likelihood ratio of the same-speaker hypothesis
 against independent speakers, which is symmetric in its two arguments.
+
+A speaker's posterior covariance and the factorisation of its joint
+likelihood depend only on its session count, so EM and the likelihood
+group speakers by count and factorise once per distinct count; the
+remaining work is a few matrix products over all sessions.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -82,21 +87,15 @@ def fit_normalizer(vectors: np.ndarray, floor_scale: float = 1e-10) -> Normalize
 
 
 def normalize(vector: np.ndarray, normalizer: Normalizer) -> np.ndarray:
-    """Center, whiten, and scale one vector to unit Euclidean length."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (normalizer.dim,):
-        raise ShapeError(
-            f"vector has shape {vector.shape}, normalizer expects ({normalizer.dim},)"
-        )
-    whitened = normalizer.whitener @ (vector - normalizer.mean)
-    norm = np.linalg.norm(whitened)
-    if norm == 0:
-        raise DegenerateVectorError("cannot length-normalise a zero vector")
-    return whitened / norm
+    """Center, whiten, and scale one vector to unit Euclidean length
+    (:func:`normalize_rows` on a batch of one)."""
+    return normalize_rows(np.asarray(vector, dtype=np.float64)[None], normalizer)[0]
 
 
 def normalize_rows(vectors: np.ndarray, normalizer: Normalizer) -> np.ndarray:
-    """Vectorised :func:`normalize` over rows."""
+    """Center, whiten, and scale each row to unit Euclidean length.
+
+    Rows must be finite and match the normalizer's dimension."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != normalizer.dim:
         raise ShapeError(
@@ -198,8 +197,49 @@ class PldaModel:
         return self._cache
 
 
-def _group_by_label(data: LabeledVectors) -> list[np.ndarray]:
-    return [data.vectors[idx] for idx in data.class_indices().values()]
+@dataclass
+class _Speakers:
+    """Training sessions grouped by speaker, with speakers grouped by their
+    session count, built once per :func:`train_plda` call.
+
+    Rows are reordered so that each speaker's sessions are contiguous.
+    Everything in the EM step and the log-likelihood that depends on a
+    speaker only through its session count n (the posterior covariance, the
+    ``W + n B`` factorisation) is computed once per distinct n.
+    """
+
+    vectors: np.ndarray      # (N, M) sessions, speaker by speaker
+    speaker: np.ndarray      # (N,) speaker of each row
+    counts: np.ndarray       # (S,) sessions per speaker
+    starts: np.ndarray       # (S,) first row of each speaker
+    sums: np.ndarray         # (S, M) per-speaker session sums
+    distinct: np.ndarray     # (U,) distinct session counts, ascending
+    count_group: np.ndarray  # (S,) index into `distinct` of each speaker
+    group_sizes: np.ndarray  # (U,) speakers with each distinct count
+
+    @classmethod
+    def from_data(cls, data: LabeledVectors) -> "_Speakers":
+        indices = list(data.class_indices().values())
+        counts = np.array([idx.size for idx in indices], dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        vectors = data.vectors[np.concatenate([np.zeros(0, np.intp), *indices])]
+        distinct, count_group, group_sizes = np.unique(
+            counts, return_inverse=True, return_counts=True
+        )
+        return cls(
+            vectors=vectors,
+            speaker=np.repeat(np.arange(counts.size), counts),
+            counts=counts,
+            starts=starts,
+            sums=np.add.reduceat(vectors, starts, axis=0),
+            distinct=distinct,
+            count_group=count_group,
+            group_sizes=group_sizes,
+        )
+
+    @property
+    def num_speakers(self) -> int:
+        return self.counts.size
 
 
 def train_plda(
@@ -216,13 +256,19 @@ def train_plda(
     covariances invertible even for degenerate data.  `on_iteration`
     observes each pre-update model with its exact marginal log-likelihood;
     that sequence is non-decreasing.
+
+    Speakers are grouped by session count once: each EM step factorises
+    the posterior precision ``B^-1 + n W^-1`` once per distinct count n and
+    updates W from one residual product over all sessions, so no step
+    loops over speakers.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if not np.isfinite(data.vectors).all():
         raise NumericError("training vectors contain non-finite values")
-    groups = _group_by_label(data)
-    if len(groups) < 2:
+    spk = _Speakers.from_data(data)
+    num_spk = spk.num_speakers
+    if num_spk < 2:
         raise UnidentifiableError(
             "PLDA needs at least two speakers; the between-speaker covariance "
             "is unidentifiable from one"
@@ -230,14 +276,11 @@ def train_plda(
     m = data.dim
     n_total = data.num_vectors
     mu = data.vectors.mean(axis=0)
-    speaker_means = np.stack([grp.mean(axis=0) for grp in groups])
+    speaker_means = spk.sums / spk.counts[:, None]
     diff = speaker_means - mu
-    b_cov = diff.T @ diff / len(groups)
-    w_cov = np.zeros((m, m))
-    for grp in groups:
-        centered = grp - grp.mean(axis=0)
-        w_cov += centered.T @ centered
-    w_cov /= n_total
+    b_cov = diff.T @ diff / num_spk
+    centered = spk.vectors - speaker_means[spk.speaker]
+    w_cov = centered.T @ centered / n_total
 
     def ridge(mat: np.ndarray) -> np.ndarray:
         scale = np.trace(mat) / m
@@ -248,32 +291,31 @@ def train_plda(
     b_cov = ridge((b_cov + b_cov.T) / 2.0)
     w_cov = ridge((w_cov + w_cov.T) / 2.0)
 
-    counts = np.array([grp.shape[0] for grp in groups])
-    sums = np.stack([grp.sum(axis=0) for grp in groups])
-
     for it in range(iters):
         model = PldaModel(mu=mu.copy(), b_cov=b_cov.copy(), w_cov=w_cov.copy())
-        total_ll = plda_log_likelihood(model, data)
+        total_ll = _log_likelihood(model, spk)
         if on_iteration is not None:
             on_iteration(it, model, total_ll)
 
         b_inv = _spd_inverse(b_cov, "between-speaker covariance")
         w_inv = _spd_inverse(w_cov, "within-speaker covariance")
-        y_hat = np.empty((len(groups), m))
-        y_cov = np.empty((len(groups), m, m))
-        for i, grp in enumerate(groups):
-            prec = b_inv + counts[i] * w_inv
-            cov_i = _spd_inverse(prec, "speaker posterior precision")
-            y_cov[i] = (cov_i + cov_i.T) / 2.0
-            y_hat[i] = cov_i @ (b_inv @ mu + w_inv @ sums[i])
+        # Speaker posteriors: the covariance depends only on the count n.
+        rhs = b_inv @ mu + spk.sums @ w_inv.T
+        y_hat = np.empty_like(rhs)
+        y_cov = np.empty((spk.distinct.size, m, m))
+        for u, n in enumerate(spk.distinct):
+            cov_n = _spd_inverse(b_inv + n * w_inv, "speaker posterior precision")
+            rows = spk.count_group == u
+            y_hat[rows] = rhs[rows] @ cov_n.T
+            y_cov[u] = (cov_n + cov_n.T) / 2.0
 
         mu = y_hat.mean(axis=0)
         dev = y_hat - mu
-        b_cov = (y_cov.sum(axis=0) + dev.T @ dev) / len(groups)
-        w_new = np.zeros((m, m))
-        for i, grp in enumerate(groups):
-            resid = grp - y_hat[i]
-            w_new += resid.T @ resid + counts[i] * y_cov[i]
+        b_cov = (np.tensordot(spk.group_sizes, y_cov, axes=1) + dev.T @ dev) / num_spk
+        resid = spk.vectors - y_hat[spk.speaker]
+        w_new = resid.T @ resid + np.tensordot(
+            spk.group_sizes * spk.distinct, y_cov, axes=1
+        )
         w_cov = w_new / n_total
         b_cov = ridge((b_cov + b_cov.T) / 2.0)
         w_cov = ridge((w_cov + w_cov.T) / 2.0)
@@ -282,11 +324,18 @@ def train_plda(
     return PldaModel(mu=mu, b_cov=b_cov, w_cov=w_cov)
 
 
-def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
+def _spd_factor(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """(inverse, log-determinant) of a symmetric positive-definite matrix."""
     try:
-        return cho_solve(cho_factor(mat, lower=True), np.eye(mat.shape[0]))
+        cho = cho_factor(mat, lower=True)
     except LinAlgError as exc:
         raise MatrixError(f"{what} is not positive definite") from exc
+    logdet = 2.0 * float(np.log(np.diag(cho[0])).sum())
+    return cho_solve(cho, np.eye(mat.shape[0])), logdet
+
+
+def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:
+    return _spd_factor(mat, what)[0]
 
 
 def plda_log_likelihood(model: PldaModel, data: LabeledVectors) -> float:
@@ -295,52 +344,38 @@ def plda_log_likelihood(model: PldaModel, data: LabeledVectors) -> float:
     Uses the block structure of the per-speaker joint covariance
     ``I (x) W + 11' (x) B``: its log-determinant is
     ``(M_i - 1) logdet W + logdet(W + M_i B)`` and its inverse applies
-    ``W^-1`` per session minus a shared correction.
+    ``W^-1`` per session minus a shared correction.  Both depend on a
+    speaker only through its session count M_i, so they are computed once
+    per distinct count.
     """
-    w_inv = _spd_inverse(model.w_cov, "within-speaker covariance")
-    sign_w, logdet_w = np.linalg.slogdet(model.w_cov)
-    if sign_w <= 0:
-        raise MatrixError("within-speaker covariance must be positive definite")
-    total = 0.0
-    m = model.dim
-    for grp in _group_by_label(data):
-        mi = grp.shape[0]
-        centered = grp - model.mu
-        s = centered.sum(axis=0)
-        mixed = model.w_cov + mi * model.b_cov
-        sign_x, logdet_x = np.linalg.slogdet(mixed)
-        if sign_x <= 0:
-            raise MatrixError("W + M B must be positive definite")
-        correction = w_inv @ model.b_cov @ _spd_inverse(mixed, "W + M B")
-        quad = float(np.einsum("ij,jk,ik->", centered, w_inv, centered))
-        quad -= float(s @ correction @ s)
-        logdet = (mi - 1) * logdet_w + logdet_x
-        total += -0.5 * (mi * m * np.log(2.0 * np.pi) + logdet + quad)
-    return float(total)
+    return _log_likelihood(model, _Speakers.from_data(data))
+
+
+def _log_likelihood(model: PldaModel, spk: _Speakers) -> float:
+    w_inv, logdet_w = _spd_factor(model.w_cov, "within-speaker covariance")
+    centered = spk.vectors - model.mu
+    s = np.add.reduceat(centered, spk.starts, axis=0)
+    quad = float(np.sum((centered @ w_inv) * centered))
+    logdet = (spk.vectors.shape[0] - spk.num_speakers) * logdet_w
+    for u, n in enumerate(spk.distinct):
+        mixed_inv, logdet_x = _spd_factor(model.w_cov + n * model.b_cov, "W + M B")
+        s_u = s[spk.count_group == u]
+        quad -= float(np.sum((s_u @ (w_inv @ model.b_cov @ mixed_inv)) * s_u))
+        logdet += spk.group_sizes[u] * logdet_x
+    return float(-0.5 * (spk.vectors.size * np.log(2.0 * np.pi) + logdet + quad))
 
 
 def plda_score(enroll: np.ndarray, test: np.ndarray, model: PldaModel) -> float:
     """Log-likelihood ratio: same speaker vs independent speakers.
 
     Both arguments are single vectors that went through the same
-    normalisation.  The score is symmetric: swapping enroll and test gives
-    the identical value.
+    normalisation; this is :func:`score_pairs` on one trial.  The score is
+    symmetric: swapping enroll and test gives the identical value.
     """
-    enroll = np.asarray(enroll, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if enroll.shape != (model.dim,) or test.shape != (model.dim,):
-        raise ShapeError("enroll/test vectors must match the model dimension")
-    if not (np.isfinite(enroll).all() and np.isfinite(test).all()):
-        raise NumericError("cannot score non-finite vectors")
-    cache = model.finalize()
-    e = enroll - model.mu
-    t = test - model.mu
-    return float(
-        0.5 * (e @ cache.diag_term @ e)
-        + 0.5 * (t @ cache.diag_term @ t)
-        + e @ cache.cross_term @ t
-        + cache.offset
-    )
+    enroll = np.asarray(enroll, dtype=np.float64)[None]
+    test = np.asarray(test, dtype=np.float64)[None]
+    trial = np.zeros(1, dtype=np.int64)
+    return float(score_pairs(model, enroll, test, trial, trial)[0])
 
 
 def score_pairs(
@@ -350,11 +385,12 @@ def score_pairs(
     enroll_idx: np.ndarray,
     test_idx: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised :func:`plda_score` over aligned index arrays.
+    """PLDA log-likelihood ratios over aligned index arrays.
 
     Trial ``i`` scores ``enroll[enroll_idx[i]]`` against
-    ``test[test_idx[i]]``.  The inputs are checked as in :func:`plda_score`;
-    the index arrays must have equal length and lie within their rows.
+    ``test[test_idx[i]]``.  Vectors must be finite rows of the model's
+    dimension; the index arrays must have equal length and lie within
+    their rows.
     """
     enroll = np.asarray(enroll, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)

@@ -7,6 +7,11 @@ means built from each sample's k nearest neighbours (cosine metric) in the
 competing classes, weighted so that only samples near class boundaries
 contribute.  The NDA scatter is a sum of order N*k rank-one terms rather
 than C-1 of them, so its rank is not capped by the number of classes.
+
+The neighbour search works one class at a time: one matrix product gives
+the cosine distances of the class's n_c members to all N training vectors,
+and a partial sort of that block picks every member's neighbours at once.
+Memory is O(n_c * N) for the largest class; no N x N matrix is built.
 """
 
 from __future__ import annotations
@@ -116,6 +121,27 @@ def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
     return x / norms[:, None]
 
 
+def _k_smallest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `dists`: the column indices of its k smallest entries,
+    ordered by (distance, index), and the k-th smallest distance.
+
+    `np.argpartition` picks k candidates per row; sorting them by index and
+    then stably by distance gives the (distance, index) order.  A row whose
+    k-th value is tied with an entry left outside the candidates (ties
+    straddling the k-th place) may have picked the higher index, so only
+    those rows are redone with a full stable sort.
+    """
+    cand = np.argpartition(dists, k - 1, axis=1)[:, :k]
+    cand.sort(axis=1)
+    order = np.argsort(np.take_along_axis(dists, cand, axis=1), axis=1, kind="stable")
+    idx = np.take_along_axis(cand, order, axis=1)
+    kth = np.take_along_axis(dists, idx[:, -1:], axis=1)[:, 0]
+    straddle = np.flatnonzero(np.count_nonzero(dists <= kth[:, None], axis=1) > k)
+    if straddle.size:
+        idx[straddle] = np.argsort(dists[straddle], axis=1, kind="stable")[:, :k]
+    return idx, kth
+
+
 def knn_cosine(
     query: np.ndarray, pool: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +154,10 @@ def knn_cosine(
         raise DegenerateClassError(
             f"k={k} is outside [1, {pool.shape[0]}] for this pool"
         )
-    qn = np.linalg.norm(query)
-    if qn == 0:
-        raise NormalizationError("zero-norm query; cosine distance undefined")
-    dense = 1.0 - (_unit_rows(pool, "pool") @ (query / qn))
-    order = np.argsort(dense, kind="stable")[:k]
-    return order, dense[order]
+    query = np.asarray(query, dtype=np.float64)[None, :]
+    dists = 1.0 - _unit_rows(query, "query") @ _unit_rows(pool, "pool").T
+    order, _ = _k_smallest(dists, k)
+    return order[0], dists[0, order[0]]
 
 
 @dataclass
@@ -146,11 +170,48 @@ class NdaLocalStats:
     dist_rest: np.ndarray     # (N,) k-th neighbour distance in the complement
 
 
-def _boundary_weight(d_own: float, d_rest: float, alpha: float) -> float:
+def _boundary_weights(
+    d_own: np.ndarray, d_rest: np.ndarray, alpha: float
+) -> np.ndarray:
+    """``min(a, b) / (a + b)`` with ``a = d_own**alpha``, ``b = d_rest**alpha``;
+    0.5 where both distances vanish."""
     a, b = d_own**alpha, d_rest**alpha
-    if a + b == 0.0:
-        return 0.5
-    return min(a, b) / (a + b)
+    total = a + b
+    return np.divide(
+        np.minimum(a, b), total, out=np.full_like(total, 0.5), where=total != 0.0
+    )
+
+
+def _nda_classes(data: LabeledVectors, k: int) -> dict:
+    """`data.class_indices()`, after checking that every class has the k
+    within-class neighbours NDA needs for each of its members."""
+    classes = data.class_indices()
+    for lab, idx in classes.items():
+        if idx.size < k + 1:
+            raise DegenerateClassError(
+                f"class {lab!r} has {idx.size} samples; need k + 1 = {k + 1} "
+                f"for within-class neighbours"
+            )
+    return classes
+
+
+def _class_blocks(data: LabeledVectors, classes: dict, k: int):
+    """Yield ``(idx, dists, d_own)`` per class: the class's row indices, its
+    (n_c, N) cosine-distance block against every training row, and each
+    member's k-th within-class neighbour distance (itself excluded).
+
+    The own-class columns of the yielded block are set to +inf, so it can
+    be searched for neighbours outside the class directly.  Only one block
+    is alive at a time, so memory is O(n_c * N) for the largest class.
+    """
+    unit = _unit_rows(data.vectors, "training vectors")
+    for idx in classes.values():
+        dists = 1.0 - unit[idx] @ unit.T
+        own = dists[:, idx]
+        np.fill_diagonal(own, np.inf)
+        d_own = np.partition(own, k - 1, axis=1)[:, k - 1]
+        dists[:, idx] = np.inf
+        yield idx, dists, d_own
 
 
 def nda_local_stats(data: LabeledVectors, k: int, alpha: float) -> NdaLocalStats:
@@ -165,39 +226,23 @@ def nda_local_stats(data: LabeledVectors, k: int, alpha: float) -> NdaLocalStats
     approaches 0.5 near the class boundary and 0 deep inside a class.
     """
     n = data.num_vectors
-    unit = _unit_rows(data.vectors, "training vectors")
-    classes = data.class_indices()
+    classes = _nda_classes(data, k)
     for lab, idx in classes.items():
-        if idx.size < k + 1:
-            raise DegenerateClassError(
-                f"class {lab!r} has {idx.size} samples; need k + 1 = {k + 1} "
-                f"for within-class neighbours"
-            )
         if n - idx.size < k:
             raise DegenerateClassError(
                 f"complement of class {lab!r} has {n - idx.size} samples; "
                 f"need at least k = {k}"
             )
-    weights = np.zeros(n)
     local_means = np.zeros((n, data.dim))
     dist_own = np.zeros(n)
     dist_rest = np.zeros(n)
-    for lab, idx in classes.items():
-        rest = np.setdiff1d(np.arange(n), idx, assume_unique=False)
-        dists_own = 1.0 - unit[idx] @ unit[idx].T
-        dists_rest = 1.0 - unit[idx] @ unit[rest].T
-        for row, sample in enumerate(idx):
-            own_d = np.delete(dists_own[row], row)
-            own_sorted = np.sort(own_d, kind="stable")
-            d_own = own_sorted[k - 1]
-            order = np.argsort(dists_rest[row], kind="stable")[:k]
-            d_rest = dists_rest[row][order[-1]]
-            weights[sample] = _boundary_weight(d_own, d_rest, alpha)
-            local_means[sample] = data.vectors[rest[order]].mean(axis=0)
-            dist_own[sample] = d_own
-            dist_rest[sample] = d_rest
+    for idx, dists, d_own in _class_blocks(data, classes, k):
+        order, d_rest = _k_smallest(dists, k)
+        local_means[idx] = data.vectors[order].mean(axis=1)
+        dist_own[idx] = d_own
+        dist_rest[idx] = d_rest
     return NdaLocalStats(
-        weights=weights,
+        weights=_boundary_weights(dist_own, dist_rest, alpha),
         local_means=local_means,
         dist_own=dist_own,
         dist_rest=dist_rest,
@@ -213,35 +258,22 @@ def nda_between_scatter(
     product of its offset from the complement's local k-NN mean.  The
     pairwise variant accumulates one term per (sample, competing class)
     pair instead; it is quadratic in the number of classes and kept mainly
-    for comparison.
+    for comparison.  Both search one (n_c, N) distance block per class.
     """
     if one_vs_rest:
         local = nda_local_stats(data, k, alpha)
         diffs = data.vectors - local.local_means
         return (diffs * local.weights[:, None]).T @ diffs
-    n = data.num_vectors
-    unit = _unit_rows(data.vectors, "training vectors")
-    classes = data.class_indices()
-    for lab, idx in classes.items():
-        if idx.size < k + 1:
-            raise DegenerateClassError(
-                f"class {lab!r} has {idx.size} samples; need k + 1 = {k + 1}"
-            )
+    classes = _nda_classes(data, k)
     sb = np.zeros((data.dim, data.dim))
-    for lab_i, idx_i in classes.items():
-        dists_own = 1.0 - unit[idx_i] @ unit[idx_i].T
-        for lab_j, idx_j in classes.items():
-            if lab_i == lab_j:
+    for idx_i, dists, d_own in _class_blocks(data, classes, k):
+        for idx_j in classes.values():
+            if idx_j is idx_i:
                 continue
-            dists_j = 1.0 - unit[idx_i] @ unit[idx_j].T
-            for row in range(idx_i.size):
-                own_sorted = np.sort(np.delete(dists_own[row], row), kind="stable")
-                d_own = own_sorted[k - 1]
-                order = np.argsort(dists_j[row], kind="stable")[:k]
-                d_other = dists_j[row][order[-1]]
-                w = _boundary_weight(d_own, d_other, alpha)
-                diff = data.vectors[idx_i[row]] - data.vectors[idx_j[order]].mean(axis=0)
-                sb += w * np.outer(diff, diff)
+            order, d_other = _k_smallest(dists[:, idx_j], k)
+            diffs = data.vectors[idx_i] - data.vectors[idx_j[order]].mean(axis=1)
+            weights = _boundary_weights(d_own, d_other, alpha)
+            sb += (diffs * weights[:, None]).T @ diffs
     return sb
 
 

@@ -126,15 +126,21 @@ def compute_eer(trials: TrialSet) -> tuple[float, float]:
     return float(eer), float(threshold)
 
 
-def compute_dcf(p_miss: float, p_fa: float, params: DcfParams) -> float:
-    """Normalised detection cost at one operating point."""
+def compute_dcf(
+    p_miss: float | np.ndarray, p_fa: float | np.ndarray, params: DcfParams
+) -> float | np.ndarray:
+    """Normalised detection cost at one operating point, or elementwise
+    over arrays of them."""
+    p_miss = np.asarray(p_miss, dtype=np.float64)
+    p_fa = np.asarray(p_fa, dtype=np.float64)
     raw = params.cost_miss * p_miss * params.p_target + params.cost_fa * p_fa * (
         1.0 - params.p_target
     )
     best_trivial = min(
         params.cost_miss * params.p_target, params.cost_fa * (1.0 - params.p_target)
     )
-    return raw / best_trivial
+    cost = raw / best_trivial
+    return float(cost) if cost.ndim == 0 else cost
 
 
 def compute_min_dcf(trials: TrialSet, params: DcfParams) -> tuple[float, float]:
@@ -144,9 +150,7 @@ def compute_min_dcf(trials: TrialSet, params: DcfParams) -> tuple[float, float]:
     full DET curve; ties go to the lowest threshold.
     """
     p_fa, p_miss, theta = _operating_points(trials)
-    costs = np.array(
-        [compute_dcf(pm, pf, params) for pf, pm in zip(p_fa, p_miss)]
-    )
+    costs = compute_dcf(p_miss, p_fa, params)
     best = int(np.argmin(costs))
     threshold = theta[best] if np.isfinite(theta[best]) else float(np.max(trials.scores))
     return float(costs[best]), float(threshold)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, RangeError, ShapeError
+from .errors import AlignmentError, ContractError, NumericError, RangeError, ShapeError
 from .frontend import FeatureMatrix
 from .ubm import DiagonalGmm, PosteriorMatrix
 
@@ -43,6 +43,10 @@ class BwStats:
         self.f = np.asarray(self.f, dtype=np.float64)
         if self.n.ndim != 1 or self.f.ndim != 2 or self.f.shape[0] != self.n.shape[0]:
             raise ShapeError("stats must have n of shape (G,) and f of shape (G, D)")
+        if not (np.isfinite(self.n).all() and np.isfinite(self.f).all()):
+            raise NumericError(
+                f"recording {self.recording_id!r}: statistics contain non-finite values"
+            )
         if np.any(self.n < -1e-12):
             raise RangeError("zeroth-order statistics must be non-negative")
 

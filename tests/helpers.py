@@ -5,7 +5,8 @@ module provides random-object constructors reused across files and the
 straightforward versions that the chunked and batched code is checked
 against: :func:`reference_em_step` (one dense frames x components EM step),
 :func:`reference_weighted_sums` (an ``np.add.at`` scatter over CSR
-posteriors) and :func:`reference_train_tv` (one-session-at-a-time TV EM).
+posteriors), :func:`reference_train_tv` (one-session-at-a-time TV EM) and
+:func:`reference_train_plda` (one-speaker-at-a-time PLDA EM).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import logsumexp
 
+from ivnda.backend import PldaModel
+from ivnda.da import LabeledVectors
 from ivnda.frontend import FeatureMatrix
 from ivnda.stats import BwStats
 from ivnda.ubm import DiagonalGmm, PosteriorMatrix
@@ -195,3 +198,87 @@ def reference_train_tv(
             sigma = np.maximum(sigma_new, 1e-3 * sigma0)
             sigma[active_counts == 0] = sigma0[active_counts == 0]
     return t_matrix, sigma, lls
+
+
+def _spd_inverse(mat: np.ndarray) -> np.ndarray:
+    return cho_solve(cho_factor(mat, lower=True), np.eye(mat.shape[0]))
+
+
+def _reference_plda_log_likelihood(
+    model: PldaModel, groups: list[np.ndarray]
+) -> float:
+    """Marginal log-likelihood summed speaker by speaker, each speaker's
+    block-structured joint covariance handled on its own."""
+    w_inv = _spd_inverse(model.w_cov)
+    _, logdet_w = np.linalg.slogdet(model.w_cov)
+    total = 0.0
+    m = model.dim
+    for grp in groups:
+        mi = grp.shape[0]
+        centered = grp - model.mu
+        s = centered.sum(axis=0)
+        mixed = model.w_cov + mi * model.b_cov
+        _, logdet_x = np.linalg.slogdet(mixed)
+        correction = w_inv @ model.b_cov @ _spd_inverse(mixed)
+        quad = float(np.einsum("ij,jk,ik->", centered, w_inv, centered))
+        quad -= float(s @ correction @ s)
+        logdet = (mi - 1) * logdet_w + logdet_x
+        total += -0.5 * (mi * m * np.log(2.0 * np.pi) + logdet + quad)
+    return float(total)
+
+
+def reference_train_plda(
+    data: LabeledVectors, iters: int, reg_scale: float = 1e-8
+) -> tuple[PldaModel, list[float]]:
+    """(final model, per-iteration log-likelihoods) of two-covariance PLDA
+    EM with one posterior and one W accumulation per speaker.  Same
+    initialisation, ridge and M-step as :func:`ivnda.backend.train_plda`."""
+    groups = [data.vectors[idx] for idx in data.class_indices().values()]
+    m = data.dim
+    n_total = data.num_vectors
+    mu = data.vectors.mean(axis=0)
+    speaker_means = np.stack([grp.mean(axis=0) for grp in groups])
+    diff = speaker_means - mu
+    b_cov = diff.T @ diff / len(groups)
+    w_cov = np.zeros((m, m))
+    for grp in groups:
+        centered = grp - grp.mean(axis=0)
+        w_cov += centered.T @ centered
+    w_cov /= n_total
+
+    def ridge(mat: np.ndarray) -> np.ndarray:
+        scale = np.trace(mat) / m
+        if scale <= 0:
+            scale = max(np.trace(b_cov) / m, 1.0)
+        return mat + reg_scale * scale * np.eye(m)
+
+    b_cov = ridge((b_cov + b_cov.T) / 2.0)
+    w_cov = ridge((w_cov + w_cov.T) / 2.0)
+    counts = np.array([grp.shape[0] for grp in groups])
+    sums = np.stack([grp.sum(axis=0) for grp in groups])
+    lls = []
+    for _ in range(iters):
+        lls.append(
+            _reference_plda_log_likelihood(
+                PldaModel(mu=mu, b_cov=b_cov, w_cov=w_cov), groups
+            )
+        )
+        b_inv = _spd_inverse(b_cov)
+        w_inv = _spd_inverse(w_cov)
+        y_hat = np.empty((len(groups), m))
+        y_cov = np.empty((len(groups), m, m))
+        for i in range(len(groups)):
+            cov_i = _spd_inverse(b_inv + counts[i] * w_inv)
+            y_cov[i] = (cov_i + cov_i.T) / 2.0
+            y_hat[i] = cov_i @ (b_inv @ mu + w_inv @ sums[i])
+        mu = y_hat.mean(axis=0)
+        dev = y_hat - mu
+        b_cov = (y_cov.sum(axis=0) + dev.T @ dev) / len(groups)
+        w_new = np.zeros((m, m))
+        for i, grp in enumerate(groups):
+            resid = grp - y_hat[i]
+            w_new += resid.T @ resid + counts[i] * y_cov[i]
+        w_cov = w_new / n_total
+        b_cov = ridge((b_cov + b_cov.T) / 2.0)
+        w_cov = ridge((w_cov + w_cov.T) / 2.0)
+    return PldaModel(mu=mu, b_cov=b_cov, w_cov=w_cov), lls

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+from helpers import reference_train_plda
 from ivnda.backend import (
     Normalizer,
     PldaModel,
@@ -157,6 +158,17 @@ class TestNormalizer:
         norm = fit_normalizer(rng.normal(size=(10, 4)))
         with pytest.raises(ShapeError):
             normalize(np.zeros(5), norm)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_single_non_finite(self, rng, bad):
+        norm = fit_normalizer(rng.normal(size=(10, 3)))
+        with pytest.raises(NumericError):
+            normalize(np.array([1.0, bad, 0.0]), norm)
+
+    def test_single_must_be_vector(self, rng):
+        norm = fit_normalizer(rng.normal(size=(10, 3)))
+        with pytest.raises(ShapeError):
+            normalize(rng.normal(size=(1, 3)), norm)
 
     def test_rows_dimension_mismatch(self, rng):
         norm = fit_normalizer(rng.normal(size=(10, 4)))
@@ -347,7 +359,39 @@ class TestPldaLikelihood:
         assert got == pytest.approx(oracle_data_ll(model, data), rel=1e-10)
 
 
+def mixed_count_sessions(gen: np.random.Generator, m: int) -> LabeledVectors:
+    """Speakers with 1, 2, 3 and 5 sessions (several of each, singletons
+    included), with the rows of all speakers shuffled together."""
+    counts = [1, 3, 2, 5, 1, 3, 1, 2, 5, 3, 1]
+    vectors, labels = [], []
+    for s, count in enumerate(counts):
+        centre = gen.normal(0.0, 1.0, size=m)
+        for _ in range(count):
+            vectors.append(centre + gen.normal(0.0, 0.4, size=m))
+            labels.append(f"spk{s}")
+    order = gen.permutation(len(vectors))
+    return LabeledVectors(
+        vectors=np.array(vectors)[order], labels=np.array(labels)[order]
+    )
+
+
 class TestTrainPlda:
+    @pytest.mark.parametrize("seed,m", [(0, 1), (1, 3), (2, 6)])
+    def test_matches_per_speaker_reference(self, seed, m):
+        data = mixed_count_sessions(np.random.default_rng(860 + seed), m)
+        lls = []
+        model = train_plda(data, iters=6, on_iteration=lambda it, mdl, ll: lls.append(ll))
+        want, want_lls = reference_train_plda(data, iters=6)
+        for got_mat, want_mat in (
+            (model.mu, want.mu),
+            (model.b_cov, want.b_cov),
+            (model.w_cov, want.w_cov),
+        ):
+            np.testing.assert_allclose(
+                got_mat, want_mat, rtol=1e-10, atol=1e-10 * np.abs(want_mat).max()
+            )
+        np.testing.assert_allclose(lls, want_lls, rtol=1e-10)
+
     def test_iteration_likelihood_non_decreasing(self, rng):
         data = sample_sessions(rng, num_speakers=12, sessions=5, m=3)
         lls = []

@@ -355,6 +355,30 @@ class TestAudioRecipe:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "ubm.ivgm").exists()
 
+    def test_non_finite_speech_frame_stops_stats(self, audio_ws, tmp_path, capsys):
+        manifest = fileio.read_manifest(audio_ws / "train.manifest")
+        feat_dir = tmp_path / "feats"
+        feat_dir.mkdir()
+        bad_id = manifest[1].recording_id
+        for entry in manifest:
+            path = fileio.feature_path(audio_ws / "feats", entry.recording_id)
+            features, fp, meta = fileio.read_feature_record(path)
+            if entry.recording_id == bad_id:
+                features.frames[np.flatnonzero(features.speech_mask)[3], 0] = np.nan
+            fileio.write_feature_record(
+                fileio.feature_path(feat_dir, entry.recording_id), features, fp, meta
+            )
+        rc = main(
+            [
+                "accumulate-stats", "--config", str(audio_ws / "config.ini"),
+                "--features", str(feat_dir), "--manifest", str(audio_ws / "train.manifest"),
+                "--ubm", str(audio_ws / "ubm.ivgm"), "--out", str(tmp_path / "train.ivbw"),
+            ]
+        )
+        assert rc == EXIT_NUMERIC
+        assert bad_id in capsys.readouterr().err
+        assert not (tmp_path / "train.ivbw").exists()
+
     def test_supervised_ubm(self, audio_ws, tmp_path, rng):
         # Hand the trainer externally computed per-frame posteriors.
         from helpers import sparse_random_posteriors

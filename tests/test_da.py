@@ -165,6 +165,26 @@ def random_labeled(gen, num_classes, per_class, dim, spread=1.5):
     return [list(map(float, row)) for row in vectors], labels, data
 
 
+def twinned_labeled(gen, num_classes, per_class, dim):
+    """Class clouds in which every vector v has a twin 2v in its class.
+
+    The twins have bitwise-equal unit rows, so every cosine distance comes
+    in an exact tie.  Rows are shuffled, so for odd k the k-th nearest
+    neighbour in any other class is tied with a twin that falls outside
+    the k nearest, and either of the two may have the lower index; only
+    the lower-index rule then picks the oracle's neighbour (v and 2v give
+    different local means).
+    """
+    vectors, labels, _ = random_labeled(gen, num_classes, per_class, dim)
+    vectors = vectors + [[2.0 * c for c in row] for row in vectors]
+    labels = labels + labels
+    order = gen.permutation(len(vectors))
+    vectors = [vectors[i] for i in order]
+    labels = [labels[i] for i in order]
+    data = LabeledVectors(vectors=np.array(vectors), labels=np.array(labels))
+    return vectors, labels, data
+
+
 def assert_matrix_close(got, want_rows, rtol=1e-10):
     want = np.array(want_rows)
     scale = max(np.abs(want).max(), 1.0)
@@ -229,6 +249,20 @@ class TestKnnCosine:
         idx, dists = knn_cosine(np.array([3.0, 0.0]), pool, k=2)
         assert list(idx) == [0, 1]
         np.testing.assert_allclose(dists, [0.0, 0.0], atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 4, 9, 16, 30])
+    def test_tied_rows_keep_index_order(self, rng, k):
+        # Five directions, each repeated at scales 1, 2, 4, 8, 16 and 32:
+        # equal unit rows, so distances tie in groups of six.
+        directions = rng.normal(0.0, 1.0, size=(5, 6))
+        pool = np.concatenate([directions * 2.0**p for p in range(6)])
+        pool = pool[rng.permutation(pool.shape[0])]
+        query = rng.normal(0.0, 1.0, size=6)
+        idx, _ = knn_cosine(query, pool, k=k)
+        unit = unit_rows(pool.tolist())
+        qn = [c / math.sqrt(sum(x * x for x in query)) for c in query]
+        ranked = sorted((cosine_distance(qn, unit[j]), j) for j in range(pool.shape[0]))
+        assert list(idx) == [j for _, j in ranked[:k]]
 
     def test_scale_invariance(self, rng):
         pool = rng.normal(0.0, 1.0, size=(10, 4))
@@ -303,6 +337,7 @@ class TestNdaLocalStats:
             (2, 4, 6, 5, 2, 2.0),
             (3, 4, 10, 6, 5, 3.0),
             (4, 2, 12, 3, 4, 0.5),
+            (5, 3, 4, 4, 3, 2.0),
         ],
     )
     def test_matches_oracle(self, seed, num_classes, per_class, dim, k, alpha):
@@ -314,6 +349,16 @@ class TestNdaLocalStats:
         np.testing.assert_allclose(local.local_means, means, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(local.dist_own, d_own, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(local.dist_rest, d_rest, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("seed,k", [(0, 1), (1, 3), (2, 5)])
+    def test_tied_neighbours_match_oracle(self, seed, k):
+        gen = np.random.default_rng(540 + seed)
+        vectors, labels, data = twinned_labeled(gen, 3, 4, 4)
+        local = nda_local_stats(data, k=k, alpha=2.0)
+        weights, means, d_own, d_rest = oracle_local_stats(vectors, labels, k, 2.0)
+        np.testing.assert_allclose(local.local_means, means, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(local.dist_rest, d_rest, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(local.weights, weights, rtol=1e-8, atol=1e-14)
 
     def test_weights_within_half_open_interval(self, rng):
         _, _, data = random_labeled(rng, 4, 9, 5)
@@ -384,6 +429,7 @@ class TestNdaScatter:
             (5, 5, 6, 4, 2, 2.0),
             (6, 3, 9, 8, 3, 2.0),
             (7, 4, 8, 5, 1, 0.5),
+            (8, 3, 5, 4, 4, 2.0),
         ],
     )
     def test_one_vs_rest_matches_oracle(self, seed, num_classes, per_class, dim, k, alpha):
@@ -400,6 +446,7 @@ class TestNdaScatter:
             (2, 3, 8, 5, 3, 2.0),
             (3, 5, 4, 4, 2, 3.0),
             (4, 2, 10, 6, 4, 2.0),
+            (5, 3, 4, 4, 3, 2.0),
         ],
     )
     def test_all_pairs_matches_oracle(self, seed, num_classes, per_class, dim, k, alpha):
@@ -407,6 +454,17 @@ class TestNdaScatter:
         vectors, labels, data = random_labeled(gen, num_classes, per_class, dim)
         got = nda_between_scatter(data, k=k, alpha=alpha, one_vs_rest=False)
         assert_matrix_close(got, oracle_nda_scatter_all_pairs(vectors, labels, k, alpha))
+
+    @pytest.mark.parametrize("seed,k", [(0, 3), (1, 5)])
+    def test_tied_neighbours_match_oracle(self, seed, k):
+        gen = np.random.default_rng(640 + seed)
+        vectors, labels, data = twinned_labeled(gen, 3, 4, 4)
+        for one_vs_rest, oracle in (
+            (True, oracle_nda_scatter_one_vs_rest),
+            (False, oracle_nda_scatter_all_pairs),
+        ):
+            got = nda_between_scatter(data, k=k, alpha=2.0, one_vs_rest=one_vs_rest)
+            assert_matrix_close(got, oracle(vectors, labels, k, 2.0), rtol=1e-8)
 
     def test_two_classes_make_both_modes_agree(self, rng):
         # With two classes the complement of each class is the other class,

@@ -11,7 +11,13 @@ from helpers import (
     reference_weighted_sums,
     sparse_random_posteriors,
 )
-from ivnda.errors import AlignmentError, ContractError, RangeError, ShapeError
+from ivnda.errors import (
+    AlignmentError,
+    ContractError,
+    NumericError,
+    RangeError,
+    ShapeError,
+)
 from ivnda.stats import BwStats, accumulate_bw, center_stats
 from ivnda.ubm import PosteriorMatrix
 
@@ -161,6 +167,24 @@ def test_accumulate_property_total_mass(t, g, d):
 def test_bwstats_rejects_negative_counts():
     with pytest.raises(RangeError):
         BwStats(n=np.array([-0.1, 1.0]), f=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["n", "f"])
+def test_bwstats_rejects_non_finite(bad, field):
+    n, f = np.ones(2), np.zeros((2, 3))
+    (n if field == "n" else f).flat[1] = bad
+    with pytest.raises(NumericError, match="rec7"):
+        BwStats(n=n, f=f, recording_id="rec7")
+
+
+def test_accumulate_non_finite_frame_names_recording(rng):
+    gmm = make_gmm(rng, 4, 3)
+    feats = make_features(rng, 20, 3)
+    feats.frames[5, 1] = np.nan
+    post = sparse_random_posteriors(rng, 20, 4, 2)
+    with pytest.raises(NumericError, match="utt-9"):
+        accumulate_bw(feats, post, recording_id="utt-9")
 
 
 def test_bwstats_rejects_shape_mismatch():
