@@ -40,13 +40,10 @@ def evaluate_projection(corpus: IvectorCorpus, proj: Projection) -> tuple[float,
         plda,
         enroll,
         test,
-        np.array([enroll_row[e] for e, _ in corpus.trials]),
-        np.array([test_row[t] for _, t in corpus.trials]),
+        np.array([enroll_row[e] for e in corpus.trials.enroll]),
+        np.array([test_row[t] for t in corpus.trials.test]),
     )
-    trials = TrialSet(
-        scores=scores,
-        targets=np.array([corpus.key[trial] for trial in corpus.trials]),
-    )
+    trials = TrialSet(scores=scores, targets=corpus.key.values)
     return compute_eer(trials)[0], compute_min_dcf(trials, DCF_PRESETS["sre10"])[0]
 
 

@@ -34,8 +34,9 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -403,80 +404,256 @@ def write_manifest(path: str | Path, entries: Iterable[ManifestEntry]) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_trials(path: str | Path) -> list[tuple[str, str]]:
-    trials = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{line_no}: expected 'enroll_id test_id'")
-        trials.append((parts[0], parts[1]))
+# Inclusive code-point ranges that str.split() treats as whitespace, and
+# the ones that str.splitlines() treats as line breaks (all whitespace too).
+_SPACE_RANGES = (
+    (0x09, 0x0D), (0x1C, 0x20), (0x85, 0x85), (0xA0, 0xA0), (0x1680, 0x1680),
+    (0x2000, 0x200A), (0x2028, 0x2029), (0x202F, 0x202F), (0x205F, 0x205F),
+    (0x3000, 0x3000),
+)
+_BREAK_RANGES = ((0x0A, 0x0D), (0x1C, 0x1E), (0x85, 0x85), (0x2028, 0x2029))
+
+
+def _in_ranges(codes: np.ndarray, ranges: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Where the unsigned `codes` fall in one of the inclusive `ranges`."""
+    top = codes.max(initial=0)
+    mask = np.zeros(codes.shape, dtype=bool)
+    for lo, hi in ranges:
+        if lo <= top:
+            mask |= (codes - lo) <= hi - lo  # below `lo` wraps around
+    return mask
+
+
+@dataclass(eq=False)
+class Trials:
+    """A trial list in columns: row i is the trial (enroll[i], test[i]).
+
+    ``values`` is one more column: float64 scores (a score file), bool
+    targets (a key), or None (a bare trial list).
+    """
+
+    enroll: list[str]
+    test: list[str]
+    values: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        n = len(self.enroll)
+        if len(self.test) != n or (self.values is not None and len(self.values) != n):
+            raise ValueError("trial columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.enroll)
+
+    def take(self, rows: np.ndarray) -> Trials:
+        """The trials at `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        order = rows.tolist()
+        return Trials(
+            [self.enroll[i] for i in order],
+            [self.test[i] for i in order],
+            None if self.values is None else self.values[rows],
+        )
+
+    def locate(self, other: Trials) -> np.ndarray:
+        """Row in this list of each trial of `other`; -1 where it is absent."""
+        if not len(self):
+            return np.full(len(other), -1, dtype=np.int64)
+        pairs = _Pairs(self)
+        codes = pairs.codes(other)
+        pos = np.minimum(np.searchsorted(pairs.sorted, codes), len(self) - 1)
+        return np.where(pairs.sorted[pos] == codes, pairs.order[pos], -1)
+
+
+def _vocabulary(ids: list[str]) -> dict[str, int]:
+    return {s: i for i, s in enumerate(dict.fromkeys(ids))}
+
+
+def _codes(ids: list[str], vocabulary: dict[str, int]) -> np.ndarray:
+    """Code of each id in `vocabulary`, -1 for an id not in it."""
+    return np.fromiter(
+        map(vocabulary.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
+    )
+
+
+class _Pairs:
+    """The (enroll, test) pairs of a trial list as sorted int64 codes."""
+
+    def __init__(self, trials: Trials):
+        self.enroll = _vocabulary(trials.enroll)
+        self.test = _vocabulary(trials.test)
+        codes = self.codes(trials)
+        self.order = np.argsort(codes, kind="stable")
+        self.sorted = codes[self.order]
+
+    def codes(self, trials: Trials) -> np.ndarray:
+        """enroll code * #test ids + test code; -1 where either id is unknown."""
+        e = _codes(trials.enroll, self.enroll)
+        t = _codes(trials.test, self.test)
+        return np.where((e < 0) | (t < 0), -1, e * len(self.test) + t)
+
+
+def _parse_scores(tokens: list[str]) -> tuple[np.ndarray | None, int]:
+    # numpy parses str objects with float()'s grammar, without the float objects.
+    try:
+        return np.array(tokens, dtype=np.float64), -1
+    except ValueError:
+        for row, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                return None, row
+        raise
+
+
+_LABELS = ("nontarget", "target")
+
+
+def _parse_labels(tokens: list[str]) -> tuple[np.ndarray, int]:
+    targets = np.fromiter(map("target".__eq__, tokens), dtype=bool, count=len(tokens))
+    if set(tokens).issubset(_LABELS):
+        return targets, -1
+    return targets, next(i for i, t in enumerate(tokens) if t not in _LABELS)
+
+
+_SCAN_CHUNK = 1 << 20  # code points per block of the token scan
+
+
+def _scan(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start of each token, whether it starts with ``#``, and each line break.
+
+    Works on blocks of ``_SCAN_CHUNK`` code points (one byte each for ASCII
+    text, four otherwise), so the scan adds O(tokens) int64 positions and
+    O(_SCAN_CHUNK) working memory to the text.
+    """
+    starts, hashes, breaks = [np.zeros(0, np.intp)], [np.zeros(0, bool)], [np.zeros(0, np.intp)]
+    after_space = True
+    for lo in range(0, len(text), _SCAN_CHUNK):
+        piece = text[lo:lo + _SCAN_CHUNK]
+        codes = (
+            np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+            if piece.isascii()
+            else np.frombuffer(piece.encode("utf-32-le"), dtype=np.uint32)
+        )
+        space = _in_ranges(codes, _SPACE_RANGES)
+        begins = ~space
+        begins[1:] &= space[:-1]
+        begins[0] &= after_space
+        at = np.flatnonzero(begins)
+        starts.append(at + lo)
+        hashes.append(codes[at] == ord("#"))
+        breaks.append(np.flatnonzero(_in_ranges(codes, _BREAK_RANGES)) + lo)
+        after_space = bool(space[-1])
+    return np.concatenate(starts), np.concatenate(hashes), np.concatenate(breaks)
+
+
+def _columns(
+    path: str | Path,
+    ncols: int,
+    expected: str,
+    parse: Callable[[list[str]], tuple[np.ndarray | None, int]] | None = None,
+    rejected: str = "",
+) -> Trials:
+    """Read a trial table of `ncols` whitespace-separated columns per line.
+
+    Blank lines and lines whose first token starts with ``#`` are skipped.
+    The text is tokenised once with ``str.split()``; the line of each token
+    comes from array code over the text's code points, with the whitespace
+    and line-break sets of ``str.split()`` and ``str.splitlines()``, so that
+    a bad line is named as a line-by-line reader would name it.  `parse`
+    converts the third column and returns the values and the first rejected
+    row (-1 if none), which raises with the message `rejected`.  Errors
+    come in file order; a trial listed twice is rejected last.
+    """
+    text = Path(path).read_text()
+    starts, hashes, breaks = _scan(text)
+    # Tokens per line; a line ends at each break and at the end of the text.
+    per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
+    nonblank = np.flatnonzero(per_line)
+    counts = per_line[nonblank]
+    keep = ~hashes[np.cumsum(per_line)[nonblank] - counts]
+    lines = nonblank + 1
+    del starts, hashes, breaks, per_line
+
+    bad = np.flatnonzero(keep & (counts != ncols))
+    if bad.size:
+        keep[bad[0]:] = False
+    tokens = text.split()
+    del text
+    if not keep.all():
+        tokens = list(compress(tokens, np.repeat(keep, counts).tolist()))
+    columns = [tokens[i::ncols] for i in range(ncols)]
+    del tokens
+    row_lines = lines[keep]
+
+    values = None
+    if parse is not None:
+        values, row = parse(columns[2])
+        if row >= 0:
+            raise FormatError(f"{path}:{row_lines[row]}: {rejected}")
+    if bad.size:
+        raise FormatError(f"{path}:{lines[bad[0]]}: {expected}")
+    trials = Trials(columns[0], columns[1], values)
+    pairs = _Pairs(trials)
+    same = np.flatnonzero(pairs.sorted[1:] == pairs.sorted[:-1])
+    if same.size:
+        # The stable sort lists equal pairs in file order, so the repeat
+        # with the lowest row is the first one in the file.
+        j = same[np.argmin(pairs.order[same + 1])]
+        row, earlier = pairs.order[j + 1], pairs.order[j]
+        raise FormatError(
+            f"{path}:{row_lines[row]}: duplicate trial ({trials.enroll[row]}, "
+            f"{trials.test[row]}), first listed on line {row_lines[earlier]}"
+        )
     return trials
 
 
-def write_trials(path: str | Path, trials: Iterable[tuple[str, str]]) -> None:
-    lines = [f"{e} {t}" for e, t in trials]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+def _write_rows(path: str | Path, row_format: str, *columns: Iterable) -> None:
+    """One `row_format` line per row, as one %-format over all the rows.
+
+    The first column must be a list; the others may be any iterables.
+    """
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    atomic_write_text(path, (row_format * len(columns[0])) % cells)
 
 
-def read_key(path: str | Path) -> dict[tuple[str, str], bool]:
-    key: dict[tuple[str, str], bool] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-            raise FormatError(
-                f"{path}:{line_no}: expected 'enroll_id test_id target|nontarget'"
-            )
-        key[(parts[0], parts[1])] = parts[2] == "target"
-    return key
+def read_trials(path: str | Path) -> Trials:
+    return _columns(path, 2, "expected 'enroll_id test_id'")
 
 
-def write_key(path: str | Path, key: dict[tuple[str, str], bool]) -> None:
-    lines = [
-        f"{e} {t} {'target' if is_target else 'nontarget'}"
-        for (e, t), is_target in key.items()
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+def write_trials(path: str | Path, trials: Trials) -> None:
+    _write_rows(path, "%s %s\n", trials.enroll, trials.test)
 
 
-def read_scores(path: str | Path) -> list[tuple[str, str, float]]:
-    scores = []
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{line_no}: expected 'enroll_id test_id score'")
-        try:
-            scores.append((parts[0], parts[1], float(parts[2])))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{line_no}: non-numeric score") from exc
-    return scores
+def read_key(path: str | Path) -> Trials:
+    """A key: `values` holds True for target trials."""
+    expected = "expected 'enroll_id test_id target|nontarget'"
+    return _columns(path, 3, expected, _parse_labels, expected)
 
 
-def write_scores(path: str | Path, scores: Iterable[tuple[str, str, float]]) -> None:
-    lines = [f"{e} {t} {s:.17g}" for e, t, s in scores]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+def write_key(path: str | Path, key: Trials) -> None:
+    labels = map(_LABELS.__getitem__, key.values.tolist())
+    _write_rows(path, "%s %s %s\n", key.enroll, key.test, labels)
 
 
-def match_scores_to_key(
-    scores: Sequence[tuple[str, str, float]],
-    key: dict[tuple[str, str], bool],
-) -> tuple[np.ndarray, np.ndarray]:
+def read_scores(path: str | Path) -> Trials:
+    return _columns(
+        path, 3, "expected 'enroll_id test_id score'", _parse_scores, "non-numeric score"
+    )
+
+
+def write_scores(path: str | Path, scores: Trials) -> None:
+    """Scores printed with ``%.17g``, which reads back to the same double."""
+    _write_rows(path, "%s %s %.17g\n", scores.enroll, scores.test, scores.values.tolist())
+
+
+def match_scores_to_key(scores: Trials, key: Trials) -> tuple[np.ndarray, np.ndarray]:
     """Align a score list with a key; every scored trial must be in the key."""
-    values = np.empty(len(scores))
-    targets = np.empty(len(scores), dtype=bool)
-    for i, (enroll, test, score) in enumerate(scores):
-        if (enroll, test) not in key:
-            raise KeyMismatchError(
-                f"trial ({enroll}, {test}) is scored but missing from the key"
-            )
-        values[i] = score
-        targets[i] = key[(enroll, test)]
-    return values, targets
+    rows = key.locate(scores)
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        i = missing[0]
+        raise KeyMismatchError(
+            f"trial ({scores.enroll[i]}, {scores.test[i]}) is scored but missing "
+            f"from the key"
+        )
+    return np.asarray(scores.values, dtype=np.float64), key.values[rows]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import backend as backend_mod
 from . import da as da_mod
-from . import fileio, frontend, metrics, stats as stats_mod, synth, tv as tv_mod, ubm as ubm_mod
+from . import fileio, frontend, stats as stats_mod, synth, tv as tv_mod, ubm as ubm_mod
 from .config import FrontendConfig, PipelineConfig
 from .errors import (
     ContractError,
@@ -521,52 +522,24 @@ def score_stage(
 
     enroll_index, enroll_vecs = prepare(enroll_ivs)
     test_index, test_vecs = prepare(test_ivs)
-    unknown = []
-    e_idx, t_idx, kept = [], [], []
-    for e_id, t_id in trials:
-        if e_id not in enroll_index or t_id not in test_index:
-            unknown.append(f"{e_id} {t_id}")
-            continue
-        e_idx.append(enroll_index[e_id])
-        t_idx.append(test_index[t_id])
-        kept.append((e_id, t_id))
-    scores = backend_mod.score_pairs(
-        plda,
-        enroll_vecs,
-        test_vecs,
-        np.asarray(e_idx, dtype=np.intp),
-        np.asarray(t_idx, dtype=np.intp),
+    e_idx = np.fromiter(
+        map(enroll_index.get, trials.enroll, repeat(-1)), dtype=np.intp, count=len(trials)
     )
-    fileio.write_scores(
-        out_path, [(e, t, s) for (e, t), s in zip(kept, scores)]
+    t_idx = np.fromiter(
+        map(test_index.get, trials.test, repeat(-1)), dtype=np.intp, count=len(trials)
     )
+    known = (e_idx >= 0) & (t_idx >= 0)
+    unknown = [
+        f"{trials.enroll[i]} {trials.test[i]}" for i in np.flatnonzero(~known)
+    ]
+    if unknown:
+        trials = trials.take(np.flatnonzero(known))
+        e_idx, t_idx = e_idx[known], t_idx[known]
+    trials.values = backend_mod.score_pairs(
+        plda, enroll_vecs, test_vecs, e_idx, t_idx
+    )
+    fileio.write_scores(out_path, trials)
     return unknown
-
-
-def evaluate_stage(
-    scores_path: Path,
-    key_path: Path,
-    det_csv_path: Path | None = None,
-    det_svg_path: Path | None = None,
-) -> dict[str, float]:
-    scores = fileio.read_scores(scores_path)
-    key = fileio.read_key(key_path)
-    values, targets = fileio.match_scores_to_key(scores, key)
-    trials = metrics.TrialSet(scores=values, targets=targets)
-    eer, eer_threshold = metrics.compute_eer(trials)
-    dcf08, _ = metrics.compute_min_dcf(trials, metrics.DCF_PRESETS["sre08"])
-    dcf10, _ = metrics.compute_min_dcf(trials, metrics.DCF_PRESETS["sre10"])
-    if det_csv_path is not None:
-        fileio.atomic_write_text(det_csv_path, metrics.det_csv(trials))
-    if det_svg_path is not None:
-        fileio.atomic_write_text(det_svg_path, metrics.det_svg(trials))
-    return {
-        "eer": eer,
-        "eer_threshold": eer_threshold,
-        "min_dcf_sre08": dcf08,
-        "min_dcf_sre10": dcf10,
-        "num_trials": float(trials.num_trials),
-    }
 
 
 # --- SAD-override rescoring ----------------------------------------------
@@ -600,22 +573,28 @@ def sad_report_stage(
     trials = fileio.read_trials(trials_path)
     key = fileio.read_key(key_path)
     orig = fileio.read_scores(orig_scores_path)
-    orig_map = {(e, t): s for e, t, s in orig}
 
     overridden = {rid for rid, e in entries.items() if e.sad_path}
     if not overridden:
         raise DataError("no manifest entry carries a SAD override")
-    affected = [
-        (e, t) for e, t in trials if e in overridden or t in overridden
-    ]
-    for trial in affected:
-        if trial not in orig_map:
+    touched = np.fromiter(
+        map(overridden.__contains__, trials.enroll), dtype=bool, count=len(trials)
+    ) | np.fromiter(
+        map(overridden.__contains__, trials.test), dtype=bool, count=len(trials)
+    )
+    affected = trials.take(np.flatnonzero(touched))
+    orig_rows = orig.locate(affected)
+    key_rows = key.locate(affected)
+    missing = np.flatnonzero((orig_rows < 0) | (key_rows < 0))
+    if missing.size:
+        i = missing[0]
+        trial = (affected.enroll[i], affected.test[i])
+        if orig_rows[i] < 0:
             raise KeyMismatchError(
                 f"trial {trial} is affected by an override but missing from "
                 f"the original scores"
             )
-        if trial not in key:
-            raise KeyMismatchError(f"trial {trial} is missing from the key")
+        raise KeyMismatchError(f"trial {trial} is missing from the key")
 
     gmm, ubm_fp, ubm_meta = fileio.read_gmm(ubm_path)
     model, tv_fp, tv_meta = fileio.read_tv_model(tv_path)
@@ -634,10 +613,10 @@ def sad_report_stage(
             "trained with (fingerprint mismatch)"
         )
 
-    needed = sorted({rid for trial in affected for rid in trial})
-    missing = [rid for rid in needed if rid not in entries]
-    if missing:
-        raise DataError(f"trial recordings missing from manifest: {missing}")
+    needed = sorted(set(affected.enroll) | set(affected.test))
+    missing_ids = [rid for rid in needed if rid not in entries]
+    if missing_ids:
+        raise DataError(f"trial recordings missing from manifest: {missing_ids}")
 
     def ivector_for(rec_id: str, use_override: bool) -> np.ndarray:
         entry = entries[rec_id]
@@ -652,40 +631,38 @@ def sad_report_stage(
             da_mod.project(iv.w, proj), normalizer
         )
 
-    vectors = {
-        rid: ivector_for(rid, use_override=rid in overridden) for rid in needed
-    }
-
-    rows = []
-    improved_targets = 0
-    decreased_nontargets = 0
-    for e_id, t_id in affected:
-        new_score = backend_mod.plda_score(vectors[e_id], vectors[t_id], plda)
-        old_score = orig_map[(e_id, t_id)]
-        is_target = key[(e_id, t_id)]
-        rows.append((e_id, t_id, old_score, new_score, is_target))
-        if is_target and new_score > old_score:
-            improved_targets += 1
-        if not is_target and new_score < old_score:
-            decreased_nontargets += 1
+    vectors = [ivector_for(rid, use_override=rid in overridden) for rid in needed]
+    vectors = np.stack(vectors) if vectors else np.zeros((0, plda.dim))
+    row = {rid: i for i, rid in enumerate(needed)}
+    new_scores = backend_mod.score_pairs(
+        plda,
+        vectors,
+        vectors,
+        np.array([row[e] for e in affected.enroll], dtype=np.intp),
+        np.array([row[t] for t in affected.test], dtype=np.intp),
+    )
+    old_scores = orig.values[orig_rows]
+    is_target = key.values[key_rows]
 
     lines = ["enroll_id,test_id,old_score,new_score,target"]
-    for e_id, t_id, old_score, new_score, is_target in rows:
+    for e_id, t_id, old_score, new_score, target in zip(
+        affected.enroll, affected.test, old_scores, new_scores, is_target
+    ):
         lines.append(
             f"{e_id},{t_id},{old_score:.17g},{new_score:.17g},"
-            f"{'target' if is_target else 'nontarget'}"
+            f"{'target' if target else 'nontarget'}"
         )
     fileio.atomic_write_text(out_csv, "\n".join(lines) + "\n")
 
     if out_scores is not None:
-        updated = {(e, t): new for e, t, _old, new, _tgt in rows}
-        merged = [(e, t, updated.get((e, t), s)) for e, t, s in orig]
-        fileio.write_scores(out_scores, merged)
+        merged = orig.values.copy()
+        merged[orig_rows] = new_scores
+        fileio.write_scores(out_scores, fileio.Trials(orig.enroll, orig.test, merged))
 
     return {
         "affected_trials": len(affected),
-        "targets_improved": improved_targets,
-        "nontargets_decreased": decreased_nontargets,
+        "targets_improved": int(np.sum(is_target & (new_scores > old_scores))),
+        "nontargets_decreased": int(np.sum(~is_target & (new_scores < old_scores))),
     }
 
 

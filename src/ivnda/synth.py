@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .da import LabeledVectors
+from .fileio import Trials
 from .frontend import AudioSignal
 from .stats import BwStats
 from .tv import TvModel
@@ -42,16 +43,14 @@ class VectorSplit:
 
 def _make_trials(
     enroll: tuple[list[str], list[str]], test: tuple[list[str], list[str]]
-) -> tuple[list[tuple[str, str]], dict[tuple[str, str], bool]]:
+) -> tuple[Trials, Trials]:
+    """The full enroll x test grid, enroll-major, and a key with the same rows."""
     enroll_ids, enroll_spk = enroll
     test_ids, test_spk = test
-    trials = []
-    key = {}
-    for e_id, e_spk in zip(enroll_ids, enroll_spk):
-        for t_id, t_spk in zip(test_ids, test_spk):
-            trials.append((e_id, t_id))
-            key[(e_id, t_id)] = e_spk == t_spk
-    return trials, key
+    e_col = [e_id for e_id in enroll_ids for _ in test_ids]
+    t_col = test_ids * len(enroll_ids)
+    targets = np.equal.outer(np.asarray(enroll_spk), np.asarray(test_spk)).ravel()
+    return Trials(e_col, t_col), Trials(e_col, t_col, targets)
 
 
 @dataclass
@@ -59,8 +58,8 @@ class IvectorCorpus:
     train: VectorSplit
     enroll: VectorSplit
     test: VectorSplit
-    trials: list[tuple[str, str]]
-    key: dict[tuple[str, str], bool]
+    trials: Trials
+    key: Trials
     channel_axis: np.ndarray       # planted domain axis (unit norm)
     train_offsets: np.ndarray      # planted channel offsets of train sessions
 
@@ -146,8 +145,8 @@ class StatsCorpus:
     enroll: list[BwStats]
     test: list[BwStats]
     speakers: dict[str, str]       # recording_id -> speaker label
-    trials: list[tuple[str, str]]
-    key: dict[tuple[str, str], bool]
+    trials: Trials
+    key: Trials
     latents: dict[str, np.ndarray]  # recording_id -> planted subspace coords
 
 
@@ -255,8 +254,8 @@ class AudioCorpus:
     enroll_ids: list[str]
     test_ids: list[str]
     speakers: dict[str, str]
-    trials: list[tuple[str, str]]
-    key: dict[tuple[str, str], bool]
+    trials: Trials
+    key: Trials
 
     def contaminated_ids(self) -> list[str]:
         return [r.recording_id for r in self.recordings if r.contaminated]

@@ -6,10 +6,15 @@ straightforward versions that the chunked and batched code is checked
 against: :func:`reference_em_step` (one dense frames x components EM step),
 :func:`reference_weighted_sums` (an ``np.add.at`` scatter over CSR
 posteriors), :func:`reference_train_tv` (one-session-at-a-time TV EM) and
-:func:`reference_train_plda` (one-speaker-at-a-time PLDA EM).
+:func:`reference_train_plda` (one-speaker-at-a-time PLDA EM), and the
+line-by-line readers of trial lists, keys and score files
+(:func:`reference_read_trials`, :func:`reference_read_key`,
+:func:`reference_read_scores`).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -17,6 +22,7 @@ from scipy.special import logsumexp
 
 from ivnda.backend import PldaModel
 from ivnda.da import LabeledVectors
+from ivnda.errors import FormatError
 from ivnda.frontend import FeatureMatrix
 from ivnda.stats import BwStats
 from ivnda.ubm import DiagonalGmm, PosteriorMatrix
@@ -282,3 +288,51 @@ def reference_train_plda(
         b_cov = ridge((b_cov + b_cov.T) / 2.0)
         w_cov = ridge((w_cov + w_cov.T) / 2.0)
     return PldaModel(mu=mu, b_cov=b_cov, w_cov=w_cov), lls
+
+
+# --- line-by-line text readers ------------------------------------------------
+
+
+def reference_read_trials(path: str | Path) -> list[tuple[str, str]]:
+    trials = []
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{line_no}: expected 'enroll_id test_id'")
+        trials.append((parts[0], parts[1]))
+    return trials
+
+
+def reference_read_key(path: str | Path) -> dict[tuple[str, str], bool]:
+    """A repeated trial keeps its last label; the columnar reader rejects it."""
+    key: dict[tuple[str, str], bool] = {}
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
+            raise FormatError(
+                f"{path}:{line_no}: expected 'enroll_id test_id target|nontarget'"
+            )
+        key[(parts[0], parts[1])] = parts[2] == "target"
+    return key
+
+
+def reference_read_scores(path: str | Path) -> list[tuple[str, str, float]]:
+    scores = []
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{line_no}: expected 'enroll_id test_id score'")
+        try:
+            scores.append((parts[0], parts[1], float(parts[2])))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line_no}: non-numeric score") from exc
+    return scores

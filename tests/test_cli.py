@@ -119,7 +119,7 @@ class TestStatsRecipe:
     def test_every_trial_scored(self, stats_ws):
         trials = fileio.read_trials(stats_ws / "trials.txt")
         scores = fileio.read_scores(stats_ws / "scores.txt")
-        assert [(e, t) for e, t, _ in scores] == trials
+        assert scores.enroll == trials.enroll and scores.test == trials.test
         assert len(scores) == 6 * 12
 
     def test_projection_matches_requested_settings(self, stats_ws):
@@ -195,7 +195,10 @@ class TestStatsRecipe:
     def test_unknown_trial_ids_reported(self, stats_ws, tmp_path, capsys):
         trials = fileio.read_trials(stats_ws / "trials.txt")
         bad_trials = tmp_path / "trials.txt"
-        fileio.write_trials(bad_trials, trials[:3] + [("ghost", trials[0][1])])
+        fileio.write_trials(
+            bad_trials,
+            fileio.Trials(trials.enroll[:3] + ["ghost"], trials.test[:3] + [trials.test[0]]),
+        )
         rc = main(
             [
                 "score", "--enroll", str(stats_ws / "enroll.iviv"),
@@ -209,6 +212,24 @@ class TestStatsRecipe:
         assert rc == EXIT_DATA
         assert "ghost" in capsys.readouterr().err
         assert len(fileio.read_scores(tmp_path / "scores.txt")) == 3
+
+    def test_duplicate_trial_is_a_data_error(self, stats_ws, tmp_path, capsys):
+        lines = (stats_ws / "trials.txt").read_text().splitlines()
+        dup_trials = tmp_path / "trials.txt"
+        dup_trials.write_text("\n".join(lines[:5] + [lines[2]]) + "\n")
+        rc = main(
+            [
+                "score", "--enroll", str(stats_ws / "enroll.iviv"),
+                "--test", str(stats_ws / "test.iviv"), "--trials", str(dup_trials),
+                "--projection", str(stats_ws / "proj.ivda"),
+                "--normalizer", str(stats_ws / "norm.ivnz"),
+                "--plda", str(stats_ws / "plda.ivpl"),
+                "--out", str(tmp_path / "scores.txt"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert ":6: duplicate trial" in capsys.readouterr().err
+        assert not (tmp_path / "scores.txt").exists()
 
 
 class TestEvaluate:
@@ -264,6 +285,20 @@ class TestEvaluate:
         )
         assert (tmp_path / "det.csv").read_text().startswith("p_fa,p_miss")
         assert (tmp_path / "det.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("name", ["scores.txt", "key.txt"])
+    def test_duplicate_trial_is_a_data_error(self, stats_ws, tmp_path, capsys, name):
+        inputs = {"scores.txt": stats_ws / "scores.txt", "key.txt": stats_ws / "key.txt"}
+        lines = inputs[name].read_text().splitlines()
+        inputs[name] = tmp_path / name
+        inputs[name].write_text("\n".join(lines + [lines[0]]) + "\n")
+        rc = main(
+            ["evaluate", "--scores", str(inputs["scores.txt"]), "--key", str(inputs["key.txt"])]
+        )
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f":{len(lines) + 1}: duplicate trial" in err
+        assert "first listed on line 1" in err
 
     def test_det_subcommand(self, stats_ws, tmp_path):
         run_ok(
@@ -428,6 +463,46 @@ class TestAudioRecipe:
 
 
 # --- defaults and exit codes -----------------------------------------------
+
+
+class TestSadReportInputs:
+    """Trial checks that run before any model is read."""
+
+    @pytest.mark.parametrize(
+        "scores,key,message",
+        [
+            ("e1 r2 0.5\n", "e1 r1 target\ne1 r2 nontarget\n",
+             "trial ('e1', 'r1') is affected by an override but missing from the original scores"),
+            ("e1 r1 0.5\ne1 r2 0.5\n", "e1 r2 nontarget\n",
+             "trial ('e1', 'r1') is missing from the key"),
+            ("e1 r1 0.5\ne1 r2 0.5\n", "e1 r1 target\ne1 r2 nontarget\n",
+             "trial ('r1', 'r3') is affected by an override but missing from the original scores"),
+        ],
+        ids=["not_scored", "not_in_key", "first_affected_trial"],
+    )
+    def test_missing_affected_trial(self, tmp_path, capsys, scores, key, message):
+        files = {
+            "override.manifest": "r1 r1.wav spk1 - masks/r1.sad\nr2 r2.wav spk2\n",
+            "trials.txt": "e1 r1\ne1 r2\ne2 r2\nr1 r3\n",
+            "scores.txt": scores + "e2 r2 0.25\n",
+            "key.txt": key + "e2 r2 target\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        absent = str(tmp_path / "absent")
+        rc = main(
+            [
+                "sad-report", "--scores", str(tmp_path / "scores.txt"),
+                "--manifest", str(tmp_path / "override.manifest"),
+                "--trials", str(tmp_path / "trials.txt"), "--key", str(tmp_path / "key.txt"),
+                "--ubm", absent, "--tv", absent, "--projection", absent,
+                "--normalizer", absent, "--plda", absent,
+                "--out-csv", str(tmp_path / "sad.csv"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sad.csv").exists()
 
 
 class TestDefaults:

@@ -5,12 +5,14 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import make_gmm
+from helpers import make_gmm, reference_read_key, reference_read_scores, reference_read_trials
+from ivnda import fileio
 from ivnda.backend import Normalizer, PldaModel
 from ivnda.da import Projection
 from ivnda.errors import FormatError, KeyMismatchError
 from ivnda.fileio import (
     ManifestEntry,
+    Trials,
     atomic_write_bytes,
     atomic_write_text,
     feature_path,
@@ -399,12 +401,19 @@ class TestManifest:
 # --- trials, keys, scores --------------------------------------------------
 
 
+def columns(trials):
+    """A Trials as plain lists, for exact comparison."""
+    values = None if trials.values is None else trials.values.tolist()
+    return trials.enroll, trials.test, values
+
+
 class TestTrialFiles:
     def test_trials_round_trip(self, tmp_path):
-        trials = [("e1", "t1"), ("e1", "t2"), ("e2", "t1")]
+        trials = Trials(["e1", "e1", "e2"], ["t1", "t2", "t1"])
         path = tmp_path / "trials.txt"
         write_trials(path, trials)
-        assert read_trials(path) == trials
+        assert path.read_text() == "e1 t1\ne1 t2\ne2 t1\n"
+        assert columns(read_trials(path)) == (["e1", "e1", "e2"], ["t1", "t2", "t1"], None)
 
     def test_trials_bad_line(self, tmp_path):
         path = tmp_path / "trials.txt"
@@ -413,12 +422,14 @@ class TestTrialFiles:
             read_trials(path)
 
     def test_key_round_trip(self, tmp_path):
-        key = {("e1", "t1"): True, ("e1", "t2"): False}
+        key = Trials(["e1", "e1"], ["t1", "t2"], np.array([True, False]))
         path = tmp_path / "key.txt"
         write_key(path, key)
         text = path.read_text()
         assert "e1 t1 target" in text and "e1 t2 nontarget" in text
-        assert read_key(path) == key
+        loaded = read_key(path)
+        assert loaded.values.dtype == bool
+        assert columns(loaded) == (["e1", "e1"], ["t1", "t2"], [True, False])
 
     def test_key_bad_label(self, tmp_path):
         path = tmp_path / "key.txt"
@@ -427,16 +438,14 @@ class TestTrialFiles:
             read_key(path)
 
     def test_scores_round_trip_exact(self, tmp_path):
-        scores = [
-            ("e1", "t1", 1.0 / 3.0),
-            ("e1", "t2", -1234.5678901234567),
-            ("e2", "t1", 5e-320),
-            ("e2", "t2", 0.1 + 0.2),
-        ]
+        values = [1.0 / 3.0, -1234.5678901234567, 5e-320, 0.1 + 0.2]
+        scores = Trials(["e1", "e1", "e2", "e2"], ["t1", "t2", "t1", "t2"], np.array(values))
         path = tmp_path / "scores.txt"
         write_scores(path, scores)
         loaded = read_scores(path)
-        assert loaded == scores  # %.17g preserves doubles exactly
+        assert loaded.values.dtype == np.float64
+        # %.17g preserves doubles exactly
+        assert columns(loaded) == (scores.enroll, scores.test, values)
 
     def test_scores_bad_value(self, tmp_path):
         path = tmp_path / "scores.txt"
@@ -447,23 +456,275 @@ class TestTrialFiles:
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("# header\n\ne1 t1 0.5\n")
-        assert read_scores(path) == [("e1", "t1", 0.5)]
+        assert columns(read_scores(path)) == (["e1"], ["t1"], [0.5])
+
+    def test_empty_lists_write_empty_files(self, tmp_path):
+        for write, trials in (
+            (write_trials, Trials([], [])),
+            (write_key, Trials([], [], np.zeros(0, dtype=bool))),
+            (write_scores, Trials([], [], np.zeros(0))),
+        ):
+            path = tmp_path / f"{write.__name__}.txt"
+            write(path, trials)
+            assert path.read_text() == ""
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError):
+            Trials(["e1", "e2"], ["t1"])
+        with pytest.raises(ValueError):
+            Trials(["e1"], ["t1"], np.zeros(2))
+
+
+# Every code point that str.split() and str.strip() treat as whitespace.
+PY_SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+# Edge files that parse: (trials, key, scores) bodies share their layout.
+VALID_LAYOUTS = {
+    "comment_with_leading_space": "  # note\ne1 t1{v1}\n\t#tabbed {v2}\ne2 t2{v2}\n",
+    "blank_and_space_only_lines": "\n   \ne1 t1{v1}\n\t\n \x0c\ne2 t2{v2}\n\n",
+    "crlf_endings": "e1 t1{v1}\r\ne2 t2{v2}\r\n",
+    "lone_cr_endings": "e1 t1{v1}\re2 t2{v2}\r",
+    "tabs": "e1\tt1{v1}\n\te2\t\tt2{v2}\t\n",
+    "no_final_newline": "e1 t1{v1}\ne2 t2{v2}",
+    "empty_file": "",
+    "space_only_file": " \n\t\n",
+    "comments_only": "# one\n#two\n",
+    "nbsp_separator": "e1\xa0t1{v1}\ne2\xa0\xa0t2{v2}\n",
+    "fs_ends_a_comment": "# note\x1ce1 t1{v1}\x1ce2 t2{v2}\n",
+    "us_is_a_separator": "e1\x1ft1{v1}\ne2 t2{v2}\x1f\n",
+    "line_separator": "e1 t1{v1}\u2028e2 t2{v2}\u2029",
+    "nel_and_vt": "e1 t1{v1}\x85e2 t2{v2}\x0b",
+    "unicode_ids": "\xe91 t1{v1}\n\u3000\u03b52\u2003t2{v2}\n",
+    "hash_inside_id": "e#1 t1{v1}\ne2 #t2{v2}\n",
+}
+
+# Edge files that do not parse; the error must name the same line.
+MALFORMED_LAYOUTS = {
+    "extra_column": "e1 t1{v1}\ne2 t2{v2} extra\n",
+    "missing_column": "# c\n\ne1{v1}\n",
+    "after_crlf_lines": "e1 t1{v1}\r\n\r\ne2 t2{v2} x\r\n",
+    "after_line_separator": "e1 t1{v1}\u2028e2 t2{v2} x\n",
+    "after_fs_in_comment": "# note\x1c# more\x1de1 t1{v1} x\n",
+    "after_nel": "e1 t1{v1}\x85\x85e2\n",
+    "nbsp_makes_extra_column": "e1 t1{v1}\ne2\xa0x t2{v2}\n",
+    "zero_width_space_is_not_whitespace": "e1\u200bt1{v1}\n",
+    "us_does_not_break_lines": "e1 t1{v1}\x1fe2 t2{v2}\n",
+    "bad_line_before_comment": "e1 t1{v1} x\n# c\n",
+}
+
+READERS = {
+    "trials": (read_trials, reference_read_trials, ("", "")),
+    "key": (read_key, reference_read_key, (" target", " nontarget")),
+    "scores": (read_scores, reference_read_scores, (" 0.5", " -1.25e3")),
+}
+
+
+def reference_columns(kind, ref):
+    """A reference reader's result as (enroll, test, values) lists."""
+    rows = [(e, t, v) for (e, t), v in ref.items()] if kind == "key" else ref
+    values = None if kind == "trials" else [r[2] for r in rows]
+    return [r[0] for r in rows], [r[1] for r in rows], values
+
+
+def outcome(reader, path):
+    try:
+        return "ok", reader(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def assert_agrees(kind, path):
+    """Same columns, or the same error type and message (so the same line)."""
+    new_reader, ref_reader, _ = READERS[kind]
+    new, ref = outcome(new_reader, path), outcome(ref_reader, path)
+    if ref[0] != "ok":
+        assert new == ref
+    else:
+        assert new[0] == "ok", new
+        assert columns(new[1]) == reference_columns(kind, ref[1])
+
+
+class TestReadersMatchLineReference:
+    """The columnar readers against the line-by-line reference readers."""
+
+    @pytest.fixture(autouse=True, params=[None, 3], ids=["one_block", "blocks_of_3"])
+    def scan_chunk(self, request, monkeypatch):
+        # Small scan blocks put block boundaries inside tokens and breaks.
+        if request.param is not None:
+            monkeypatch.setattr(fileio, "_SCAN_CHUNK", request.param)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("layout", sorted(VALID_LAYOUTS))
+    def test_edge_files(self, tmp_path, kind, layout):
+        v1, v2 = READERS[kind][2]
+        path = tmp_path / "t.txt"
+        path.write_text(VALID_LAYOUTS[layout].format(v1=v1, v2=v2))
+        assert outcome(READERS[kind][1], path)[0] == "ok"
+        assert_agrees(kind, path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("layout", sorted(MALFORMED_LAYOUTS))
+    def test_malformed_files(self, tmp_path, kind, layout):
+        v1, v2 = READERS[kind][2]
+        path = tmp_path / "t.txt"
+        path.write_text(MALFORMED_LAYOUTS[layout].format(v1=v1, v2=v2))
+        assert outcome(READERS[kind][1], path)[0] is FormatError
+        assert_agrees(kind, path)
+
+    @pytest.mark.parametrize(
+        "kind,body",
+        [
+            ("scores", "e1 t1 0.5\ne2 t2 x\ne3 t3 0.5 extra\n"),
+            ("scores", "e1 t1 0.5 extra\ne2 t2 x\n"),
+            ("scores", "# c\n\ne1 t1 1_0\ne2 t2 nan\ne3 t3 -inf\ne4 t4 0x10\n"),
+            ("scores", "e1 t1 \u0661.5\ne2 t2 1e999\n"),
+            ("key", "e1 t1 target\ne2 t2 Target\ne3 t3\n"),
+            ("key", "e1 t1 target x\ne2 t2 maybe\n"),
+        ],
+    )
+    def test_first_error_in_file_order(self, tmp_path, kind, body):
+        path = tmp_path / "t.txt"
+        path.write_text(body)
+        assert_agrees(kind, path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_every_python_whitespace(self, tmp_path, kind):
+        v1, v2 = READERS[kind][2]
+        path = tmp_path / "t.txt"
+        for space in PY_SPACES:
+            # As a separator, before a comment, and between two rows (where
+            # it is either a line break or a column separator).
+            for body in (
+                f"e1{space}t1{v1}\n",
+                f"{space}#c{space}e1 t1{v1}\ne2 t2{v2}\n",
+                f"e1 t1{v1}{space}e2 t2{v2}\n",
+            ):
+                path.write_text(body)
+                assert_agrees(kind, path)
+
+
+class TestScan:
+    """The code-point tables, and block boundaries on a larger file."""
+
+    def test_code_point_ranges_match_python(self):
+        codes = np.arange(0x110000, dtype=np.uint32)
+        chars = [chr(c) for c in range(0x110000)]
+        spaces = [c.isspace() for c in chars]
+        breaks = [len(f"a{c}a".splitlines()) == 2 for c in chars]
+        np.testing.assert_array_equal(fileio._in_ranges(codes, fileio._SPACE_RANGES), spaces)
+        np.testing.assert_array_equal(fileio._in_ranges(codes, fileio._BREAK_RANGES), breaks)
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    def test_large_file(self, tmp_path, rng, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(fileio, "_SCAN_CHUNK", chunk)
+        n = 5000
+        ids = [f"e{i % 97}" for i in range(n)], [f"t{i}" for i in range(n)]
+        values = rng.normal(0.0, 100.0, n)
+        lines = [f"{e} {t} {v!r}" for e, t, v in zip(*ids, values)]
+        lines[1000:1000] = ["# comment", "", "  \t "]
+        path = tmp_path / "scores.txt"
+        path.write_text("\n".join(lines))
+        assert_agrees("scores", path)
+        lines[4000] += " extra"
+        path.write_text("\n".join(lines))
+        assert_agrees("scores", path)
+
+
+class TestDuplicateTrials:
+    @pytest.mark.parametrize(
+        "reader,body",
+        [
+            (read_trials, "e1 t1\ne1 t2\n# c\ne1 t1\n"),
+            (read_key, "e1 t1 target\ne1 t2 nontarget\n# c\ne1 t1 nontarget\n"),
+            (read_scores, "e1 t1 0.5\ne1 t2 0.25\n# c\ne1 t1 0.5\n"),
+        ],
+    )
+    def test_repeated_trial_rejected_with_both_lines(self, tmp_path, reader, body):
+        path = tmp_path / "t.txt"
+        path.write_text(body)
+        with pytest.raises(
+            FormatError, match=r":4: duplicate trial \(e1, t1\), first listed on line 1$"
+        ):
+            reader(path)
+
+    def test_first_repeat_in_file_order_is_named(self, tmp_path):
+        # (a, a) sorts before (z, z), but (z, z) repeats first.
+        path = tmp_path / "trials.txt"
+        path.write_text("a a\nz z\nz z\na a\n")
+        message = r":3: duplicate trial \(z, z\), first listed on line 2$"
+        with pytest.raises(FormatError, match=message):
+            read_trials(path)
+
+    def test_same_ids_in_other_columns_are_distinct(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("a b\nb a\na a\nb b\n")
+        assert len(read_trials(path)) == 4
+
+    def test_format_errors_come_first(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("e1 t1 0.5\ne1 t1 0.5\ne2 t2 x\n")
+        with pytest.raises(FormatError, match=r":3: non-numeric score"):
+            read_scores(path)
 
 
 class TestMatchScoresToKey:
     def test_alignment_follows_score_order(self):
-        scores = [("e2", "t1", 0.9), ("e1", "t1", -0.3)]
-        key = {("e1", "t1"): True, ("e2", "t1"): False}
+        scores = Trials(["e2", "e1"], ["t1", "t1"], np.array([0.9, -0.3]))
+        key = Trials(["e1", "e2"], ["t1", "t1"], np.array([True, False]))
         values, targets = match_scores_to_key(scores, key)
         np.testing.assert_array_equal(values, [0.9, -0.3])
         np.testing.assert_array_equal(targets, [False, True])
 
     def test_extra_key_entries_are_fine(self):
-        scores = [("e1", "t1", 0.5)]
-        key = {("e1", "t1"): True, ("e9", "t9"): False}
+        scores = Trials(["e1"], ["t1"], np.array([0.5]))
+        key = Trials(["e1", "e9"], ["t1", "t9"], np.array([True, False]))
         values, targets = match_scores_to_key(scores, key)
         assert values.shape == (1,)
+        assert targets.tolist() == [True]
 
     def test_missing_trial_rejected(self):
         with pytest.raises(KeyMismatchError):
-            match_scores_to_key([("e1", "tX", 0.5)], {("e1", "t1"): True})
+            match_scores_to_key(
+                Trials(["e1"], ["tX"], np.array([0.5])),
+                Trials(["e1"], ["t1"], np.array([True])),
+            )
+
+    def test_shuffled_key_against_dict_lookup(self, rng):
+        enroll = [f"e{i}" for i in range(20) for _ in range(30)]
+        test = [f"t{j}" for _ in range(20) for j in range(30)]
+        targets = rng.random(len(enroll)) < 0.2
+        perm = rng.permutation(len(enroll))
+        key = Trials([enroll[i] for i in perm], [test[i] for i in perm], targets[perm])
+        extra = Trials(["e99", "e0"], ["t0", "t99"], np.array([True, True]))
+        key = Trials(key.enroll + extra.enroll, key.test + extra.test,
+                     np.concatenate([key.values, extra.values]))
+        pick = rng.permutation(len(enroll))[:250]
+        scores = Trials([enroll[i] for i in pick], [test[i] for i in pick], rng.normal(size=250))
+        values, got = match_scores_to_key(scores, key)
+        lookup = dict(zip(zip(key.enroll, key.test), key.values.tolist()))
+        want = [lookup[pair] for pair in zip(scores.enroll, scores.test)]
+        assert got.tolist() == want
+        np.testing.assert_array_equal(values, scores.values)
+
+    @pytest.mark.parametrize(
+        "missing",
+        [("eX", "t1"), ("e1", "tX"), ("eX", "tX"), ("e1", "t2")],
+        ids=["unknown_enroll", "unknown_test", "both_unknown", "known_ids_unknown_pair"],
+    )
+    def test_first_missing_trial_named(self, missing):
+        key = Trials(["e1", "e2", "e2"], ["t1", "t2", "t1"], np.array([True, True, False]))
+        scores = Trials(
+            ["e2", missing[0], "e1", "eY"], ["t2", missing[1], "t1", "tY"], np.zeros(4)
+        )
+        with pytest.raises(
+            KeyMismatchError, match=rf"^trial \({missing[0]}, {missing[1]}\) is scored"
+        ):
+            match_scores_to_key(scores, key)
+
+    def test_empty_key(self):
+        empty_key = Trials([], [], np.zeros(0, dtype=bool))
+        with pytest.raises(KeyMismatchError):
+            match_scores_to_key(Trials(["e1"], ["t1"], np.zeros(1)), empty_key)
+        values, targets = match_scores_to_key(Trials([], [], np.zeros(0)), empty_key)
+        assert values.shape == targets.shape == (0,)

@@ -43,7 +43,9 @@ class TestIvectorCorpus:
         np.testing.assert_array_equal(a.train.vectors, b.train.vectors)
         np.testing.assert_array_equal(a.test.vectors, b.test.vectors)
         assert a.train.ids == b.train.ids
-        assert a.trials == b.trials and a.key == b.key
+        assert a.trials.enroll == b.trials.enroll and a.trials.test == b.trials.test
+        assert a.key.enroll == b.key.enroll and a.key.test == b.key.test
+        np.testing.assert_array_equal(a.key.values, b.key.values)
 
     def test_different_seed_differs(self):
         a = make_ivector_corpus(7, **SMALL_IV)
@@ -57,7 +59,9 @@ class TestIvectorCorpus:
         assert len(corpus.enroll.ids) == 4
         assert len(corpus.test.ids) == 4 * 2
         assert len(corpus.trials) == 4 * 8
-        assert set(corpus.key) == set(corpus.trials)
+        assert set(zip(corpus.key.enroll, corpus.key.test)) == set(
+            zip(corpus.trials.enroll, corpus.trials.test)
+        )
 
     def test_enrollment_uses_first_session(self):
         corpus = make_ivector_corpus(2, **SMALL_IV)
@@ -68,9 +72,9 @@ class TestIvectorCorpus:
         corpus = make_ivector_corpus(3, **SMALL_IV)
         spk = dict(zip(corpus.enroll.ids, corpus.enroll.speakers))
         spk.update(zip(corpus.test.ids, corpus.test.speakers))
-        for (e, t), is_target in corpus.key.items():
+        for e, t, is_target in zip(corpus.key.enroll, corpus.key.test, corpus.key.values):
             assert is_target == (spk[e] == spk[t])
-        targets = sum(corpus.key.values())
+        targets = corpus.key.values.sum()
         # Each eval speaker contributes (sessions - 1) target trials.
         assert targets == 4 * 2
 
@@ -169,7 +173,7 @@ class TestStatsCorpus:
 
     def test_key_reflects_speakers(self):
         corpus = make_stats_corpus(5, **SMALL_STATS)
-        for (e, t), is_target in corpus.key.items():
+        for e, t, is_target in zip(corpus.key.enroll, corpus.key.test, corpus.key.values):
             assert is_target == (corpus.speakers[e] == corpus.speakers[t])
 
 
@@ -191,7 +195,7 @@ class TestAudioCorpus:
         assert len(corpus.test_ids) == 4
         assert len(corpus.recordings) == 10
         assert len(corpus.trials) == 2 * 4
-        for (e, t), is_target in corpus.key.items():
+        for e, t, is_target in zip(corpus.key.enroll, corpus.key.test, corpus.key.values):
             assert is_target == (corpus.speakers[e] == corpus.speakers[t])
 
     def test_contamination_marks_one_test_recording(self):
