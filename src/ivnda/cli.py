@@ -52,6 +52,15 @@ def _configure_logging() -> None:
     )
 
 
+# Config fields that a command-line flag of the same name overrides.
+_OVERRIDES = {
+    "run": ("workers",),
+    "ubm": ("top_n",),
+    "tv": ("rank", "iters", "seed"),
+    "da": ("method", "k", "alpha", "dim", "all_pairs"),
+}
+
+
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
     """Build the effective configuration: file (if given) plus flag overrides."""
     cfg = (
@@ -59,42 +68,20 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, "config", None)
         else PipelineConfig()
     )
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            run=dataclasses.replace(cfg.run, seed=seed),
-            tv=dataclasses.replace(cfg.tv, seed=seed),
-        )
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("--workers must be >= 1")
-        cfg = dataclasses.replace(
-            cfg, run=dataclasses.replace(cfg.run, workers=workers)
-        )
-    top_n = getattr(args, "top_n", None)
-    if top_n is not None:
-        cfg = dataclasses.replace(
-            cfg, ubm=dataclasses.replace(cfg.ubm, top_n=top_n)
-        )
-    da_fields = {}
-    for name in ("method", "k", "alpha", "dim"):
-        value = getattr(args, name, None)
-        if value is not None:
-            da_fields[name] = value
-    if getattr(args, "all_pairs", False):
-        da_fields["all_pairs"] = True
-    if da_fields:
-        cfg = dataclasses.replace(
-            cfg, da=dataclasses.replace(cfg.da, **da_fields)
-        )
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        raise ValueError("--workers must be >= 1")
+    # Flags a command does not define, or that were not given, are None.
+    for section, names in _OVERRIDES.items():
+        given = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+        if given:
+            cfg = dataclasses.replace(
+                cfg, **{section: dataclasses.replace(getattr(cfg, section), **given)}
+            )
     return cfg
 
 
 def _add_common(sub: argparse.ArgumentParser, workers: bool = False) -> None:
     sub.add_argument("--config", metavar="PATH", help="configuration file")
-    sub.add_argument("--seed", type=int, metavar="N", help="override the run seed")
     if workers:
         sub.add_argument(
             "--workers", type=int, metavar="N", help="parallel worker count"
@@ -152,14 +139,6 @@ def _cmd_accumulate_stats(args: argparse.Namespace) -> int:
 
 def _cmd_train_tv(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
-    if args.rank is not None:
-        cfg = dataclasses.replace(
-            cfg, tv=dataclasses.replace(cfg.tv, rank=args.rank)
-        )
-    if args.iters is not None:
-        cfg = dataclasses.replace(
-            cfg, tv=dataclasses.replace(cfg.tv, iters=args.iters)
-        )
     pipeline.train_tv_stage(
         Path(args.stats), Path(args.ubm), Path(args.out), cfg
     )
@@ -423,6 +402,9 @@ def build_parser() -> _Parser:
     sub.add_argument("--out", required=True, metavar="PATH")
     sub.add_argument("--rank", type=int, metavar="R")
     sub.add_argument("--iters", type=int, metavar="N")
+    sub.add_argument(
+        "--seed", type=int, metavar="N", help="subspace initialisation seed"
+    )
     sub.set_defaults(handler=_cmd_train_tv)
 
     sub = subs.add_parser("extract-ivectors", help="extract i-vectors from statistics")
@@ -445,7 +427,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--alpha", type=float, metavar="A")
     sub.add_argument("--dim", type=int, metavar="M")
     sub.add_argument(
-        "--all-pairs", action="store_true",
+        "--all-pairs", action="store_true", default=None,
         help="use the pairwise NDA scatter instead of one-vs-rest",
     )
     sub.add_argument(

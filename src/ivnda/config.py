@@ -54,7 +54,6 @@ class UbmConfig:
     top_n: int = 10                  # posteriors kept per frame
     iters_per_level: int = 5         # EM iterations after each binary split
     variance_floor_scale: float = 1e-3
-    posterior_file: str = ""         # optional externally computed posteriors
 
 
 @dataclass
@@ -89,7 +88,6 @@ class PldaConfig:
 class RunConfig:
     """Cross-cutting run settings."""
 
-    seed: int = 0
     workers: int = 1
 
 

@@ -1,15 +1,22 @@
 """Stage orchestration shared by the command-line tools.
 
-Each stage function loads its input artifacts, validates the provenance
-fingerprints (mixing artifacts produced under different configurations is a
-contract error), runs the corresponding module, and writes the output
-artifact with its own fingerprint and stage metadata.
+Each stage function loads its input artifacts, validates their provenance,
+runs the corresponding module, and writes the output artifact with its own
+fingerprint and stage metadata.
 
 Fingerprints hash a stage's configuration subset together with the
 fingerprints of its upstream artifacts — not file contents — so artifacts
 produced by the *same* configuration from different data splits (train /
 enroll / test) are interchangeable where that is meaningful, while any
 configuration drift is caught immediately.
+
+One rule covers every stage.  :func:`_provenance` builds an output's
+fingerprint and its ``{"stage", "config", "upstream"}`` header metadata, and
+:func:`_require` checks a fingerprint an input records for one of its
+upstreams; a mismatch is a :class:`ContractError` (exit 3) naming the input
+file, the upstream key and both fingerprints.  ``sad-report`` rebuilds the
+statistics and i-vector fingerprints from its configuration, so it also
+refuses a TV model or projection from a different chain.
 """
 
 from __future__ import annotations
@@ -58,12 +65,26 @@ def resolve_path(base: Path, path: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def _cfg_dict(cfg) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def frontend_fingerprint(cfg: FrontendConfig) -> int:
-    return fingerprint("frontend", _cfg_dict(cfg))
+    return fingerprint("frontend", dataclasses.asdict(cfg))
+
+
+def _provenance(
+    stage: str, config: dict, upstream: dict[str, int]
+) -> tuple[int, dict]:
+    """Fingerprint and header metadata of an artifact written by `stage`."""
+    meta = {"stage": stage, "config": config, "upstream": upstream}
+    return fingerprint(stage, config, upstream), meta
+
+
+def _require(what: Path, meta: dict, key: str, expected: int) -> None:
+    """Check that artifact `what` records `expected` as its `key` upstream."""
+    found = meta.get("upstream", {}).get(key)
+    if found != expected:
+        raise ContractError(
+            f"{what}: records {key} fingerprint {found}, expected {expected} "
+            "(fingerprint mismatch)"
+        )
 
 
 # --- feature extraction ---------------------------------------------------
@@ -141,7 +162,7 @@ def extract_features_stage(
                 "stage": "features",
                 "recording_id": entry.recording_id,
                 "chain": chain,
-                "config": _cfg_dict(cfg.frontend),
+                "config": dataclasses.asdict(cfg.frontend),
             }
             fileio.write_feature_record(
                 fileio.feature_path(out_dir, entry.recording_id), feats, feat_fp, meta
@@ -169,11 +190,7 @@ def load_features(
         feats, fp, _ = fileio.read_feature_record(path)
         if feat_fp is None:
             feat_fp = fp
-        elif fp != feat_fp:
-            raise ContractError(
-                f"feature record {rec_id!r} was produced under a different "
-                f"configuration (fingerprint mismatch)"
-            )
+        _require(path, {"upstream": {"features": fp}}, "features", feat_fp)
         out[rec_id] = feats
     if feat_fp is None:
         raise DataError("no recordings to load")
@@ -181,14 +198,6 @@ def load_features(
 
 
 # --- model training stages ------------------------------------------------
-
-
-def _ubm_config_subset(cfg: PipelineConfig) -> dict:
-    return {
-        "num_components": cfg.ubm.num_components,
-        "iters_per_level": cfg.ubm.iters_per_level,
-        "variance_floor_scale": cfg.ubm.variance_floor_scale,
-    }
 
 
 def train_ubm_stage(
@@ -202,13 +211,15 @@ def train_ubm_stage(
         iters_per_level=cfg.ubm.iters_per_level,
         variance_floor_scale=cfg.ubm.variance_floor_scale,
     )
-    fp = fingerprint("ubm", _ubm_config_subset(cfg), {"features": feat_fp})
-    meta = {
-        "stage": "ubm",
-        "config": _ubm_config_subset(cfg),
-        "upstream": {"features": feat_fp},
+    # top_n is left out: it belongs to the statistics stage
+    subset = {
+        "num_components": cfg.ubm.num_components,
+        "iters_per_level": cfg.ubm.iters_per_level,
+        "variance_floor_scale": cfg.ubm.variance_floor_scale,
     }
-    fileio.write_gmm(out_path, gmm, fp, meta)
+    fileio.write_gmm(
+        out_path, gmm, *_provenance("ubm", subset, {"features": feat_fp})
+    )
 
 
 def train_supervised_ubm_stage(
@@ -237,9 +248,9 @@ def train_supervised_ubm_stage(
         "variance_floor_scale": cfg.ubm.variance_floor_scale,
         "external_posteriors": True,
     }
-    fp = fingerprint("ubm", subset, {"features": feat_fp})
-    meta = {"stage": "ubm", "config": subset, "upstream": {"features": feat_fp}}
-    fileio.write_gmm(out_path, gmm, fp, meta)
+    fileio.write_gmm(
+        out_path, gmm, *_provenance("ubm", subset, {"features": feat_fp})
+    )
 
 
 def accumulate_stats_stage(
@@ -253,12 +264,7 @@ def accumulate_stats_stage(
     entries = fileio.read_manifest(manifest_path)
     features, feat_fp = load_features(feat_dir, [e.recording_id for e in entries])
     gmm, ubm_fp, ubm_meta = fileio.read_gmm(ubm_path)
-    upstream_feat = ubm_meta.get("upstream", {}).get("features")
-    if upstream_feat != feat_fp:
-        raise ContractError(
-            "UBM was trained on features with a different fingerprint than "
-            f"{feat_dir} (expected {feat_fp}, model records {upstream_feat})"
-        )
+    _require(ubm_path, ubm_meta, "features", feat_fp)
     external = None
     if posterior_path is not None:
         external = ubm_mod.load_external_posteriors(
@@ -282,22 +288,11 @@ def accumulate_stats_stage(
         "top_n": cfg.ubm.top_n,
         "external_posteriors": posterior_path is not None,
     }
-    fp = fingerprint("stats", subset, {"features": feat_fp, "ubm": ubm_fp})
-    meta = {
-        "stage": "stats",
-        "config": subset,
-        "upstream": {"features": feat_fp, "ubm": ubm_fp},
-    }
-    fileio.write_stats_archive(out_path, all_stats, fp, meta)
-
-
-def _tv_config_subset(cfg: PipelineConfig) -> dict:
-    return {
-        "rank": cfg.tv.rank,
-        "iters": cfg.tv.iters,
-        "seed": cfg.tv.seed,
-        "reestimate_sigma": cfg.tv.reestimate_sigma,
-    }
+    fileio.write_stats_archive(
+        out_path,
+        all_stats,
+        *_provenance("stats", subset, {"features": feat_fp, "ubm": ubm_fp}),
+    )
 
 
 def train_tv_stage(
@@ -305,27 +300,14 @@ def train_tv_stage(
 ) -> None:
     all_stats, stats_fp, stats_meta = fileio.read_stats_archive(stats_path)
     gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
-    if stats_meta.get("upstream", {}).get("ubm") != ubm_fp:
-        raise ContractError(
-            "statistics were accumulated against a different UBM "
-            "(fingerprint mismatch)"
-        )
+    _require(stats_path, stats_meta, "ubm", ubm_fp)
     centered = [stats_mod.center_stats(s, gmm) for s in all_stats]
-    model = tv_mod.train_tv(
-        centered,
-        gmm,
-        rank=cfg.tv.rank,
-        iters=cfg.tv.iters,
-        seed=cfg.tv.seed,
-        reestimate_sigma=cfg.tv.reestimate_sigma,
+    # every TvConfig field is a train_tv argument, and all are fingerprinted
+    tv_cfg = dataclasses.asdict(cfg.tv)
+    model = tv_mod.train_tv(centered, gmm, **tv_cfg)
+    fileio.write_tv_model(
+        out_path, model, *_provenance("tv", tv_cfg, {"stats": stats_fp, "ubm": ubm_fp})
     )
-    fp = fingerprint("tv", _tv_config_subset(cfg), {"stats": stats_fp, "ubm": ubm_fp})
-    meta = {
-        "stage": "tv",
-        "config": _tv_config_subset(cfg),
-        "upstream": {"stats": stats_fp, "ubm": ubm_fp},
-    }
-    fileio.write_tv_model(out_path, model, fp, meta)
 
 
 def extract_ivectors_stage(
@@ -334,25 +316,15 @@ def extract_ivectors_stage(
     all_stats, stats_fp, stats_meta = fileio.read_stats_archive(stats_path)
     gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
     model, tv_fp, tv_meta = fileio.read_tv_model(tv_path)
-    if stats_meta.get("upstream", {}).get("ubm") != ubm_fp:
-        raise ContractError(
-            "statistics were accumulated against a different UBM "
-            "(fingerprint mismatch)"
-        )
-    if tv_meta.get("upstream", {}).get("stats") != stats_fp:
-        raise ContractError(
-            "subspace model was trained on statistics with a different "
-            "fingerprint than this archive"
-        )
+    _require(stats_path, stats_meta, "ubm", ubm_fp)
+    _require(tv_path, tv_meta, "stats", stats_fp)
     centered = [stats_mod.center_stats(s, gmm) for s in all_stats]
     ivectors = tv_mod.extract_ivectors(centered, model)
-    fp = fingerprint("ivectors", {}, {"stats": stats_fp, "tv": tv_fp, "ubm": ubm_fp})
-    meta = {
-        "stage": "ivectors",
-        "config": {},
-        "upstream": {"stats": stats_fp, "tv": tv_fp, "ubm": ubm_fp},
-    }
-    fileio.write_ivector_archive(out_path, ivectors, fp, meta)
+    fileio.write_ivector_archive(
+        out_path,
+        ivectors,
+        *_provenance("ivectors", {}, {"stats": stats_fp, "tv": tv_fp, "ubm": ubm_fp}),
+    )
 
 
 def _labels_for(
@@ -384,16 +356,6 @@ def _labels_for(
     )
 
 
-def _da_config_subset(cfg: PipelineConfig) -> dict:
-    return {
-        "method": cfg.da.method,
-        "k": cfg.da.k,
-        "alpha": cfg.da.alpha,
-        "dim": cfg.da.dim,
-        "all_pairs": cfg.da.all_pairs,
-    }
-
-
 def train_da_stage(
     ivector_path: Path,
     manifest_path: Path,
@@ -415,13 +377,11 @@ def train_da_stage(
         )
     else:
         raise ValueError(f"unknown DA method {cfg.da.method!r}")
-    fp = fingerprint("da", _da_config_subset(cfg), {"ivectors": iv_fp})
-    meta = {
-        "stage": "da",
-        "config": _da_config_subset(cfg),
-        "upstream": {"ivectors": iv_fp},
-    }
-    fileio.write_projection(out_path, proj, fp, meta)
+    fileio.write_projection(
+        out_path,
+        proj,
+        *_provenance("da", dataclasses.asdict(cfg.da), {"ivectors": iv_fp}),
+    )
 
 
 def train_plda_stage(
@@ -435,10 +395,7 @@ def train_plda_stage(
 ) -> None:
     ivectors, iv_fp, _ = fileio.read_ivector_archive(ivector_path)
     proj, da_fp, da_meta = fileio.read_projection(projection_path)
-    if da_meta.get("upstream", {}).get("ivectors") != iv_fp:
-        raise ContractError(
-            "projection was trained on i-vectors with a different fingerprint"
-        )
+    _require(projection_path, da_meta, "ivectors", iv_fp)
     data = _labels_for(ivectors, manifest_path, label_filter)
     projected = da_mod.project(data.vectors, proj)
     normalizer = backend_mod.fit_normalizer(projected)
@@ -448,51 +405,17 @@ def train_plda_stage(
         iters=cfg.plda.iters,
     )
     upstream = {"ivectors": iv_fp, "projection": da_fp}
-    nz_fp = fingerprint("normalizer", {}, upstream)
     fileio.write_normalizer(
-        out_normalizer,
-        normalizer,
-        nz_fp,
-        {"stage": "normalizer", "config": {}, "upstream": upstream},
+        out_normalizer, normalizer, *_provenance("normalizer", {}, upstream)
     )
-    plda_fp = fingerprint("plda", {"iters": cfg.plda.iters}, upstream)
     fileio.write_plda(
         out_plda,
         model,
-        plda_fp,
-        {
-            "stage": "plda",
-            "config": {"iters": cfg.plda.iters},
-            "upstream": upstream,
-        },
+        *_provenance("plda", dataclasses.asdict(cfg.plda), upstream),
     )
 
 
 # --- scoring and evaluation ----------------------------------------------
-
-
-def _check_scoring_chain(
-    enroll_fp: int,
-    test_fp: int,
-    da_fp: int,
-    da_meta: dict,
-    nz_meta: dict,
-    plda_meta: dict,
-) -> None:
-    if enroll_fp != test_fp:
-        raise ContractError(
-            "enroll and test i-vector archives have different fingerprints"
-        )
-    if da_meta.get("upstream", {}).get("ivectors") != enroll_fp:
-        raise ContractError(
-            "projection was trained on i-vectors with a different fingerprint "
-            "than the archives being scored"
-        )
-    for name, meta in (("normalizer", nz_meta), ("PLDA model", plda_meta)):
-        if meta.get("upstream", {}).get("projection") != da_fp:
-            raise ContractError(
-                f"{name} does not belong to this projection (fingerprint mismatch)"
-            )
 
 
 def score_stage(
@@ -510,7 +433,10 @@ def score_stage(
     proj, da_fp, da_meta = fileio.read_projection(projection_path)
     normalizer, _, nz_meta = fileio.read_normalizer(normalizer_path)
     plda, _, plda_meta = fileio.read_plda(plda_path)
-    _check_scoring_chain(enroll_fp, test_fp, da_fp, da_meta, nz_meta, plda_meta)
+    _require(test_path, {"upstream": {"ivectors": test_fp}}, "ivectors", enroll_fp)
+    _require(projection_path, da_meta, "ivectors", enroll_fp)
+    _require(normalizer_path, nz_meta, "projection", da_fp)
+    _require(plda_path, plda_meta, "projection", da_fp)
     trials = fileio.read_trials(trials_path)
 
     def prepare(ivs: Sequence[tv_mod.IVector]) -> tuple[dict[str, int], np.ndarray]:
@@ -601,17 +527,21 @@ def sad_report_stage(
     proj, da_fp, da_meta = fileio.read_projection(projection_path)
     normalizer, _, nz_meta = fileio.read_normalizer(normalizer_path)
     plda, _, plda_meta = fileio.read_plda(plda_path)
-    for name, meta in (("normalizer", nz_meta), ("PLDA model", plda_meta)):
-        if meta.get("upstream", {}).get("projection") != da_fp:
-            raise ContractError(
-                f"{name} does not belong to this projection (fingerprint mismatch)"
-            )
+    _require(normalizer_path, nz_meta, "projection", da_fp)
+    _require(plda_path, plda_meta, "projection", da_fp)
+    # Rebuild the chain this run re-extracts with, UBM alignment included.
     feat_fp = frontend_fingerprint(cfg.frontend)
-    if ubm_meta.get("upstream", {}).get("features") != feat_fp:
-        raise ContractError(
-            "frontend configuration does not match the one the UBM was "
-            "trained with (fingerprint mismatch)"
-        )
+    _require(ubm_path, ubm_meta, "features", feat_fp)
+    stats_fp, _ = _provenance(
+        "stats",
+        {"top_n": cfg.ubm.top_n, "external_posteriors": False},
+        {"features": feat_fp, "ubm": ubm_fp},
+    )
+    _require(tv_path, tv_meta, "stats", stats_fp)
+    iv_fp, _ = _provenance(
+        "ivectors", {}, {"stats": stats_fp, "tv": tv_fp, "ubm": ubm_fp}
+    )
+    _require(projection_path, da_meta, "ivectors", iv_fp)
 
     needed = sorted(set(affected.enroll) | set(affected.test))
     missing_ids = [rid for rid in needed if rid not in entries]
@@ -673,26 +603,17 @@ def write_stats_corpus(
     corpus: synth.StatsCorpus, out_dir: Path, synth_cfg: dict
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    ubm_fp = fingerprint("synth-ubm", synth_cfg)
-    fileio.write_gmm(
-        out_dir / "ubm.ivgm",
-        corpus.gmm,
-        ubm_fp,
-        {"stage": "synth-ubm", "config": synth_cfg, "upstream": {}},
-    )
-    tv_fp = fingerprint("synth-tv", synth_cfg, {"ubm": ubm_fp})
+    ubm_fp, ubm_meta = _provenance("synth-ubm", synth_cfg, {})
+    fileio.write_gmm(out_dir / "ubm.ivgm", corpus.gmm, ubm_fp, ubm_meta)
     fileio.write_tv_model(
         out_dir / "tv_true.ivtv",
         corpus.tv_true,
-        tv_fp,
-        {"stage": "synth-tv", "config": synth_cfg, "upstream": {"ubm": ubm_fp}},
+        *_provenance("synth-tv", synth_cfg, {"ubm": ubm_fp}),
     )
-    stats_fp = fingerprint("synth-stats", synth_cfg, {"ubm": ubm_fp})
-    stats_meta = {
-        "stage": "stats",
-        "config": synth_cfg,
-        "upstream": {"ubm": ubm_fp},
-    }
+    # Synthetic statistics and i-vectors hash as "synth-*" but are labelled
+    # with the stage whose output they stand in for.
+    stats_fp, stats_meta = _provenance("synth-stats", synth_cfg, {"ubm": ubm_fp})
+    stats_meta["stage"] = "stats"
     for name, split in (
         ("train", corpus.train),
         ("enroll", corpus.enroll),
@@ -720,8 +641,8 @@ def write_ivector_corpus(
     corpus: synth.IvectorCorpus, out_dir: Path, synth_cfg: dict
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    iv_fp = fingerprint("synth-ivectors", synth_cfg)
-    meta = {"stage": "ivectors", "config": synth_cfg, "upstream": {}}
+    iv_fp, meta = _provenance("synth-ivectors", synth_cfg, {})
+    meta["stage"] = "ivectors"
     for name, split in (
         ("train", corpus.train),
         ("enroll", corpus.enroll),

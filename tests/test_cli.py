@@ -1,5 +1,7 @@
 """End-to-end command-line tests: full recipes, output formats, exit codes."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,113 @@ def audio_ws(tmp_path_factory):
         ]
     )
     return ws
+
+
+@pytest.fixture(scope="module")
+def demo_ws(tmp_path_factory):
+    """The recipe of scripts/mask_override_demo.py, taken to scores."""
+    ws = tmp_path_factory.mktemp("demo_ws")
+    run_ok(["synth", "--mode", "audio", "--out-dir", ws, "--seed", "911"])
+    cfg = ws / "config.ini"
+    cfg.write_text("[ubm]\nnum_components = 8\niters_per_level = 3\ntop_n = 8\n")
+    splits = ("train", "enroll", "test")
+    for split in splits:
+        run_ok(
+            [
+                "extract-features", "--config", cfg,
+                "--manifest", ws / f"{split}.manifest", "--out-dir", ws / "feats",
+            ]
+        )
+    run_ok(
+        [
+            "train-ubm", "--config", cfg, "--features", ws / "feats",
+            "--manifest", ws / "train.manifest", "--out", ws / "ubm.ivgm",
+        ]
+    )
+    for split in splits:
+        run_ok(
+            [
+                "accumulate-stats", "--config", cfg, "--features", ws / "feats",
+                "--manifest", ws / f"{split}.manifest", "--ubm", ws / "ubm.ivgm",
+                "--out", ws / f"{split}.ivbw",
+            ]
+        )
+    run_ok(
+        [
+            "train-tv", "--stats", ws / "train.ivbw", "--ubm", ws / "ubm.ivgm",
+            "--out", ws / "tv.ivtv", "--rank", "8", "--iters", "4", "--seed", "911",
+        ]
+    )
+    for split in splits:
+        run_ok(
+            [
+                "extract-ivectors", "--stats", ws / f"{split}.ivbw",
+                "--ubm", ws / "ubm.ivgm", "--tv", ws / "tv.ivtv",
+                "--out", ws / f"{split}.iviv",
+            ]
+        )
+    run_ok(
+        [
+            "train-da", "--ivectors", ws / "train.iviv",
+            "--manifest", ws / "train.manifest", "--out", ws / "proj.ivda",
+            "--method", "lda", "--dim", "4",
+        ]
+    )
+    run_ok(
+        [
+            "train-plda", "--ivectors", ws / "train.iviv",
+            "--manifest", ws / "train.manifest", "--projection", ws / "proj.ivda",
+            "--out", ws / "plda.ivpl", "--normalizer-out", ws / "norm.ivnz",
+        ]
+    )
+    run_ok(
+        [
+            "score", "--enroll", ws / "enroll.iviv", "--test", ws / "test.iviv",
+            "--trials", ws / "trials.txt", "--projection", ws / "proj.ivda",
+            "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
+            "--out", ws / "scores.txt",
+        ]
+    )
+    return ws
+
+
+def demo_argv(ws, out):
+    """Arguments of each model-consuming command on the demo workspace,
+    with every output under `out`."""
+    cfg = ["--config", ws / "config.ini"]
+    return {
+        "accumulate-stats": [
+            *cfg, "--features", ws / "feats", "--manifest", ws / "enroll.manifest",
+            "--ubm", ws / "ubm.ivgm", "--out", out / "enroll.ivbw",
+        ],
+        "train-tv": [
+            "--stats", ws / "train.ivbw", "--ubm", ws / "ubm.ivgm",
+            "--out", out / "tv.ivtv", "--rank", "8", "--iters", "1",
+        ],
+        "extract-ivectors": [
+            "--stats", ws / "enroll.ivbw", "--ubm", ws / "ubm.ivgm",
+            "--tv", ws / "tv.ivtv", "--out", out / "enroll.iviv",
+        ],
+        "train-plda": [
+            "--ivectors", ws / "train.iviv", "--manifest", ws / "train.manifest",
+            "--projection", ws / "proj.ivda", "--out", out / "plda.ivpl",
+            "--normalizer-out", out / "norm.ivnz",
+        ],
+        "score": [
+            "--enroll", ws / "enroll.iviv", "--test", ws / "test.iviv",
+            "--trials", ws / "trials.txt", "--projection", ws / "proj.ivda",
+            "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
+            "--out", out / "scores.txt",
+        ],
+        "sad-report": [
+            *cfg, "--scores", ws / "scores.txt", "--manifest", ws / "override.manifest",
+            "--trials", ws / "trials.txt", "--key", ws / "key.txt",
+            "--ubm", ws / "ubm.ivgm", "--tv", ws / "tv.ivtv",
+            "--projection", ws / "proj.ivda", "--normalizer", ws / "norm.ivnz",
+            "--plda", ws / "plda.ivpl", "--out-csv", out / "sad.csv",
+            "--out-scores", out / "rescored.txt",
+        ],
+    }
 
 
 # --- stats-level recipe ----------------------------------------------------
@@ -503,6 +612,97 @@ class TestSadReportInputs:
         assert rc == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sad.csv").exists()
+
+
+_ARTIFACT_IO = {
+    ".ivfa": (fileio.read_feature_record, fileio.write_feature_record),
+    ".ivgm": (fileio.read_gmm, fileio.write_gmm),
+    ".ivbw": (fileio.read_stats_archive, fileio.write_stats_archive),
+    ".ivtv": (fileio.read_tv_model, fileio.write_tv_model),
+    ".iviv": (fileio.read_ivector_archive, fileio.write_ivector_archive),
+    ".ivda": (fileio.read_projection, fileio.write_projection),
+    ".ivnz": (fileio.read_normalizer, fileio.write_normalizer),
+    ".ivpl": (fileio.read_plda, fileio.write_plda),
+}
+
+
+def tamper(src, dst, upstream_key):
+    """Copy an artifact, changing its recorded `upstream_key` fingerprint,
+    or its own fingerprint when `upstream_key` is None."""
+    read, write = _ARTIFACT_IO[src.suffix]
+    obj, fp, meta = read(src)
+    if upstream_key is None:
+        fp ^= 1
+    else:
+        meta["upstream"][upstream_key] ^= 1
+    write(dst, obj, fp, meta)
+
+
+class TestProvenance:
+    """Every upstream-fingerprint edge a command checks: one tampered input
+    makes it a contract error naming that input, with nothing written."""
+
+    @pytest.mark.parametrize(
+        "command,flag,upstream_key",
+        [
+            ("accumulate-stats", "--features", None),
+            ("accumulate-stats", "--ubm", "features"),
+            ("train-tv", "--stats", "ubm"),
+            ("extract-ivectors", "--stats", "ubm"),
+            ("extract-ivectors", "--tv", "stats"),
+            ("train-plda", "--projection", "ivectors"),
+            ("score", "--test", None),
+            ("score", "--projection", "ivectors"),
+            ("score", "--normalizer", "projection"),
+            ("score", "--plda", "projection"),
+            ("sad-report", "--normalizer", "projection"),
+            ("sad-report", "--plda", "projection"),
+            ("sad-report", "--ubm", "features"),
+            ("sad-report", "--tv", "stats"),
+            ("sad-report", "--projection", "ivectors"),
+        ],
+    )
+    def test_mismatch_is_contract_error(
+        self, demo_ws, tmp_path, capsys, command, flag, upstream_key
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = demo_argv(demo_ws, out)[command]
+        i = argv.index(flag) + 1
+        if flag == "--features":
+            # mixed feature records: one record of the directory differs
+            bad_dir = tmp_path / "feats"
+            shutil.copytree(demo_ws / "feats", bad_dir)
+            second = fileio.read_manifest(demo_ws / "enroll.manifest")[1]
+            bad = fileio.feature_path(bad_dir, second.recording_id)
+            tamper(bad, bad, upstream_key)
+            argv[i] = bad_dir
+        else:
+            bad = tmp_path / argv[i].name
+            tamper(argv[i], bad, upstream_key)
+            argv[i] = bad
+        rc = main([command, *map(str, argv)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERIC, err
+        assert str(bad) in err and "(fingerprint mismatch)" in err
+        assert not any(out.iterdir())
+
+    def test_sad_report_checks_the_stats_configuration(
+        self, demo_ws, tmp_path, capsys
+    ):
+        # The recipe aligned with top_n = 8; re-extracting with 4 would
+        # compare i-vectors from a different chain.
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = tmp_path / "top4.ini"
+        cfg.write_text("[ubm]\nnum_components = 8\niters_per_level = 3\ntop_n = 4\n")
+        argv = demo_argv(demo_ws, out)["sad-report"]
+        argv[argv.index("--config") + 1] = cfg
+        rc = main(["sad-report", *map(str, argv)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERIC, err
+        assert str(demo_ws / "tv.ivtv") in err
+        assert not any(out.iterdir())
 
 
 class TestDefaults:

@@ -46,6 +46,8 @@ def test_partial_file_keeps_other_defaults(tmp_path):
         "[frontend]\nsad = yes\n",       # nested config is not a scalar key
         "[tv]\nrank = many\n",           # unparseable int
         "[frontend]\ninclude_deltas = maybe\n",  # unparseable bool
+        "[ubm]\nposterior_file = post.txt\n",   # removed: use --posteriors
+        "[run]\nseed = 3\n",                    # removed: use train-tv --seed
     ],
 )
 def test_bad_config_rejected(tmp_path, text):
