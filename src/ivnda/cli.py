@@ -93,8 +93,9 @@ def _add_common(sub: argparse.ArgumentParser, workers: bool = False) -> None:
 
 def _cmd_extract_features(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
+    manifest = Path(args.manifest)
     errors = pipeline.extract_features_stage(
-        Path(args.manifest), Path(args.out_dir), cfg
+        fileio.read_manifest(manifest), manifest.parent, Path(args.out_dir), cfg
     )
     for rec_id, message in errors:
         print(f"error: {rec_id}: {message}", file=sys.stderr)
@@ -128,7 +129,7 @@ def _cmd_accumulate_stats(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     pipeline.accumulate_stats_stage(
         Path(args.features),
-        Path(args.manifest),
+        fileio.read_manifest(args.manifest),
         Path(args.ubm),
         Path(args.out),
         cfg,
@@ -146,9 +147,8 @@ def _cmd_train_tv(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract_ivectors(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
     pipeline.extract_ivectors_stage(
-        Path(args.stats), Path(args.ubm), Path(args.tv), Path(args.out), cfg
+        Path(args.stats), Path(args.ubm), Path(args.tv), Path(args.out)
     )
     return EXIT_OK
 
@@ -408,7 +408,6 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=_cmd_train_tv)
 
     sub = subs.add_parser("extract-ivectors", help="extract i-vectors from statistics")
-    _add_common(sub)
     sub.add_argument("--stats", required=True, metavar="PATH")
     sub.add_argument("--ubm", required=True, metavar="PATH")
     sub.add_argument("--tv", required=True, metavar="PATH")
@@ -449,7 +448,6 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=_cmd_train_plda)
 
     sub = subs.add_parser("score", help="score a trial list")
-    _add_common(sub)
     sub.add_argument("--enroll", required=True, metavar="PATH")
     sub.add_argument("--test", required=True, metavar="PATH")
     sub.add_argument("--trials", required=True, metavar="PATH")
@@ -543,13 +541,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FloatingPointError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     log.info("%s finished in %.2f s", args.command, time.monotonic() - start)

@@ -14,15 +14,16 @@ One rule covers every stage.  :func:`_provenance` builds an output's
 fingerprint and its ``{"stage", "config", "upstream"}`` header metadata, and
 :func:`_require` checks a fingerprint an input records for one of its
 upstreams; a mismatch is a :class:`ContractError` (exit 3) naming the input
-file, the upstream key and both fingerprints.  ``sad-report`` rebuilds the
-statistics and i-vector fingerprints from its configuration, so it also
-refuses a TV model or projection from a different chain.
+file, the upstream key and both fingerprints.  ``sad-report`` re-scores by
+running the feature, statistics, i-vector and scoring stages themselves, so
+it makes their checks and reproduces the recipe's scores exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
@@ -63,10 +64,6 @@ def resolve_path(base: Path, path: str) -> Path:
     """Resolve a manifest-relative path against the manifest's directory."""
     p = Path(path)
     return p if p.is_absolute() else base / p
-
-
-def frontend_fingerprint(cfg: FrontendConfig) -> int:
-    return fingerprint("frontend", dataclasses.asdict(cfg))
 
 
 def _provenance(
@@ -141,19 +138,20 @@ def compute_features(
 
 
 def extract_features_stage(
-    manifest_path: Path,
+    entries: Sequence[ManifestEntry],
+    base_dir: Path,
     out_dir: Path,
     cfg: PipelineConfig,
 ) -> list[tuple[str, str]]:
-    """Extract features for every manifest entry into `out_dir`.
+    """Extract features for `entries` into `out_dir`; their relative paths
+    resolve against `base_dir`.
 
     Returns a per-recording error report (empty when everything succeeded);
     successfully processed recordings are written even when others fail.
     """
-    entries = fileio.read_manifest(manifest_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_dir = manifest_path.parent
-    feat_fp = frontend_fingerprint(cfg.frontend)
+    config = dataclasses.asdict(cfg.frontend)
+    feat_fp = fingerprint("frontend", config)
 
     def work(entry: ManifestEntry) -> tuple[str, str]:
         try:
@@ -162,7 +160,7 @@ def extract_features_stage(
                 "stage": "features",
                 "recording_id": entry.recording_id,
                 "chain": chain,
-                "config": dataclasses.asdict(cfg.frontend),
+                "config": config,
             }
             fileio.write_feature_record(
                 fileio.feature_path(out_dir, entry.recording_id), feats, feat_fp, meta
@@ -255,13 +253,12 @@ def train_supervised_ubm_stage(
 
 def accumulate_stats_stage(
     feat_dir: Path,
-    manifest_path: Path,
+    entries: Sequence[ManifestEntry],
     ubm_path: Path,
     out_path: Path,
     cfg: PipelineConfig,
     posterior_path: Path | None = None,
 ) -> None:
-    entries = fileio.read_manifest(manifest_path)
     features, feat_fp = load_features(feat_dir, [e.recording_id for e in entries])
     gmm, ubm_fp, ubm_meta = fileio.read_gmm(ubm_path)
     _require(ubm_path, ubm_meta, "features", feat_fp)
@@ -311,7 +308,7 @@ def train_tv_stage(
 
 
 def extract_ivectors_stage(
-    stats_path: Path, ubm_path: Path, tv_path: Path, out_path: Path, cfg: PipelineConfig
+    stats_path: Path, ubm_path: Path, tv_path: Path, out_path: Path
 ) -> None:
     all_stats, stats_fp, stats_meta = fileio.read_stats_archive(stats_path)
     gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
@@ -489,13 +486,15 @@ def sad_report_stage(
 
     Recordings whose manifest entries carry a speech-mask override are
     re-extracted from audio with that mask; the other side of each affected
-    trial is re-extracted with the standard detector (deterministically
-    identical to the original run).  Unaffected trials keep their original
-    scores bit-for-bit.  Returns summary counts of target trials whose
-    scores improved and non-target trials whose scores decreased.
+    trial is re-extracted with the standard detector.  The recordings go
+    through the recipe's own stages (features, statistics, i-vectors,
+    scoring) in a temporary directory, which make their usual provenance
+    checks, so an unchanged mask reproduces the original score bit for bit.
+    Unaffected trials keep their original scores.  Returns summary counts
+    of target trials whose scores improved and non-target trials whose
+    scores decreased.
     """
     entries = {e.recording_id: e for e in fileio.read_manifest(manifest_path)}
-    base_dir = manifest_path.parent
     trials = fileio.read_trials(trials_path)
     key = fileio.read_key(key_path)
     orig = fileio.read_scores(orig_scores_path)
@@ -522,55 +521,41 @@ def sad_report_stage(
             )
         raise KeyMismatchError(f"trial {trial} is missing from the key")
 
-    gmm, ubm_fp, ubm_meta = fileio.read_gmm(ubm_path)
-    model, tv_fp, tv_meta = fileio.read_tv_model(tv_path)
-    proj, da_fp, da_meta = fileio.read_projection(projection_path)
-    normalizer, _, nz_meta = fileio.read_normalizer(normalizer_path)
-    plda, _, plda_meta = fileio.read_plda(plda_path)
-    _require(normalizer_path, nz_meta, "projection", da_fp)
-    _require(plda_path, plda_meta, "projection", da_fp)
-    # Rebuild the chain this run re-extracts with, UBM alignment included.
-    feat_fp = frontend_fingerprint(cfg.frontend)
-    _require(ubm_path, ubm_meta, "features", feat_fp)
-    stats_fp, _ = _provenance(
-        "stats",
-        {"top_n": cfg.ubm.top_n, "external_posteriors": False},
-        {"features": feat_fp, "ubm": ubm_fp},
-    )
-    _require(tv_path, tv_meta, "stats", stats_fp)
-    iv_fp, _ = _provenance(
-        "ivectors", {}, {"stats": stats_fp, "tv": tv_fp, "ubm": ubm_fp}
-    )
-    _require(projection_path, da_meta, "ivectors", iv_fp)
-
     needed = sorted(set(affected.enroll) | set(affected.test))
     missing_ids = [rid for rid in needed if rid not in entries]
     if missing_ids:
         raise DataError(f"trial recordings missing from manifest: {missing_ids}")
 
-    def ivector_for(rec_id: str, use_override: bool) -> np.ndarray:
-        entry = entries[rec_id]
-        if not use_override:
-            entry = dataclasses.replace(entry, sad_path="")
-        feats, _ = compute_features(entry, base_dir, cfg.frontend)
-        post = ubm_mod.gmm_posteriors(gmm, feats, cfg.ubm.top_n)
-        raw = stats_mod.accumulate_bw(feats, post, recording_id=rec_id)
-        centered = stats_mod.center_stats(raw, gmm)
-        iv = tv_mod.extract_ivector(centered, model)
-        return backend_mod.normalize(
-            da_mod.project(iv.w, proj), normalizer
-        )
-
-    vectors = [ivector_for(rid, use_override=rid in overridden) for rid in needed]
-    vectors = np.stack(vectors) if vectors else np.zeros((0, plda.dim))
-    row = {rid: i for i, rid in enumerate(needed)}
-    new_scores = backend_mod.score_pairs(
-        plda,
-        vectors,
-        vectors,
-        np.array([row[e] for e in affected.enroll], dtype=np.intp),
-        np.array([row[t] for t in affected.test], dtype=np.intp),
-    )
+    new_scores = np.zeros(0)
+    if needed:  # an override may touch no trial
+        with tempfile.TemporaryDirectory() as tmp_name:
+            tmp = Path(tmp_name)
+            needed_entries = [entries[rid] for rid in needed]
+            failed = extract_features_stage(
+                needed_entries, manifest_path.parent, tmp / "feats", cfg
+            )
+            if failed:
+                raise DataError(
+                    "feature extraction failed: "
+                    + "; ".join(f"{rid}: {err}" for rid, err in failed)
+                )
+            accumulate_stats_stage(
+                tmp / "feats", needed_entries, ubm_path, tmp / "stats.ivbw", cfg
+            )
+            extract_ivectors_stage(
+                tmp / "stats.ivbw", ubm_path, tv_path, tmp / "ivectors.iviv"
+            )
+            fileio.write_trials(tmp / "trials.txt", affected)
+            score_stage(
+                tmp / "ivectors.iviv",
+                tmp / "ivectors.iviv",
+                tmp / "trials.txt",
+                projection_path,
+                normalizer_path,
+                plda_path,
+                tmp / "scores.txt",
+            )
+            new_scores = fileio.read_scores(tmp / "scores.txt").values
     old_scores = orig.values[orig_rows]
     is_target = key.values[key_rows]
 

@@ -1,11 +1,12 @@
 """End-to-end command-line tests: full recipes, output formats, exit codes."""
 
+import dataclasses
 import shutil
 
 import numpy as np
 import pytest
 
-from ivnda import fileio
+from ivnda import fileio, frontend
 from ivnda.cli import main
 from ivnda.config import PipelineConfig, load_config
 from ivnda.errors import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
@@ -705,6 +706,85 @@ class TestProvenance:
         assert not any(out.iterdir())
 
 
+class TestSadReportRescoring:
+    """sad-report re-scores the affected trials through the recipe's stages."""
+
+    def test_unchanged_mask_reproduces_the_scores(self, demo_ws, tmp_path, capsys):
+        # An override holding the detector's own mask changes nothing, so
+        # every affected score must come back bit for bit.
+        entries = [
+            *fileio.read_manifest(demo_ws / "enroll.manifest"),
+            *fileio.read_manifest(demo_ws / "test.manifest"),
+        ]
+        first = entries[0]
+        audio = frontend.read_wav(demo_ws / first.audio_path)
+        mask = frontend.detect_speech(
+            audio, load_config(demo_ws / "config.ini").frontend
+        )
+        (tmp_path / "same.sad").write_text("".join(f"{int(m)}\n" for m in mask))
+        fileio.write_manifest(
+            tmp_path / "same.manifest",
+            [
+                dataclasses.replace(
+                    e,
+                    audio_path=str(demo_ws / e.audio_path),
+                    sad_path=str(tmp_path / "same.sad") if e is first else "",
+                )
+                for e in entries
+            ],
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = demo_argv(demo_ws, out)["sad-report"]
+        argv[argv.index("--manifest") + 1] = tmp_path / "same.manifest"
+        run_ok(["sad-report", *argv])
+        stdout = capsys.readouterr().out
+        assert "target trials improved: 0\n" in stdout
+        assert "nontarget trials decreased: 0\n" in stdout
+        rows = (out / "sad.csv").read_text().splitlines()[1:]
+        assert rows
+        for row in rows:
+            enroll_id, test_id, old_score, new_score, _ = row.split(",")
+            assert first.recording_id in (enroll_id, test_id)
+            assert old_score == new_score
+        assert (out / "rescored.txt").read_bytes() == (
+            demo_ws / "scores.txt"
+        ).read_bytes()
+
+    def test_override_outside_every_trial(self, demo_ws, tmp_path, capsys):
+        (tmp_path / "other.manifest").write_text("nobody nobody.wav - - nobody.sad\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = demo_argv(demo_ws, out)["sad-report"]
+        argv[argv.index("--manifest") + 1] = tmp_path / "other.manifest"
+        run_ok(["sad-report", *argv])
+        assert "affected trials: 0\n" in capsys.readouterr().out
+        header = "enroll_id,test_id,old_score,new_score,target\n"
+        assert (out / "sad.csv").read_text() == header
+        assert (out / "rescored.txt").read_bytes() == (
+            demo_ws / "scores.txt"
+        ).read_bytes()
+
+    def test_failed_extraction_is_a_data_error(self, demo_ws, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        shutil.copytree(demo_ws, ws)
+        manifest = fileio.read_manifest(ws / "override.manifest")
+        entries = {e.recording_id: e for e in manifest}
+        trials = fileio.read_trials(ws / "trials.txt")
+        # the clean side of a trial that touches the overridden recording
+        rec_id = next(
+            e for e, t in zip(trials.enroll, trials.test)
+            if entries[t].sad_path and not entries[e].sad_path
+        )
+        (ws / entries[rec_id].audio_path).unlink()
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["sad-report", *map(str, demo_argv(ws, out)["sad-report"])])
+        assert rc == EXIT_DATA
+        assert rec_id in capsys.readouterr().err
+        assert not (out / "sad.csv").exists()
+
+
 class TestDefaults:
     def test_output_parses_back(self, tmp_path, capsys):
         run_ok(["defaults"])
@@ -726,6 +806,22 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["defaults", "--bogus"])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "--enroll", "e", "--test", "t", "--trials", "tr",
+             "--projection", "p", "--normalizer", "n", "--plda", "pl", "--out", "o"],
+            ["extract-ivectors", "--stats", "s", "--ubm", "u", "--tv", "t",
+             "--out", "o"],
+        ],
+        ids=["score", "extract-ivectors"],
+    )
+    def test_config_flag_is_usage_error(self, argv):
+        # neither command reads a configuration
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", "x"])
         assert exc.value.code == EXIT_USAGE
 
     def test_missing_required_argument(self):
