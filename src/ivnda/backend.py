@@ -171,25 +171,13 @@ class PldaModel:
         if self._cache is not None:
             return self._cache
         total = self.b_cov + self.w_cov
-        try:
-            cho_t = cho_factor(total, lower=True)
-        except LinAlgError as exc:
-            raise MatrixError("B + W is not positive definite") from exc
-        lam = cho_solve(cho_t, np.eye(self.dim))
+        lam, logdet_total = _spd_factor(total, "B + W")
         inner = total - self.b_cov @ lam @ self.b_cov
-        try:
-            cho_i = cho_factor(inner, lower=True)
-        except LinAlgError as exc:
-            raise MatrixError(
-                "S - B S^-1 B is not positive definite; cannot score"
-            ) from exc
-        q = cho_solve(cho_i, np.eye(self.dim))
+        q, logdet_inner = _spd_factor(inner, "S - B S^-1 B")
         diag_term = lam - q
         diag_term = (diag_term + diag_term.T) / 2.0
         cross_term = lam @ self.b_cov @ q
         cross_term = (cross_term + cross_term.T) / 2.0
-        logdet_total = 2.0 * float(np.log(np.diag(cho_t[0])).sum())
-        logdet_inner = 2.0 * float(np.log(np.diag(cho_i[0])).sum())
         offset = 0.5 * (logdet_total - logdet_inner)
         self._cache = _ScoreCache(
             diag_term=diag_term, cross_term=cross_term, offset=offset

@@ -42,7 +42,6 @@ class FrontendConfig:
     include_deltas: bool = True      # append first and second differences
     delta_context: int = 2           # regression half-window (2 -> 5 frames)
     apply_cms: bool = True           # cepstral mean subtraction over speech
-    fmllr_dir: str = ""              # optional dir of <id>.fmllr transforms
     sad: SadConfig = field(default_factory=SadConfig)
 
 

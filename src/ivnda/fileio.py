@@ -12,6 +12,10 @@ re-reading them.  The meta JSON (canonical key order, no timestamps)
 records the stage name, the config subset, and upstream fingerprints;
 reruns with identical inputs produce byte-identical files.
 
+A file ends where its payload ends: a reader rejects a truncated file and
+a file with bytes after the payload (two archives concatenated, say) with
+``FormatError``.
+
 Formats:
 
 * ``IVFA``  one recording's features: T, D, frame_shift_ms f32, frames f32
@@ -29,14 +33,16 @@ Formats:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,32 +86,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _pack_header(magic: bytes, fp: int, meta: dict) -> bytes:
+def _write(
+    path: str | Path, magic: bytes, fp: int, meta: dict, *parts: bytes | np.ndarray
+) -> None:
+    """Write the uniform header and then `parts`; arrays are written as f64."""
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    return struct.pack("<4sIQI", magic, FORMAT_VERSION, fp, len(meta_bytes)) + meta_bytes
-
-
-def _read_exact(fh: BinaryIO, n: int, path: Path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated file")
-    return data
-
-
-def _unpack_header(fh: BinaryIO, magic: bytes, path: Path) -> tuple[int, dict]:
-    raw = _read_exact(fh, struct.calcsize("<4sIQI"), path)
-    got_magic, version, fp, meta_len = struct.unpack("<4sIQI", raw)
-    if got_magic != magic:
-        raise FormatError(
-            f"{path}: bad magic {got_magic!r}, expected {magic!r}"
-        )
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    try:
-        meta = json.loads(_read_exact(fh, meta_len, path).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt metadata block") from exc
-    return fp, meta
+    header = struct.pack("<4sIQI", magic, FORMAT_VERSION, fp, len(meta_bytes))
+    payload = (
+        p if isinstance(p, bytes) else np.ascontiguousarray(p, dtype="<f8").tobytes()
+        for p in parts
+    )
+    atomic_write_bytes(path, b"".join((header, meta_bytes, *payload)))
 
 
 def _pack_str(s: str) -> bytes:
@@ -113,17 +104,51 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _unpack_str(fh: BinaryIO, path: Path) -> str:
-    (n,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    return _read_exact(fh, n, path).decode()
+class _Fields:
+    """The payload of an open artifact, read field by field in file order."""
+
+    def __init__(self, fh: BinaryIO, path: Path):
+        self._fh = fh
+        self.path = path
+
+    def raw(self, n: int) -> bytes:
+        data = self._fh.read(n)
+        if len(data) != n:
+            raise FormatError(f"{self.path}: truncated file")
+        return data
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (n,) = struct.unpack("<I", self.raw(4))
+        return self.raw(n).decode()
+
+    def f64(self, *shape: int) -> np.ndarray:
+        data = self.raw(8 * math.prod(shape))
+        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
 
-def _pack_f64(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _read_f64(fh: BinaryIO, count: int, path: Path) -> np.ndarray:
-    return np.frombuffer(_read_exact(fh, 8 * count, path), dtype="<f8").copy()
+@contextlib.contextmanager
+def _reading(path: str | Path, magic: bytes) -> Iterator[tuple[_Fields, int, dict]]:
+    """Check the header of the `magic` artifact at `path`, then yield its
+    payload fields, fingerprint and metadata.  The block must read the
+    payload up to the end of the file."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        fields = _Fields(fh, path)
+        got_magic, version, fp, meta_len = fields.unpack("<4sIQI")
+        if got_magic != magic:
+            raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        try:
+            meta = json.loads(fields.raw(meta_len).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: corrupt metadata block") from exc
+        yield fields, fp, meta
+        if fh.read(1):
+            raise FormatError(f"{path}: unexpected bytes after the payload")
 
 
 # --- features -------------------------------------------------------------
@@ -137,26 +162,22 @@ def write_feature_record(
     path: str | Path, features: FeatureMatrix, fp: int, meta: dict
 ) -> None:
     t, d = features.frames.shape
-    payload = struct.pack("<IIf", t, d, features.frame_shift_ms)
-    payload += np.ascontiguousarray(features.frames, dtype="<f4").tobytes()
-    payload += features.speech_mask.astype(np.uint8).tobytes()
-    atomic_write_bytes(path, _pack_header(b"IVFA", fp, meta) + payload)
+    frames = np.ascontiguousarray(features.frames, dtype="<f4").tobytes()
+    mask = features.speech_mask.astype(np.uint8).tobytes()
+    _write(path, b"IVFA", fp, meta, struct.pack("<IIf", t, d, features.frame_shift_ms),
+           frames, mask)
 
 
 def read_feature_record(path: str | Path) -> tuple[FeatureMatrix, int, dict]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVFA", path)
-        t, d, shift = struct.unpack("<IIf", _read_exact(fh, 12, path))
-        frames = np.frombuffer(
-            _read_exact(fh, 4 * t * d, path), dtype="<f4"
-        ).reshape(t, d).astype(np.float64)
-        mask_bytes = _read_exact(fh, t, path)
-        mask = np.frombuffer(mask_bytes, dtype=np.uint8)
+    with _reading(path, b"IVFA") as (fields, fp, meta):
+        t, d, shift = fields.unpack("<IIf")
+        frames = np.frombuffer(fields.raw(4 * t * d), dtype="<f4").reshape(t, d)
+        mask = np.frombuffer(fields.raw(t), dtype=np.uint8)
         if np.any(mask > 1):
-            raise FormatError(f"{path}: mask bytes must be 0 or 1")
+            raise FormatError(f"{fields.path}: mask bytes must be 0 or 1")
     features = FeatureMatrix(
-        frames=frames, frame_shift_ms=float(shift), speech_mask=mask.astype(bool)
+        frames=frames.astype(np.float64), frame_shift_ms=float(shift),
+        speech_mask=mask.astype(bool),
     )
     return features, fp, meta
 
@@ -165,19 +186,14 @@ def read_feature_record(path: str | Path) -> tuple[FeatureMatrix, int, dict]:
 
 
 def write_gmm(path: str | Path, gmm: DiagonalGmm, fp: int, meta: dict) -> None:
-    payload = struct.pack("<II", gmm.num_components, gmm.dim)
-    payload += _pack_f64(gmm.weights) + _pack_f64(gmm.means) + _pack_f64(gmm.variances)
-    atomic_write_bytes(path, _pack_header(b"IVGM", fp, meta) + payload)
+    _write(path, b"IVGM", fp, meta, struct.pack("<II", gmm.num_components, gmm.dim),
+           gmm.weights, gmm.means, gmm.variances)
 
 
 def read_gmm(path: str | Path) -> tuple[DiagonalGmm, int, dict]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVGM", path)
-        g, d = struct.unpack("<II", _read_exact(fh, 8, path))
-        weights = _read_f64(fh, g, path)
-        means = _read_f64(fh, g * d, path).reshape(g, d)
-        variances = _read_f64(fh, g * d, path).reshape(g, d)
+    with _reading(path, b"IVGM") as (fields, fp, meta):
+        g, d = fields.unpack("<II")
+        weights, means, variances = fields.f64(g), fields.f64(g, d), fields.f64(g, d)
     return DiagonalGmm(weights=weights, means=means, variances=variances), fp, meta
 
 
@@ -187,30 +203,25 @@ def read_gmm(path: str | Path) -> tuple[DiagonalGmm, int, dict]:
 def write_stats_archive(
     path: str | Path, stats: Sequence[BwStats], fp: int, meta: dict
 ) -> None:
-    chunks = [_pack_header(b"IVBW", fp, meta), struct.pack("<I", len(stats))]
+    parts: list[bytes | np.ndarray] = [struct.pack("<I", len(stats))]
     for s in stats:
         if s.centered:
             raise ValueError(
                 f"recording {s.recording_id!r}: archives store raw statistics only"
             )
-        chunks.append(_pack_str(s.recording_id))
-        chunks.append(struct.pack("<II", s.num_components, s.dim))
-        chunks.append(_pack_f64(s.n))
-        chunks.append(_pack_f64(s.f))
-    atomic_write_bytes(path, b"".join(chunks))
+        parts += [_pack_str(s.recording_id), struct.pack("<II", s.num_components, s.dim),
+                  s.n, s.f]
+    _write(path, b"IVBW", fp, meta, *parts)
 
 
 def read_stats_archive(path: str | Path) -> tuple[list[BwStats], int, dict]:
-    path = Path(path)
     out = []
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVBW", path)
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
+    with _reading(path, b"IVBW") as (fields, fp, meta):
+        (count,) = fields.unpack("<I")
         for _ in range(count):
-            rec_id = _unpack_str(fh, path)
-            g, d = struct.unpack("<II", _read_exact(fh, 8, path))
-            n = _read_f64(fh, g, path)
-            f = _read_f64(fh, g * d, path).reshape(g, d)
+            rec_id = fields.text()
+            g, d = fields.unpack("<II")
+            n, f = fields.f64(g), fields.f64(g, d)
             out.append(BwStats(n=n, f=f, recording_id=rec_id, centered=False))
     return out, fp, meta
 
@@ -220,18 +231,14 @@ def read_stats_archive(path: str | Path) -> tuple[list[BwStats], int, dict]:
 
 def write_tv_model(path: str | Path, model: TvModel, fp: int, meta: dict) -> None:
     g, d = model.sigma.shape
-    payload = struct.pack("<III", g, d, model.rank)
-    payload += _pack_f64(model.sigma) + _pack_f64(model.t_matrix)
-    atomic_write_bytes(path, _pack_header(b"IVTV", fp, meta) + payload)
+    _write(path, b"IVTV", fp, meta, struct.pack("<III", g, d, model.rank),
+           model.sigma, model.t_matrix)
 
 
 def read_tv_model(path: str | Path) -> tuple[TvModel, int, dict]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVTV", path)
-        g, d, r = struct.unpack("<III", _read_exact(fh, 12, path))
-        sigma = _read_f64(fh, g * d, path).reshape(g, d)
-        t_matrix = _read_f64(fh, g * d * r, path).reshape(g * d, r)
+    with _reading(path, b"IVTV") as (fields, fp, meta):
+        g, d, r = fields.unpack("<III")
+        sigma, t_matrix = fields.f64(g, d), fields.f64(g * d, r)
     return TvModel(t_matrix=t_matrix, sigma=sigma, rank=r), fp, meta
 
 
@@ -242,25 +249,21 @@ def write_ivector_archive(
     path: str | Path, ivectors: Sequence[IVector], fp: int, meta: dict
 ) -> None:
     rank = ivectors[0].rank if ivectors else 0
-    chunks = [_pack_header(b"IVIV", fp, meta), struct.pack("<II", len(ivectors), rank)]
+    parts: list[bytes | np.ndarray] = [struct.pack("<II", len(ivectors), rank)]
     for iv in ivectors:
         if iv.rank != rank:
             raise ValueError("all i-vectors in an archive must share a rank")
-        chunks.append(_pack_str(iv.recording_id))
-        chunks.append(_pack_f64(iv.w))
-    atomic_write_bytes(path, b"".join(chunks))
+        parts += [_pack_str(iv.recording_id), iv.w]
+    _write(path, b"IVIV", fp, meta, *parts)
 
 
 def read_ivector_archive(path: str | Path) -> tuple[list[IVector], int, dict]:
-    path = Path(path)
     out = []
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVIV", path)
-        count, rank = struct.unpack("<II", _read_exact(fh, 8, path))
+    with _reading(path, b"IVIV") as (fields, fp, meta):
+        count, rank = fields.unpack("<II")
         for _ in range(count):
-            rec_id = _unpack_str(fh, path)
-            w = _read_f64(fh, rank, path)
-            out.append(IVector(w=w, recording_id=rec_id))
+            rec_id = fields.text()
+            out.append(IVector(w=fields.f64(rank), recording_id=rec_id))
     return out, fp, meta
 
 
@@ -270,7 +273,7 @@ def read_ivector_archive(path: str | Path) -> tuple[list[IVector], int, dict]:
 def write_projection(path: str | Path, proj: Projection, fp: int, meta: dict) -> None:
     if proj.method not in _METHOD_TAGS:
         raise ValueError(f"projection method must be lda or nda, got {proj.method!r}")
-    payload = struct.pack(
+    dims = struct.pack(
         "<IIIId",
         proj.input_dim,
         proj.output_dim,
@@ -278,21 +281,15 @@ def write_projection(path: str | Path, proj: Projection, fp: int, meta: dict) ->
         proj.k,
         proj.alpha,
     )
-    payload += _pack_f64(proj.basis) + _pack_f64(proj.eigenvalues)
-    atomic_write_bytes(path, _pack_header(b"IVDA", fp, meta) + payload)
+    _write(path, b"IVDA", fp, meta, dims, proj.basis, proj.eigenvalues)
 
 
 def read_projection(path: str | Path) -> tuple[Projection, int, dict]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVDA", path)
-        r, m, tag, k, alpha = struct.unpack(
-            "<IIIId", _read_exact(fh, struct.calcsize("<IIIId"), path)
-        )
+    with _reading(path, b"IVDA") as (fields, fp, meta):
+        r, m, tag, k, alpha = fields.unpack("<IIIId")
         if tag not in _METHOD_NAMES:
-            raise FormatError(f"{path}: unknown projection method tag {tag}")
-        basis = _read_f64(fh, r * m, path).reshape(r, m)
-        eigenvalues = _read_f64(fh, m, path)
+            raise FormatError(f"{fields.path}: unknown projection method tag {tag}")
+        basis, eigenvalues = fields.f64(r, m), fields.f64(m)
     proj = Projection(
         basis=basis,
         eigenvalues=eigenvalues,
@@ -307,17 +304,13 @@ def read_projection(path: str | Path) -> tuple[Projection, int, dict]:
 
 
 def write_normalizer(path: str | Path, nz: Normalizer, fp: int, meta: dict) -> None:
-    payload = struct.pack("<I", nz.dim) + _pack_f64(nz.mean) + _pack_f64(nz.whitener)
-    atomic_write_bytes(path, _pack_header(b"IVNZ", fp, meta) + payload)
+    _write(path, b"IVNZ", fp, meta, struct.pack("<I", nz.dim), nz.mean, nz.whitener)
 
 
 def read_normalizer(path: str | Path) -> tuple[Normalizer, int, dict]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVNZ", path)
-        (m,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        mean = _read_f64(fh, m, path)
-        whitener = _read_f64(fh, m * m, path).reshape(m, m)
+    with _reading(path, b"IVNZ") as (fields, fp, meta):
+        (m,) = fields.unpack("<I")
+        mean, whitener = fields.f64(m), fields.f64(m, m)
     return Normalizer(mean=mean, whitener=whitener), fp, meta
 
 
@@ -325,19 +318,14 @@ def read_normalizer(path: str | Path) -> tuple[Normalizer, int, dict]:
 
 
 def write_plda(path: str | Path, model: PldaModel, fp: int, meta: dict) -> None:
-    payload = struct.pack("<I", model.dim)
-    payload += _pack_f64(model.mu) + _pack_f64(model.b_cov) + _pack_f64(model.w_cov)
-    atomic_write_bytes(path, _pack_header(b"IVPL", fp, meta) + payload)
+    _write(path, b"IVPL", fp, meta, struct.pack("<I", model.dim),
+           model.mu, model.b_cov, model.w_cov)
 
 
 def read_plda(path: str | Path) -> tuple[PldaModel, int, dict]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fp, meta = _unpack_header(fh, b"IVPL", path)
-        (m,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        mu = _read_f64(fh, m, path)
-        b_cov = _read_f64(fh, m * m, path).reshape(m, m)
-        w_cov = _read_f64(fh, m * m, path).reshape(m, m)
+    with _reading(path, b"IVPL") as (fields, fp, meta):
+        (m,) = fields.unpack("<I")
+        mu, b_cov, w_cov = fields.f64(m), fields.f64(m, m), fields.f64(m, m)
     return PldaModel(mu=mu, b_cov=b_cov, w_cov=w_cov), fp, meta
 
 

@@ -124,15 +124,9 @@ def compute_features(
     if cfg.apply_cms:
         feats = frontend.apply_cms(feats)
         chain.append("cms")
-    fmllr_path = ""
     if entry.fmllr_path:
-        fmllr_path = str(resolve_path(base_dir, entry.fmllr_path))
-    elif cfg.fmllr_dir:
-        candidate = Path(cfg.fmllr_dir) / f"{entry.recording_id}.fmllr"
-        if candidate.exists():
-            fmllr_path = str(candidate)
-    if fmllr_path:
-        feats = frontend.apply_fmllr(feats, frontend.load_fmllr(fmllr_path))
+        transform = frontend.load_fmllr(resolve_path(base_dir, entry.fmllr_path))
+        feats = frontend.apply_fmllr(feats, transform)
         chain.append("fmllr")
     return feats, chain
 

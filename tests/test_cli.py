@@ -571,6 +571,65 @@ class TestAudioRecipe:
         assert (tmp_path / "feats" / "good.ivfa").exists()
         assert not (tmp_path / "feats" / "bad.ivfa").exists()
 
+    def test_fmllr_column_transforms_frames(self, audio_ws, tmp_path, capsys):
+        ids = [e.recording_id for e in fileio.read_manifest(audio_ws / "train.manifest")[:3]]
+        wavs = [f"{audio_ws}/wav/{rec}.wav" for rec in ids]
+        rng = np.random.default_rng(7)
+        dim = 39
+        a = np.diag(rng.uniform(0.5, 2.0, dim))[rng.permutation(dim)]
+        b = rng.normal(size=dim)
+        rows = np.hstack([a, b[:, None]])
+        (tmp_path / "xf.fmllr").write_text(
+            f"{dim}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
+        )
+        (tmp_path / "plain.manifest").write_text(
+            "".join(f"{rec} {wav}\n" for rec, wav in zip(ids, wavs))
+        )
+        # Transform paths resolve against the manifest's directory.
+        (tmp_path / "fmllr.manifest").write_text(
+            f"{ids[0]} {wavs[0]} - xf.fmllr\n"
+            f"{ids[1]} {wavs[1]} - absent.fmllr\n"
+            f"{ids[2]} {wavs[2]}\n"
+        )
+        run_ok(
+            [
+                "extract-features", "--manifest", tmp_path / "plain.manifest",
+                "--out-dir", tmp_path / "plain",
+            ]
+        )
+        rc = main(
+            [
+                "extract-features", "--manifest", str(tmp_path / "fmllr.manifest"),
+                "--out-dir", str(tmp_path / "fmllr"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert ids[1] in err and "1 recording(s) failed" in err
+        assert not fileio.feature_path(tmp_path / "fmllr", ids[1]).exists()
+
+        plain, _, plain_meta = fileio.read_feature_record(
+            fileio.feature_path(tmp_path / "plain", ids[0])
+        )
+        moved, _, meta = fileio.read_feature_record(
+            fileio.feature_path(tmp_path / "fmllr", ids[0])
+        )
+        assert meta["chain"] == [*plain_meta["chain"], "fmllr"]
+        assert plain_meta["chain"][-1] != "fmllr"
+        expected = plain.frames @ a.T + b
+        # Both records hold float32 frames: one rounding of x, one of A x + b.
+        eps = np.finfo(np.float32).eps
+        tol = eps * (np.abs(a).max() * np.abs(plain.frames).max() + np.abs(expected).max())
+        np.testing.assert_allclose(moved.frames, expected, rtol=0, atol=tol)
+        np.testing.assert_array_equal(moved.speech_mask, plain.speech_mask)
+        untouched, _, _ = fileio.read_feature_record(
+            fileio.feature_path(tmp_path / "fmllr", ids[2])
+        )
+        np.testing.assert_array_equal(
+            untouched.frames,
+            fileio.read_feature_record(fileio.feature_path(tmp_path / "plain", ids[2]))[0].frames,
+        )
+
 
 # --- defaults and exit codes -----------------------------------------------
 
@@ -860,6 +919,24 @@ class TestExitCodes:
             ]
         )
         assert rc == EXIT_DATA
+
+    def test_concatenated_archive_rejected(self, stats_ws, tmp_path, capsys):
+        both = tmp_path / "both.iviv"
+        both.write_bytes(
+            (stats_ws / "enroll.iviv").read_bytes() + (stats_ws / "test.iviv").read_bytes()
+        )
+        rc = main(
+            [
+                "score", "--enroll", str(both), "--test", str(stats_ws / "test.iviv"),
+                "--trials", str(stats_ws / "trials.txt"),
+                "--projection", str(stats_ws / "proj.ivda"),
+                "--normalizer", str(stats_ws / "norm.ivnz"),
+                "--plda", str(stats_ws / "plda.ivpl"), "--out", str(tmp_path / "scores.txt"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert f"{both}: unexpected bytes after the payload" in capsys.readouterr().err
+        assert not (tmp_path / "scores.txt").exists()
 
     def test_provenance_mismatch(self, stats_ws, tmp_path, capsys):
         # A UBM from a different corpus must be rejected by the chain check.

@@ -48,6 +48,7 @@ def test_partial_file_keeps_other_defaults(tmp_path):
         "[frontend]\ninclude_deltas = maybe\n",  # unparseable bool
         "[ubm]\nposterior_file = post.txt\n",   # removed: use --posteriors
         "[run]\nseed = 3\n",                    # removed: use train-tv --seed
+        "[frontend]\nfmllr_dir = x\n",          # removed: use the manifest's fMLLR column
     ],
 )
 def test_bad_config_rejected(tmp_path, text):

@@ -305,7 +305,63 @@ class TestProjectionFiles:
 # --- corrupt headers -------------------------------------------------------
 
 
+def _plda(rng, m=3):
+    a, b = rng.normal(size=(m, m)), rng.normal(size=(m, m))
+    return PldaModel(mu=rng.normal(size=m), b_cov=a @ a.T, w_cov=b @ b.T + np.eye(m))
+
+
+# One small artifact of each binary format: (writer, reader, make(rng)).
+FORMATS = {
+    "ivfa": (write_feature_record, read_feature_record, lambda rng: FeatureMatrix(
+        frames=rng.normal(size=(5, 3)), frame_shift_ms=10.0,
+        speech_mask=np.array([1, 0, 1, 1, 0], dtype=bool))),
+    "ivgm": (write_gmm, read_gmm, lambda rng: make_gmm(rng, 4, 3)),
+    "ivbw": (write_stats_archive, read_stats_archive, lambda rng: [
+        BwStats(n=rng.uniform(1.0, 5.0, size=4), f=rng.normal(size=(4, 2)),
+                recording_id=f"rec{i}") for i in range(2)]),
+    "ivtv": (write_tv_model, read_tv_model, lambda rng: TvModel(
+        t_matrix=rng.normal(size=(6, 2)), sigma=rng.uniform(0.5, 2.0, size=(3, 2)), rank=2)),
+    "iviv": (write_ivector_archive, read_ivector_archive, lambda rng: [
+        IVector(w=rng.normal(size=3), recording_id=f"rec{i}") for i in range(2)]),
+    "ivda": (write_projection, read_projection, lambda rng: Projection(
+        basis=np.eye(4)[:, :2], eigenvalues=np.array([2.0, 1.0]), method="nda", k=3,
+        alpha=2.0)),
+    "ivnz": (write_normalizer, read_normalizer, lambda rng: Normalizer(
+        mean=rng.normal(size=3), whitener=rng.normal(size=(3, 3)))),
+    "ivpl": (write_plda, read_plda, _plda),
+}
+
+
+@pytest.fixture(params=sorted(FORMATS))
+def artifact(request, rng, tmp_path):
+    """(path, reader) of one written artifact of each binary format."""
+    writer, reader, make = FORMATS[request.param]
+    path = tmp_path / f"artifact.{request.param}"
+    writer(path, make(rng), fp=1, meta=META)
+    reader(path)
+    return path, reader
+
+
 class TestCorruptFiles:
+    def test_truncated_payload_of_each_format(self, artifact):
+        path, reader = artifact
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError, match="truncated"):
+            reader(path)
+
+    def test_wrong_magic_of_each_format(self, artifact):
+        path, reader = artifact
+        corrupt(path, 0, b"XXXX")
+        with pytest.raises(FormatError, match="bad magic b'XXXX'"):
+            reader(path)
+
+    def test_bytes_after_payload_of_each_format(self, artifact):
+        path, reader = artifact
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="after the payload") as exc:
+            reader(path)
+        assert str(path) in str(exc.value)
+
     @pytest.fixture
     def gmm_file(self, rng, tmp_path):
         path = tmp_path / "ubm.ivgm"
