@@ -3,15 +3,19 @@
 
 Generates i-vector-level corpora whose session offsets cluster into two
 domains, runs the same normalisation/PLDA backend on top of each
-projection and reports EER and minimum DCF per seed.  With
+projection and reports EER, minimum DCF (sre10) and fit time per seed
+for one-vs-rest NDA, class-pair NDA and LDA, then the mean over seeds
+and paired per-seed differences (each NDA variant against LDA, and
+class-pair against one-vs-rest).  With
 ``--unimodal`` the channel offsets collapse to a single Gaussian, which
-removes most of the gap between the two projections.
+removes most of the gap between the projections.
 
 Example:
     python3 scripts/nda_vs_lda.py --seeds 5
 """
 
 import argparse
+import time
 
 import numpy as np
 
@@ -19,6 +23,8 @@ from ivnda.backend import fit_normalizer, normalize_rows, score_pairs, train_pld
 from ivnda.da import LabeledVectors, Projection, compute_lda, compute_nda, project
 from ivnda.metrics import DCF_PRESETS, TrialSet, compute_eer, compute_min_dcf
 from ivnda.synth import IvectorCorpus, make_ivector_corpus
+
+METHODS = ("nda", "nda-cp", "lda")
 
 
 def evaluate_projection(corpus: IvectorCorpus, proj: Projection) -> tuple[float, float]:
@@ -47,6 +53,14 @@ def evaluate_projection(corpus: IvectorCorpus, proj: Projection) -> tuple[float,
     return compute_eer(trials)[0], compute_min_dcf(trials, DCF_PRESETS["sre10"])[0]
 
 
+def fit(method: str, train: LabeledVectors, args: argparse.Namespace) -> Projection:
+    if method == "lda":
+        return compute_lda(train, out_dim=args.dim)
+    return compute_nda(
+        train, k=args.k, alpha=args.alpha, out_dim=args.dim, one_vs_rest=method == "nda"
+    )
+
+
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=5)
@@ -55,6 +69,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--train-sessions", type=int, default=12)
     parser.add_argument("--eval-speakers", type=int, default=50)
     parser.add_argument("--eval-sessions", type=int, default=4)
+    parser.add_argument("--ivector-dim", type=int, default=24, help="corpus i-vector dimension")
     parser.add_argument("--dim", type=int, default=12, help="projected dimension")
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--alpha", type=float, default=2.0)
@@ -64,8 +79,10 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    print(f"{'seed':>8}  {'EER nda':>8}  {'EER lda':>8}  {'dcf nda':>8}  {'dcf lda':>8}")
-    nda_eers, lda_eers = [], []
+    # results[method] rows: (EER, minDCF, fit seconds), one per seed
+    results: dict[str, list[tuple[float, float, float]]] = {m: [] for m in METHODS}
+    print(f"{'seed':>8}" + "".join(f"  {'EER ' + m:>10}" for m in METHODS)
+          + "".join(f"  {'dcf ' + m:>10}" for m in METHODS))
     for offset in range(args.seeds):
         seed = args.first_seed + offset
         corpus = make_ivector_corpus(
@@ -74,25 +91,33 @@ def main() -> None:
             train_sessions=args.train_sessions,
             num_eval_speakers=args.eval_speakers,
             eval_sessions=args.eval_sessions,
+            dim=args.ivector_dim,
             bimodal=not args.unimodal,
         )
         train = corpus.train.labeled()
-        nda_eer, nda_dcf = evaluate_projection(
-            corpus, compute_nda(train, k=args.k, alpha=args.alpha, out_dim=args.dim)
-        )
-        lda_eer, lda_dcf = evaluate_projection(
-            corpus, compute_lda(train, out_dim=args.dim)
-        )
-        nda_eers.append(nda_eer)
-        lda_eers.append(lda_eer)
-        print(
-            f"{seed:>8}  {nda_eer * 100:7.2f}%  {lda_eer * 100:7.2f}%"
-            f"  {nda_dcf:8.3f}  {lda_dcf:8.3f}"
-        )
-    print(
-        f"{'mean':>8}  {np.mean(nda_eers) * 100:7.2f}%  "
-        f"{np.mean(lda_eers) * 100:7.2f}%"
-    )
+        for method in METHODS:
+            start = time.perf_counter()
+            proj = fit(method, train, args)
+            seconds = time.perf_counter() - start
+            results[method].append((*evaluate_projection(corpus, proj), seconds))
+        print(f"{seed:>8}" + "".join(f"  {results[m][-1][0] * 100:9.3f}%" for m in METHODS)
+              + "".join(f"  {results[m][-1][1]:10.4f}" for m in METHODS))
+    table = {m: np.asarray(rows) for m, rows in results.items()}
+    print(f"{'mean':>8}" + "".join(f"  {table[m][:, 0].mean() * 100:9.3f}%" for m in METHODS)
+          + "".join(f"  {table[m][:, 1].mean():10.4f}" for m in METHODS))
+    print("mean fit time: " + ", ".join(f"{m} {table[m][:, 2].mean():.3f} s" for m in METHODS))
+
+    print(f"\npaired per-seed differences over {args.seeds} seed(s)"
+          " (negative: the first method is lower)")
+    for col, metric, scale in ((0, "EER (points)", 100.0), (1, "minDCF", 1.0)):
+        for first, second in (("nda", "lda"), ("nda-cp", "lda"), ("nda-cp", "nda")):
+            diff = scale * (table[first][:, col] - table[second][:, col])
+            # The standard error needs two seeds; one seed has none.
+            stderr = (f"{diff.std(ddof=1) / np.sqrt(diff.size):.4f}"
+                      if diff.size > 1 else "n/a")
+            print(f"  {metric:<12} {first:>6} - {second:<4} mean {diff.mean():+.4f}"
+                  f"  std err {stderr:>6}  lower in {int((diff < 0).sum())}"
+                  f"/{diff.size}, higher in {int((diff > 0).sum())}/{diff.size}")
 
 
 if __name__ == "__main__":

@@ -6,151 +6,3 @@ i-vector extraction, LDA/NDA channel compensation, length normalization,
 two-covariance PLDA scoring, and EER/DCF evaluation, plus a command-line
 pipeline (`ivnda`) and seeded synthetic corpus generators.
 """
-
-from .backend import (
-    Normalizer,
-    PldaModel,
-    average_enrollment,
-    fit_normalizer,
-    normalize,
-    normalize_rows,
-    plda_log_likelihood,
-    plda_score,
-    score_pairs,
-    train_plda,
-)
-from .config import (
-    DaConfig,
-    FrontendConfig,
-    PipelineConfig,
-    PldaConfig,
-    RunConfig,
-    SadConfig,
-    TvConfig,
-    UbmConfig,
-    default_config_text,
-    dump_config,
-    load_config,
-)
-from .da import (
-    LabeledVectors,
-    Projection,
-    compute_lda,
-    compute_nda,
-    knn_cosine,
-    lda_between_scatter,
-    nda_between_scatter,
-    nda_local_stats,
-    project,
-    within_class_scatter,
-)
-from .frontend import (
-    AudioSignal,
-    FeatureMatrix,
-    append_deltas,
-    apply_cms,
-    apply_fmllr,
-    compute_mfcc,
-    detect_speech,
-    load_sad_mask,
-    read_wav,
-    write_wav,
-)
-from .metrics import (
-    DCF_PRESETS,
-    DcfParams,
-    TrialSet,
-    compute_dcf,
-    compute_eer,
-    compute_min_dcf,
-    det_csv,
-    det_points,
-    det_svg,
-)
-from .stats import BwStats, accumulate_bw, center_stats
-from .tv import (
-    IVector,
-    TvModel,
-    extract_ivector,
-    extract_ivectors,
-    train_tv,
-    tv_log_likelihood,
-)
-from .ubm import (
-    DiagonalGmm,
-    PosteriorMatrix,
-    gmm_posteriors,
-    mean_log_likelihood,
-    train_gmm,
-    train_supervised_gaussians,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AudioSignal",
-    "BwStats",
-    "DCF_PRESETS",
-    "DaConfig",
-    "DcfParams",
-    "DiagonalGmm",
-    "FeatureMatrix",
-    "FrontendConfig",
-    "IVector",
-    "LabeledVectors",
-    "Normalizer",
-    "PipelineConfig",
-    "PldaConfig",
-    "PldaModel",
-    "PosteriorMatrix",
-    "Projection",
-    "RunConfig",
-    "SadConfig",
-    "TrialSet",
-    "TvConfig",
-    "TvModel",
-    "UbmConfig",
-    "accumulate_bw",
-    "append_deltas",
-    "apply_cms",
-    "apply_fmllr",
-    "average_enrollment",
-    "center_stats",
-    "compute_dcf",
-    "compute_eer",
-    "compute_lda",
-    "compute_mfcc",
-    "compute_min_dcf",
-    "compute_nda",
-    "default_config_text",
-    "det_csv",
-    "det_points",
-    "det_svg",
-    "detect_speech",
-    "dump_config",
-    "extract_ivector",
-    "extract_ivectors",
-    "fit_normalizer",
-    "gmm_posteriors",
-    "knn_cosine",
-    "lda_between_scatter",
-    "load_config",
-    "load_sad_mask",
-    "mean_log_likelihood",
-    "nda_between_scatter",
-    "nda_local_stats",
-    "normalize",
-    "normalize_rows",
-    "plda_log_likelihood",
-    "plda_score",
-    "project",
-    "read_wav",
-    "score_pairs",
-    "train_gmm",
-    "train_plda",
-    "train_supervised_gaussians",
-    "train_tv",
-    "tv_log_likelihood",
-    "within_class_scatter",
-    "write_wav",
-]

@@ -1,9 +1,9 @@
 """Command-line interface for the speaker-recognition pipeline.
 
-Fourteen subcommands cover the full recipe: feature extraction, UBM and
+Thirteen subcommands cover the full recipe: feature extraction, UBM and
 subspace training, i-vector extraction, discriminant projection, PLDA,
-trial scoring, evaluation, DET export, SAD-override rescoring, synthetic
-corpus generation, and a config-defaults dump.
+trial scoring, evaluation with optional DET export, SAD-override
+rescoring, synthetic corpus generation, and a config-defaults dump.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/contract
 error.  The ``IVNDA_LOG`` environment variable (error|warn|info|debug)
@@ -227,15 +227,11 @@ def _dcf_presets(args: argparse.Namespace) -> list[tuple[str, metrics.DcfParams]
     return [(args.dcf_preset, metrics.DCF_PRESETS[args.dcf_preset])]
 
 
-def _read_trial_set(scores_path: str, key_path: str) -> metrics.TrialSet:
-    scores = fileio.read_scores(Path(scores_path))
-    key = fileio.read_key(Path(key_path))
-    values, targets = fileio.match_scores_to_key(scores, key)
-    return metrics.TrialSet(scores=values, targets=targets)
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    trials = _read_trial_set(args.scores, args.key)
+    scores = fileio.read_scores(Path(args.scores))
+    key = fileio.read_key(Path(args.key))
+    values, targets = fileio.match_scores_to_key(scores, key)
+    trials = metrics.TrialSet(scores=values, targets=targets)
     num_targets = int(trials.targets.sum())
     eer, threshold = metrics.compute_eer(trials)
     print(
@@ -250,14 +246,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         fileio.atomic_write_text(Path(args.det_csv), metrics.det_csv(trials))
     if args.det_svg:
         fileio.atomic_write_text(Path(args.det_svg), metrics.det_svg(trials))
-    return EXIT_OK
-
-
-def _cmd_det(args: argparse.Namespace) -> int:
-    trials = _read_trial_set(args.scores, args.key)
-    fileio.atomic_write_text(Path(args.csv), metrics.det_csv(trials))
-    if args.svg:
-        fileio.atomic_write_text(Path(args.svg), metrics.det_svg(trials))
     return EXIT_OK
 
 
@@ -283,7 +271,23 @@ def _cmd_sad_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Corpus flags beyond the speaker and session counts that each synth mode uses.
+_CORPUS_FLAGS = ("dim", "channel_std", "domain_offset", "bimodal", "unimodal")
+_SYNTH_FLAGS = {
+    "ivectors": _CORPUS_FLAGS,
+    "stats": (*_CORPUS_FLAGS, "components", "rank", "residual_scale"),
+    "audio": ("contaminate",),
+}
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
+    unused = [
+        "--" + name.replace("_", "-")
+        for name in _SYNTH_FLAGS["stats"] + _SYNTH_FLAGS["audio"]  # all of them
+        if name not in _SYNTH_FLAGS[args.mode] and getattr(args, name) not in (None, False)
+    ]
+    if unused:
+        raise ValueError(f"synth --mode {args.mode} does not use {', '.join(unused)}")
     out_dir = Path(args.out_dir)
     seed = args.seed if args.seed is not None else 0
 
@@ -469,13 +473,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--c-miss", type=float, dest="c_miss")
     sub.add_argument("--c-fa", type=float, dest="c_fa")
     sub.set_defaults(handler=_cmd_evaluate)
-
-    sub = subs.add_parser("det", help="export the DET curve")
-    sub.add_argument("--scores", required=True, metavar="PATH")
-    sub.add_argument("--key", required=True, metavar="PATH")
-    sub.add_argument("--csv", required=True, metavar="PATH")
-    sub.add_argument("--svg", metavar="PATH")
-    sub.set_defaults(handler=_cmd_det)
 
     sub = subs.add_parser(
         "sad-report",

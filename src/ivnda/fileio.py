@@ -122,7 +122,10 @@ class _Fields:
 
     def text(self) -> str:
         (n,) = struct.unpack("<I", self.raw(4))
-        return self.raw(n).decode()
+        try:
+            return self.raw(n).decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: record id is not UTF-8 ({exc})") from exc
 
     def f64(self, *shape: int) -> np.ndarray:
         data = self.raw(8 * math.prod(shape))

@@ -215,26 +215,17 @@ def _session_lls(
     )
 
 
-def _log_likelihoods(stats: Sequence[BwStats], model: TvModel) -> list[float]:
-    _check_stats(stats, model.num_components, model.dim)
-    if not stats:
-        return []
-    pre = _precompute(model.t_matrix, model.sigma)
-    out: list[float] = []
-    for part, n, f in _chunks(stats):
-        ew, _, b, logdet_l = _posterior(pre, n, f)
-        out.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].tolist())
-    return out
-
-
-def session_log_likelihood(stats: BwStats, model: TvModel) -> float:
-    """Exact marginal log-likelihood of one recording's centered statistics."""
-    return _log_likelihoods([stats], model)[0]
-
-
 def tv_log_likelihood(stats: Sequence[BwStats], model: TvModel) -> float:
     """Total marginal log-likelihood over a collection of recordings."""
-    return float(sum(_log_likelihoods(stats, model)))
+    _check_stats(stats, model.num_components, model.dim)
+    if not stats:
+        return 0.0
+    pre = _precompute(model.t_matrix, model.sigma)
+    per_session: list[float] = []
+    for part, n, f in _chunks(stats):
+        ew, _, b, logdet_l = _posterior(pre, n, f)
+        per_session.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].tolist())
+    return float(sum(per_session))
 
 
 def train_tv(

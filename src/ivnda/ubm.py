@@ -496,7 +496,17 @@ def load_external_posteriors(
     idx_path = Path(str(path) + ".idx")
     if not idx_path.exists():
         raise FormatError(f"{idx_path}: missing posterior index file")
-    ids = [ln.strip() for ln in idx_path.read_text().splitlines() if ln.strip()]
+    first_line: dict[str, int] = {}
+    for line_no, line in enumerate(idx_path.read_text().splitlines(), start=1):
+        rec_id = line.strip()
+        if rec_id in first_line:
+            raise FormatError(
+                f"{idx_path}:{line_no}: duplicate recording id {rec_id!r}, "
+                f"first listed on line {first_line[rec_id]}"
+            )
+        if rec_id:
+            first_line[rec_id] = line_no
+    ids = list(first_line)
     blocks = path.read_text().split("\n\n")
     blocks = [b for b in blocks if b.strip()]
     if len(blocks) != len(ids):

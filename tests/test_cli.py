@@ -393,7 +393,9 @@ class TestEvaluate:
                 "--det-csv", tmp_path / "det.csv", "--det-svg", tmp_path / "det.svg",
             ]
         )
-        assert (tmp_path / "det.csv").read_text().startswith("p_fa,p_miss")
+        csv_lines = (tmp_path / "det.csv").read_text().strip().split("\n")
+        assert csv_lines[0] == "p_fa,p_miss"
+        assert len(csv_lines) > 2
         assert (tmp_path / "det.svg").read_text().startswith("<svg")
 
     @pytest.mark.parametrize("name", ["scores.txt", "key.txt"])
@@ -409,17 +411,6 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f":{len(lines) + 1}: duplicate trial" in err
         assert "first listed on line 1" in err
-
-    def test_det_subcommand(self, stats_ws, tmp_path):
-        run_ok(
-            [
-                "det", "--scores", stats_ws / "scores.txt", "--key", stats_ws / "key.txt",
-                "--csv", tmp_path / "c.csv", "--svg", tmp_path / "c.svg",
-            ]
-        )
-        csv_lines = (tmp_path / "c.csv").read_text().strip().split("\n")
-        assert csv_lines[0] == "p_fa,p_miss"
-        assert len(csv_lines) > 2
 
 
 # --- audio-level steps -----------------------------------------------------
@@ -937,6 +928,45 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         assert f"{both}: unexpected bytes after the payload" in capsys.readouterr().err
         assert not (tmp_path / "scores.txt").exists()
+
+    def test_non_utf8_record_id_rejected(self, stats_ws, tmp_path, capsys):
+        records, _, _ = fileio.read_ivector_archive(stats_ws / "train.iviv")
+        rec_id = records[0].recording_id.encode()
+        bad = tmp_path / "train.iviv"
+        bad.write_bytes(
+            (stats_ws / "train.iviv").read_bytes().replace(rec_id, rec_id[:-1] + b"\xff", 1)
+        )
+        rc = main(
+            [
+                "train-da", "--ivectors", str(bad), "--manifest",
+                str(stats_ws / "train.manifest"), "--out", str(tmp_path / "proj.ivda"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert f"{bad}: record id is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "proj.ivda").exists()
+
+    @pytest.mark.parametrize(
+        "mode, flags, unused",
+        [
+            ("ivectors", ["--components", "64", "--rank", "9", "--residual-scale", "0.1"],
+             "--components, --rank, --residual-scale"),
+            ("ivectors", ["--contaminate", "4"], "--contaminate"),
+            ("stats", ["--contaminate", "4"], "--contaminate"),
+            ("audio", ["--dim", "5", "--channel-std", "9", "--unimodal"],
+             "--dim, --channel-std, --unimodal"),
+            ("audio", ["--domain-offset", "1", "--bimodal"], "--domain-offset, --bimodal"),
+            ("audio", ["--components", "8", "--rank", "2", "--residual-scale", "2"],
+             "--components, --rank, --residual-scale"),
+        ],
+        ids=["ivectors-stats", "ivectors-audio", "stats-audio", "audio-corpus",
+             "audio-domain", "audio-stats"],
+    )
+    def test_synth_flag_unused_by_mode_is_usage_error(self, tmp_path, capsys, mode, flags, unused):
+        rc = main(["synth", "--mode", mode, "--out-dir", str(tmp_path / "c"), *flags])
+        assert rc == EXIT_USAGE
+        assert f"synth --mode {mode} does not use {unused}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_provenance_mismatch(self, stats_ws, tmp_path, capsys):
         # A UBM from a different corpus must be rejected by the chain check.

@@ -362,6 +362,18 @@ class TestCorruptFiles:
             reader(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("fmt", ["ivbw", "iviv"])
+    def test_record_id_not_utf8(self, fmt, rng, tmp_path):
+        writer, reader, make = FORMATS[fmt]
+        path = tmp_path / f"archive.{fmt}"
+        writer(path, make(rng), fp=1, meta=META)
+        data = path.read_bytes()
+        assert data.count(b"rec1") == 1
+        path.write_bytes(data.replace(b"rec1", b"rec\xff"))
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            reader(path)
+        assert str(path) in str(exc.value)
+
     @pytest.fixture
     def gmm_file(self, rng, tmp_path):
         path = tmp_path / "ubm.ivgm"

@@ -19,7 +19,6 @@ from ivnda.tv import (
     TvModel,
     extract_ivector,
     extract_ivectors,
-    session_log_likelihood,
     train_tv,
     tv_log_likelihood,
 )
@@ -141,7 +140,7 @@ def test_ll_matches_dense_gaussian_oracle():
         want = multivariate_normal.logpdf(
             stats.f.reshape(-1), mean=np.zeros(g * d), cov=cov
         )
-        got = session_log_likelihood(stats, model)
+        got = tv_log_likelihood([stats], model)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -160,7 +159,7 @@ def test_ll_with_inactive_components(rng):
     want = multivariate_normal.logpdf(
         stats.f.reshape(-1)[idx], mean=np.zeros(idx.sum()), cov=cov
     )
-    got = session_log_likelihood(stats, model)
+    got = tv_log_likelihood([stats], model)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -349,7 +348,7 @@ def test_tv_log_likelihood_sums_sessions(rng):
     model = random_model(rng, 3, 2, 2)
     stats = [random_centered_stats(rng, 3, 2) for _ in range(4)]
     total = tv_log_likelihood(stats, model)
-    parts = sum(session_log_likelihood(s, model) for s in stats)
+    parts = sum(tv_log_likelihood([s], model) for s in stats)
     assert total == pytest.approx(parts, rel=1e-15)
 
 

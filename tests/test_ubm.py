@@ -506,6 +506,17 @@ def test_posterior_file_missing_index(tmp_path):
         load_external_posteriors(path, 4)
 
 
+def test_posterior_file_repeated_recording_id(tmp_path):
+    path = tmp_path / "ext.post"
+    path.write_text("0:1.0\n0:1.0\n\n1:1.0\n")
+    idx_path = tmp_path / "ext.post.idx"
+    idx_path.write_text("r1\n\nr1\n")
+    with pytest.raises(FormatError, match="duplicate recording id 'r1'") as exc:
+        load_external_posteriors(path, 4)
+    assert f"{idx_path}:3:" in str(exc.value)
+    assert "first listed on line 1" in str(exc.value)
+
+
 def test_posterior_file_block_count_mismatch(tmp_path):
     path = tmp_path / "ext.post"
     path.write_text("0:1.0\n\n1:1.0\n")
