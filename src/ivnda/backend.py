@@ -9,6 +9,8 @@ The PLDA model is the two-covariance flavour: a speaker variable
 rank.  Training is EM with exact per-speaker posteriors; verification
 scores are the exact log-likelihood ratio of the same-speaker hypothesis
 against independent speakers, which is symmetric in its two arguments.
+:func:`score_pairs` scores a trial list in blocks of ``CHUNK_TRIALS``
+trials, so its memory is O(CHUNK_TRIALS · dim) beyond the scores.
 
 A speaker's posterior covariance and the factorisation of its joint
 likelihood depend only on its session count, so EM and the likelihood
@@ -38,6 +40,10 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
+
+# Trials per scoring block: the working set of score_pairs is a few
+# (CHUNK_TRIALS, dim) float64 arrays, whatever the number of trials.
+CHUNK_TRIALS = 1 << 14
 
 # Callback per EM iteration: (iteration, model snapshot before the update,
 # total marginal log-likelihood of that snapshot).
@@ -378,7 +384,10 @@ def score_pairs(
     Trial ``i`` scores ``enroll[enroll_idx[i]]`` against
     ``test[test_idx[i]]``.  Vectors must be finite rows of the model's
     dimension; the index arrays must have equal length and lie within
-    their rows.
+    their rows.  All inputs are checked before any trial is scored.
+    Trials are scored ``CHUNK_TRIALS`` at a time, so beyond the output the
+    working memory is O(CHUNK_TRIALS · dim) plus O(dim) per vector, for
+    any number of trials.
     """
     enroll = np.asarray(enroll, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
@@ -407,7 +416,11 @@ def score_pairs(
     t_c = test - model.mu
     half_e = 0.5 * np.einsum("ij,jk,ik->i", e_c, cache.diag_term, e_c)
     half_t = 0.5 * np.einsum("ij,jk,ik->i", t_c, cache.diag_term, t_c)
-    cross = np.einsum(
-        "ij,ij->i", (e_c @ cache.cross_term)[enroll_idx], t_c[test_idx]
-    )
-    return half_e[enroll_idx] + half_t[test_idx] + cross + cache.offset
+    e_cross = e_c @ cache.cross_term
+    scores = np.empty(enroll_idx.shape[0])
+    for lo in range(0, scores.size, CHUNK_TRIALS):
+        e = enroll_idx[lo:lo + CHUNK_TRIALS]
+        t = test_idx[lo:lo + CHUNK_TRIALS]
+        cross = np.einsum("ij,ij->i", e_cross[e], t_c[t])
+        scores[lo:lo + CHUNK_TRIALS] = half_e[e] + half_t[t] + cross + cache.offset
+    return scores

@@ -322,7 +322,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             "rank": pick(args.rank, 16),
             "channel_std": pick(args.channel_std, 0.3),
             "residual_scale": pick(args.residual_scale, 1.0),
-            "bimodal": args.bimodal and not args.unimodal,
+            "bimodal": args.bimodal,
             "domain_offset": pick(args.domain_offset, 1.5),
         }
         corpus = synth.make_stats_corpus(**params)
@@ -508,11 +508,12 @@ def build_parser() -> _Parser:
     sub.add_argument("--channel-std", type=float, metavar="S")
     sub.add_argument("--residual-scale", type=float, metavar="S")
     sub.add_argument("--domain-offset", type=float, metavar="S")
-    sub.add_argument(
+    modality = sub.add_mutually_exclusive_group()
+    modality.add_argument(
         "--bimodal", action="store_true",
         help="plant two channel domains (stats mode; default in ivectors mode)",
     )
-    sub.add_argument(
+    modality.add_argument(
         "--unimodal", action="store_true",
         help="disable the two-domain channel structure",
     )

@@ -29,6 +29,12 @@ Formats:
   eigenvalues f64[M].
 * ``IVNZ``  normaliser: M, mean f64[M], whitener f64[M*M].
 * ``IVPL``  PLDA model: M, mu f64[M], B f64[M*M], W f64[M*M].
+
+Trial lists, keys and score files are text, held as :class:`Trials`.  They
+are read in blocks of ``_SCAN_CHUNK`` characters and written in blocks of
+``_WRITE_ROWS`` rows, so their memory is the int32 codes, the value and the
+sorted int64 pair code of each trial, one vocabulary per id column, and
+O(block).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -415,72 +421,115 @@ def _in_ranges(codes: np.ndarray, ranges: tuple[tuple[int, int], ...]) -> np.nda
     return mask
 
 
-@dataclass(eq=False)
 class Trials:
     """A trial list in columns: row i is the trial (enroll[i], test[i]).
 
-    ``values`` is one more column: float64 scores (a score file), bool
-    targets (a key), or None (a bare trial list).
+    Each id column is interned: ``enroll_codes`` and ``test_codes`` are
+    int32 codes into ``enroll_vocab`` and ``test_vocab``, which list each
+    id once, in first-appearance order (a list made by :meth:`take` keeps
+    its parent's vocabularies).  ``values`` is one more column: float64
+    scores (a score file), bool targets (a key), or None (a bare trial
+    list).  The id columns are fixed once built; ``enroll`` and ``test``
+    return them as lists of ids.
     """
 
-    enroll: list[str]
-    test: list[str]
-    values: np.ndarray | None = None
+    def __init__(
+        self, enroll: Sequence[str], test: Sequence[str], values: np.ndarray | None = None
+    ):
+        enroll_index: dict[str, int] = {}
+        test_index: dict[str, int] = {}
+        enroll_codes = _intern(enroll, enroll_index)
+        test_codes = _intern(test, test_index)
+        self._set(list(enroll_index), enroll_codes, list(test_index), test_codes, values)
 
-    def __post_init__(self) -> None:
-        n = len(self.enroll)
-        if len(self.test) != n or (self.values is not None and len(self.values) != n):
+    @classmethod
+    def from_codes(
+        cls,
+        enroll_vocab: Sequence[str],
+        enroll_codes: np.ndarray,
+        test_vocab: Sequence[str],
+        test_codes: np.ndarray,
+        values: np.ndarray | None = None,
+    ) -> Trials:
+        """Row i is (enroll_vocab[enroll_codes[i]], test_vocab[test_codes[i]])."""
+        for vocab, codes in ((enroll_vocab, enroll_codes), (test_vocab, test_codes)):
+            if len(set(vocab)) != len(vocab):
+                raise ValueError("a trial vocabulary lists an id twice")
+            codes = np.asarray(codes)
+            if codes.size and (codes.min() < 0 or codes.max() >= len(vocab)):
+                raise ValueError("trial codes must index their vocabulary")
+        trials = cls.__new__(cls)
+        trials._set(enroll_vocab, enroll_codes, test_vocab, test_codes, values)
+        return trials
+
+    def _set(self, enroll_vocab, enroll_codes, test_vocab, test_codes, values) -> None:
+        self.enroll_vocab, self.test_vocab = list(enroll_vocab), list(test_vocab)
+        self.enroll_codes = np.asarray(enroll_codes, dtype=np.int32)
+        self.test_codes = np.asarray(test_codes, dtype=np.int32)
+        n = len(self.enroll_codes)
+        if len(self.test_codes) != n or (values is not None and len(values) != n):
             raise ValueError("trial columns must have equal lengths")
+        self.values = values
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.enroll)
+        return len(self.enroll_codes)
+
+    @property
+    def enroll(self) -> list[str]:
+        return list(map(self.enroll_vocab.__getitem__, self.enroll_codes.tolist()))
+
+    @property
+    def test(self) -> list[str]:
+        return list(map(self.test_vocab.__getitem__, self.test_codes.tolist()))
+
+    def ids(self, row: int) -> tuple[str, str]:
+        """The (enroll, test) ids of trial `row`."""
+        return self.enroll_vocab[self.enroll_codes[row]], self.test_vocab[self.test_codes[row]]
 
     def take(self, rows: np.ndarray) -> Trials:
         """The trials at `rows`, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        order = rows.tolist()
-        return Trials(
-            [self.enroll[i] for i in order],
-            [self.test[i] for i in order],
+        return Trials.from_codes(
+            self.enroll_vocab, self.enroll_codes[rows], self.test_vocab, self.test_codes[rows],
             None if self.values is None else self.values[rows],
         )
+
+    def _sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows in a stable sort by pair code, and their codes.
+
+        A trial's pair code is enroll code * len(test_vocab) + test code,
+        as int64.  Built once and kept.
+        """
+        if self._pairs is None:
+            codes = self.enroll_codes.astype(np.int64) * len(self.test_vocab) + self.test_codes
+            order = np.argsort(codes, kind="stable")
+            self._pairs = order, codes[order]
+        return self._pairs
 
     def locate(self, other: Trials) -> np.ndarray:
         """Row in this list of each trial of `other`; -1 where it is absent."""
         if not len(self):
             return np.full(len(other), -1, dtype=np.int64)
-        pairs = _Pairs(self)
-        codes = pairs.codes(other)
-        pos = np.minimum(np.searchsorted(pairs.sorted, codes), len(self) - 1)
-        return np.where(pairs.sorted[pos] == codes, pairs.order[pos], -1)
+        order, pairs = self._sorted_pairs()
+        e = _recode(other.enroll_vocab, self.enroll_vocab)[other.enroll_codes]
+        t = _recode(other.test_vocab, self.test_vocab)[other.test_codes]
+        codes = np.where((e < 0) | (t < 0), -1, e * len(self.test_vocab) + t)
+        pos = np.minimum(np.searchsorted(pairs, codes), len(self) - 1)
+        return np.where(pairs[pos] == codes, order[pos], -1)
 
 
-def _vocabulary(ids: list[str]) -> dict[str, int]:
-    return {s: i for i, s in enumerate(dict.fromkeys(ids))}
+def _intern(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """The int32 code of each of `ids` in `index`; new ids get the next codes."""
+    for s in dict.fromkeys(ids):
+        index.setdefault(s, len(index))
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.int32, count=len(ids))
 
 
-def _codes(ids: list[str], vocabulary: dict[str, int]) -> np.ndarray:
-    """Code of each id in `vocabulary`, -1 for an id not in it."""
-    return np.fromiter(
-        map(vocabulary.get, ids, repeat(-1)), dtype=np.int64, count=len(ids)
-    )
-
-
-class _Pairs:
-    """The (enroll, test) pairs of a trial list as sorted int64 codes."""
-
-    def __init__(self, trials: Trials):
-        self.enroll = _vocabulary(trials.enroll)
-        self.test = _vocabulary(trials.test)
-        codes = self.codes(trials)
-        self.order = np.argsort(codes, kind="stable")
-        self.sorted = codes[self.order]
-
-    def codes(self, trials: Trials) -> np.ndarray:
-        """enroll code * #test ids + test code; -1 where either id is unknown."""
-        e = _codes(trials.enroll, self.enroll)
-        t = _codes(trials.test, self.test)
-        return np.where((e < 0) | (t < 0), -1, e * len(self.test) + t)
+def _recode(ids: list[str], vocab: list[str]) -> np.ndarray:
+    """The int64 code in `vocab` of each of `ids`; -1 for an id not in it."""
+    index = {s: i for i, s in enumerate(vocab)}
+    return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
 
 
 def _parse_scores(tokens: list[str]) -> tuple[np.ndarray | None, int]:
@@ -506,35 +555,44 @@ def _parse_labels(tokens: list[str]) -> tuple[np.ndarray, int]:
     return targets, next(i for i, t in enumerate(tokens) if t not in _LABELS)
 
 
-_SCAN_CHUNK = 1 << 20  # code points per block of the token scan
+_SCAN_CHUNK = 1 << 20  # code points read per block of a trial table
 
 
-def _scan(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start of each token, whether it starts with ``#``, and each line break.
+def _blocks(fh: TextIO) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """The text of `fh` in blocks, each with the start of each token, whether
+    it starts with ``#``, and the position of each line break.
 
-    Works on blocks of ``_SCAN_CHUNK`` code points (one byte each for ASCII
-    text, four otherwise), so the scan adds O(tokens) int64 positions and
-    O(_SCAN_CHUNK) working memory to the text.
+    A block is what is left of the last read plus ``_SCAN_CHUNK`` more code
+    points, cut after its last line break (the last block ends where the
+    text does), so no line is split between blocks.  The scan is array code
+    over the block's code points: one byte each for ASCII text, four
+    otherwise.
     """
-    starts, hashes, breaks = [np.zeros(0, np.intp)], [np.zeros(0, bool)], [np.zeros(0, np.intp)]
-    after_space = True
-    for lo in range(0, len(text), _SCAN_CHUNK):
-        piece = text[lo:lo + _SCAN_CHUNK]
+    rest = ""
+    while True:
+        chunk = fh.read(_SCAN_CHUNK)
+        text = rest + chunk
+        if not text:
+            return
         codes = (
-            np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
-            if piece.isascii()
-            else np.frombuffer(piece.encode("utf-32-le"), dtype=np.uint32)
+            np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+            if text.isascii()
+            else np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
         )
-        space = _in_ranges(codes, _SPACE_RANGES)
+        breaks = np.flatnonzero(_in_ranges(codes, _BREAK_RANGES))
+        if not chunk:
+            end = len(text)
+        elif breaks.size:
+            end = int(breaks[-1]) + 1
+        else:  # no line ends in this read yet
+            rest = text
+            continue
+        space = _in_ranges(codes[:end], _SPACE_RANGES)
         begins = ~space
-        begins[1:] &= space[:-1]
-        begins[0] &= after_space
-        at = np.flatnonzero(begins)
-        starts.append(at + lo)
-        hashes.append(codes[at] == ord("#"))
-        breaks.append(np.flatnonzero(_in_ranges(codes, _BREAK_RANGES)) + lo)
-        after_space = bool(space[-1])
-    return np.concatenate(starts), np.concatenate(hashes), np.concatenate(breaks)
+        begins[1:] &= space[:-1]  # a block starts a line, so after a break
+        starts = np.flatnonzero(begins)
+        yield text[:end], starts, codes[starts] == ord("#"), breaks
+        rest = text[end:]
 
 
 def _columns(
@@ -547,64 +605,111 @@ def _columns(
     """Read a trial table of `ncols` whitespace-separated columns per line.
 
     Blank lines and lines whose first token starts with ``#`` are skipped.
-    The text is tokenised once with ``str.split()``; the line of each token
-    comes from array code over the text's code points, with the whitespace
-    and line-break sets of ``str.split()`` and ``str.splitlines()``, so that
-    a bad line is named as a line-by-line reader would name it.  `parse`
-    converts the third column and returns the values and the first rejected
-    row (-1 if none), which raises with the message `rejected`.  Errors
-    come in file order; a trial listed twice is rejected last.
+    The text is read in blocks that end at a line end (see `_blocks`).  Each
+    block is tokenised with ``str.split()``; the line of each token comes
+    from the scan, with the whitespace and line-break sets of
+    ``str.split()`` and ``str.splitlines()``, so that a bad line is named as
+    a line-by-line reader would name it.  A block's ids are interned and
+    `parse` converts its third column, returning the values and the first
+    rejected row (-1 if none), which raises with the message `rejected`.
+    Errors come in file order; a trial listed twice is rejected last.
     """
-    text = Path(path).read_text()
-    starts, hashes, breaks = _scan(text)
-    # Tokens per line; a line ends at each break and at the end of the text.
-    per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
-    nonblank = np.flatnonzero(per_line)
-    counts = per_line[nonblank]
-    keep = ~hashes[np.cumsum(per_line)[nonblank] - counts]
-    lines = nonblank + 1
-    del starts, hashes, breaks, per_line
+    # Each column starts with an empty block, so an empty file gives empty
+    # columns of the right dtypes.
+    indexes: tuple[dict[str, int], ...] = ({}, {})
+    codes: tuple[list[np.ndarray], ...] = ([np.zeros(0, np.int32)], [np.zeros(0, np.int32)])
+    values = None if parse is None else [parse([])[0]]
+    row_lines: list[np.ndarray] = []
+    first_line = 1
+    try:
+        with open(path) as fh:  # decoded as Path.read_text() decodes
+            try:
+                for block, starts, hashes, breaks in _blocks(fh):
+                    # Tokens per line; a line ends at each break and at the
+                    # end of the block.
+                    per_line = np.diff(
+                        np.searchsorted(starts, breaks), prepend=0, append=len(starts)
+                    )
+                    nonblank = np.flatnonzero(per_line)
+                    counts = per_line[nonblank]
+                    keep = ~hashes[np.cumsum(per_line)[nonblank] - counts]
+                    lines = nonblank + first_line
+                    first_line += len(breaks)
 
-    bad = np.flatnonzero(keep & (counts != ncols))
-    if bad.size:
-        keep[bad[0]:] = False
-    tokens = text.split()
-    del text
-    if not keep.all():
-        tokens = list(compress(tokens, np.repeat(keep, counts).tolist()))
-    columns = [tokens[i::ncols] for i in range(ncols)]
-    del tokens
-    row_lines = lines[keep]
+                    bad = np.flatnonzero(keep & (counts != ncols))
+                    if bad.size:
+                        keep[bad[0]:] = False
+                    tokens = block.split()
+                    if not keep.all():
+                        tokens = list(compress(tokens, np.repeat(keep, counts).tolist()))
+                    row_lines.append(lines[keep])
+                    if values is not None:
+                        block_values, row = parse(tokens[2::ncols])
+                        if row >= 0:
+                            raise FormatError(f"{path}:{row_lines[-1][row]}: {rejected}")
+                        values.append(block_values)
+                    if bad.size:
+                        raise FormatError(f"{path}:{lines[bad[0]]}: {expected}")
+                    for col in (0, 1):
+                        codes[col].append(_intern(tokens[col::ncols], indexes[col]))
+            except FormatError:
+                # An undecodable byte anywhere in the file still comes first,
+                # as it did when the whole text was decoded before parsing.
+                while fh.read(_SCAN_CHUNK):
+                    pass
+                raise
+    except UnicodeDecodeError:
+        Path(path).read_text()  # raises with the position in the whole file
+        raise
 
-    values = None
-    if parse is not None:
-        values, row = parse(columns[2])
-        if row >= 0:
-            raise FormatError(f"{path}:{row_lines[row]}: {rejected}")
-    if bad.size:
-        raise FormatError(f"{path}:{lines[bad[0]]}: {expected}")
-    trials = Trials(columns[0], columns[1], values)
-    pairs = _Pairs(trials)
-    same = np.flatnonzero(pairs.sorted[1:] == pairs.sorted[:-1])
+    trials = Trials.from_codes(
+        list(indexes[0]), np.concatenate(codes[0]), list(indexes[1]), np.concatenate(codes[1]),
+        None if values is None else np.concatenate(values),
+    )
+    order, pairs = trials._sorted_pairs()
+    same = np.flatnonzero(pairs[1:] == pairs[:-1])
     if same.size:
         # The stable sort lists equal pairs in file order, so the repeat
         # with the lowest row is the first one in the file.
-        j = same[np.argmin(pairs.order[same + 1])]
-        row, earlier = pairs.order[j + 1], pairs.order[j]
+        j = same[np.argmin(order[same + 1])]
+        row, earlier = order[j + 1], order[j]
+        lines = np.concatenate(row_lines)
+        enroll, test = trials.ids(row)
         raise FormatError(
-            f"{path}:{row_lines[row]}: duplicate trial ({trials.enroll[row]}, "
-            f"{trials.test[row]}), first listed on line {row_lines[earlier]}"
+            f"{path}:{lines[row]}: duplicate trial ({enroll}, {test}), "
+            f"first listed on line {lines[earlier]}"
         )
     return trials
 
 
-def _write_rows(path: str | Path, row_format: str, *columns: Iterable) -> None:
-    """One `row_format` line per row, as one %-format over all the rows.
+_WRITE_ROWS = 1 << 15  # rows formatted per block of a written trial table
 
-    The first column must be a list; the others may be any iterables.
+
+def _write_rows(
+    path: str | Path,
+    row_format: str,
+    trials: Trials,
+    cells: Callable[[np.ndarray], Iterable] | None = None,
+) -> None:
+    """One `row_format` line per trial: its ids, then the cell that `cells`
+    makes of its value, if given.
+
+    Rows are formatted and written ``_WRITE_ROWS`` at a time to a temporary
+    file, which then replaces `path`.
     """
-    cells = tuple(chain.from_iterable(zip(*columns)))
-    atomic_write_text(path, (row_format * len(columns[0])) % cells)
+    enroll = np.array(trials.enroll_vocab, dtype=object)
+    test = np.array(trials.test_vocab, dtype=object)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        for lo in range(0, len(trials), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            columns = [enroll[trials.enroll_codes[rows]], test[trials.test_codes[rows]]]
+            if cells is not None:
+                columns.append(cells(trials.values[rows]))
+            block = tuple(chain.from_iterable(zip(*columns)))
+            fh.write((row_format * len(columns[0])) % block)
+    os.replace(tmp, path)
 
 
 def read_trials(path: str | Path) -> Trials:
@@ -612,7 +717,7 @@ def read_trials(path: str | Path) -> Trials:
 
 
 def write_trials(path: str | Path, trials: Trials) -> None:
-    _write_rows(path, "%s %s\n", trials.enroll, trials.test)
+    _write_rows(path, "%s %s\n", trials)
 
 
 def read_key(path: str | Path) -> Trials:
@@ -622,8 +727,7 @@ def read_key(path: str | Path) -> Trials:
 
 
 def write_key(path: str | Path, key: Trials) -> None:
-    labels = map(_LABELS.__getitem__, key.values.tolist())
-    _write_rows(path, "%s %s %s\n", key.enroll, key.test, labels)
+    _write_rows(path, "%s %s %s\n", key, lambda t: map(_LABELS.__getitem__, t.tolist()))
 
 
 def read_scores(path: str | Path) -> Trials:
@@ -634,7 +738,7 @@ def read_scores(path: str | Path) -> Trials:
 
 def write_scores(path: str | Path, scores: Trials) -> None:
     """Scores printed with ``%.17g``, which reads back to the same double."""
-    _write_rows(path, "%s %s %.17g\n", scores.enroll, scores.test, scores.values.tolist())
+    _write_rows(path, "%s %s %.17g\n", scores, np.ndarray.tolist)
 
 
 def match_scores_to_key(scores: Trials, key: Trials) -> tuple[np.ndarray, np.ndarray]:
@@ -642,9 +746,8 @@ def match_scores_to_key(scores: Trials, key: Trials) -> tuple[np.ndarray, np.nda
     rows = key.locate(scores)
     missing = np.flatnonzero(rows < 0)
     if missing.size:
-        i = missing[0]
+        enroll, test = scores.ids(missing[0])
         raise KeyMismatchError(
-            f"trial ({scores.enroll[i]}, {scores.test[i]}) is scored but missing "
-            f"from the key"
+            f"trial ({enroll}, {test}) is scored but missing from the key"
         )
     return np.asarray(scores.values, dtype=np.float64), key.values[rows]

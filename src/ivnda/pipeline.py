@@ -430,25 +430,21 @@ def score_stage(
     _require(plda_path, plda_meta, "projection", da_fp)
     trials = fileio.read_trials(trials_path)
 
-    def prepare(ivs: Sequence[tv_mod.IVector]) -> tuple[dict[str, int], np.ndarray]:
+    def prepare(
+        ivs: Sequence[tv_mod.IVector], vocab: list[str], codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The normalised vectors, and the row in them of each trial's
+        recording (-1 where there is none); ids are looked up once each."""
         index = {iv.recording_id: i for i, iv in enumerate(ivs)}
+        rows = np.fromiter(map(index.get, vocab, repeat(-1)), dtype=np.intp, count=len(vocab))
         raw = np.stack([iv.w for iv in ivs]) if ivs else np.zeros((0, proj.input_dim))
-        return index, backend_mod.normalize_rows(
-            da_mod.project(raw, proj), normalizer
-        )
+        vecs = backend_mod.normalize_rows(da_mod.project(raw, proj), normalizer)
+        return vecs, rows[codes]
 
-    enroll_index, enroll_vecs = prepare(enroll_ivs)
-    test_index, test_vecs = prepare(test_ivs)
-    e_idx = np.fromiter(
-        map(enroll_index.get, trials.enroll, repeat(-1)), dtype=np.intp, count=len(trials)
-    )
-    t_idx = np.fromiter(
-        map(test_index.get, trials.test, repeat(-1)), dtype=np.intp, count=len(trials)
-    )
+    enroll_vecs, e_idx = prepare(enroll_ivs, trials.enroll_vocab, trials.enroll_codes)
+    test_vecs, t_idx = prepare(test_ivs, trials.test_vocab, trials.test_codes)
     known = (e_idx >= 0) & (t_idx >= 0)
-    unknown = [
-        f"{trials.enroll[i]} {trials.test[i]}" for i in np.flatnonzero(~known)
-    ]
+    unknown = [" ".join(trials.ids(i)) for i in np.flatnonzero(~known).tolist()]
     if unknown:
         trials = trials.take(np.flatnonzero(known))
         e_idx, t_idx = e_idx[known], t_idx[known]
@@ -496,10 +492,13 @@ def sad_report_stage(
     overridden = {rid for rid, e in entries.items() if e.sad_path}
     if not overridden:
         raise DataError("no manifest entry carries a SAD override")
-    touched = np.fromiter(
-        map(overridden.__contains__, trials.enroll), dtype=bool, count=len(trials)
-    ) | np.fromiter(
-        map(overridden.__contains__, trials.test), dtype=bool, count=len(trials)
+
+    def overridden_ids(vocab: list[str]) -> np.ndarray:
+        return np.fromiter(map(overridden.__contains__, vocab), dtype=bool, count=len(vocab))
+
+    touched = (
+        overridden_ids(trials.enroll_vocab)[trials.enroll_codes]
+        | overridden_ids(trials.test_vocab)[trials.test_codes]
     )
     affected = trials.take(np.flatnonzero(touched))
     orig_rows = orig.locate(affected)
@@ -507,7 +506,7 @@ def sad_report_stage(
     missing = np.flatnonzero((orig_rows < 0) | (key_rows < 0))
     if missing.size:
         i = missing[0]
-        trial = (affected.enroll[i], affected.test[i])
+        trial = affected.ids(i)
         if orig_rows[i] < 0:
             raise KeyMismatchError(
                 f"trial {trial} is affected by an override but missing from "
@@ -564,9 +563,8 @@ def sad_report_stage(
     fileio.atomic_write_text(out_csv, "\n".join(lines) + "\n")
 
     if out_scores is not None:
-        merged = orig.values.copy()
-        merged[orig_rows] = new_scores
-        fileio.write_scores(out_scores, fileio.Trials(orig.enroll, orig.test, merged))
+        orig.values[orig_rows] = new_scores
+        fileio.write_scores(out_scores, orig)
 
     return {
         "affected_trials": len(affected),

@@ -47,10 +47,13 @@ def _make_trials(
     """The full enroll x test grid, enroll-major, and a key with the same rows."""
     enroll_ids, enroll_spk = enroll
     test_ids, test_spk = test
-    e_col = [e_id for e_id in enroll_ids for _ in test_ids]
-    t_col = test_ids * len(enroll_ids)
+    e_codes = np.repeat(np.arange(len(enroll_ids), dtype=np.int32), len(test_ids))
+    t_codes = np.tile(np.arange(len(test_ids), dtype=np.int32), len(enroll_ids))
     targets = np.equal.outer(np.asarray(enroll_spk), np.asarray(test_spk)).ravel()
-    return Trials(e_col, t_col), Trials(e_col, t_col, targets)
+    return (
+        Trials.from_codes(enroll_ids, e_codes, test_ids, t_codes),
+        Trials.from_codes(enroll_ids, e_codes, test_ids, t_codes, targets),
+    )
 
 
 @dataclass

@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 
 from helpers import reference_train_plda
 from ivnda.backend import (
+    CHUNK_TRIALS,
     Normalizer,
     PldaModel,
     average_enrollment,
@@ -296,6 +297,32 @@ class TestPldaScore:
             score_pairs(
                 model, rng.normal(size=(3, 4)), rng.normal(size=(5, 4)),
                 np.array(e_idx), np.array(t_idx),
+            )
+
+    def test_score_pairs_blocks_match_each_trial_alone(self, rng):
+        # Three blocks, the last of 3 trials, over repeated unsorted indices.
+        model = random_plda(rng, 4)
+        enroll, test = rng.normal(size=(7, 4)), rng.normal(size=(5, 4))
+        n = 2 * CHUNK_TRIALS + 3
+        e_idx, t_idx = rng.integers(0, 7, n), rng.integers(0, 5, n)
+        got = score_pairs(model, enroll, test, e_idx, t_idx)
+        alone = np.array([
+            [score_pairs(model, enroll, test, np.array([i]), np.array([j]))[0] for j in range(5)]
+            for i in range(7)
+        ])
+        np.testing.assert_array_equal(got, alone[e_idx, t_idx])
+
+    @pytest.mark.parametrize("side,bad", [("enroll", 3), ("test", -1)])
+    def test_score_pairs_checks_last_block_before_scoring(self, rng, monkeypatch, side, bad):
+        model = random_plda(rng, 4)
+        idx = {"enroll": np.zeros(2 * CHUNK_TRIALS + 3, dtype=int)}
+        idx["test"] = idx["enroll"].copy()
+        idx[side][-1] = bad
+        monkeypatch.setattr(PldaModel, "finalize", lambda _: pytest.fail("scored unchecked"))
+        with pytest.raises(RangeError, match=side):
+            score_pairs(
+                model, rng.normal(size=(3, 4)), rng.normal(size=(5, 4)),
+                idx["enroll"], idx["test"],
             )
 
     def test_cache_is_computed_once(self, rng):

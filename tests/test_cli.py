@@ -968,6 +968,15 @@ class TestExitCodes:
         assert f"synth --mode {mode} does not use {unused}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("mode", ["ivectors", "stats"])
+    def test_synth_bimodal_with_unimodal_is_usage_error(self, tmp_path, capsys, mode):
+        argv = ["synth", "--mode", mode, "--out-dir", str(tmp_path / "c")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--bimodal", "--unimodal"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--unimodal: not allowed with argument --bimodal" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_provenance_mismatch(self, stats_ws, tmp_path, capsys):
         # A UBM from a different corpus must be rejected by the chain check.
         run_ok(

@@ -1,6 +1,8 @@
 """Tests for artifact serialisation: binary formats, manifests, score files."""
 
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -734,6 +736,38 @@ class TestDuplicateTrials:
         path.write_text("e1 t1 0.5\ne1 t1 0.5\ne2 t2 x\n")
         with pytest.raises(FormatError, match=r":3: non-numeric score"):
             read_scores(path)
+
+
+class TestTextMemory:
+    """Deterministic allocation counts of the score-file path."""
+
+    def test_read_retains_codes_and_write_works_in_blocks(self, tmp_path):
+        n = 200_000
+        enroll = [f"enroll{i:04d}" for i in range(n // 1000)]
+        test = [f"test{i:04d}" for i in range(1000)]
+        path = tmp_path / "scores.txt"
+        path.write_text("".join(
+            f"{enroll[i // 1000]} {test[i % 1000]} {i * 0.37 - 1e4:.17g}\n" for i in range(n)
+        ))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scores = read_scores(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            write_scores(tmp_path / "again.txt", scores)
+            transient = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # Per trial: two int32 codes, a float64 score, an int64 pair code
+        # and its int64 row in the sorted order (32 bytes); plus each
+        # distinct id once, and a list slot for it.
+        vocabularies = sum(sys.getsizeof(s) + 8 for s in enroll + test)
+        assert retained <= 40 * n + vocabularies
+        # One block of rows at a time, however many rows there are.
+        assert transient <= 256 * fileio._WRITE_ROWS
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 class TestMatchScoresToKey:
