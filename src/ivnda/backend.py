@@ -121,16 +121,6 @@ def normalize_rows(vectors: np.ndarray, normalizer: Normalizer) -> np.ndarray:
     return whitened / norms[:, None]
 
 
-def average_enrollment(vectors: np.ndarray) -> np.ndarray:
-    """Combine several normalised enrollment vectors into one by averaging.
-
-    The result is scored like a single session (no re-normalisation)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise ShapeError("expected a non-empty (N, M) array of vectors")
-    return vectors.mean(axis=0)
-
-
 @dataclass
 class _ScoreCache:
     """Precomputed scoring terms (see :meth:`PldaModel.finalize`)."""

@@ -12,6 +12,7 @@ trivial system, so minDCF is at most 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,11 @@ class TrialSet:
     def num_trials(self) -> int:
         return self.scores.size
 
+    @cached_property
+    def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The threshold sweep, built once; every metric below reads it."""
+        return _operating_points(self)
+
 
 def _operating_points(trials: TrialSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P_fa, P_miss, threshold) at every distinct score plus the ends.
@@ -98,7 +104,7 @@ def det_points(trials: TrialSet) -> np.ndarray:
     Runs from (1, 0) to (0, 1); P_fa is non-increasing and P_miss
     non-decreasing row to row.
     """
-    p_fa, p_miss, _ = _operating_points(trials)
+    p_fa, p_miss, _ = trials._sweep
     return np.column_stack([p_fa, p_miss])
 
 
@@ -109,7 +115,7 @@ def compute_eer(trials: TrialSet) -> tuple[float, float]:
     rate and its threshold are linearly interpolated between the two
     bracketing points.
     """
-    p_fa, p_miss, theta = _operating_points(trials)
+    p_fa, p_miss, theta = trials._sweep
     diff = p_miss - p_fa
     # diff is non-decreasing, from -1 (accept all) to +1 (reject all).
     hi = int(np.searchsorted(diff, 0.0, side="left"))
@@ -149,7 +155,7 @@ def compute_min_dcf(trials: TrialSet, params: DcfParams) -> tuple[float, float]:
     The sweep covers every distinct score plus the reject-all end, i.e. the
     full DET curve; ties go to the lowest threshold.
     """
-    p_fa, p_miss, theta = _operating_points(trials)
+    p_fa, p_miss, theta = trials._sweep
     costs = compute_dcf(p_miss, p_fa, params)
     best = int(np.argmin(costs))
     threshold = theta[best] if np.isfinite(theta[best]) else float(np.max(trials.scores))

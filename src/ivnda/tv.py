@@ -18,12 +18,19 @@ log-likelihood of the statistics, which is non-decreasing over iterations.
 Posteriors are computed for fixed-size chunks of `CHUNK` sessions at a
 time: ``L`` for a chunk is one (C, G) x (G, R^2) product with the
 per-component grams ``T_g' Sigma_g^-1 T_g``, and the E-step accumulators
-are two more products.  A short chunk is padded with zero-count rows, so
-every product has the same shape and a session's result does not depend on
-which sessions share its chunk (single and batch extraction agree to the
-bit).  Memory is bounded by the (G, R, R) gram and, in training, the
-(G, R, R) second-order accumulator, plus a few (CHUNK, R, R) arrays; it
-does not grow with the number of sessions.  At G=2048, R=500 the gram and
+are two more products.  Each session's ``L`` is then factored once, in
+place (LAPACK ``potrf``), and every posterior quantity comes from that
+factor: log det ``L`` from its diagonal, E[w] by ``potrs`` and, in
+training, Cov[w] = ``L^-1`` by ``potri``.  Cov[w] is kept as its lower
+triangle; the second-order accumulator sums lower triangles and is
+mirrored once per iteration.  The M-step factors the accumulators of the
+observed components with batched Cholesky calls, `CHUNK` components each.
+A short chunk is padded with zero-count rows (``L = I``), so every product
+has the same shape and a session's result does not depend on which
+sessions share its chunk (single and batch extraction agree to the bit).
+Memory is bounded by the (G, R, R) gram and, in training, the (G, R, R)
+second-order accumulator, plus a few (CHUNK, R, R) arrays; it does not
+grow with the number of sessions.  At G=2048, R=500 the gram and
 accumulator alone take about 8 GB.
 """
 
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import (
     ContractError,
@@ -166,27 +173,29 @@ def _posterior(
     """(E[w], Cov[w] or None, b, logdet L) for a chunk of sessions.
 
     Rows of `n` (C, G) and `f` (C, G * D) are sessions; E[w] and b are
-    (C, R), Cov[w] (C, R, R) and logdet L (C,).
+    (C, R), Cov[w] (C, R, R) and logdet L (C,).  Cov[w] holds only its
+    lower triangle; the strict upper triangle is zero.
     """
     c = n.shape[0]
     r = pre.t_over_sigma.shape[1]
-    l_mat = (n @ pre.gram).reshape(c, r, r)
-    l_mat[:, np.arange(r), np.arange(r)] += 1.0
-    if not np.isfinite(l_mat).all():
+    prec = (n @ pre.gram).reshape(c, r, r)
+    prec[:, np.arange(r), np.arange(r)] += 1.0
+    if not np.isfinite(prec).all():
         raise NumericError("i-vector posterior precision is not finite")
-    try:
-        chol = np.linalg.cholesky(l_mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("i-vector posterior precision is not positive definite") from exc
+    # prec[i].T is the Fortran-ordered view LAPACK works on: its upper
+    # triangle is prec[i]'s lower one, so the factor and the inverse are
+    # written in place, as lower triangles with zeros above.
+    for u in prec:
+        if dpotrf(u.T, lower=0, overwrite_a=1)[1]:
+            raise NumericError("i-vector posterior precision is not positive definite")
+    logdet_l = 2.0 * np.log(np.diagonal(prec, axis1=1, axis2=2)).sum(axis=1)
     b = f @ pre.t_over_sigma
-    if with_cov:
-        cov = np.linalg.inv(l_mat)
-        ew = (cov @ b[:, :, None])[:, :, 0]
-    else:
-        cov = None
-        ew = np.linalg.solve(l_mat, b[:, :, None])[:, :, 0]
-    logdet_l = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return ew, cov, b, logdet_l
+    ew = np.stack([dpotrs(u.T, b_i, lower=0)[0] for u, b_i in zip(prec, b)])
+    if not with_cov:
+        return ew, None, b, logdet_l
+    for u in prec:
+        dpotri(u.T, lower=0, overwrite_c=1)
+    return ew, prec, b, logdet_l
 
 
 def _session_lls(
@@ -226,6 +235,58 @@ def tv_log_likelihood(stats: Sequence[BwStats], model: TvModel) -> float:
         ew, _, b, logdet_l = _posterior(pre, n, f)
         per_session.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].tolist())
     return float(sum(per_session))
+
+
+def _mirror_lower(mats: np.ndarray) -> None:
+    """Copy the strict lower triangle of each (R, R) matrix onto its upper
+    one, in place and one matrix at a time."""
+    upper = np.triu(np.ones(mats.shape[-2:], dtype=bool), 1)
+    for mat in mats:
+        np.copyto(mat, mat.T, where=upper)
+
+
+def _cholesky_each(mats: np.ndarray) -> list[np.ndarray | None]:
+    """Lower Cholesky factor of each matrix of a stack, from one batched
+    call; None for a matrix that is not numerically positive definite."""
+    try:
+        return list(np.linalg.cholesky(mats))
+    except np.linalg.LinAlgError:
+        factors: list[np.ndarray | None] = []
+        for mat in mats:
+            try:
+                factors.append(np.linalg.cholesky(mat))
+            except np.linalg.LinAlgError:
+                factors.append(None)
+        return factors
+
+
+def _update_t(
+    a_acc: np.ndarray, c_blocks: np.ndarray, observed: np.ndarray
+) -> np.ndarray:
+    """M-step for T: solve A_g T_g' = C_g' for each component g.
+
+    `a_acc` is (G, R, R), `c_blocks` (G, D, R) and `observed` (G,) marks the
+    components some session occupies.  Their accumulators are factored
+    `CHUNK` at a time, each block in one batched call.  Unobserved
+    components, and any whose accumulator is not numerically positive
+    definite, take the least-squares solution, which keeps the update
+    defined (zero rows for an unobserved one).
+    """
+    g, d, r = c_blocks.shape
+    t_blocks = np.empty((g, d, r))
+    unsolved = list(np.flatnonzero(~observed))
+    comps = np.flatnonzero(observed)
+    for start in range(0, comps.size, CHUNK):
+        block = comps[start : start + CHUNK]
+        for comp, factor in zip(block, _cholesky_each(a_acc[block])):
+            if factor is None:
+                unsolved.append(comp)
+            else:
+                t_blocks[comp] = dpotrs(factor.T, c_blocks[comp].T, lower=0)[0].T
+    for comp in unsolved:
+        sol = np.linalg.lstsq(a_acc[comp], c_blocks[comp].T, rcond=None)[0]
+        t_blocks[comp] = sol.T
+    return t_blocks.reshape(g * d, r)
 
 
 def train_tv(
@@ -280,32 +341,23 @@ def train_tv(
         a_acc = np.zeros((g, rank * rank))
         total_ll = 0.0
         for part, n, f in _chunks(stats):
-            ew, cov, b, logdet_l = _posterior(pre, n, f, with_cov=True)
-            eww = cov + ew[:, :, None] * ew[:, None, :]
+            ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True)
+            # Lower triangle of E[ww'] = Cov[w] + E[w] E[w]'; the upper one
+            # is never read and is overwritten by _mirror_lower.
+            eww += ew[:, :, None] * ew[:, None, :]
             c_acc += f.T @ ew
             a_acc += n.T @ eww.reshape(CHUNK, rank * rank)
             total_ll += float(
                 _session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].sum()
             )
         a_acc = a_acc.reshape(g, rank, rank)
+        _mirror_lower(a_acc)
 
         if on_iteration is not None:
             on_iteration(it, TvModel(t_matrix.copy(), sigma.copy(), rank), total_ll)
 
-        t_new = np.empty_like(t_matrix)
         c_blocks = c_acc.reshape(g, d, rank)
-        for comp in range(g):
-            try:
-                cho = cho_factor(a_acc[comp], lower=True)
-                t_new[comp * d : (comp + 1) * d] = cho_solve(
-                    cho, c_blocks[comp].T
-                ).T
-            except LinAlgError:
-                # Unobserved or near-unobserved component: least-squares keeps
-                # the update defined (typically zero rows).
-                sol, *_ = np.linalg.lstsq(a_acc[comp], c_blocks[comp].T, rcond=None)
-                t_new[comp * d : (comp + 1) * d] = sol.T
-        t_matrix = t_new
+        t_matrix = _update_t(a_acc, c_blocks, active_counts > 0)
 
         if reestimate_sigma:
             # Exact M-step under the session model, using only the E-step

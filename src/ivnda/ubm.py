@@ -226,11 +226,6 @@ def _chunked_posteriors(gmm: DiagonalGmm, frames: np.ndarray):
         yield (aug, *_posteriors(aug @ weights))
 
 
-def log_component_densities(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
-    """log(w_g) + log N(x_t; mu_g, diag sigma2_g) for all frames/components."""
-    return _augment(_as_frames(gmm, frames)) @ _density_weights(gmm)
-
-
 def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
     """Average per-frame log-likelihood under the mixture."""
     frames = _as_frames(gmm, frames)

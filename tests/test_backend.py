@@ -13,7 +13,6 @@ from ivnda.backend import (
     CHUNK_TRIALS,
     Normalizer,
     PldaModel,
-    average_enrollment,
     fit_normalizer,
     normalize,
     normalize_rows,
@@ -191,23 +190,6 @@ class TestNormalizer:
     def test_container_validation(self):
         with pytest.raises(ShapeError):
             Normalizer(mean=np.zeros(3), whitener=np.zeros((2, 3)))
-
-
-class TestAverageEnrollment:
-    def test_mean_of_rows(self, rng):
-        vectors = rng.normal(size=(4, 6))
-        np.testing.assert_allclose(
-            average_enrollment(vectors), vectors.mean(axis=0), rtol=1e-12
-        )
-
-    def test_single_row_passthrough(self, rng):
-        vectors = rng.normal(size=(1, 6))
-        np.testing.assert_allclose(average_enrollment(vectors), vectors[0])
-
-    @pytest.mark.parametrize("bad", [np.zeros(6), np.zeros((0, 6))])
-    def test_rejects_empty_or_flat(self, bad):
-        with pytest.raises(ShapeError):
-            average_enrollment(bad)
 
 
 # --- PLDA scoring ----------------------------------------------------------

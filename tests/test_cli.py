@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ivnda import fileio, frontend
+from ivnda import fileio, frontend, metrics
 from ivnda.cli import main
 from ivnda.config import PipelineConfig, load_config
 from ivnda.errors import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
@@ -397,6 +397,22 @@ class TestEvaluate:
         assert csv_lines[0] == "p_fa,p_miss"
         assert len(csv_lines) > 2
         assert (tmp_path / "det.svg").read_text().startswith("<svg")
+
+    def test_threshold_sweep_built_once(self, stats_ws, tmp_path, monkeypatch):
+        """EER, both minDCF presets and both DET exports share one sweep."""
+        calls = []
+        build = metrics._operating_points
+        monkeypatch.setattr(
+            metrics, "_operating_points", lambda trials: calls.append(1) or build(trials)
+        )
+        run_ok(
+            [
+                "evaluate", "--scores", stats_ws / "scores.txt",
+                "--key", stats_ws / "key.txt",
+                "--det-csv", tmp_path / "det.csv", "--det-svg", tmp_path / "det.svg",
+            ]
+        )
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["scores.txt", "key.txt"])
     def test_duplicate_trial_is_a_data_error(self, stats_ws, tmp_path, capsys, name):

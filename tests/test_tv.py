@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import subspace_angles
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, subspace_angles
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
@@ -17,6 +17,9 @@ from ivnda.tv import (
     CHUNK,
     IVector,
     TvModel,
+    _posterior,
+    _precompute,
+    _update_t,
     extract_ivector,
     extract_ivectors,
     train_tv,
@@ -173,6 +176,96 @@ def test_batch_extraction_matches_single(rng, count):
     assert [iv.recording_id for iv in batch] == [f"rec{i}" for i in range(count)]
     for s, iv in zip(stats, batch):
         np.testing.assert_array_equal(iv.w, extract_ivector(s, model).w)
+
+
+# --- posterior and M-step kernels ------------------------------------------
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_posterior_matches_dense_inverse_solve_and_slogdet(case):
+    """One factor per session gives Cov[w], E[w] and log det L; padded
+    zero-count rows have L = I."""
+    gen = np.random.default_rng(4300 + case)
+    g, d, r = 6, 3, 5
+    model = random_model(gen, g, d, r)
+    sessions = CHUNK - 7
+    n = np.zeros((CHUNK, g))
+    f = np.zeros((CHUNK, g * d))
+    for i in range(sessions):
+        s = random_centered_stats(gen, g, d, zero_components=int(gen.integers(0, 3)))
+        n[i], f[i] = s.n, s.f.reshape(-1)
+    pre = _precompute(model.t_matrix, model.sigma)
+    ew, cov, b, logdet_l = _posterior(pre, n, f, with_cov=True)
+    ew_only, no_cov, _, _ = _posterior(pre, n, f)
+    assert no_cov is None
+    np.testing.assert_array_equal(ew_only, ew)
+
+    t_blocks = model.t_matrix.reshape(g, d, r)
+    for i in range(CHUNK):
+        prec = np.eye(r) + np.einsum(
+            "g,gdr,gd,gds->rs", n[i], t_blocks, 1.0 / model.sigma, t_blocks
+        )
+        inv = np.linalg.inv(prec)
+        scale = np.abs(inv).max()
+        np.testing.assert_allclose(
+            cov[i], np.tril(inv), rtol=1e-12, atol=1e-12 * scale
+        )
+        np.testing.assert_allclose(
+            ew[i], np.linalg.solve(prec, b[i]), rtol=1e-12,
+            atol=1e-12 * np.abs(ew[i]).max(initial=0.0),
+        )
+        sign, logdet = np.linalg.slogdet(prec)
+        assert sign == 1.0
+        assert logdet_l[i] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+    padded = slice(sessions, CHUNK)
+    np.testing.assert_array_equal(cov[padded], np.broadcast_to(np.eye(r), (7, r, r)))
+    assert not ew[padded].any() and not logdet_l[padded].any()
+
+
+def test_posterior_rejects_indefinite_precision(rng):
+    model = random_model(rng, 4, 3, 3)
+    pre = _precompute(model.t_matrix, model.sigma)
+    n = np.zeros((CHUNK, 4))
+    n[5] = -50.0  # L = I - 50 sum_g T_g' S_g^-1 T_g is indefinite
+    f = np.zeros((CHUNK, 12))
+    for with_cov in (False, True):
+        with pytest.raises(NumericError, match="not positive definite"):
+            _posterior(pre, n, f, with_cov=with_cov)
+
+
+def per_component_update(a_acc, c_blocks):
+    """T rows from one Cholesky solve per component, least squares where
+    the factorisation fails."""
+    g, d, r = c_blocks.shape
+    t_blocks = np.empty((g, d, r))
+    for comp in range(g):
+        try:
+            sol = cho_solve(cho_factor(a_acc[comp], lower=True), c_blocks[comp].T)
+        except LinAlgError:
+            sol, *_ = np.linalg.lstsq(a_acc[comp], c_blocks[comp].T, rcond=None)
+        t_blocks[comp] = sol.T
+    return t_blocks.reshape(g * d, r)
+
+
+@pytest.mark.parametrize("singular_observed", [False, True])
+def test_batched_m_step_matches_per_component_loop(rng, singular_observed):
+    """Batched M-step == the per-component loop; an unobserved component
+    gets exactly zero rows, and an observed one whose accumulator cannot be
+    factored takes the per-component fallback."""
+    g, d, r = 7, 3, 4
+    x = rng.normal(size=(g, r, 3 * r))
+    a_acc = x @ x.transpose(0, 2, 1)
+    c_blocks = rng.normal(size=(g, d, r))
+    observed = np.ones(g, dtype=bool)
+    a_acc[2] = 0.0
+    c_blocks[2] = 0.0
+    observed[2] = False
+    if singular_observed:
+        a_acc[5] = -a_acc[5]
+    got = _update_t(a_acc, c_blocks, observed)
+    want = per_component_update(a_acc, c_blocks)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert not got[2 * d : 3 * d].any()
 
 
 # --- training --------------------------------------------------------------

@@ -26,7 +26,6 @@ from ivnda.ubm import (
     _em_step,
     gmm_posteriors,
     load_external_posteriors,
-    log_component_densities,
     mean_log_likelihood,
     train_gmm,
     train_supervised_gaussians,
@@ -174,10 +173,10 @@ def test_mean_log_likelihood_matches_oracle(rng):
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_log_densities_shape_check(rng):
+def test_mean_log_likelihood_shape_check(rng):
     gmm = make_gmm(rng, 3, 4)
     with pytest.raises(ShapeError):
-        log_component_densities(gmm, rng.normal(size=(10, 3)))
+        mean_log_likelihood(gmm, rng.normal(size=(10, 3)))
 
 
 # --- GMM container ---------------------------------------------------------
