@@ -8,15 +8,27 @@ transforms.
 Frame geometry is shared by every stage: a frame ``t`` covers samples
 ``[t * shift, t * shift + frame_len)``, and a signal of ``n`` samples yields
 ``(n - frame_len) // shift + 1`` frames (no padding at either end).
+:func:`check_config` rejects a configuration whose geometry cannot hold at
+both supported rates before any recording is read.
+
+Frames are strided views of the signal (``sliding_window_view(x,
+frame_len)[::shift]``), never a (frames x frame_len) index gather; the
+Hamming window and the mel filterbank are built once per (rate,
+frame_len, num_filters) and kept read-only.  The detector takes its
+energies from the same view and its zero-crossing rates from one pass of
+cumulative sign-flip counts over the signal.  Every output is bit for bit
+what the per-frame formulas give.
 """
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .config import FrontendConfig, SadConfig
@@ -175,9 +187,45 @@ def num_frames(num_samples: int, sample_rate_hz: int, cfg: FrontendConfig) -> in
     return (num_samples - frame_len) // shift + 1
 
 
-def _frame_indices(n: int, frame_len: int, shift: int) -> np.ndarray:
-    count = (n - frame_len) // shift + 1
-    return np.arange(count)[:, None] * shift + np.arange(frame_len)[None, :]
+def _frames(x: np.ndarray, frame_len: int, shift: int) -> np.ndarray:
+    """Read-only (frames, frame_len) strided view of `x`; nothing is copied."""
+    return sliding_window_view(x, frame_len)[::shift]
+
+
+def check_config(cfg: FrontendConfig) -> None:
+    """Reject settings that would fail, or silently corrupt, every recording.
+
+    Raises :class:`FormatError` naming the offending key.  The frame
+    geometry is checked at every supported rate: each frame must hold at
+    least two samples (the zero-crossing rate divides by ``frame_len -
+    1``) and fit the FFT, and the shift must be at least one sample.
+    """
+
+    def reject(key: str, why: str, section: str = "frontend") -> FormatError:
+        return FormatError(f"config [{section}] {key}: {why}")
+
+    for rate in SUPPORTED_RATES:
+        frame_len, shift = frame_geometry(rate, cfg)
+        if frame_len < 2:
+            raise reject("frame_len_ms", f"{cfg.frame_len_ms} ms is {frame_len} "
+                         f"sample(s) at {rate} Hz; a frame needs at least 2")
+        if frame_len > fft_size(rate):
+            raise reject("frame_len_ms", f"{cfg.frame_len_ms} ms is {frame_len} samples "
+                         f"at {rate} Hz, longer than the {fft_size(rate)}-point FFT")
+        if shift < 1:
+            raise reject("frame_shift_ms", f"{cfg.frame_shift_ms} ms is {shift} samples "
+                         f"at {rate} Hz; the shift needs at least 1")
+    if cfg.num_filters < 1:
+        raise reject("num_filters", f"{cfg.num_filters} must be at least 1")
+    if not 1 <= cfg.num_ceps <= cfg.num_filters:
+        raise reject("num_ceps", f"{cfg.num_ceps} must be between 1 and "
+                     f"num_filters ({cfg.num_filters})")
+    if cfg.include_deltas and cfg.delta_context < 1:
+        raise reject("delta_context", f"{cfg.delta_context} must be at least 1 "
+                     "when include_deltas is set")
+    if cfg.sad.smooth_frames > 1 and cfg.sad.smooth_frames % 2 == 0:
+        raise reject("smooth_frames", f"{cfg.sad.smooth_frames} is even; the majority "
+                     "vote needs an odd window (1 turns it off)", section="sad")
 
 
 def fft_size(sample_rate_hz: int) -> int:
@@ -210,6 +258,18 @@ def mel_filterbank(num_filters: int, nfft: int, sample_rate_hz: int) -> np.ndarr
     return bank
 
 
+@functools.lru_cache(maxsize=None)
+def _mfcc_constants(
+    sample_rate_hz: int, frame_len: int, num_filters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Hamming window and mel filterbank for one frame geometry."""
+    window = np.hamming(frame_len)
+    bank = mel_filterbank(num_filters, fft_size(sample_rate_hz), sample_rate_hz)
+    window.flags.writeable = False
+    bank.flags.writeable = False
+    return window, bank
+
+
 def compute_mfcc(signal: AudioSignal, cfg: FrontendConfig) -> FeatureMatrix:
     """MFCCs with c0 as coefficient 0.
 
@@ -224,12 +284,10 @@ def compute_mfcc(signal: AudioSignal, cfg: FrontendConfig) -> FeatureMatrix:
         raise EmptyInputError(
             f"signal of {x.size} samples is shorter than one frame ({frame_len})"
         )
+    window, bank = _mfcc_constants(sr, frame_len, cfg.num_filters)
     emphasized = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
-    frames = emphasized[_frame_indices(x.size, frame_len, shift)]
-    frames = frames * np.hamming(frame_len)
-    nfft = fft_size(sr)
-    power = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
-    bank = mel_filterbank(cfg.num_filters, nfft, sr)
+    frames = _frames(emphasized, frame_len, shift) * window
+    power = np.abs(np.fft.rfft(frames, n=fft_size(sr), axis=1)) ** 2
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, cfg.log_floor))
     ceps = dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
@@ -240,7 +298,8 @@ def append_deltas(features: FeatureMatrix, context: int = 2) -> FeatureMatrix:
     """Append first- and second-order regression coefficients.
 
     The delta at frame ``t`` is the least-squares slope of each coefficient
-    over frames ``t - context .. t + context`` (edges replicated), i.e.
+    over frames ``t - context .. t + context`` (edges replicated by a
+    clipped-index gather), i.e.
     ``sum_j j * (x[t+j] - x[t-j]) / (2 * sum_j j^2)``.  Delta-deltas apply
     the same operator to the deltas.  Output dim is three times the input.
     """
@@ -253,14 +312,16 @@ def append_deltas(features: FeatureMatrix, context: int = 2) -> FeatureMatrix:
             f"got {features.num_frames}"
         )
 
+    t = features.num_frames
+    edge = np.clip(np.arange(-context, t + context), 0, t - 1)
+    norm = 2.0 * sum(j * j for j in range(1, context + 1))
+
     def regress(x: np.ndarray) -> np.ndarray:
-        padded = np.pad(x, ((context, context), (0, 0)), mode="edge")
-        t = x.shape[0]
-        num = np.zeros_like(x)
-        for j in range(1, context + 1):
-            num += j * (padded[context + j : context + j + t]
-                        - padded[context - j : context - j + t])
-        return num / (2.0 * sum(j * j for j in range(1, context + 1)))
+        padded = x[edge]
+        return sum(
+            j * (padded[context + j : context + j + t] - padded[context - j : context - j + t])
+            for j in range(1, context + 1)
+        ) / norm
 
     delta = regress(features.frames)
     delta2 = regress(delta)
@@ -272,20 +333,28 @@ def append_deltas(features: FeatureMatrix, context: int = 2) -> FeatureMatrix:
     )
 
 
-def _frame_log_energy_db(frames: np.ndarray) -> np.ndarray:
-    mean_square = np.mean(frames**2, axis=1)
-    return 10.0 * np.log10(mean_square + 1e-12)
+def _energy_and_zcr(
+    x: np.ndarray, frame_len: int, shift: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame log energy (dB re. full scale) and zero-crossing rate.
 
-
-def _frame_zcr(frames: np.ndarray) -> np.ndarray:
-    signs = np.sign(frames)
-    signs[signs == 0] = 1
-    flips = signs[:, 1:] != signs[:, :-1]
-    return flips.sum(axis=1) / (frames.shape[1] - 1)
+    The energy is the mean square of each frame of the strided view.  The
+    zero-crossing rate counts sign flips between neighbouring samples of a
+    frame (zero counts as positive), as the difference of one cumulative
+    flip count over the whole signal, divided by ``frame_len - 1``; the
+    counts are integers, so the rate is exact.
+    """
+    mean_square = np.mean(_frames(x, frame_len, shift) ** 2, axis=1)
+    negative = x < 0
+    flips = np.concatenate([[0], np.cumsum(negative[1:] != negative[:-1])])
+    starts = np.arange(mean_square.size) * shift
+    zcr = (flips[starts + frame_len - 1] - flips[starts]) / (frame_len - 1)
+    return 10.0 * np.log10(mean_square + 1e-12), zcr
 
 
 def smooth_mask(mask: np.ndarray, window: int) -> np.ndarray:
-    """Majority vote over a sliding window (edges replicated).
+    """Majority vote over a sliding window (edges replicated by a
+    clipped-index gather).  `window` must be odd when it exceeds one.
 
     With the default 5-frame window this fills isolated 1–2 frame dropouts
     inside speech, keeps silence gaps of 3+ frames, and removes isolated
@@ -294,7 +363,8 @@ def smooth_mask(mask: np.ndarray, window: int) -> np.ndarray:
     if window <= 1 or mask.size == 0:
         return mask.copy()
     half = window // 2
-    padded = np.pad(mask.astype(np.int32), half, mode="edge")
+    edge = np.clip(np.arange(-half, mask.size + half), 0, mask.size - 1)
+    padded = mask[edge].astype(np.int32)
     kernel = np.ones(window, dtype=np.int32)
     votes = np.convolve(padded, kernel, mode="valid")
     return votes * 2 > window
@@ -316,16 +386,13 @@ def detect_speech(signal: AudioSignal, cfg: FrontendConfig) -> np.ndarray:
     frame_len, shift = frame_geometry(signal.sample_rate_hz, cfg)
     if signal.samples.size < frame_len:
         return np.zeros(0, dtype=bool)
-    frames = signal.samples[_frame_indices(signal.samples.size, frame_len, shift)]
-    energy_db = _frame_log_energy_db(frames)
-    zcr = _frame_zcr(frames)
+    energy_db, zcr = _energy_and_zcr(signal.samples, frame_len, shift)
 
     above_floor = energy_db > sad.floor_db
     if not above_floor.any():
         return np.zeros(energy_db.size, dtype=bool)
 
-    low = np.percentile(energy_db, sad.low_percentile)
-    high = np.percentile(energy_db, sad.high_percentile)
+    low, high = np.percentile(energy_db, [sad.low_percentile, sad.high_percentile])
     spread = high - low
     if spread < sad.min_spread_db:
         raw = above_floor.copy()

@@ -17,6 +17,12 @@ upstreams; a mismatch is a :class:`ContractError` (exit 3) naming the input
 file, the upstream key and both fingerprints.  ``sad-report`` re-scores by
 running the feature, statistics, i-vector and scoring stages themselves, so
 it makes their checks and reproduces the recipe's scores exactly.
+
+Feature records are read through :class:`FeatureRecords`, one per access,
+so ``train-ubm``, ``train-supervised-ubm`` and ``accumulate-stats`` hold
+one record at a time (one per worker thread) besides what they keep from
+each: pooled speech frames for UBM training, statistics for
+``accumulate-stats``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -142,7 +148,10 @@ def extract_features_stage(
 
     Returns a per-recording error report (empty when everything succeeded);
     successfully processed recordings are written even when others fail.
+    A frontend configuration that would fail every recording raises before
+    any is read.
     """
+    frontend.check_config(cfg.frontend)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = dataclasses.asdict(cfg.frontend)
     feat_fp = fingerprint("frontend", config)
@@ -169,24 +178,38 @@ def extract_features_stage(
     return [(rec_id, err) for rec_id, err in results if err]
 
 
-def load_features(
-    feat_dir: Path, ids: Sequence[str]
-) -> tuple[dict[str, frontend.FeatureMatrix], int]:
-    """Load feature records for `ids`; all must share one fingerprint."""
-    feat_fp: int | None = None
-    out: dict[str, frontend.FeatureMatrix] = {}
-    for rec_id in ids:
-        path = fileio.feature_path(feat_dir, rec_id)
-        if not path.exists():
-            raise DataError(f"no feature record for recording {rec_id!r} in {feat_dir}")
-        feats, fp, _ = fileio.read_feature_record(path)
-        if feat_fp is None:
-            feat_fp = fp
-        _require(path, {"upstream": {"features": fp}}, "features", feat_fp)
-        out[rec_id] = feats
-    if feat_fp is None:
-        raise DataError("no recordings to load")
-    return out, feat_fp
+class FeatureRecords(Sequence[frontend.FeatureMatrix]):
+    """The feature records of `ids` in `feat_dir`, read one per access.
+
+    Nothing is held between accesses, so a stage that walks the records
+    keeps at most one of them (one per worker thread) in memory, and the
+    sequence can be walked again.  Construction checks that every record
+    file exists, so a missing one fails before any work, and reads the
+    first record for :attr:`fingerprint`; every record read is then
+    required to carry that fingerprint.
+    """
+
+    def __init__(self, feat_dir: Path, ids: Sequence[str]):
+        self.paths = [fileio.feature_path(feat_dir, rec_id) for rec_id in ids]
+        for rec_id, path in zip(ids, self.paths):
+            if not path.exists():
+                raise DataError(
+                    f"no feature record for recording {rec_id!r} in {feat_dir}"
+                )
+        if not self.paths:
+            raise DataError("no recordings to load")
+        self.fingerprint: int = fileio.read_feature_record(self.paths[0])[1]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, i: int) -> frontend.FeatureMatrix:  # type: ignore[override]
+        feats, fp, _ = fileio.read_feature_record(self.paths[i])
+        _require(self.paths[i], {"upstream": {"features": fp}}, "features", self.fingerprint)
+        return feats
+
+    def __iter__(self) -> Iterator[frontend.FeatureMatrix]:
+        return map(self.__getitem__, range(len(self)))
 
 
 # --- model training stages ------------------------------------------------
@@ -196,9 +219,9 @@ def train_ubm_stage(
     feat_dir: Path, manifest_path: Path, out_path: Path, cfg: PipelineConfig
 ) -> None:
     entries = fileio.read_manifest(manifest_path)
-    features, feat_fp = load_features(feat_dir, [e.recording_id for e in entries])
+    records = FeatureRecords(feat_dir, [e.recording_id for e in entries])
     gmm = ubm_mod.train_gmm(
-        [features[e.recording_id] for e in entries],
+        records,
         cfg.ubm.num_components,
         iters_per_level=cfg.ubm.iters_per_level,
         variance_floor_scale=cfg.ubm.variance_floor_scale,
@@ -210,7 +233,7 @@ def train_ubm_stage(
         "variance_floor_scale": cfg.ubm.variance_floor_scale,
     }
     fileio.write_gmm(
-        out_path, gmm, *_provenance("ubm", subset, {"features": feat_fp})
+        out_path, gmm, *_provenance("ubm", subset, {"features": records.fingerprint})
     )
 
 
@@ -222,7 +245,7 @@ def train_supervised_ubm_stage(
     cfg: PipelineConfig,
 ) -> None:
     entries = fileio.read_manifest(manifest_path)
-    features, feat_fp = load_features(feat_dir, [e.recording_id for e in entries])
+    records = FeatureRecords(feat_dir, [e.recording_id for e in entries])
     posteriors = ubm_mod.load_external_posteriors(
         posterior_path, cfg.ubm.num_components
     )
@@ -230,7 +253,7 @@ def train_supervised_ubm_stage(
     if missing:
         raise DataError(f"no external posteriors for recordings: {missing}")
     gmm = ubm_mod.train_supervised_gaussians(
-        [features[e.recording_id] for e in entries],
+        records,
         [posteriors[e.recording_id] for e in entries],
         cfg.ubm.num_components,
         variance_floor_scale=cfg.ubm.variance_floor_scale,
@@ -241,7 +264,7 @@ def train_supervised_ubm_stage(
         "external_posteriors": True,
     }
     fileio.write_gmm(
-        out_path, gmm, *_provenance("ubm", subset, {"features": feat_fp})
+        out_path, gmm, *_provenance("ubm", subset, {"features": records.fingerprint})
     )
 
 
@@ -253,17 +276,17 @@ def accumulate_stats_stage(
     cfg: PipelineConfig,
     posterior_path: Path | None = None,
 ) -> None:
-    features, feat_fp = load_features(feat_dir, [e.recording_id for e in entries])
+    records = FeatureRecords(feat_dir, [e.recording_id for e in entries])
     gmm, ubm_fp, ubm_meta = fileio.read_gmm(ubm_path)
-    _require(ubm_path, ubm_meta, "features", feat_fp)
+    _require(ubm_path, ubm_meta, "features", records.fingerprint)
     external = None
     if posterior_path is not None:
         external = ubm_mod.load_external_posteriors(
             posterior_path, gmm.num_components
         )
 
-    def work(entry: ManifestEntry) -> stats_mod.BwStats:
-        feats = features[entry.recording_id]
+    def work(i: int) -> stats_mod.BwStats:
+        entry, feats = entries[i], records[i]
         if external is not None:
             if entry.recording_id not in external:
                 raise DataError(
@@ -274,7 +297,7 @@ def accumulate_stats_stage(
             post = ubm_mod.gmm_posteriors(gmm, feats, cfg.ubm.top_n)
         return stats_mod.accumulate_bw(feats, post, recording_id=entry.recording_id)
 
-    all_stats = parallel_map(work, entries, cfg.run.workers)
+    all_stats = parallel_map(work, range(len(entries)), cfg.run.workers)
     subset = {
         "top_n": cfg.ubm.top_n,
         "external_posteriors": posterior_path is not None,
@@ -282,7 +305,7 @@ def accumulate_stats_stage(
     fileio.write_stats_archive(
         out_path,
         all_stats,
-        *_provenance("stats", subset, {"features": feat_fp, "ubm": ubm_fp}),
+        *_provenance("stats", subset, {"features": records.fingerprint, "ubm": ubm_fp}),
     )
 
 

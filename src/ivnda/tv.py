@@ -30,8 +30,9 @@ has the same shape and a session's result does not depend on which
 sessions share its chunk (single and batch extraction agree to the bit).
 Memory is bounded by the (G, R, R) gram and, in training, the (G, R, R)
 second-order accumulator, plus a few (CHUNK, R, R) arrays; it does not
-grow with the number of sessions.  At G=2048, R=500 the gram and
-accumulator alone take about 8 GB.
+grow with the number of sessions.  Each chunk adds into the accumulator in
+place, by one BLAS ``gemm`` with beta = 1, so no (G, R, R) product is
+built.  At G=2048, R=500 the gram and accumulator alone take about 8 GB.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import (
@@ -346,7 +348,11 @@ def train_tv(
             # is never read and is overwritten by _mirror_lower.
             eww += ew[:, :, None] * ew[:, None, :]
             c_acc += f.T @ ew
-            a_acc += n.T @ eww.reshape(CHUNK, rank * rank)
+            # a_acc += n' eww, in place: BLAS adds into the Fortran-ordered
+            # view a_acc.T, so no (G, R^2) product is built.
+            out = dgemm(1.0, eww.reshape(CHUNK, rank * rank).T, n, beta=1.0,
+                        c=a_acc.T, overwrite_c=True)
+            assert np.shares_memory(out, a_acc)
             total_ll += float(
                 _session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].sum()
             )

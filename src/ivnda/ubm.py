@@ -10,9 +10,12 @@ which case component means/variances can be re-estimated with
 
 EM, alignment and :func:`mean_log_likelihood` share one posterior kernel
 that works on `CHUNK_FRAMES` frames at a time, so no frames x components
-array is ever built whole.  Memory is bounded by the pooled T x D speech
-frames plus O(CHUNK_FRAMES * G) for EM, and by O(CHUNK_FRAMES * G + T * N)
-for the top-N alignment of a T-frame recording.
+array is ever built whole.  :func:`train_gmm` walks its recordings once and
+keeps only each one's speech frames, so a lazily read sequence of records
+costs the pooled T x D speech frames twice at most (the per-record blocks
+and their concatenation) plus one record; EM then needs the pooled frames
+plus O(CHUNK_FRAMES * G).  The top-N alignment of a T-frame recording
+needs O(CHUNK_FRAMES * G + T * N).
 """
 
 from __future__ import annotations

@@ -9,7 +9,12 @@ posteriors), :func:`reference_train_tv` (one-session-at-a-time TV EM) and
 :func:`reference_train_plda` (one-speaker-at-a-time PLDA EM), and the
 line-by-line readers of trial lists, keys and score files
 (:func:`reference_read_trials`, :func:`reference_read_key`,
-:func:`reference_read_scores`).
+:func:`reference_read_scores`).  The frontend references keep the
+straightforward framing by an index gather, the per-frame energy and
+zero-crossing rate, ``np.pad`` edge replication and filterbank and window
+built per call (:func:`reference_mfcc`, :func:`reference_energy_zcr`,
+:func:`reference_deltas`, :func:`reference_detect_speech`); the strided
+frontend must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,13 +22,21 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import dct
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from ivnda.backend import PldaModel
+from ivnda.config import FrontendConfig
 from ivnda.da import LabeledVectors
 from ivnda.errors import FormatError
-from ivnda.frontend import FeatureMatrix
+from ivnda.frontend import (
+    AudioSignal,
+    FeatureMatrix,
+    fft_size,
+    frame_geometry,
+    mel_filterbank,
+)
 from ivnda.stats import BwStats
 from ivnda.ubm import DiagonalGmm, PosteriorMatrix
 
@@ -336,3 +349,82 @@ def reference_read_scores(path: str | Path) -> list[tuple[str, str, float]]:
         except ValueError as exc:
             raise FormatError(f"{path}:{line_no}: non-numeric score") from exc
     return scores
+
+
+# --- frontend references ----------------------------------------------------
+
+
+def reference_frames(x: np.ndarray, frame_len: int, shift: int) -> np.ndarray:
+    """(frames, frame_len) copy of `x` by an index gather."""
+    count = (x.size - frame_len) // shift + 1
+    return x[np.arange(count)[:, None] * shift + np.arange(frame_len)[None, :]]
+
+
+def reference_mfcc(signal: AudioSignal, cfg: FrontendConfig) -> np.ndarray:
+    """MFCCs from gathered frames, with window and filterbank built per call."""
+    sr = signal.sample_rate_hz
+    frame_len, shift = frame_geometry(sr, cfg)
+    x = signal.samples
+    emphasized = np.concatenate([x[:1], x[1:] - cfg.preemphasis * x[:-1]])
+    frames = reference_frames(emphasized, frame_len, shift) * np.hamming(frame_len)
+    nfft = fft_size(sr)
+    power = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
+    energies = power @ mel_filterbank(cfg.num_filters, nfft, sr).T
+    log_energies = np.log(np.maximum(energies, cfg.log_floor))
+    return dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
+
+
+def reference_energy_zcr(
+    samples: np.ndarray, frame_len: int, shift: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame log energy (dB) and zero-crossing rate of gathered frames."""
+    frames = reference_frames(samples, frame_len, shift)
+    energy_db = 10.0 * np.log10(np.mean(frames**2, axis=1) + 1e-12)
+    signs = np.sign(frames)
+    signs[signs == 0] = 1
+    flips = signs[:, 1:] != signs[:, :-1]
+    return energy_db, flips.sum(axis=1) / (frames.shape[1] - 1)
+
+
+def reference_deltas(frames: np.ndarray, context: int) -> np.ndarray:
+    """Frames with deltas and delta-deltas appended, edges by ``np.pad``."""
+
+    def regress(x: np.ndarray) -> np.ndarray:
+        padded = np.pad(x, ((context, context), (0, 0)), mode="edge")
+        t = x.shape[0]
+        num = np.zeros_like(x)
+        for j in range(1, context + 1):
+            num += j * (padded[context + j : context + j + t]
+                        - padded[context - j : context - j + t])
+        return num / (2.0 * sum(j * j for j in range(1, context + 1)))
+
+    delta = regress(frames)
+    return np.concatenate([frames, delta, regress(delta)], axis=1)
+
+
+def reference_smooth_mask(mask: np.ndarray, window: int) -> np.ndarray:
+    if window <= 1 or mask.size == 0:
+        return mask.copy()
+    padded = np.pad(mask.astype(np.int32), window // 2, mode="edge")
+    votes = np.convolve(padded, np.ones(window, dtype=np.int32), mode="valid")
+    return votes * 2 > window
+
+
+def reference_detect_speech(signal: AudioSignal, cfg: FrontendConfig) -> np.ndarray:
+    """The speech mask from the reference energies, rates and smoothing."""
+    sad = cfg.sad
+    frame_len, shift = frame_geometry(signal.sample_rate_hz, cfg)
+    energy_db, zcr = reference_energy_zcr(signal.samples, frame_len, shift)
+    above_floor = energy_db > sad.floor_db
+    if not above_floor.any():
+        return np.zeros(energy_db.size, dtype=bool)
+    low = np.percentile(energy_db, sad.low_percentile)
+    high = np.percentile(energy_db, sad.high_percentile)
+    spread = high - low
+    if spread < sad.min_spread_db:
+        raw = above_floor.copy()
+    else:
+        threshold = low + sad.energy_fraction * spread
+        rescue = (energy_db > threshold - sad.zcr_margin_db) & (zcr >= sad.zcr_threshold)
+        raw = ((energy_db > threshold) | rescue) & above_floor
+    return reference_smooth_mask(raw, sad.smooth_frames)

@@ -993,6 +993,39 @@ class TestExitCodes:
         assert "--unimodal: not allowed with argument --bimodal" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("sad", "smooth_frames = 4"),  # mask one frame longer than the features
+            ("frontend", "frame_shift_ms = 0.01"),  # a shift of 0 samples
+            ("frontend", "frame_len_ms = 0.1"),  # 1-sample frames: the ZCR is 0/0
+            ("frontend", "frame_len_ms = 100"),  # 800 samples cropped to 512 at 8 kHz
+            ("frontend", "num_ceps = 40"),  # only 24 filters, so 24 cepstra
+            ("frontend", "delta_context = 0"),
+        ],
+        ids=["smooth-even", "shift-zero", "frame-one-sample", "frame-past-fft",
+             "ceps-past-filters", "delta-context-zero"],
+    )
+    def test_broken_frontend_setting_rejected_before_any_recording(
+        self, audio_ws, tmp_path, capsys, monkeypatch, section, line
+    ):
+        reads = []
+        monkeypatch.setattr(frontend, "read_wav", lambda path: reads.append(path))
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        rc = main(
+            [
+                "extract-features", "--config", str(cfg),
+                "--manifest", str(audio_ws / "train.manifest"),
+                "--out-dir", str(tmp_path / "feats"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert f"config [{section}] {line.split()[0]}:" in err
+        assert reads == [] and "recording(s) failed" not in err
+        assert not (tmp_path / "feats").exists()
+
     def test_provenance_mismatch(self, stats_ws, tmp_path, capsys):
         # A UBM from a different corpus must be rejected by the chain check.
         run_ok(

@@ -19,11 +19,15 @@ from ivnda.errors import (
     UnsupportedFormatError,
 )
 from ivnda.frontend import (
+    PCM_SCALE,
+    SUPPORTED_RATES,
     AudioSignal,
     FeatureMatrix,
+    _energy_and_zcr,
     append_deltas,
     apply_cms,
     apply_fmllr,
+    check_config,
     compute_mfcc,
     detect_speech,
     fft_size,
@@ -37,6 +41,14 @@ from ivnda.frontend import (
     read_wav,
     smooth_mask,
     write_wav,
+)
+
+from helpers import (
+    reference_deltas,
+    reference_detect_speech,
+    reference_energy_zcr,
+    reference_mfcc,
+    reference_smooth_mask,
 )
 
 # --- independent oracle ----------------------------------------------------
@@ -259,6 +271,96 @@ def test_mfcc_is_deterministic(rng):
     a = compute_mfcc(signal, FrontendConfig())
     b = compute_mfcc(signal, FrontendConfig())
     np.testing.assert_array_equal(a.frames, b.frames)
+
+
+# --- strided frontend against the gather references, bit for bit ----------
+
+
+def _reference_case(sr: int, case: str) -> np.ndarray:
+    """Test signals on the int16 grid (as read from WAV), so exact zeros
+    occur; "one-frame" is exactly one frame long."""
+    rng = np.random.default_rng(sr)
+    frame_len, _ = frame_geometry(sr, FrontendConfig())
+    if case == "bursts":
+        x = _bursty_signal(sr).samples + rng.normal(0.0, 1e-3, int(2.7 * sr))
+    elif case == "zeros":
+        x = rng.normal(0.0, 1e-4, sr)
+    else:
+        x = rng.normal(0.0, 1e-4, frame_len)
+    x = np.round(x * PCM_SCALE) / PCM_SCALE
+    assert (x == 0.0).any()
+    return x
+
+
+@pytest.mark.parametrize("case", ["bursts", "zeros", "one-frame"])
+@pytest.mark.parametrize("sr", SUPPORTED_RATES)
+def test_frontend_matches_gather_references_bit_for_bit(sr, case):
+    cfg = FrontendConfig()
+    signal = AudioSignal(samples=_reference_case(sr, case), sample_rate_hz=sr)
+    frame_len, shift = frame_geometry(sr, cfg)
+
+    mfcc = compute_mfcc(signal, cfg)
+    assert mfcc.frames.tobytes() == reference_mfcc(signal, cfg).tobytes()
+    energy, zcr = _energy_and_zcr(signal.samples, frame_len, shift)
+    ref_energy, ref_zcr = reference_energy_zcr(signal.samples, frame_len, shift)
+    assert energy.tobytes() == ref_energy.tobytes()
+    assert zcr.tobytes() == ref_zcr.tobytes()
+    mask = detect_speech(signal, cfg)
+    assert mask.tobytes() == reference_detect_speech(signal, cfg).tobytes()
+    if case == "bursts":
+        assert mask.any() and not mask.all()
+    if case == "one-frame":
+        assert mfcc.num_frames == 1
+    else:
+        deltas = append_deltas(mfcc, cfg.delta_context)
+        want = reference_deltas(mfcc.frames, cfg.delta_context)
+        assert deltas.frames.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("context", [1, 2, 3])
+def test_deltas_match_padded_reference_bit_for_bit(rng, context):
+    for t in (2 * context + 1, 2 * context + 2, 40):
+        frames = rng.normal(size=(t, 5))
+        frames[t // 2] = frames[t // 2 - 1]  # exact zero differences
+        got = append_deltas(FeatureMatrix(frames=frames, frame_shift_ms=10.0), context)
+        assert got.frames.tobytes() == reference_deltas(frames, context).tobytes()
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+def test_smooth_mask_matches_padded_reference(rng, window):
+    for size in (1, 2, window, 50):
+        mask = rng.random(size) < 0.5
+        np.testing.assert_array_equal(
+            smooth_mask(mask, window), reference_smooth_mask(mask, window)
+        )
+
+
+def test_check_config_accepts_the_defaults():
+    check_config(FrontendConfig())
+
+
+@pytest.mark.parametrize(
+    "changes,key",
+    [
+        ({"frame_len_ms": 64.0}, None),  # 512 samples at 8 kHz, 1024 at 16 kHz
+        ({"frame_len_ms": 64.1}, "frame_len_ms"),  # one sample past both FFTs
+        ({"frame_len_ms": 0.15}, "frame_len_ms"),  # 1 sample at 8 kHz, 2 at 16 kHz
+        ({"frame_shift_ms": 0.05}, "frame_shift_ms"),  # 0 at 8 kHz, 1 at 16 kHz
+        ({"num_ceps": 24}, None),
+        ({"num_ceps": 0}, "num_ceps"),
+        ({"num_filters": 0, "num_ceps": 0}, "num_filters"),
+        ({"delta_context": 0, "include_deltas": False}, None),
+        ({"sad": SadConfig(smooth_frames=1)}, None),
+        ({"sad": SadConfig(smooth_frames=2)}, "smooth_frames"),
+    ],
+)
+def test_check_config_frame_geometry_at_both_rates(changes, key):
+    cfg = FrontendConfig(**changes)
+    if key is None:
+        check_config(cfg)
+    else:
+        with pytest.raises(FormatError, match=key):
+            check_config(cfg)
 
 
 # --- deltas ----------------------------------------------------------------

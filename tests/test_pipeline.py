@@ -1,0 +1,144 @@
+"""Stage-level memory and failure checks of the feature-record stages.
+
+`train_ubm_stage` and `accumulate_stats_stage` read feature records one at
+a time, so their memory does not grow with the number of recordings beyond
+what they keep from each (pooled speech frames, statistics).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from helpers import make_features, make_gmm
+from ivnda import fileio, pipeline, ubm
+from ivnda.config import PipelineConfig
+from ivnda.errors import ContractError, DataError
+from ivnda.fileio import ManifestEntry
+
+FRAMES, DIM = 1000, 20
+FEAT_FP = 1234
+
+
+def _write_records(directory, count, rng, fp=FEAT_FP):
+    """`count` records of FRAMES frames, every other frame speech; returns
+    their manifest entries."""
+    directory.mkdir(exist_ok=True)
+    mask = np.arange(FRAMES) % 2 == 0
+    entries = []
+    for i in range(count):
+        rec_id = f"rec{i:03d}"
+        feats = make_features(rng, FRAMES, DIM, mask=mask)
+        fileio.write_feature_record(
+            fileio.feature_path(directory, rec_id), feats, fp, {"stage": "features"}
+        )
+        entries.append(ManifestEntry(recording_id=rec_id, audio_path=""))
+    return entries
+
+
+def _config(components=2):
+    cfg = PipelineConfig()
+    cfg.ubm.num_components = components
+    cfg.ubm.iters_per_level = 1
+    cfg.ubm.top_n = components
+    return cfg
+
+
+def _write_ubm(path, rng, components=2):
+    fileio.write_gmm(path, make_gmm(rng, components, DIM), 99, {"upstream": {"features": FEAT_FP}})
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_accumulate_stats_memory_does_not_grow_with_recordings(tmp_path, rng):
+    _write_ubm(tmp_path / "ubm.ivgm", rng)
+    entries = _write_records(tmp_path / "feats", 16, rng)
+    cfg = _config()
+
+    def run(count):
+        return _peak(
+            lambda: pipeline.accumulate_stats_stage(
+                tmp_path / "feats", entries[:count], tmp_path / "ubm.ivgm",
+                tmp_path / f"stats{count}.ivbw", cfg,
+            )
+        )
+
+    run(2)  # first-call imports and caches
+    grown = run(16) - run(4)
+    record_bytes = FRAMES * DIM * 8
+    # 12 more recordings keep only their statistics (a few hundred bytes
+    # each); holding their frames would add 12 * record_bytes.
+    assert grown < record_bytes / 2, (grown, record_bytes)
+
+
+def test_train_ubm_peak_is_about_twice_the_pooled_speech_frames(tmp_path, rng):
+    count = 48
+    entries = _write_records(tmp_path / "feats", count, rng)
+    fileio.write_manifest(tmp_path / "train.manifest", entries)
+    cfg = _config()
+    pipeline.train_ubm_stage(  # first-call imports and caches
+        tmp_path / "feats", tmp_path / "train.manifest", tmp_path / "warm.ivgm", cfg
+    )
+    peak = _peak(
+        lambda: pipeline.train_ubm_stage(
+            tmp_path / "feats", tmp_path / "train.manifest", tmp_path / "ubm.ivgm", cfg
+        )
+    )
+    pooled = count * (FRAMES // 2) * DIM * 8
+    # The per-record speech blocks and their concatenation are 2 * pooled;
+    # one record and the EM working set of CHUNK_FRAMES frames come on top.
+    allowance = FRAMES * DIM * 8 + 4 * ubm.CHUNK_FRAMES * (2 * DIM + 1) * 8
+    assert peak < 2 * pooled + allowance, (peak, pooled)
+
+
+def test_missing_record_fails_before_any_alignment(tmp_path, rng, monkeypatch):
+    _write_ubm(tmp_path / "ubm.ivgm", rng)
+    entries = _write_records(tmp_path / "feats", 4, rng)
+    fileio.feature_path(tmp_path / "feats", entries[2].recording_id).unlink()
+    aligned = []
+    monkeypatch.setattr(ubm, "gmm_posteriors", lambda *args: aligned.append(args))
+    with pytest.raises(DataError, match=f"no feature record for recording '{entries[2].recording_id}'"):
+        pipeline.accumulate_stats_stage(
+            tmp_path / "feats", entries, tmp_path / "ubm.ivgm", tmp_path / "s.ivbw", _config()
+        )
+    assert aligned == []
+    assert not (tmp_path / "s.ivbw").exists()
+
+
+@pytest.mark.parametrize("stage", ["train-ubm", "accumulate-stats"])
+def test_record_with_another_fingerprint_is_named(tmp_path, rng, stage):
+    entries = _write_records(tmp_path / "feats", 4, rng)
+    odd = fileio.feature_path(tmp_path / "feats", entries[2].recording_id)
+    feats, _, meta = fileio.read_feature_record(odd)
+    fileio.write_feature_record(odd, feats, FEAT_FP ^ 1, meta)
+    fileio.write_manifest(tmp_path / "train.manifest", entries)
+    _write_ubm(tmp_path / "ubm.ivgm", rng)
+    out = tmp_path / "out"
+    with pytest.raises(ContractError) as exc:
+        if stage == "train-ubm":
+            pipeline.train_ubm_stage(tmp_path / "feats", tmp_path / "train.manifest", out, _config())
+        else:
+            pipeline.accumulate_stats_stage(
+                tmp_path / "feats", entries, tmp_path / "ubm.ivgm", out, _config()
+            )
+    assert str(exc.value) == (
+        f"{odd}: records features fingerprint {FEAT_FP ^ 1}, expected {FEAT_FP} "
+        "(fingerprint mismatch)"
+    )
+    assert not out.exists()
+
+
+def test_feature_records_can_be_walked_twice(tmp_path, rng):
+    entries = _write_records(tmp_path / "feats", 3, rng)
+    records = pipeline.FeatureRecords(tmp_path / "feats", [e.recording_id for e in entries])
+    first = [f.frames.tobytes() for f in records]
+    assert len(records) == 3 and records.fingerprint == FEAT_FP
+    assert [f.frames.tobytes() for f in records] == first
+    assert records[1].frames.tobytes() == first[1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, subspace_angles
@@ -357,6 +359,24 @@ def test_training_matches_per_session_reference(reestimate_sigma):
     np.testing.assert_allclose(model.sigma, sigma_ref, rtol=1e-9)
     np.testing.assert_allclose(lls, lls_ref, rtol=1e-9)
     assert not model.t_matrix[(g - 1) * d :].any()
+
+
+def test_training_accumulates_in_place(rng):
+    """One iteration with G >> CHUNK peaks at the gram and the second-order
+    accumulator plus well under one more (G, R, R) tensor: the E-step adds
+    each chunk into the accumulator without building the (G, R^2) product."""
+    g, d, r = 1024, 1, 48
+    stats = [random_centered_stats(rng, g, d) for _ in range(CHUNK)]
+    gmm = make_gmm(rng, g, d)
+    train_tv(stats, gmm, rank=r, iters=1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        train_tv(stats, gmm, rank=r, iters=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensor = g * r * r * 8  # the gram, or the accumulator
+    assert peak < 2.75 * tensor, peak / tensor
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
