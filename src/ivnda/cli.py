@@ -1,9 +1,10 @@
 """Command-line interface for the speaker-recognition pipeline.
 
-Thirteen subcommands cover the full recipe: feature extraction, UBM and
-subspace training, i-vector extraction, discriminant projection, PLDA,
-trial scoring, evaluation with optional DET export, SAD-override
-rescoring, synthetic corpus generation, and a config-defaults dump.
+Twelve subcommands cover the full recipe: feature extraction, UBM training
+(by EM, or from external frame posteriors), subspace training, i-vector
+extraction, discriminant projection, PLDA, trial scoring, evaluation with
+optional DET export, SAD-override rescoring, synthetic corpus generation,
+and a config-defaults dump.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/contract
 error.  The ``IVNDA_LOG`` environment variable (error|warn|info|debug)
@@ -108,19 +109,11 @@ def _cmd_extract_features(args: argparse.Namespace) -> int:
 def _cmd_train_ubm(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args)
     pipeline.train_ubm_stage(
-        Path(args.features), Path(args.manifest), Path(args.out), cfg
-    )
-    return EXIT_OK
-
-
-def _cmd_train_supervised_ubm(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    pipeline.train_supervised_ubm_stage(
         Path(args.features),
         Path(args.manifest),
-        Path(args.posteriors),
         Path(args.out),
         cfg,
+        posterior_dir=args.posteriors,
     )
     return EXIT_OK
 
@@ -133,7 +126,7 @@ def _cmd_accumulate_stats(args: argparse.Namespace) -> int:
         Path(args.ubm),
         Path(args.out),
         cfg,
-        posterior_path=Path(args.posteriors) if args.posteriors else None,
+        posterior_dir=args.posteriors,
     )
     return EXIT_OK
 
@@ -198,36 +191,22 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _dcf_presets(args: argparse.Namespace) -> list[tuple[str, metrics.DcfParams]]:
-    if args.dcf_preset is None:
-        return [(name, metrics.DCF_PRESETS[name]) for name in ("sre08", "sre10")]
-    if args.dcf_preset == "custom":
-        missing = [
-            flag
-            for flag, value in (
-                ("--p-target", args.p_target),
-                ("--c-miss", args.c_miss),
-                ("--c-fa", args.c_fa),
-            )
-            if value is None
-        ]
-        if missing:
-            raise ValueError(
-                f"--dcf-preset custom requires {', '.join(missing)}"
-            )
-        return [
-            (
-                "custom",
-                metrics.DcfParams(
-                    cost_miss=args.c_miss,
-                    cost_fa=args.c_fa,
-                    p_target=args.p_target,
-                ),
-            )
-        ]
-    return [(args.dcf_preset, metrics.DCF_PRESETS[args.dcf_preset])]
+    flags = {"--p-target": args.p_target, "--c-miss": args.c_miss, "--c-fa": args.c_fa}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if args.dcf_preset != "custom":
+        if given:
+            raise ValueError(f"evaluate uses {', '.join(given)} only with --dcf-preset custom")
+        names = (args.dcf_preset,) if args.dcf_preset else ("sre08", "sre10")
+        return [(name, metrics.DCF_PRESETS[name]) for name in names]
+    missing = [flag for flag in flags if flag not in given]
+    if missing:
+        raise ValueError(f"--dcf-preset custom requires {', '.join(missing)}")
+    params = metrics.DcfParams(cost_miss=args.c_miss, cost_fa=args.c_fa, p_target=args.p_target)
+    return [("custom", params)]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    presets = _dcf_presets(args)
     scores = fileio.read_scores(Path(args.scores))
     key = fileio.read_key(Path(args.key))
     values, targets = fileio.match_scores_to_key(scores, key)
@@ -239,7 +218,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         f"({num_targets} target, {trials.num_trials - num_targets} nontarget)"
     )
     print(f"eer: {100.0 * eer:.4f}% at threshold {threshold:.6g}")
-    for name, params in _dcf_presets(args):
+    for name, params in presets:
         min_dcf, dcf_threshold = metrics.compute_min_dcf(trials, params)
         print(f"min_dcf[{name}]: {min_dcf:.4f} at threshold {dcf_threshold:.6g}")
     if args.det_csv:
@@ -371,18 +350,12 @@ def build_parser() -> _Parser:
     sub.add_argument("--features", required=True, metavar="DIR")
     sub.add_argument("--manifest", required=True, metavar="PATH")
     sub.add_argument("--out", required=True, metavar="PATH")
-    sub.set_defaults(handler=_cmd_train_ubm)
-
-    sub = subs.add_parser(
-        "train-supervised-ubm",
-        help="estimate Gaussians from externally supplied frame posteriors",
+    sub.add_argument(
+        "--posteriors", type=Path, metavar="DIR",
+        help="estimate the Gaussians from external frame posteriors, one "
+        "<recording_id>.post per recording, instead of by EM",
     )
-    _add_common(sub)
-    sub.add_argument("--features", required=True, metavar="DIR")
-    sub.add_argument("--manifest", required=True, metavar="PATH")
-    sub.add_argument("--posteriors", required=True, metavar="PATH")
-    sub.add_argument("--out", required=True, metavar="PATH")
-    sub.set_defaults(handler=_cmd_train_supervised_ubm)
+    sub.set_defaults(handler=_cmd_train_ubm)
 
     sub = subs.add_parser(
         "accumulate-stats", help="accumulate per-recording sufficient statistics"
@@ -394,8 +367,9 @@ def build_parser() -> _Parser:
     sub.add_argument("--out", required=True, metavar="PATH")
     sub.add_argument("--top-n", type=int, metavar="N", dest="top_n")
     sub.add_argument(
-        "--posteriors", metavar="PATH", default="",
-        help="external frame posteriors instead of UBM alignment",
+        "--posteriors", type=Path, metavar="DIR",
+        help="align with external frame posteriors, one <recording_id>.post "
+        "per recording, instead of the UBM",
     )
     sub.set_defaults(handler=_cmd_accumulate_stats)
 

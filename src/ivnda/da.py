@@ -342,6 +342,8 @@ def compute_nda(
     one_vs_rest: bool = True,
 ) -> Projection:
     """Nearest-neighbour discriminant projection."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     proj = compute_projection(
         within_class_scatter(data),
         nda_between_scatter(data, k, alpha, one_vs_rest=one_vs_rest),

@@ -18,11 +18,13 @@ file, the upstream key and both fingerprints.  ``sad-report`` re-scores by
 running the feature, statistics, i-vector and scoring stages themselves, so
 it makes their checks and reproduces the recipe's scores exactly.
 
-Feature records are read through :class:`FeatureRecords`, one per access,
-so ``train-ubm``, ``train-supervised-ubm`` and ``accumulate-stats`` hold
-one record at a time (one per worker thread) besides what they keep from
-each: pooled speech frames for UBM training, statistics for
-``accumulate-stats``.
+Feature records (``<id>.ivfa``) and external posteriors (``<id>.post``)
+are one file per recording, read through :class:`FeatureRecords` and
+:class:`PosteriorFiles` one per access, so ``train-ubm`` and
+``accumulate-stats`` hold one recording's record and posteriors at a time
+(one per worker thread) besides what they keep from each: pooled speech
+frames for EM training, moment sums when the UBM is estimated from
+posteriors, statistics for ``accumulate-stats``.
 """
 
 from __future__ import annotations
@@ -178,91 +180,100 @@ def extract_features_stage(
     return [(rec_id, err) for rec_id, err in results if err]
 
 
-class FeatureRecords(Sequence[frontend.FeatureMatrix]):
-    """The feature records of `ids` in `feat_dir`, read one per access.
+class _RecordFiles(Sequence[T]):
+    """One file per recording, read one per access.
 
-    Nothing is held between accesses, so a stage that walks the records
+    Nothing is held between accesses, so a stage that walks the files
     keeps at most one of them (one per worker thread) in memory, and the
-    sequence can be walked again.  Construction checks that every record
-    file exists, so a missing one fails before any work, and reads the
-    first record for :attr:`fingerprint`; every record read is then
-    required to carry that fingerprint.
+    sequence can be walked again.  Construction checks that every file
+    exists, so a missing one fails before any work.
     """
 
-    def __init__(self, feat_dir: Path, ids: Sequence[str]):
-        self.paths = [fileio.feature_path(feat_dir, rec_id) for rec_id in ids]
-        for rec_id, path in zip(ids, self.paths):
+    def __init__(self, directory: Path, ids: Sequence[str], paths: list[Path], what: str):
+        for rec_id, path in zip(ids, paths):
             if not path.exists():
-                raise DataError(
-                    f"no feature record for recording {rec_id!r} in {feat_dir}"
-                )
-        if not self.paths:
+                raise DataError(f"no {what} for recording {rec_id!r} in {directory}")
+        if not paths:
             raise DataError("no recordings to load")
-        self.fingerprint: int = fileio.read_feature_record(self.paths[0])[1]
+        self.paths = paths
 
     def __len__(self) -> int:
         return len(self.paths)
+
+    def __iter__(self) -> Iterator[T]:
+        return map(self.__getitem__, range(len(self)))
+
+
+class FeatureRecords(_RecordFiles[frontend.FeatureMatrix]):
+    """The feature records ``<id>.ivfa`` of `ids` in `feat_dir`.
+
+    Construction reads the first record for :attr:`fingerprint`; every
+    record read is then required to carry that fingerprint.
+    """
+
+    def __init__(self, feat_dir: Path, ids: Sequence[str]):
+        paths = [fileio.feature_path(feat_dir, rec_id) for rec_id in ids]
+        super().__init__(feat_dir, ids, paths, "feature record")
+        self.fingerprint: int = fileio.read_feature_record(self.paths[0])[1]
 
     def __getitem__(self, i: int) -> frontend.FeatureMatrix:  # type: ignore[override]
         feats, fp, _ = fileio.read_feature_record(self.paths[i])
         _require(self.paths[i], {"upstream": {"features": fp}}, "features", self.fingerprint)
         return feats
 
-    def __iter__(self) -> Iterator[frontend.FeatureMatrix]:
-        return map(self.__getitem__, range(len(self)))
+
+class PosteriorFiles(_RecordFiles[ubm_mod.PosteriorMatrix]):
+    """The external frame posteriors ``<id>.post`` of `ids` in `post_dir`,
+    one row per speech frame over `num_components` components."""
+
+    def __init__(self, post_dir: Path, ids: Sequence[str], num_components: int):
+        paths = [post_dir / f"{rec_id}.post" for rec_id in ids]
+        super().__init__(post_dir, ids, paths, "posterior file")
+        self.num_components = num_components
+
+    def __getitem__(self, i: int) -> ubm_mod.PosteriorMatrix:  # type: ignore[override]
+        return ubm_mod.load_external_posteriors(self.paths[i], self.num_components)
 
 
 # --- model training stages ------------------------------------------------
 
 
 def train_ubm_stage(
-    feat_dir: Path, manifest_path: Path, out_path: Path, cfg: PipelineConfig
-) -> None:
-    entries = fileio.read_manifest(manifest_path)
-    records = FeatureRecords(feat_dir, [e.recording_id for e in entries])
-    gmm = ubm_mod.train_gmm(
-        records,
-        cfg.ubm.num_components,
-        iters_per_level=cfg.ubm.iters_per_level,
-        variance_floor_scale=cfg.ubm.variance_floor_scale,
-    )
-    # top_n is left out: it belongs to the statistics stage
-    subset = {
-        "num_components": cfg.ubm.num_components,
-        "iters_per_level": cfg.ubm.iters_per_level,
-        "variance_floor_scale": cfg.ubm.variance_floor_scale,
-    }
-    fileio.write_gmm(
-        out_path, gmm, *_provenance("ubm", subset, {"features": records.fingerprint})
-    )
-
-
-def train_supervised_ubm_stage(
     feat_dir: Path,
     manifest_path: Path,
-    posterior_path: Path,
     out_path: Path,
     cfg: PipelineConfig,
+    posterior_dir: Path | None = None,
 ) -> None:
-    entries = fileio.read_manifest(manifest_path)
-    records = FeatureRecords(feat_dir, [e.recording_id for e in entries])
-    posteriors = ubm_mod.load_external_posteriors(
-        posterior_path, cfg.ubm.num_components
-    )
-    missing = [e.recording_id for e in entries if e.recording_id not in posteriors]
-    if missing:
-        raise DataError(f"no external posteriors for recordings: {missing}")
-    gmm = ubm_mod.train_supervised_gaussians(
-        records,
-        [posteriors[e.recording_id] for e in entries],
-        cfg.ubm.num_components,
-        variance_floor_scale=cfg.ubm.variance_floor_scale,
-    )
-    subset = {
-        "num_components": cfg.ubm.num_components,
-        "variance_floor_scale": cfg.ubm.variance_floor_scale,
-        "external_posteriors": True,
-    }
+    """Train the UBM by binary-split EM, or, given `posterior_dir`, estimate
+    its Gaussians from the external posteriors there in one pass."""
+    ids = [e.recording_id for e in fileio.read_manifest(manifest_path)]
+    records = FeatureRecords(feat_dir, ids)
+    if posterior_dir is None:
+        gmm = ubm_mod.train_gmm(
+            records,
+            cfg.ubm.num_components,
+            iters_per_level=cfg.ubm.iters_per_level,
+            variance_floor_scale=cfg.ubm.variance_floor_scale,
+        )
+        # top_n is left out: it belongs to the statistics stage
+        subset = {
+            "num_components": cfg.ubm.num_components,
+            "iters_per_level": cfg.ubm.iters_per_level,
+            "variance_floor_scale": cfg.ubm.variance_floor_scale,
+        }
+    else:
+        gmm = ubm_mod.train_supervised_gaussians(
+            records,
+            PosteriorFiles(posterior_dir, ids, cfg.ubm.num_components),
+            cfg.ubm.num_components,
+            variance_floor_scale=cfg.ubm.variance_floor_scale,
+        )
+        subset = {
+            "num_components": cfg.ubm.num_components,
+            "variance_floor_scale": cfg.ubm.variance_floor_scale,
+            "external_posteriors": True,
+        }
     fileio.write_gmm(
         out_path, gmm, *_provenance("ubm", subset, {"features": records.fingerprint})
     )
@@ -274,33 +285,30 @@ def accumulate_stats_stage(
     ubm_path: Path,
     out_path: Path,
     cfg: PipelineConfig,
-    posterior_path: Path | None = None,
+    posterior_dir: Path | None = None,
 ) -> None:
-    records = FeatureRecords(feat_dir, [e.recording_id for e in entries])
+    """Statistics of each recording, aligned by the UBM or, given
+    `posterior_dir`, by the external posteriors there."""
+    ids = [e.recording_id for e in entries]
+    records = FeatureRecords(feat_dir, ids)
     gmm, ubm_fp, ubm_meta = fileio.read_gmm(ubm_path)
     _require(ubm_path, ubm_meta, "features", records.fingerprint)
     external = None
-    if posterior_path is not None:
-        external = ubm_mod.load_external_posteriors(
-            posterior_path, gmm.num_components
-        )
+    if posterior_dir is not None:
+        external = PosteriorFiles(posterior_dir, ids, gmm.num_components)
 
     def work(i: int) -> stats_mod.BwStats:
-        entry, feats = entries[i], records[i]
+        feats = records[i]
         if external is not None:
-            if entry.recording_id not in external:
-                raise DataError(
-                    f"no external posteriors for recording {entry.recording_id!r}"
-                )
-            post = external[entry.recording_id]
+            post = external[i]
         else:
             post = ubm_mod.gmm_posteriors(gmm, feats, cfg.ubm.top_n)
-        return stats_mod.accumulate_bw(feats, post, recording_id=entry.recording_id)
+        return stats_mod.accumulate_bw(feats, post, recording_id=ids[i])
 
-    all_stats = parallel_map(work, range(len(entries)), cfg.run.workers)
+    all_stats = parallel_map(work, range(len(ids)), cfg.run.workers)
     subset = {
         "top_n": cfg.ubm.top_n,
-        "external_posteriors": posterior_path is not None,
+        "external_posteriors": posterior_dir is not None,
     }
     fileio.write_stats_archive(
         out_path,
@@ -346,9 +354,12 @@ def _labels_for(
 ) -> da_mod.LabeledVectors:
     import re
 
+    try:
+        pattern = re.compile(label_filter) if label_filter else None
+    except re.error as exc:
+        raise ValueError(f"label filter {label_filter!r} is not a valid pattern: {exc}") from exc
     entries = {e.recording_id: e for e in fileio.read_manifest(manifest_path)}
     vectors, labels = [], []
-    pattern = re.compile(label_filter) if label_filter else None
     for iv in ivectors:
         entry = entries.get(iv.recording_id)
         if entry is None:
@@ -368,6 +379,13 @@ def _labels_for(
     return da_mod.LabeledVectors(
         vectors=np.asarray(vectors), labels=np.asarray(labels)
     )
+
+
+def _filtered(config: dict, label_filter: str) -> dict:
+    """`config` plus a non-empty `label_filter`: a filter changes what is
+    trained, so it is part of the fingerprint.  Left out when empty, so
+    unfiltered artifacts keep their fingerprints."""
+    return {**config, "label_filter": label_filter} if label_filter else config
 
 
 def train_da_stage(
@@ -394,7 +412,9 @@ def train_da_stage(
     fileio.write_projection(
         out_path,
         proj,
-        *_provenance("da", dataclasses.asdict(cfg.da), {"ivectors": iv_fp}),
+        *_provenance(
+            "da", _filtered(dataclasses.asdict(cfg.da), label_filter), {"ivectors": iv_fp}
+        ),
     )
 
 
@@ -420,12 +440,14 @@ def train_plda_stage(
     )
     upstream = {"ivectors": iv_fp, "projection": da_fp}
     fileio.write_normalizer(
-        out_normalizer, normalizer, *_provenance("normalizer", {}, upstream)
+        out_normalizer,
+        normalizer,
+        *_provenance("normalizer", _filtered({}, label_filter), upstream),
     )
     fileio.write_plda(
         out_plda,
         model,
-        *_provenance("plda", dataclasses.asdict(cfg.plda), upstream),
+        *_provenance("plda", _filtered(dataclasses.asdict(cfg.plda), label_filter), upstream),
     )
 
 

@@ -311,6 +311,8 @@ def train_tv(
     """
     g, d = gmm.num_components, gmm.dim
     m = g * d
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     if rank < 1 or rank > m:
         raise RankError(f"rank must be in [1, {m}], got {rank}")
     if len(stats) < rank:

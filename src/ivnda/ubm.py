@@ -4,9 +4,11 @@ The UBM is grown by binary splitting (1 -> 2 -> 4 -> ... components) with a
 few EM iterations after every split.  Posteriors are computed in the log
 domain and stored sparsely, keeping only the `top_n` largest entries per
 frame renormalised to sum to one.  Posteriors may instead come from an
-external soft aligner (e.g. a senone network) via a simple text format, in
-which case component means/variances can be re-estimated with
-:func:`train_supervised_gaussians`.
+external soft aligner (e.g. a senone network), one text file per recording
+read by :func:`load_external_posteriors`, in which case component
+means/variances can be re-estimated with :func:`train_supervised_gaussians`.
+That walks its recordings once, holding one recording's frames and
+posteriors at a time besides O(G * D) accumulators.
 
 EM, alignment and :func:`mean_log_likelihood` share one posterior kernel
 that works on `CHUNK_FRAMES` frames at a time, so no frames x components
@@ -299,6 +301,8 @@ def train_gmm(
     """
     if num_components < 1 or num_components & (num_components - 1):
         raise ValueError(f"num_components must be a power of two, got {num_components}")
+    if iters_per_level < 1:
+        raise ValueError("iters_per_level must be >= 1")
     frames = _collect_speech_frames(features)
     finite = np.isfinite(frames).all(axis=1)
     if not finite.all():
@@ -451,106 +455,59 @@ def train_supervised_gaussians(
     return DiagonalGmm(weights=weights, means=means, variances=variances)
 
 
-def write_posteriors(
-    path: str | Path, recordings: dict[str, PosteriorMatrix]
-) -> None:
-    """Write posteriors in the external text format.
-
-    The data file has one block of lines per recording (blank line between
-    blocks), one frame per line, each a space-separated list of
-    ``component:value`` pairs.  The companion index file ``<path>.idx``
-    lists the recording ids, one per line, in block order.
-    """
-    path = Path(path)
-    ids = list(recordings)
-    blocks = []
-    for rec_id in ids:
-        post = recordings[rec_id]
-        if post.num_frames == 0:
-            raise ValueError(f"recording {rec_id!r} has no frames; not representable")
-        lines = []
-        for t in range(post.num_frames):
-            idx, val = post.row(t)
-            if idx.size == 0:
-                raise ValueError(
-                    f"recording {rec_id!r} frame {t} has no entries; not representable"
-                )
-            lines.append(" ".join(f"{g}:{v:.17g}" for g, v in zip(idx, val)))
-        blocks.append("\n".join(lines))
-    path.write_text("\n\n".join(blocks) + "\n")
-    Path(str(path) + ".idx").write_text("\n".join(ids) + "\n")
+def write_posteriors(path: str | Path, post: PosteriorMatrix) -> None:
+    """Write one recording's posteriors in the external text format: one
+    line per frame, each a space-separated list of ``component:value``
+    pairs."""
+    lines = []
+    for t in range(post.num_frames):
+        idx, val = post.row(t)
+        if idx.size == 0:
+            raise ValueError(f"{path}: frame {t} has no entries; not representable")
+        lines.append(" ".join(f"{g}:{v:.17g}" for g, v in zip(idx, val)) + "\n")
+    Path(path).write_text("".join(lines))
 
 
-def load_external_posteriors(
-    path: str | Path, num_components: int
-) -> dict[str, PosteriorMatrix]:
-    """Read posteriors written by an external aligner (see :func:`write_posteriors`).
+def load_external_posteriors(path: str | Path, num_components: int) -> PosteriorMatrix:
+    """Read one recording's posteriors from an external aligner (see
+    :func:`write_posteriors`); blank lines are skipped.
 
     Component ids must lie in ``[0, num_components)``; values must be
     non-negative.  Rows whose sum differs from 1 by more than 1e-4 are
     renormalised.  Entries are stored sorted by component id.
     """
-    path = Path(path)
-    idx_path = Path(str(path) + ".idx")
-    if not idx_path.exists():
-        raise FormatError(f"{idx_path}: missing posterior index file")
-    first_line: dict[str, int] = {}
-    for line_no, line in enumerate(idx_path.read_text().splitlines(), start=1):
-        rec_id = line.strip()
-        if rec_id in first_line:
-            raise FormatError(
-                f"{idx_path}:{line_no}: duplicate recording id {rec_id!r}, "
-                f"first listed on line {first_line[rec_id]}"
-            )
-        if rec_id:
-            first_line[rec_id] = line_no
-    ids = list(first_line)
-    blocks = path.read_text().split("\n\n")
-    blocks = [b for b in blocks if b.strip()]
-    if len(blocks) != len(ids):
-        raise AlignmentError(
-            f"{path}: {len(blocks)} posterior blocks but {len(ids)} recording ids"
-        )
-    out: dict[str, PosteriorMatrix] = {}
-    for rec_id, block in zip(ids, blocks):
-        indptr = [0]
-        indices: list[int] = []
-        values: list[float] = []
-        for line_no, line in enumerate(block.splitlines(), start=1):
-            if not line.strip():
-                continue
-            row: list[tuple[int, float]] = []
-            for token in line.split():
-                g_str, _, v_str = token.partition(":")
-                try:
-                    g, v = int(g_str), float(v_str)
-                except ValueError as exc:
-                    raise FormatError(
-                        f"{path} [{rec_id}:{line_no}]: bad entry {token!r}"
-                    ) from exc
-                if not 0 <= g < num_components:
-                    raise RangeError(
-                        f"{path} [{rec_id}:{line_no}]: component {g} out of range "
-                        f"[0, {num_components})"
-                    )
-                if v < 0:
-                    raise RangeError(
-                        f"{path} [{rec_id}:{line_no}]: negative posterior {v}"
-                    )
-                row.append((g, v))
-            row.sort(key=lambda gv: gv[0])
-            total = sum(v for _, v in row)
-            if total > 0 and abs(total - 1.0) > 1e-4:
-                row = [(g, v / total) for g, v in row]
-            indices.extend(g for g, _ in row)
-            values.extend(v for _, v in row)
-            indptr.append(len(indices))
-        post = PosteriorMatrix(
-            indptr=np.asarray(indptr, dtype=np.int64),
-            indices=np.asarray(indices, dtype=np.int32),
-            values=np.asarray(values),
-            num_components=num_components,
-        )
-        post.validate()
-        out[rec_id] = post
-    return out
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        row: list[tuple[int, float]] = []
+        for token in line.split():
+            g_str, _, v_str = token.partition(":")
+            try:
+                g, v = int(g_str), float(v_str)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{line_no}: bad entry {token!r}") from exc
+            if not 0 <= g < num_components:
+                raise RangeError(
+                    f"{path}:{line_no}: component {g} out of range [0, {num_components})"
+                )
+            if v < 0:
+                raise RangeError(f"{path}:{line_no}: negative posterior {v}")
+            row.append((g, v))
+        if not row:
+            continue
+        row.sort(key=lambda gv: gv[0])
+        total = sum(v for _, v in row)
+        if total > 0 and abs(total - 1.0) > 1e-4:
+            row = [(g, v / total) for g, v in row]
+        indices.extend(g for g, _ in row)
+        values.extend(v for _, v in row)
+        indptr.append(len(indices))
+    post = PosteriorMatrix(
+        indptr=np.asarray(indptr, dtype=np.int64),
+        indices=np.asarray(indices, dtype=np.int32),
+        values=np.asarray(values),
+        num_components=num_components,
+    )
+    post.validate()
+    return post

@@ -1,13 +1,17 @@
 """End-to-end command-line tests: full recipes, output formats, exit codes."""
 
+import argparse
 import dataclasses
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ivnda import fileio, frontend, metrics
-from ivnda.cli import main
+from helpers import sparse_random_posteriors
+from ivnda import fileio, frontend, metrics, stats as stats_mod, ubm
+from ivnda.cli import build_parser, main
 from ivnda.config import PipelineConfig, load_config
 from ivnda.errors import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 
@@ -215,6 +219,23 @@ def demo_argv(ws, out):
     }
 
 
+def write_audio_posteriors(ws, post_dir, rng):
+    """Random 4-component posteriors, two entries per speech frame, as one
+    ``<id>.post`` file per training recording of `ws`; returns them by id."""
+    post_dir.mkdir()
+    posteriors = {}
+    for entry in fileio.read_manifest(ws / "train.manifest"):
+        features, _, _ = fileio.read_feature_record(
+            fileio.feature_path(ws / "feats", entry.recording_id)
+        )
+        post = sparse_random_posteriors(
+            rng, int(features.speech_mask.sum()), g=4, per_frame=2
+        )
+        ubm.write_posteriors(post_dir / f"{entry.recording_id}.post", post)
+        posteriors[entry.recording_id] = post
+    return posteriors
+
+
 # --- stats-level recipe ----------------------------------------------------
 
 
@@ -302,6 +323,48 @@ class TestStatsRecipe:
         assert rc == EXIT_DATA
         assert "label filter" in capsys.readouterr().err
 
+    def test_label_filter_is_in_the_provenance(self, stats_ws, tmp_path, capsys):
+        # A projection trained on fewer speakers is another projection: the
+        # normalizer and PLDA trained on the unfiltered one must not score it.
+        run_ok(
+            [
+                "train-da", "--ivectors", stats_ws / "train.iviv",
+                "--manifest", stats_ws / "train.manifest", "--out", tmp_path / "proj.ivda",
+                "--method", "nda", "--k", "3", "--dim", "6",
+                "--label-filter", "spk000[1-9]$",
+            ]
+        )
+        _, _, meta = fileio.read_projection(tmp_path / "proj.ivda")
+        assert meta["config"]["label_filter"] == "spk000[1-9]$"
+        _, _, meta = fileio.read_projection(stats_ws / "proj.ivda")
+        assert "label_filter" not in meta["config"]
+        rc = main(
+            [
+                "score", "--enroll", str(stats_ws / "enroll.iviv"),
+                "--test", str(stats_ws / "test.iviv"), "--trials", str(stats_ws / "trials.txt"),
+                "--projection", str(tmp_path / "proj.ivda"),
+                "--normalizer", str(stats_ws / "norm.ivnz"),
+                "--plda", str(stats_ws / "plda.ivpl"), "--out", str(tmp_path / "scores.txt"),
+            ]
+        )
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert f"{stats_ws / 'norm.ivnz'}: records projection fingerprint" in err
+        assert not (tmp_path / "scores.txt").exists()
+
+    def test_label_filter_bad_pattern(self, stats_ws, tmp_path, capsys):
+        rc = main(
+            [
+                "train-da", "--ivectors", str(stats_ws / "train.iviv"),
+                "--manifest", str(stats_ws / "train.manifest"),
+                "--out", str(tmp_path / "x.ivda"), "--label-filter", "(",
+            ]
+        )
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: label filter '(' is not a valid pattern: ")
+        assert not (tmp_path / "x.ivda").exists()
+
     def test_unknown_trial_ids_reported(self, stats_ws, tmp_path, capsys):
         trials = fileio.read_trials(stats_ws / "trials.txt")
         bad_trials = tmp_path / "trials.txt"
@@ -384,6 +447,18 @@ class TestEvaluate:
         )
         assert rc == EXIT_USAGE
         assert "--c-miss" in capsys.readouterr().err
+
+    def test_custom_parameters_without_custom_preset(self, stats_ws, capsys):
+        rc = main(
+            [
+                "evaluate", "--scores", str(stats_ws / "scores.txt"),
+                "--key", str(stats_ws / "key.txt"), "--p-target", "0.5", "--c-miss", "3",
+            ]
+        )
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "evaluate uses --p-target, --c-miss only with --dcf-preset custom" in err
 
     def test_det_outputs(self, stats_ws, tmp_path):
         run_ok(
@@ -531,32 +606,70 @@ class TestAudioRecipe:
         assert bad_id in capsys.readouterr().err
         assert not (tmp_path / "train.ivbw").exists()
 
-    def test_supervised_ubm(self, audio_ws, tmp_path, rng):
-        # Hand the trainer externally computed per-frame posteriors.
-        from helpers import sparse_random_posteriors
-        from ivnda.ubm import write_posteriors
-
-        blocks = {}
-        for entry in fileio.read_manifest(audio_ws / "train.manifest"):
-            features, _, _ = fileio.read_feature_record(
-                audio_ws / "feats" / f"{entry.recording_id}.ivfa"
-            )
-            blocks[entry.recording_id] = sparse_random_posteriors(
-                rng, int(features.speech_mask.sum()), g=4, per_frame=2
-            )
-        post_path = tmp_path / "ext.post"
-        write_posteriors(post_path, blocks)
+    def test_train_ubm_from_posteriors(self, audio_ws, tmp_path, rng):
+        posteriors = write_audio_posteriors(audio_ws, tmp_path / "post", rng)
         run_ok(
             [
-                "train-supervised-ubm", "--config", audio_ws / "config.ini",
+                "train-ubm", "--config", audio_ws / "config.ini",
                 "--features", audio_ws / "feats",
                 "--manifest", audio_ws / "train.manifest",
-                "--posteriors", post_path, "--out", tmp_path / "subm.ivgm",
+                "--posteriors", tmp_path / "post", "--out", tmp_path / "subm.ivgm",
             ]
         )
         gmm, _, meta = fileio.read_gmm(tmp_path / "subm.ivgm")
         assert gmm.num_components == 4 and gmm.dim == 39
+        assert meta["config"] == {
+            "num_components": 4, "variance_floor_scale": 1e-3, "external_posteriors": True
+        }
+        records = [
+            fileio.read_feature_record(audio_ws / "feats" / f"{rec_id}.ivfa")[0]
+            for rec_id in posteriors
+        ]
+        want = ubm.train_supervised_gaussians(records, list(posteriors.values()), 4)
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(gmm, name), getattr(want, name)), name
+
+    def test_accumulate_stats_from_posteriors(self, audio_ws, tmp_path, rng):
+        posteriors = write_audio_posteriors(audio_ws, tmp_path / "post", rng)
+        run_ok(
+            [
+                "accumulate-stats", "--config", audio_ws / "config.ini",
+                "--features", audio_ws / "feats",
+                "--manifest", audio_ws / "train.manifest", "--ubm", audio_ws / "ubm.ivgm",
+                "--posteriors", tmp_path / "post", "--out", tmp_path / "train.ivbw",
+            ]
+        )
+        archive, _, meta = fileio.read_stats_archive(tmp_path / "train.ivbw")
         assert meta["config"]["external_posteriors"] is True
+        assert [s.recording_id for s in archive] == list(posteriors)
+        for got, (rec_id, post) in zip(archive, posteriors.items()):
+            features, _, _ = fileio.read_feature_record(audio_ws / "feats" / f"{rec_id}.ivfa")
+            want = stats_mod.accumulate_bw(features, post, recording_id=rec_id)
+            assert np.array_equal(got.n, want.n) and np.array_equal(got.f, want.f), rec_id
+
+    @pytest.mark.parametrize("command", ["train-ubm", "accumulate-stats"])
+    def test_missing_posterior_file(self, audio_ws, tmp_path, rng, capsys, monkeypatch, command):
+        posteriors = write_audio_posteriors(audio_ws, tmp_path / "post", rng)
+        missing = list(posteriors)[1]
+        (tmp_path / "post" / f"{missing}.post").unlink()
+        ran = []
+        for name in ("load_external_posteriors", "train_supervised_gaussians", "gmm_posteriors"):
+            monkeypatch.setattr(ubm, name, lambda *args, **kwargs: ran.append(args))
+        monkeypatch.setattr(stats_mod, "accumulate_bw", lambda *args, **kwargs: ran.append(args))
+        argv = [
+            command, "--config", audio_ws / "config.ini", "--features", audio_ws / "feats",
+            "--manifest", audio_ws / "train.manifest", "--posteriors", tmp_path / "post",
+            "--out", tmp_path / "out",
+        ]
+        if command == "accumulate-stats":
+            argv += ["--ubm", audio_ws / "ubm.ivgm"]
+        rc = main([str(a) for a in argv])
+        assert rc == EXIT_DATA
+        assert (
+            f"error: no posterior file for recording {missing!r} in {tmp_path / 'post'}"
+            in capsys.readouterr().err
+        )
+        assert ran == [] and not (tmp_path / "out").exists()
 
     def test_extract_failures_are_isolated(self, audio_ws, tmp_path, capsys):
         manifest = fileio.read_manifest(audio_ws / "train.manifest")
@@ -863,6 +976,26 @@ class TestDefaults:
         assert cfg.da.method == "nda"
 
 
+def subcommands() -> list[str]:
+    """Every subcommand `build_parser` lists, in order."""
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+@pytest.mark.parametrize("command", subcommands())
+def test_every_subcommand_prints_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: ivnda {command} ")
+
+
+def test_ci_help_loop_lists_every_subcommand():
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    loop = re.search(r"for cmd in (.*?); do", workflow.read_text(), re.S)
+    assert loop.group(1).replace("\\", " ").split() == subcommands()
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -905,6 +1038,49 @@ class TestExitCodes:
             ]
         )
         assert rc == EXIT_USAGE
+
+    def test_tv_iters_zero_is_usage_error(self, stats_ws, tmp_path, capsys):
+        rc = main(
+            [
+                "train-tv", "--stats", str(stats_ws / "train.ivbw"),
+                "--ubm", str(stats_ws / "ubm.ivgm"), "--out", str(tmp_path / "tv.ivtv"),
+                "--iters", "0",
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert "error: iters must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "tv.ivtv").exists()
+
+    def test_ubm_iters_per_level_zero_is_usage_error(self, audio_ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[ubm]\nnum_components = 4\niters_per_level = 0\n")
+        rc = main(
+            [
+                "train-ubm", "--config", str(cfg), "--features", str(audio_ws / "feats"),
+                "--manifest", str(audio_ws / "train.manifest"), "--out", str(tmp_path / "u.ivgm"),
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert "error: iters_per_level must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "u.ivgm").exists()
+
+    def test_nda_k_zero_is_usage_error(self, stats_ws, tmp_path, capsys):
+        rc = main(
+            [
+                "train-da", "--ivectors", str(stats_ws / "train.iviv"),
+                "--manifest", str(stats_ws / "train.manifest"),
+                "--out", str(tmp_path / "p.ivda"), "--method", "nda", "--k", "0",
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert "error: k must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "p.ivda").exists()
+
+    def test_removed_command_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-supervised-ubm", "--help"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'train-supervised-ubm'" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(

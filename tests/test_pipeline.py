@@ -1,8 +1,9 @@
-"""Stage-level memory and failure checks of the feature-record stages.
+"""Stage-level memory and failure checks of the per-recording stages.
 
-`train_ubm_stage` and `accumulate_stats_stage` read feature records one at
-a time, so their memory does not grow with the number of recordings beyond
-what they keep from each (pooled speech frames, statistics).
+`train_ubm_stage` and `accumulate_stats_stage` read feature records and
+external posteriors one recording at a time, so their memory does not grow
+with the number of recordings beyond what they keep from each (pooled
+speech frames, statistics).
 """
 
 import tracemalloc
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import make_features, make_gmm
+from helpers import make_features, make_gmm, sparse_random_posteriors
 from ivnda import fileio, pipeline, ubm
 from ivnda.config import PipelineConfig
 from ivnda.errors import ContractError, DataError
@@ -36,6 +37,16 @@ def _write_records(directory, count, rng, fp=FEAT_FP):
     return entries
 
 
+def _write_posteriors(directory, entries, rng, components):
+    """One ``<id>.post`` file per entry, `components` entries per speech
+    frame; returns the bytes of one recording's posterior arrays."""
+    directory.mkdir()
+    for entry in entries:
+        post = sparse_random_posteriors(rng, FRAMES // 2, components, components)
+        ubm.write_posteriors(directory / f"{entry.recording_id}.post", post)
+    return post.indptr.nbytes + post.indices.nbytes + post.values.nbytes
+
+
 def _config(components=2):
     cfg = PipelineConfig()
     cfg.ubm.num_components = components
@@ -57,25 +68,49 @@ def _peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_accumulate_stats_memory_does_not_grow_with_recordings(tmp_path, rng):
-    _write_ubm(tmp_path / "ubm.ivgm", rng)
+@pytest.mark.parametrize("source", ["ubm", "posteriors"])
+def test_accumulate_stats_memory_does_not_grow_with_recordings(tmp_path, rng, source):
+    components = 8
+    _write_ubm(tmp_path / "ubm.ivgm", rng, components)
     entries = _write_records(tmp_path / "feats", 16, rng)
-    cfg = _config()
+    post_bytes = _write_posteriors(tmp_path / "post", entries, rng, components)
+    post_dir = tmp_path / "post" if source == "posteriors" else None
+    cfg = _config(components)  # top_n = G: the UBM aligns as densely
 
     def run(count):
         return _peak(
             lambda: pipeline.accumulate_stats_stage(
                 tmp_path / "feats", entries[:count], tmp_path / "ubm.ivgm",
-                tmp_path / f"stats{count}.ivbw", cfg,
+                tmp_path / f"stats{count}.ivbw", cfg, posterior_dir=post_dir,
             )
         )
 
     run(2)  # first-call imports and caches
     grown = run(16) - run(4)
-    record_bytes = FRAMES * DIM * 8
-    # 12 more recordings keep only their statistics (a few hundred bytes
-    # each); holding their frames would add 12 * record_bytes.
-    assert grown < record_bytes / 2, (grown, record_bytes)
+    # 12 more recordings keep only their statistics (G * (D + 1) floats
+    # each); holding their frames or posteriors would add 12 times those.
+    assert grown < post_bytes < FRAMES * DIM * 8, (grown, post_bytes)
+
+
+def test_train_ubm_from_posteriors_memory_does_not_grow_with_recordings(tmp_path, rng):
+    components = 8
+    entries = _write_records(tmp_path / "feats", 16, rng)
+    post_bytes = _write_posteriors(tmp_path / "post", entries, rng, components)
+    cfg = _config(components)
+
+    def run(count):
+        fileio.write_manifest(tmp_path / f"{count}.manifest", entries[:count])
+        return _peak(
+            lambda: pipeline.train_ubm_stage(
+                tmp_path / "feats", tmp_path / f"{count}.manifest",
+                tmp_path / f"ubm{count}.ivgm", cfg, posterior_dir=tmp_path / "post",
+            )
+        )
+
+    run(2)  # first-call imports and caches
+    grown = run(16) - run(4)
+    # Estimation keeps O(G * D) moment sums, whatever the recording count.
+    assert grown < post_bytes, (grown, post_bytes)
 
 
 def test_train_ubm_peak_is_about_twice_the_pooled_speech_frames(tmp_path, rng):

@@ -452,73 +452,47 @@ def test_supervised_alignment_error(rng):
 
 
 def test_posterior_file_round_trip(tmp_path, rng):
-    recs = {}
-    for name in ("rec_a", "rec_b"):
-        dense = rng.dirichlet(np.full(6, 0.8), size=int(rng.integers(2, 8)))
-        keep = np.argsort(dense, axis=1)[:, -3:]
-        sparse = np.zeros_like(dense)
-        np.put_along_axis(
-            sparse, keep, np.take_along_axis(dense, keep, axis=1), axis=1
-        )
-        sparse /= sparse.sum(axis=1, keepdims=True)
-        recs[name] = PosteriorMatrix.from_dense(sparse, num_components=6)
-    path = tmp_path / "ext.post"
-    write_posteriors(path, recs)
+    dense = rng.dirichlet(np.full(6, 0.8), size=7)
+    keep = np.argsort(dense, axis=1)[:, -3:]
+    sparse = np.zeros_like(dense)
+    np.put_along_axis(sparse, keep, np.take_along_axis(dense, keep, axis=1), axis=1)
+    sparse /= sparse.sum(axis=1, keepdims=True)
+    post = PosteriorMatrix.from_dense(sparse, num_components=6)
+    path = tmp_path / "rec.post"
+    write_posteriors(path, post)
     back = load_external_posteriors(path, 6)
-    assert set(back) == {"rec_a", "rec_b"}
-    for name, post in recs.items():
-        np.testing.assert_allclose(
-            back[name].to_dense(), post.to_dense(), rtol=1e-15
-        )
+    np.testing.assert_allclose(back.to_dense(), post.to_dense(), rtol=1e-15)
 
 
 def test_posterior_file_renormalises_bad_rows(tmp_path):
-    path = tmp_path / "ext.post"
-    path.write_text("0:0.5 2:1.5\n1:1.0\n")
-    (tmp_path / "ext.post.idx").write_text("rec\n")
-    post = load_external_posteriors(path, 3)["rec"]
+    path = tmp_path / "rec.post"
+    path.write_text("0:0.5 2:1.5\n\n1:1.0\n")
+    post = load_external_posteriors(path, 3)
     dense = post.to_dense()
+    assert dense.shape == (2, 3)  # the blank line is not a frame
     np.testing.assert_allclose(dense[0], [0.25, 0.0, 0.75], rtol=1e-12)
     np.testing.assert_allclose(dense[1], [0.0, 1.0, 0.0], rtol=1e-12)
 
 
 def test_posterior_file_component_out_of_range(tmp_path):
-    path = tmp_path / "ext.post"
-    path.write_text("0:0.5 9:0.5\n")
-    (tmp_path / "ext.post.idx").write_text("rec\n")
-    with pytest.raises(RangeError):
+    path = tmp_path / "rec.post"
+    path.write_text("0:1.0\n0:0.5 9:0.5\n")
+    with pytest.raises(RangeError) as exc:
         load_external_posteriors(path, 4)
+    assert str(exc.value) == f"{path}:2: component 9 out of range [0, 4)"
+
+
+def test_posterior_file_negative_value(tmp_path):
+    path = tmp_path / "rec.post"
+    path.write_text("0:1.5 1:-0.5\n")
+    with pytest.raises(RangeError) as exc:
+        load_external_posteriors(path, 4)
+    assert str(exc.value) == f"{path}:1: negative posterior -0.5"
 
 
 def test_posterior_file_bad_token(tmp_path):
-    path = tmp_path / "ext.post"
-    path.write_text("0:0.5 nonsense\n")
-    (tmp_path / "ext.post.idx").write_text("rec\n")
-    with pytest.raises(FormatError):
+    path = tmp_path / "rec.post"
+    path.write_text("0:1.0\n\n0:0.5 nonsense\n")
+    with pytest.raises(FormatError) as exc:
         load_external_posteriors(path, 4)
-
-
-def test_posterior_file_missing_index(tmp_path):
-    path = tmp_path / "ext.post"
-    path.write_text("0:1.0\n")
-    with pytest.raises(FormatError):
-        load_external_posteriors(path, 4)
-
-
-def test_posterior_file_repeated_recording_id(tmp_path):
-    path = tmp_path / "ext.post"
-    path.write_text("0:1.0\n0:1.0\n\n1:1.0\n")
-    idx_path = tmp_path / "ext.post.idx"
-    idx_path.write_text("r1\n\nr1\n")
-    with pytest.raises(FormatError, match="duplicate recording id 'r1'") as exc:
-        load_external_posteriors(path, 4)
-    assert f"{idx_path}:3:" in str(exc.value)
-    assert "first listed on line 1" in str(exc.value)
-
-
-def test_posterior_file_block_count_mismatch(tmp_path):
-    path = tmp_path / "ext.post"
-    path.write_text("0:1.0\n\n1:1.0\n")
-    (tmp_path / "ext.post.idx").write_text("only_one\n")
-    with pytest.raises(AlignmentError):
-        load_external_posteriors(path, 4)
+    assert str(exc.value) == f"{path}:3: bad entry 'nonsense'"
