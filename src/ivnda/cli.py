@@ -69,8 +69,6 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, "config", None)
         else PipelineConfig()
     )
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        raise ValueError("--workers must be >= 1")
     # Flags a command does not define, or that were not given, are None.
     for section, names in _OVERRIDES.items():
         given = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
@@ -78,6 +76,8 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
             cfg = dataclasses.replace(
                 cfg, **{section: dataclasses.replace(getattr(cfg, section), **given)}
             )
+    if cfg.run.workers < 1:
+        raise ValueError(f"[run] workers / --workers must be >= 1, got {cfg.run.workers}")
     return cfg
 
 

@@ -73,7 +73,7 @@ class ShapeError(NumericError):
 
 class ContractError(NumericError):
     """A documented precondition that is not a shape or matrix property
-    (e.g. stats not centered, fingerprint chain broken)."""
+    (e.g. an input records another upstream fingerprint than expected)."""
 
 
 class MatrixError(NumericError):

@@ -214,10 +214,6 @@ def write_stats_archive(
 ) -> None:
     parts: list[bytes | np.ndarray] = [struct.pack("<I", len(stats))]
     for s in stats:
-        if s.centered:
-            raise ValueError(
-                f"recording {s.recording_id!r}: archives store raw statistics only"
-            )
         parts += [_pack_str(s.recording_id), struct.pack("<II", s.num_components, s.dim),
                   s.n, s.f]
     _write(path, b"IVBW", fp, meta, *parts)
@@ -231,7 +227,7 @@ def read_stats_archive(path: str | Path) -> tuple[list[BwStats], int, dict]:
             rec_id = fields.text()
             g, d = fields.unpack("<II")
             n, f = fields.f64(g), fields.f64(g, d)
-            out.append(BwStats(n=n, f=f, recording_id=rec_id, centered=False))
+            out.append(BwStats(n=n, f=f, recording_id=rec_id))
     return out, fp, meta
 
 

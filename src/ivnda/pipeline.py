@@ -8,7 +8,9 @@ Fingerprints hash a stage's configuration subset together with the
 fingerprints of its upstream artifacts — not file contents — so artifacts
 produced by the *same* configuration from different data splits (train /
 enroll / test) are interchangeable where that is meaningful, while any
-configuration drift is caught immediately.
+configuration drift is caught immediately.  External posteriors, which no
+stage makes, are the one input fingerprinted by content: with them, the
+``ubm`` and ``stats`` subsets hold a digest of their files' bytes.
 
 One rule covers every stage.  :func:`_provenance` builds an output's
 fingerprint and its ``{"stage", "config", "upstream"}`` header metadata, and
@@ -30,6 +32,7 @@ posteriors, statistics for ``accumulate-stats``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -230,9 +233,17 @@ class PosteriorFiles(_RecordFiles[ubm_mod.PosteriorMatrix]):
         paths = [post_dir / f"{rec_id}.post" for rec_id in ids]
         super().__init__(post_dir, ids, paths, "posterior file")
         self.num_components = num_components
+        self._digests = [b""] * len(paths)
 
     def __getitem__(self, i: int) -> ubm_mod.PosteriorMatrix:  # type: ignore[override]
-        return ubm_mod.load_external_posteriors(self.paths[i], self.num_components)
+        data = self.paths[i].read_bytes()  # read once: digested and parsed
+        self._digests[i] = hashlib.blake2b(data, digest_size=16).digest()
+        return ubm_mod.load_external_posteriors(self.paths[i], self.num_components, data)
+
+    def digest(self) -> str:
+        """Digest of every file's bytes in manifest order, once all are read."""
+        assert all(self._digests), "digest of posterior files not all read"
+        return hashlib.blake2b(b"".join(self._digests), digest_size=16).hexdigest()
 
 
 # --- model training stages ------------------------------------------------
@@ -263,16 +274,16 @@ def train_ubm_stage(
             "variance_floor_scale": cfg.ubm.variance_floor_scale,
         }
     else:
+        posteriors = PosteriorFiles(posterior_dir, ids, cfg.ubm.num_components)
         gmm = ubm_mod.train_supervised_gaussians(
-            records,
-            PosteriorFiles(posterior_dir, ids, cfg.ubm.num_components),
-            cfg.ubm.num_components,
+            records, posteriors, cfg.ubm.num_components,
             variance_floor_scale=cfg.ubm.variance_floor_scale,
         )
         subset = {
             "num_components": cfg.ubm.num_components,
             "variance_floor_scale": cfg.ubm.variance_floor_scale,
             "external_posteriors": True,
+            "posteriors_digest": posteriors.digest(),
         }
     fileio.write_gmm(
         out_path, gmm, *_provenance("ubm", subset, {"features": records.fingerprint})
@@ -306,10 +317,9 @@ def accumulate_stats_stage(
         return stats_mod.accumulate_bw(feats, post, recording_id=ids[i])
 
     all_stats = parallel_map(work, range(len(ids)), cfg.run.workers)
-    subset = {
-        "top_n": cfg.ubm.top_n,
-        "external_posteriors": posterior_dir is not None,
-    }
+    subset = {"top_n": cfg.ubm.top_n, "external_posteriors": external is not None}
+    if external is not None:
+        subset["posteriors_digest"] = external.digest()
     fileio.write_stats_archive(
         out_path,
         all_stats,
@@ -323,10 +333,9 @@ def train_tv_stage(
     all_stats, stats_fp, stats_meta = fileio.read_stats_archive(stats_path)
     gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
     _require(stats_path, stats_meta, "ubm", ubm_fp)
-    centered = [stats_mod.center_stats(s, gmm) for s in all_stats]
     # every TvConfig field is a train_tv argument, and all are fingerprinted
     tv_cfg = dataclasses.asdict(cfg.tv)
-    model = tv_mod.train_tv(centered, gmm, **tv_cfg)
+    model = tv_mod.train_tv(all_stats, gmm, **tv_cfg)
     fileio.write_tv_model(
         out_path, model, *_provenance("tv", tv_cfg, {"stats": stats_fp, "ubm": ubm_fp})
     )
@@ -340,8 +349,7 @@ def extract_ivectors_stage(
     model, tv_fp, tv_meta = fileio.read_tv_model(tv_path)
     _require(stats_path, stats_meta, "ubm", ubm_fp)
     _require(tv_path, tv_meta, "stats", stats_fp)
-    centered = [stats_mod.center_stats(s, gmm) for s in all_stats]
-    ivectors = tv_mod.extract_ivectors(centered, model)
+    ivectors = tv_mod.extract_ivectors(all_stats, gmm, model)
     fileio.write_ivector_archive(
         out_path,
         ivectors,

@@ -3,9 +3,9 @@
 For each recording and mixture component g: the zeroth-order statistic
 ``n[g] = sum_t gamma_t(g)`` and the first-order statistic
 ``f[g] = sum_t gamma_t(g) * o_t`` over the retained (speech) frames.
-Statistics are accumulated and stored *raw*; centering around the component
-means happens explicitly via :func:`center_stats` just before subspace
-training or i-vector extraction.
+Statistics are accumulated, stored and handed to :mod:`ivnda.tv` *raw*; TV
+centers each chunk of sessions around the component means as it fills it,
+with :func:`center_stats`, so no centered copy of a whole set is built.
 
 Accumulation reads the sparse top-N posteriors directly (one bincount for
 ``n``, one sparse-by-dense product for ``f``), so a T-frame recording needs
@@ -20,23 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, NumericError, RangeError, ShapeError
+from .errors import AlignmentError, NumericError, RangeError, ShapeError
 from .frontend import FeatureMatrix
 from .ubm import DiagonalGmm, PosteriorMatrix
 
 
 @dataclass
 class BwStats:
-    """Zeroth/first-order statistics of one recording.
-
-    `centered` records whether `f` has had ``n[g] * mean_g`` subtracted;
-    it is an in-memory flag only (archives always store raw statistics).
-    """
+    """Raw zeroth/first-order statistics of one recording."""
 
     n: np.ndarray              # (G,), non-negative
     f: np.ndarray              # (G, D)
     recording_id: str = ""
-    centered: bool = False
 
     def __post_init__(self) -> None:
         self.n = np.asarray(self.n, dtype=np.float64)
@@ -83,26 +78,15 @@ def accumulate_bw(
             f"{posteriors.num_frames} posterior rows"
         )
     n, f = posteriors.weighted_sums(retained)
-    return BwStats(n=n, f=f, recording_id=recording_id, centered=False)
+    return BwStats(n=n, f=f, recording_id=recording_id)
 
 
-def center_stats(stats: BwStats, gmm: DiagonalGmm) -> BwStats:
-    """Center first-order statistics around the component means:
-    ``f~[g] = f[g] - n[g] * mean_g``.  Idempotence is deliberately not
-    assumed; centering already-centered statistics raises."""
-    if stats.centered:
-        raise ContractError(
-            f"recording {stats.recording_id!r}: statistics are already centered"
-        )
-    if stats.num_components != gmm.num_components or stats.dim != gmm.dim:
+def center_stats(stats: BwStats, gmm: DiagonalGmm) -> np.ndarray:
+    """First-order statistics centered around the component means,
+    ``f~[g] = f[g] - n[g] * mean_g``, as a new (G, D) array."""
+    if stats.f.shape != gmm.means.shape:
         raise ShapeError(
-            f"recording {stats.recording_id!r}: stats are "
-            f"({stats.num_components}, {stats.dim}) but the model is "
-            f"({gmm.num_components}, {gmm.dim})"
+            f"recording {stats.recording_id!r}: stats are {stats.f.shape} but the UBM is "
+            f"{gmm.means.shape}"
         )
-    return BwStats(
-        n=stats.n.copy(),
-        f=stats.f - stats.n[:, None] * gmm.means,
-        recording_id=stats.recording_id,
-        centered=True,
-    )
+    return stats.f - stats.n[:, None] * gmm.means

@@ -201,7 +201,7 @@ def make_stats_corpus(
         )
         f_raw = signal + noise + n[:, None] * means
         latents[rec_id] = latent
-        return BwStats(n=n, f=f_raw, recording_id=rec_id, centered=False)
+        return BwStats(n=n, f=f_raw, recording_id=rec_id)
 
     def gen_split(prefix: str, num_speakers: int, sessions: int) -> list[BwStats]:
         out = []

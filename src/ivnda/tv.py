@@ -1,6 +1,7 @@
 """Total-variability subspace training and i-vector extraction.
 
-Each recording's centered first-order statistics are modelled as
+A recording's first-order statistics, centered around the means of the UBM
+that aligned them (``f~[g] = f[g] - n[g] * mean_g``), are modelled as
 
     f~  ~  N( N~ T w,  N~ Sigma ),      w ~ N(0, I_R)
 
@@ -28,11 +29,13 @@ observed components with batched Cholesky calls, `CHUNK` components each.
 A short chunk is padded with zero-count rows (``L = I``), so every product
 has the same shape and a session's result does not depend on which
 sessions share its chunk (single and batch extraction agree to the bit).
-Memory is bounded by the (G, R, R) gram and, in training, the (G, R, R)
-second-order accumulator, plus a few (CHUNK, R, R) arrays; it does not
-grow with the number of sessions.  Each chunk adds into the accumulator in
-place, by one BLAS ``gemm`` with beta = 1, so no (G, R, R) product is
-built.  At G=2048, R=500 the gram and accumulator alone take about 8 GB.
+Entry points take raw statistics and center each chunk as they fill it, so
+no centered copy of the statistics is built.  Besides them, memory is
+bounded by the (G, R, R) gram and, in training, the (G, R, R) second-order
+accumulator, plus a few (CHUNK, R, R) and (CHUNK, G * D) arrays.  Each
+chunk adds into the accumulator in place, by one BLAS ``gemm`` with
+beta = 1, so no (G, R, R) product is built.  At G=2048, R=500 the gram and
+accumulator alone take about 8 GB.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import (
-    ContractError,
     DegenerateDataError,
     NumericError,
     RankError,
     ShapeError,
 )
-from .stats import BwStats
+from .stats import BwStats, center_stats
 from .ubm import DiagonalGmm
 
 log = logging.getLogger(__name__)
@@ -110,17 +112,12 @@ class IVector:
         return self.w.shape[0]
 
 
-def _check_stats(stats: Sequence[BwStats], g: int, d: int) -> None:
+def _check_stats(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel | None = None) -> None:
+    """Finite statistics and a UBM of the model's shape (`center_stats`
+    checks each session's shape against the UBM as its chunk fills)."""
+    if model is not None and gmm.means.shape != model.sigma.shape:
+        raise ShapeError(f"UBM shape {gmm.means.shape} does not match model {model.sigma.shape}")
     for s in stats:
-        if not s.centered:
-            raise ContractError(
-                f"recording {s.recording_id!r}: statistics must be centered"
-            )
-        if s.num_components != g or s.dim != d:
-            raise ShapeError(
-                f"recording {s.recording_id!r}: stats shape "
-                f"({s.num_components}, {s.dim}) does not match model ({g}, {d})"
-            )
         if not (np.isfinite(s.n).all() and np.isfinite(s.f).all()):
             raise NumericError(
                 f"recording {s.recording_id!r}: statistics contain non-finite values"
@@ -154,18 +151,19 @@ def _precompute(t_matrix: np.ndarray, sigma: np.ndarray) -> _Precomputed:
 
 
 def _chunks(
-    stats: Sequence[BwStats],
+    stats: Sequence[BwStats], gmm: DiagonalGmm
 ) -> Iterator[tuple[Sequence[BwStats], np.ndarray, np.ndarray]]:
-    """(sessions, n, f) per chunk; n is (CHUNK, G) and f (CHUNK, G * D),
-    with rows past ``len(sessions)`` zero."""
-    g, d = stats[0].num_components, stats[0].dim
+    """(sessions, n, f) per chunk; n is (CHUNK, G) and f (CHUNK, G * D) the
+    first-order statistics centered around the UBM means, with rows past
+    ``len(sessions)`` zero."""
+    g, d = gmm.num_components, gmm.dim
     for start in range(0, len(stats), CHUNK):
         part = stats[start : start + CHUNK]
         n = np.zeros((CHUNK, g))
         f = np.zeros((CHUNK, g * d))
         for i, s in enumerate(part):
+            f[i] = center_stats(s, gmm).reshape(-1)
             n[i] = s.n
-            f[i] = s.f.reshape(-1)
         yield part, n, f
 
 
@@ -226,14 +224,14 @@ def _session_lls(
     )
 
 
-def tv_log_likelihood(stats: Sequence[BwStats], model: TvModel) -> float:
+def tv_log_likelihood(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> float:
     """Total marginal log-likelihood over a collection of recordings."""
-    _check_stats(stats, model.num_components, model.dim)
+    _check_stats(stats, gmm, model)
     if not stats:
         return 0.0
     pre = _precompute(model.t_matrix, model.sigma)
     per_session: list[float] = []
-    for part, n, f in _chunks(stats):
+    for part, n, f in _chunks(stats, gmm):
         ew, _, b, logdet_l = _posterior(pre, n, f)
         per_session.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].tolist())
     return float(sum(per_session))
@@ -319,8 +317,20 @@ def train_tv(
         raise RankError(
             f"{len(stats)} recordings cannot support a rank-{rank} subspace"
         )
-    _check_stats(stats, g, d)
-    if max(float(np.abs(s.f).max(initial=0.0)) for s in stats) == 0.0:
+    _check_stats(stats, gmm)
+
+    # One pass before EM: per component, the sessions occupying it and, for
+    # the Sigma update, the sum over them of f~^2 / n; is any f~ non-zero?
+    active_counts = np.zeros(g, dtype=np.int64)
+    f2_over_n = np.zeros((g, d))
+    signal = False
+    for part, n, f in _chunks(stats, gmm):
+        signal = signal or bool(f.any())
+        active_counts += (n > 0).sum(axis=0)
+        if reestimate_sigma:
+            for n_s, f_s in zip(n[: len(part)], f.reshape(CHUNK, g, d)):
+                f2_over_n[n_s > 0] += f_s[n_s > 0] ** 2 / n_s[n_s > 0, None]
+    if not signal:
         raise DegenerateDataError(
             "all first-order statistics are zero; the subspace is unidentifiable"
         )
@@ -331,20 +341,12 @@ def train_tv(
     t_matrix = rng.standard_normal((m, rank)) * (0.01 * np.sqrt(sigma0.mean()))
     sigma = sigma0.copy()
 
-    active_counts = sum((s.n > 0).astype(np.int64) for s in stats)  # per component
-    if reestimate_sigma:
-        # sum over sessions with n_g > 0 of f~^2 / n; fixed across iterations
-        f2_over_n = np.zeros((g, d))
-        for s in stats:
-            active = s.n > 0
-            f2_over_n[active] += s.f[active] ** 2 / s.n[active, None]
-
     for it in range(iters):
         pre = _precompute(t_matrix, sigma)
         c_acc = np.zeros((m, rank))
         a_acc = np.zeros((g, rank * rank))
         total_ll = 0.0
-        for part, n, f in _chunks(stats):
+        for part, n, f in _chunks(stats, gmm):
             ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True)
             # Lower triangle of E[ww'] = Cov[w] + E[w] E[w]'; the upper one
             # is never read and is overwritten by _mirror_lower.
@@ -388,23 +390,23 @@ def train_tv(
     return TvModel(t_matrix=t_matrix, sigma=sigma, rank=rank)
 
 
-def _extract(stats: Sequence[BwStats], model: TvModel) -> list[IVector]:
-    _check_stats(stats, model.num_components, model.dim)
+def _extract(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> list[IVector]:
+    _check_stats(stats, gmm, model)
     if not stats:
         return []
     pre = _precompute(model.t_matrix, model.sigma)
     out = []
-    for part, n, f in _chunks(stats):
+    for part, n, f in _chunks(stats, gmm):
         ew, _, _, _ = _posterior(pre, n, f)
         out.extend(IVector(w=w, recording_id=s.recording_id) for s, w in zip(part, ew))
     return out
 
 
-def extract_ivector(stats: BwStats, model: TvModel) -> IVector:
-    """Posterior-mean i-vector of one recording's centered statistics."""
-    return _extract([stats], model)[0]
+def extract_ivector(stats: BwStats, gmm: DiagonalGmm, model: TvModel) -> IVector:
+    """Posterior-mean i-vector of one recording's raw statistics."""
+    return _extract([stats], gmm, model)[0]
 
 
-def extract_ivectors(stats: Sequence[BwStats], model: TvModel) -> list[IVector]:
+def extract_ivectors(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> list[IVector]:
     """Extract i-vectors for many recordings, `CHUNK` sessions at a time."""
-    return _extract(stats, model)
+    return _extract(stats, gmm, model)

@@ -43,6 +43,8 @@ log = logging.getLogger(__name__)
 
 MIN_FRAMES_PER_COMPONENT = 50
 
+MAX_ROW_SUM = 1.0 + 1e-6  # the largest row sum a PosteriorMatrix accepts
+
 # Frames per posterior chunk: the working set of EM and alignment is a few
 # (CHUNK_FRAMES, G) float64 arrays, whatever the number of frames.
 CHUNK_FRAMES = 1024
@@ -92,7 +94,7 @@ class PosteriorMatrix:
 
     Row ``t`` holds the posterior mass of frame ``t`` over the retained
     components; entries are non-negative and each row sums to at most
-    1 + 1e-6 (exactly 1 after top-n renormalisation).
+    `MAX_ROW_SUM` (exactly 1 after top-n renormalisation).
     """
 
     indptr: np.ndarray    # (T + 1,) int64, non-decreasing
@@ -126,7 +128,7 @@ class PosteriorMatrix:
         if self.num_frames > 0:
             csum = np.concatenate([[0.0], np.cumsum(self.values)])
             sums = csum[self.indptr[1:]] - csum[self.indptr[:-1]]
-            if np.any(sums > 1.0 + 1e-6):
+            if np.any(sums > MAX_ROW_SUM):
                 raise RangeError("posterior row sums exceed 1")
 
     def _check_indices(self) -> None:
@@ -468,18 +470,24 @@ def write_posteriors(path: str | Path, post: PosteriorMatrix) -> None:
     Path(path).write_text("".join(lines))
 
 
-def load_external_posteriors(path: str | Path, num_components: int) -> PosteriorMatrix:
+def load_external_posteriors(
+    path: str | Path, num_components: int, data: bytes | None = None
+) -> PosteriorMatrix:
     """Read one recording's posteriors from an external aligner (see
-    :func:`write_posteriors`); blank lines are skipped.
+    :func:`write_posteriors`), or from `data`, the file's bytes already read;
+    blank lines are skipped.
 
-    Component ids must lie in ``[0, num_components)``; values must be
-    non-negative.  Rows whose sum differs from 1 by more than 1e-4 are
-    renormalised.  Entries are stored sorted by component id.
+    Component ids must lie in ``[0, num_components)`` and values must be
+    finite and non-negative; each error names ``path:line``.  A row whose
+    sum lies in ``[1 - 1e-4, MAX_ROW_SUM]`` is kept as it is, and any other
+    row with a positive sum is renormalised.  Entries are stored sorted by
+    component id.
     """
+    text = (Path(path).read_bytes() if data is None else data).decode(errors="replace")
     indptr = [0]
     indices: list[int] = []
     values: list[float] = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         row: list[tuple[int, float]] = []
         for token in line.split():
             g_str, _, v_str = token.partition(":")
@@ -491,14 +499,15 @@ def load_external_posteriors(path: str | Path, num_components: int) -> Posterior
                 raise RangeError(
                     f"{path}:{line_no}: component {g} out of range [0, {num_components})"
                 )
-            if v < 0:
-                raise RangeError(f"{path}:{line_no}: negative posterior {v}")
+            if not 0 <= v < float("inf"):
+                kind = "negative" if v < 0 else "non-finite"
+                raise RangeError(f"{path}:{line_no}: {kind} posterior {v}")
             row.append((g, v))
         if not row:
             continue
         row.sort(key=lambda gv: gv[0])
         total = sum(v for _, v in row)
-        if total > 0 and abs(total - 1.0) > 1e-4:
+        if total > 0 and not 1.0 - 1e-4 <= total <= MAX_ROW_SUM:
             row = [(g, v / total) for g, v in row]
         indices.extend(g for g, _ in row)
         values.extend(v for _, v in row)

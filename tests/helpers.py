@@ -48,6 +48,13 @@ def make_gmm(rng: np.random.Generator, g: int, d: int) -> DiagonalGmm:
     return DiagonalGmm(weights=weights, means=means, variances=variances)
 
 
+def zero_mean_gmm(g: int, d: int) -> DiagonalGmm:
+    """A UBM with zero means: statistics it aligned are already centered."""
+    return DiagonalGmm(
+        weights=np.full(g, 1.0 / g), means=np.zeros((g, d)), variances=np.ones((g, d))
+    )
+
+
 def make_features(
     rng: np.random.Generator,
     num_frames: int,
@@ -153,9 +160,10 @@ def reference_train_tv(
     seed: int,
     reestimate_sigma: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """(T, Sigma, per-iteration log-likelihoods) of TV EM with one posterior
-    and one rank-one accumulator update per session.  Same initialisation,
-    M-step and Sigma update as :func:`ivnda.tv.train_tv`."""
+    """(T, Sigma, per-iteration log-likelihoods) of TV EM on raw statistics
+    with one posterior and one rank-one accumulator update per session.
+    Same centering, initialisation, M-step and Sigma update as
+    :func:`ivnda.tv.train_tv`."""
     g, d = gmm.num_components, gmm.dim
     m = g * d
     sigma0 = gmm.variances.copy()
@@ -163,7 +171,7 @@ def reference_train_tv(
     t_matrix = rng.standard_normal((m, rank)) * (0.01 * np.sqrt(sigma0.mean()))
     sigma = sigma0.copy()
     n_all = np.stack([s.n for s in stats])
-    f_all = np.stack([s.f.reshape(-1) for s in stats])
+    f_all = np.stack([(s.f - s.n[:, None] * gmm.means).reshape(-1) for s in stats])
     active_counts = (n_all > 0).sum(axis=0)
     lls = []
     for _ in range(iters):

@@ -15,12 +15,12 @@ import pytest
 from scipy.linalg import subspace_angles
 from scipy.optimize import minimize
 
-from helpers import dense_random_posteriors, make_features, make_gmm
+from helpers import dense_random_posteriors, make_features, make_gmm, zero_mean_gmm
 from test_backend import oracle_llr, random_plda
 from test_da import oracle_nda_scatter_all_pairs, oracle_nda_scatter_one_vs_rest
 from test_metrics import random_trials
 from test_stats import oracle_bw
-from test_tv import planted_stats, random_centered_stats, random_model
+from test_tv import planted_stats, random_centered_stats, random_model, uncenter
 from test_ubm import oracle_posteriors
 
 from ivnda import fileio
@@ -110,6 +110,7 @@ def test_criterion_03_tv_em_recovers_planted_subspace():
         stats = planted_stats(gen, truth, 300, residual=0.0)
         gmm = make_gmm(gen, g, d)
         gmm.variances[:] = sigma
+        uncenter(stats, gmm)
         lls: list[float] = []
         model = train_tv(
             stats, gmm, rank=r, iters=15, seed=0,
@@ -163,7 +164,7 @@ def test_criterion_04_ivector_matches_map_oracle():
             stats = random_centered_stats(
                 gen, g, d, zero_components=int(gen.integers(0, 2))
             )
-            got = extract_ivector(stats, model)
+            got = extract_ivector(stats, zero_mean_gmm(g, d), model)
             np.testing.assert_allclose(got.w, map_oracle(model, stats), atol=1e-6)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import re
 import shutil
 from pathlib import Path
@@ -618,8 +619,15 @@ class TestAudioRecipe:
         )
         gmm, _, meta = fileio.read_gmm(tmp_path / "subm.ivgm")
         assert gmm.num_components == 4 and gmm.dim == 39
+        # the files' content, in manifest order, is part of the fingerprint
+        per_file = b"".join(
+            hashlib.blake2b((tmp_path / "post" / f"{rec_id}.post").read_bytes(), digest_size=16)
+            .digest()
+            for rec_id in posteriors
+        )
         assert meta["config"] == {
-            "num_components": 4, "variance_floor_scale": 1e-3, "external_posteriors": True
+            "num_components": 4, "variance_floor_scale": 1e-3, "external_posteriors": True,
+            "posteriors_digest": hashlib.blake2b(per_file, digest_size=16).hexdigest(),
         }
         records = [
             fileio.read_feature_record(audio_ws / "feats" / f"{rec_id}.ivfa")[0]
@@ -1038,6 +1046,22 @@ class TestExitCodes:
             ]
         )
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_worker_count_below_one_is_usage_error(self, tmp_path, capsys, workers, source):
+        """The effective count is checked whether a flag or a config file set it."""
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text("")
+        argv = ["extract-features", "--manifest", str(manifest), "--out-dir", str(tmp_path / "f")]
+        if source == "flag":
+            argv += ["--workers", workers]
+        else:
+            (tmp_path / "c.ini").write_text(f"[run]\nworkers = {workers}\n")
+            argv += ["--config", str(tmp_path / "c.ini")]
+        assert main(argv) == EXIT_USAGE
+        assert f"must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     def test_tv_iters_zero_is_usage_error(self, stats_ws, tmp_path, capsys):
         rc = main(

@@ -228,19 +228,12 @@ class TestArchives:
         for got, want in zip(loaded, stats):
             np.testing.assert_array_equal(got.n, want.n)
             np.testing.assert_array_equal(got.f, want.f)
-            assert not got.centered
 
     def test_empty_stats_archive(self, tmp_path):
         path = tmp_path / "stats.ivbw"
         write_stats_archive(path, [], fp=0, meta={})
         loaded, _, _ = read_stats_archive(path)
         assert loaded == []
-
-    def test_centered_stats_rejected(self, rng, tmp_path):
-        stats = self.make_stats(rng, count=1)
-        stats[0].centered = True
-        with pytest.raises(ValueError):
-            write_stats_archive(tmp_path / "stats.ivbw", stats, fp=0, meta={})
 
     def test_ivector_round_trip(self, rng, tmp_path):
         ivectors = [IVector(w=rng.normal(size=5), recording_id=f"r{i}") for i in range(4)]

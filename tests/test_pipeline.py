@@ -3,10 +3,14 @@
 `train_ubm_stage` and `accumulate_stats_stage` read feature records and
 external posteriors one recording at a time, so their memory does not grow
 with the number of recordings beyond what they keep from each (pooled
-speech frames, statistics).
+speech frames, statistics).  `train_tv_stage` and `extract_ivectors_stage`
+hand the raw statistics to TV, which centers them chunk by chunk, so
+neither holds a second copy of them.
 """
 
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from ivnda import fileio, pipeline, ubm
 from ivnda.config import PipelineConfig
 from ivnda.errors import ContractError, DataError
 from ivnda.fileio import ManifestEntry
+from ivnda.stats import BwStats
+from ivnda.tv import TvModel
 
 FRAMES, DIM = 1000, 20
 FEAT_FP = 1234
@@ -131,6 +137,79 @@ def test_train_ubm_peak_is_about_twice_the_pooled_speech_frames(tmp_path, rng):
     # one record and the EM working set of CHUNK_FRAMES frames come on top.
     allowance = FRAMES * DIM * 8 + 4 * ubm.CHUNK_FRAMES * (2 * DIM + 1) * 8
     assert peak < 2 * pooled + allowance, (peak, pooled)
+
+
+@pytest.mark.parametrize("stage", ["train-tv", "extract-ivectors"])
+def test_tv_stages_hold_no_centered_copy_of_the_statistics(tmp_path, rng, stage):
+    g, count, rank = 16, 1000, 4
+    fileio.write_gmm(tmp_path / "ubm.ivgm", make_gmm(rng, g, DIM), 99, {})
+    stats = [
+        BwStats(n=rng.uniform(1.0, 20.0, g), f=rng.normal(size=(g, DIM)), recording_id=f"r{i}")
+        for i in range(count)
+    ]
+    fileio.write_stats_archive(tmp_path / "s.ivbw", stats, 7, {"upstream": {"ubm": 99}})
+    model = TvModel(rng.normal(size=(g * DIM, rank)), np.ones((g, DIM)), rank)
+    fileio.write_tv_model(tmp_path / "tv.ivtv", model, 8, {"upstream": {"stats": 7}})
+    cfg = PipelineConfig()
+    cfg.tv.rank, cfg.tv.iters = rank, 1
+
+    def run():
+        if stage == "train-tv":
+            pipeline.train_tv_stage(tmp_path / "s.ivbw", tmp_path / "ubm.ivgm", tmp_path / "o", cfg)
+        else:
+            pipeline.extract_ivectors_stage(
+                tmp_path / "s.ivbw", tmp_path / "ubm.ivgm", tmp_path / "tv.ivtv", tmp_path / "o"
+            )
+
+    run()  # first-call imports and caches
+    raw = count * g * (DIM + 1) * 8
+    # Above the raw statistics: O(CHUNK) arrays, the model and the output.
+    assert _peak(run) - raw < raw, _peak(run) / raw
+
+
+def test_posterior_content_enters_the_ubm_and_stats_fingerprints(tmp_path, rng, monkeypatch):
+    """Two posterior directories give two fingerprints; one directory gives
+    the same bytes twice, with one or four workers, reading each file once."""
+    components = 4
+    _write_ubm(tmp_path / "ubm.ivgm", rng, components)
+    entries = _write_records(tmp_path / "feats", 4, rng)
+    fileio.write_manifest(tmp_path / "train.manifest", entries)
+    for name in ("a", "b"):
+        _write_posteriors(tmp_path / name, entries, rng, components)
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def counting(path):
+        if path.suffix == ".post":
+            reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    cfg = _config(components)
+
+    def run(name, workers=1):
+        cfg.run.workers = workers
+        out = tmp_path / f"{name}{workers}"
+        out.mkdir(exist_ok=True)
+        posteriors = tmp_path / name
+        reads.clear()
+        pipeline.train_ubm_stage(
+            tmp_path / "feats", tmp_path / "train.manifest", out / "ubm.ivgm", cfg, posteriors
+        )
+        assert set(reads.values()) == {1} and len(reads) == len(entries)
+        reads.clear()
+        pipeline.accumulate_stats_stage(
+            tmp_path / "feats", entries, tmp_path / "ubm.ivgm", out / "s.ivbw", cfg, posteriors
+        )
+        assert set(reads.values()) == {1} and len(reads) == len(entries)
+        fps = (fileio.read_gmm(out / "ubm.ivgm")[1], fileio.read_stats_archive(out / "s.ivbw")[1])
+        return fps, [(out / f).read_bytes() for f in ("ubm.ivgm", "s.ivbw")]
+
+    fps_a, bytes_a = run("a")
+    fps_b, _ = run("b")
+    assert fps_a[0] != fps_b[0] and fps_a[1] != fps_b[1]
+    assert run("a")[1] == bytes_a
+    assert run("a", workers=4)[1] == bytes_a
 
 
 def test_missing_record_fails_before_any_alignment(tmp_path, rng, monkeypatch):

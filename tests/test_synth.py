@@ -153,7 +153,6 @@ class TestStatsCorpus:
     def test_statistics_are_raw_with_positive_mass(self):
         corpus = make_stats_corpus(2, **SMALL_STATS)
         for s in corpus.train:
-            assert not s.centered
             assert np.all(s.n > 0.0)
             assert 0.8 * 1000.0 <= s.n.sum() <= 1.2 * 1000.0
 

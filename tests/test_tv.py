@@ -6,15 +6,14 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, subspace_angles
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
-from helpers import make_gmm, reference_train_tv
+from helpers import make_gmm, reference_train_tv, zero_mean_gmm
 from ivnda.errors import (
-    ContractError,
     DegenerateDataError,
     NumericError,
     RankError,
     ShapeError,
 )
-from ivnda.stats import BwStats
+from ivnda.stats import BwStats, center_stats
 from ivnda.tv import (
     CHUNK,
     IVector,
@@ -40,13 +39,14 @@ def random_model(gen: np.random.Generator, g: int, d: int, r: int) -> TvModel:
 def random_centered_stats(
     gen: np.random.Generator, g: int, d: int, zero_components: int = 0
 ) -> BwStats:
+    """Statistics already centered: the ones a zero-mean UBM aligned."""
     n = gen.uniform(0.5, 30.0, size=g)
     if zero_components:
         off = gen.choice(g, size=zero_components, replace=False)
         n[off] = 0.0
     f = gen.normal(0.0, 3.0, size=(g, d)) * n[:, None] / 10.0
     f[n == 0.0] = 0.0
-    return BwStats(n=n, f=f, centered=True)
+    return BwStats(n=n, f=f)
 
 
 def planted_stats(
@@ -55,7 +55,7 @@ def planted_stats(
     count: int,
     residual: float = 0.0,
 ) -> list[BwStats]:
-    """Sessions drawn exactly from the subspace model."""
+    """Sessions drawn exactly from the subspace model, centered."""
     g, d = model.num_components, model.dim
     out = []
     for _ in range(count):
@@ -65,8 +65,15 @@ def planted_stats(
         noise = residual * gen.standard_normal((g, d)) * np.sqrt(
             n[:, None] * model.sigma
         )
-        out.append(BwStats(n=n, f=mean + noise, centered=True))
+        out.append(BwStats(n=n, f=mean + noise))
     return out
+
+
+def uncenter(stats: list[BwStats], gmm) -> list[BwStats]:
+    """Make centered statistics raw in place, as if `gmm` had aligned them."""
+    for s in stats:
+        s.f += s.n[:, None] * gmm.means
+    return stats
 
 
 # --- closed form vs oracles ------------------------------------------------
@@ -90,7 +97,7 @@ def test_ivector_matches_dense_linear_solve(case):
     g, d, r = int(gen.integers(2, 8)), int(gen.integers(1, 4)), int(gen.integers(1, 5))
     model = random_model(gen, g, d, r)
     stats = random_centered_stats(gen, g, d)
-    got = extract_ivector(stats, model)
+    got = extract_ivector(stats, zero_mean_gmm(g, d), model)
     want = dense_posterior_mean(model, stats)
     np.testing.assert_allclose(got.w, want, rtol=1e-10, atol=1e-12)
 
@@ -127,7 +134,7 @@ def test_ivector_matches_map_oracle(case):
         method="BFGS",
         options={"gtol": 1e-12, "maxiter": 500},
     )
-    got = extract_ivector(stats, model)
+    got = extract_ivector(stats, zero_mean_gmm(g, d), model)
     np.testing.assert_allclose(got.w, res.x, atol=1e-6)
 
 
@@ -145,7 +152,7 @@ def test_ll_matches_dense_gaussian_oracle():
         want = multivariate_normal.logpdf(
             stats.f.reshape(-1), mean=np.zeros(g * d), cov=cov
         )
-        got = tv_log_likelihood([stats], model)
+        got = tv_log_likelihood([stats], zero_mean_gmm(g, d), model)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -164,7 +171,7 @@ def test_ll_with_inactive_components(rng):
     want = multivariate_normal.logpdf(
         stats.f.reshape(-1)[idx], mean=np.zeros(idx.sum()), cov=cov
     )
-    got = tv_log_likelihood([stats], model)
+    got = tv_log_likelihood([stats], zero_mean_gmm(g, d), model)
     assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -172,12 +179,33 @@ def test_ll_with_inactive_components(rng):
 def test_batch_extraction_matches_single(rng, count):
     model = random_model(rng, 4, 3, 2)
     stats = [random_centered_stats(rng, 4, 3) for _ in range(count)]
+    gmm = make_gmm(rng, 4, 3)
     for i, s in enumerate(stats):
         s.recording_id = f"rec{i}"
-    batch = extract_ivectors(stats, model)
+    batch = extract_ivectors(stats, gmm, model)
     assert [iv.recording_id for iv in batch] == [f"rec{i}" for i in range(count)]
     for s, iv in zip(stats, batch):
-        np.testing.assert_array_equal(iv.w, extract_ivector(s, model).w)
+        np.testing.assert_array_equal(iv.w, extract_ivector(s, gmm, model).w)
+
+
+def test_raw_statistics_are_centered_at_the_ubm_means(rng):
+    """Raw statistics with their UBM give, bit for bit, what statistics
+    centered beforehand give with a zero-mean UBM."""
+    g, d = 4, 3
+    model = random_model(rng, g, d, 2)
+    gmm = make_gmm(rng, g, d)
+    raw = uncenter([random_centered_stats(rng, g, d) for _ in range(CHUNK + 5)], gmm)
+    pre = [BwStats(n=s.n, f=center_stats(s, gmm)) for s in raw]
+    zero = zero_mean_gmm(g, d)
+    for got, want in zip(extract_ivectors(raw, gmm, model), extract_ivectors(pre, zero, model)):
+        np.testing.assert_array_equal(got.w, want.w)
+    assert tv_log_likelihood(raw, gmm, model) == tv_log_likelihood(pre, zero, model)
+    zero.variances[:] = gmm.variances
+    for reestimate_sigma in (False, True):
+        a = train_tv(raw, gmm, rank=2, iters=2, reestimate_sigma=reestimate_sigma)
+        b = train_tv(pre, zero, rank=2, iters=2, reestimate_sigma=reestimate_sigma)
+        np.testing.assert_array_equal(a.t_matrix, b.t_matrix)
+        np.testing.assert_array_equal(a.sigma, b.sigma)
 
 
 # --- posterior and M-step kernels ------------------------------------------
@@ -282,6 +310,7 @@ def test_training_recovers_planted_subspace():
     stats = planted_stats(gen, truth, 150, residual=0.0)
     gmm = make_gmm(gen, g, d)
     gmm.variances[:] = sigma
+    uncenter(stats, gmm)
     lls: list[float] = []
     model = train_tv(
         stats, gmm, rank=r, iters=12, seed=1,
@@ -304,6 +333,7 @@ def test_training_with_sigma_reestimation_tightens_residuals():
     stats = planted_stats(gen, truth, 120, residual=0.0)
     gmm = make_gmm(gen, g, d)
     gmm.variances[:] = 1.0
+    uncenter(stats, gmm)
     fixed = train_tv(stats, gmm, rank=r, iters=8, seed=3)
     adapted = train_tv(stats, gmm, rank=r, iters=8, seed=3, reestimate_sigma=True)
     # zero planted residual: re-estimated variances collapse far below the UBM's
@@ -323,6 +353,7 @@ def test_training_ll_monotone_with_noise():
     stats = planted_stats(gen, truth, 60, residual=1.0)
     gmm = make_gmm(gen, g, d)
     gmm.variances[:] = truth.sigma
+    uncenter(stats, gmm)
     lls: list[float] = []
     train_tv(
         stats, gmm, rank=r, iters=10, seed=5, reestimate_sigma=True,
@@ -346,6 +377,7 @@ def test_training_matches_per_session_reference(reestimate_sigma):
         s.n[g - 1] = 0.0
         s.f[s.n == 0.0] = 0.0
     gmm = make_gmm(gen, g, d)
+    uncenter(stats, gmm)
     lls: list[float] = []
     model = train_tv(
         stats, gmm, rank=r, iters=5, seed=2, reestimate_sigma=reestimate_sigma,
@@ -389,18 +421,18 @@ def test_non_finite_statistics_rejected(rng, bad):
     with pytest.raises(NumericError, match="broken"):
         train_tv(stats, gmm, rank=2, iters=1)
     with pytest.raises(NumericError, match="broken"):
-        extract_ivectors(stats, model)
+        extract_ivectors(stats, gmm, model)
     stats[3].f[1, 0] = 0.0
     stats[3].n[2] = bad
     with pytest.raises(NumericError, match="broken"):
-        extract_ivector(stats[3], model)
+        extract_ivector(stats[3], gmm, model)
 
 
 def test_non_finite_model_rejected(rng):
     model = random_model(rng, 3, 2, 2)
     model.t_matrix[4, 1] = np.nan
     with pytest.raises(NumericError):
-        extract_ivector(random_centered_stats(rng, 3, 2), model)
+        extract_ivector(random_centered_stats(rng, 3, 2), zero_mean_gmm(3, 2), model)
 
 
 def test_train_rejects_bad_rank(rng):
@@ -420,30 +452,30 @@ def test_train_rejects_too_few_recordings(rng):
 
 
 def test_train_rejects_all_zero_statistics(rng):
+    """All-zero once centered: each f is its counts times the UBM means."""
     gmm = make_gmm(rng, 3, 2)
-    stats = [
-        BwStats(n=np.ones(3), f=np.zeros((3, 2)), centered=True)
-        for _ in range(5)
-    ]
+    stats = [BwStats(n=np.ones(3), f=gmm.means.copy()) for _ in range(5)]
     with pytest.raises(DegenerateDataError):
-        train_tv(stats, gmm, rank=2)
-
-
-def test_train_requires_centered_stats(rng):
-    gmm = make_gmm(rng, 3, 2)
-    stats = [
-        BwStats(n=np.ones(3), f=rng.normal(size=(3, 2)), centered=False)
-        for _ in range(5)
-    ]
-    with pytest.raises(ContractError):
         train_tv(stats, gmm, rank=2)
 
 
 def test_extract_requires_matching_shape(rng):
     model = random_model(rng, 4, 3, 2)
-    bad = BwStats(n=np.ones(3), f=np.zeros((3, 3)), centered=True)
+    bad = BwStats(n=np.ones(3), f=np.zeros((3, 3)))
     with pytest.raises(ShapeError):
-        extract_ivector(bad, model)
+        extract_ivector(bad, make_gmm(rng, 4, 3), model)
+
+
+def test_ubm_must_match_the_model(rng):
+    model = random_model(rng, 4, 3, 2)
+    stats = [random_centered_stats(rng, 4, 3) for _ in range(3)]
+    for ubm in (make_gmm(rng, 3, 3), make_gmm(rng, 4, 2)):
+        with pytest.raises(ShapeError, match="UBM"):
+            extract_ivector(stats[0], ubm, model)
+        with pytest.raises(ShapeError, match="UBM"):
+            extract_ivectors(stats, ubm, model)
+        with pytest.raises(ShapeError, match="UBM"):
+            tv_log_likelihood(stats, ubm, model)
 
 
 def test_training_is_deterministic(rng):
@@ -460,8 +492,9 @@ def test_training_is_deterministic(rng):
 def test_tv_log_likelihood_sums_sessions(rng):
     model = random_model(rng, 3, 2, 2)
     stats = [random_centered_stats(rng, 3, 2) for _ in range(4)]
-    total = tv_log_likelihood(stats, model)
-    parts = sum(tv_log_likelihood([s], model) for s in stats)
+    gmm = make_gmm(rng, 3, 2)
+    total = tv_log_likelihood(stats, gmm, model)
+    parts = sum(tv_log_likelihood([s], gmm, model) for s in stats)
     assert total == pytest.approx(parts, rel=1e-15)
 
 

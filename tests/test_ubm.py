@@ -21,6 +21,7 @@ from ivnda.errors import (
 from ivnda.frontend import FeatureMatrix
 from ivnda.ubm import (
     CHUNK_FRAMES,
+    MAX_ROW_SUM,
     DiagonalGmm,
     PosteriorMatrix,
     _em_step,
@@ -472,6 +473,37 @@ def test_posterior_file_renormalises_bad_rows(tmp_path):
     assert dense.shape == (2, 3)  # the blank line is not a frame
     np.testing.assert_allclose(dense[0], [0.25, 0.0, 0.75], rtol=1e-12)
     np.testing.assert_allclose(dense[1], [0.0, 1.0, 0.0], rtol=1e-12)
+
+
+def test_posterior_file_rows_it_keeps_pass_validation(tmp_path):
+    """A row within [1 - 1e-4, MAX_ROW_SUM] is kept as it is; every other
+    row, one just above 1 + 1e-6 too, is renormalised, so none is rejected."""
+    sums = [0.3, 1.0 - 2e-4, 1.0 - 1e-4, 1.0, 1.0 + 5e-7, 1.0 + 2e-6, 1.00005, 1.0 + 1e-4, 2.0]
+    path = tmp_path / "rec.post"
+    path.write_text("0:0.50003 1:0.50002\n" + "".join(f"0:{s / 2!r} 2:{s / 2!r}\n" for s in sums))
+    post = load_external_posteriors(path, 3)
+    row_sums = post.to_dense().sum(axis=1)
+    np.testing.assert_allclose(row_sums[0], 1.0, rtol=1e-15)
+    for got, given in zip(row_sums[1:], sums):
+        kept = 1.0 - 1e-4 <= given <= MAX_ROW_SUM
+        assert got == pytest.approx(given if kept else 1.0, rel=1e-15), given
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_posterior_file_non_finite_value(tmp_path, value):
+    path = tmp_path / "rec.post"
+    path.write_text(f"0:1.0\n0:{value} 1:0.5\n")
+    with pytest.raises(RangeError) as exc:
+        load_external_posteriors(path, 4)
+    assert str(exc.value) == f"{path}:2: non-finite posterior {value}"
+
+
+def test_posterior_file_not_utf8(tmp_path):
+    path = tmp_path / "rec.post"
+    path.write_bytes(b"0:1.0\n\xff:0.5\n")
+    with pytest.raises(FormatError) as exc:
+        load_external_posteriors(path, 4)
+    assert str(exc.value) == f"{path}:2: bad entry '\ufffd:0.5'"
 
 
 def test_posterior_file_component_out_of_range(tmp_path):
