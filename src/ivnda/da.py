@@ -8,10 +8,13 @@ competing classes, weighted so that only samples near class boundaries
 contribute.  The NDA scatter is a sum of order N*k rank-one terms rather
 than C-1 of them, so its rank is not capped by the number of classes.
 
-The neighbour search works one class at a time: one matrix product gives
-the cosine distances of the class's n_c members to all N training vectors,
-and a partial sort of that block picks every member's neighbours at once.
-Memory is O(n_c * N) for the largest class; no N x N matrix is built.
+The neighbour search works on blocks of whole consecutive classes: one
+matrix product gives the cosine distances of a block's rows to all N
+training vectors, and one `_k_smallest` call picks every row's neighbours
+at once.  A block holds at most
+``max(largest class, BLOCK_ENTRIES // N)`` rows, so memory is
+O(max(BLOCK_ENTRIES, n_max * N) + N * R) for the largest class size n_max
+and dimension R; no N x N matrix is built.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from .errors import (
     RankError,
     ShapeError,
 )
+
+# Distance entries in one neighbour-search block: 8 MB of float64.
+BLOCK_ENTRIES = 1 << 20
+# `_k_smallest` bounds each row's k-th distance from every SAMPLE_STEP-th column.
+SAMPLE_STEP = 4
 
 
 @dataclass
@@ -56,7 +64,7 @@ class LabeledVectors:
     def class_indices(self) -> dict:
         """Label -> array of row indices, in order of first appearance."""
         out: dict = {}
-        for i, lab in enumerate(self.labels):
+        for i, lab in enumerate(self.labels.tolist()):
             out.setdefault(lab, []).append(i)
         return {lab: np.asarray(idx) for lab, idx in out.items()}
 
@@ -125,21 +133,26 @@ def _k_smallest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of `dists`: the column indices of its k smallest entries,
     ordered by (distance, index), and the k-th smallest distance.
 
-    `np.argpartition` picks k candidates per row; sorting them by index and
-    then stably by distance gives the (distance, index) order.  A row whose
-    k-th value is tied with an entry left outside the candidates (ties
-    straddling the k-th place) may have picked the higher index, so only
-    those rows are redone with a full stable sort.
+    The k-th smallest entry among every `SAMPLE_STEP`-th column is at least
+    the row's k-th smallest, so the entries up to it hold the answer, ties
+    at the k-th place included.  Only those are gathered, in column order
+    and padded with +inf, and sorted stably by distance.
     """
-    cand = np.argpartition(dists, k - 1, axis=1)[:, :k]
-    cand.sort(axis=1)
-    order = np.argsort(np.take_along_axis(dists, cand, axis=1), axis=1, kind="stable")
-    idx = np.take_along_axis(cand, order, axis=1)
-    kth = np.take_along_axis(dists, idx[:, -1:], axis=1)[:, 0]
-    straddle = np.flatnonzero(np.count_nonzero(dists <= kth[:, None], axis=1) > k)
-    if straddle.size:
-        idx[straddle] = np.argsort(dists[straddle], axis=1, kind="stable")[:, :k]
-    return idx, kth
+    sample = dists[:, ::SAMPLE_STEP]
+    if sample.shape[1] < k:
+        bound = np.full(dists.shape[0], np.inf)
+    else:
+        bound = np.partition(sample, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.divmod(np.flatnonzero(dists <= bound[:, None]), dists.shape[1])
+    counts = np.bincount(rows, minlength=dists.shape[0])
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    values = np.full((dists.shape[0], counts.max()), np.inf)
+    values[rows, slot] = dists[rows, cols]
+    cand = np.zeros(values.shape, dtype=np.intp)
+    cand[rows, slot] = cols
+    order = np.argsort(values, axis=1, kind="stable")[:, :k]
+    kth = np.take_along_axis(values, order[:, -1:], axis=1)[:, 0]
+    return np.take_along_axis(cand, order, axis=1), kth
 
 
 def knn_cosine(
@@ -195,23 +208,50 @@ def _nda_classes(data: LabeledVectors, k: int) -> dict:
     return classes
 
 
-def _class_blocks(data: LabeledVectors, classes: dict, k: int):
-    """Yield ``(idx, dists, d_own)`` per class: the class's row indices, its
-    (n_c, N) cosine-distance block against every training row, and each
-    member's k-th within-class neighbour distance (itself excluded).
+def _class_order(classes: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices grouped by class (in the order of `classes`, ascending
+    within each class), and where each class starts in them, plus the end."""
+    members = list(classes.values())
+    return np.concatenate(members), np.cumsum([0] + [idx.size for idx in members])
 
-    The own-class columns of the yielded block are set to +inf, so it can
-    be searched for neighbours outside the class directly.  Only one block
-    is alive at a time, so memory is O(n_c * N) for the largest class.
+
+def _class_blocks(data: LabeledVectors, classes: dict, k: int):
+    """Yield ``(rows, code, dists, d_own)`` per block of whole consecutive
+    classes: the block's row indices, grouped by class; each row's class
+    number (its position in `classes`); the (rows, N) cosine distances of
+    those rows to every training row; and each row's k-th within-class
+    neighbour distance (itself excluded).
+
+    Each row's own-class columns are set to +inf, so the block can be
+    searched for neighbours outside the class directly.  A block holds at
+    most ``max(largest class, BLOCK_ENTRIES // N)`` rows.  Every block is
+    written into one buffer, so the yielded distances are overwritten by
+    the next block.
     """
     unit = _unit_rows(data.vectors, "training vectors")
-    for idx in classes.values():
-        dists = 1.0 - unit[idx] @ unit.T
-        own = dists[:, idx]
-        np.fill_diagonal(own, np.inf)
+    order, starts = _class_order(classes)
+    sizes = np.diff(starts)
+    limit = max(sizes.max(), BLOCK_ENTRIES // data.num_vectors)
+    buffer = np.empty((min(limit, data.num_vectors), data.num_vectors))
+    first = 0
+    while first < sizes.size:
+        last = np.searchsorted(starts, starts[first] + limit, side="right") - 1
+        at = np.arange(starts[first], starts[last])
+        rows = order[at]
+        code = np.repeat(np.arange(first, last), sizes[first:last])
+        # Each row's own-class columns, padded with the row itself.
+        slot = np.arange(sizes[first:last].max())
+        own_cols = order[
+            np.where(slot < sizes[code, None], starts[code, None] + slot, at[:, None])
+        ]
+        dists = np.matmul(unit[rows], unit.T, out=buffer[: rows.size])
+        np.subtract(1.0, dists, out=dists)
+        own = np.take_along_axis(dists, own_cols, axis=1)
+        own[own_cols == rows[:, None]] = np.inf
         d_own = np.partition(own, k - 1, axis=1)[:, k - 1]
-        dists[:, idx] = np.inf
-        yield idx, dists, d_own
+        np.put_along_axis(dists, own_cols, np.inf, axis=1)
+        yield rows, code, dists, d_own
+        first = last
 
 
 def nda_local_stats(data: LabeledVectors, k: int, alpha: float) -> NdaLocalStats:
@@ -236,17 +276,97 @@ def nda_local_stats(data: LabeledVectors, k: int, alpha: float) -> NdaLocalStats
     local_means = np.zeros((n, data.dim))
     dist_own = np.zeros(n)
     dist_rest = np.zeros(n)
-    for idx, dists, d_own in _class_blocks(data, classes, k):
+    for rows, _, dists, d_own in _class_blocks(data, classes, k):
         order, d_rest = _k_smallest(dists, k)
-        local_means[idx] = data.vectors[order].mean(axis=1)
-        dist_own[idx] = d_own
-        dist_rest[idx] = d_rest
+        local_means[rows] = data.vectors[order].mean(axis=1)
+        dist_own[rows] = d_own
+        dist_rest[rows] = d_rest
     return NdaLocalStats(
         weights=_boundary_weights(dist_own, dist_rest, alpha),
         local_means=local_means,
         dist_own=dist_own,
         dist_rest=dist_rest,
     )
+
+
+def _k_nearest_mask(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Along the last axis of `dists`: a mask of the k smallest entries by
+    (distance, index), and the k-th smallest distance.
+
+    Entries up to the k-th distance are taken; where ties at that distance
+    make more than k, only the lower-index ones among the tied are kept.
+    """
+    kth = np.partition(dists, k - 1, axis=-1)[..., k - 1 : k].copy()
+    mask = dists <= kth
+    over = np.count_nonzero(mask, axis=-1) > k
+    if over.any():
+        below = dists[over] < kth[over]
+        tied = mask[over] & ~below
+        room = k - np.count_nonzero(below, axis=-1)
+        mask[over] = below | (tied & (np.cumsum(tied, axis=-1) <= room[:, None]))
+    return mask, kth[..., 0]
+
+
+def _competing_group_terms(
+    group: tuple, dists: np.ndarray, d_own: np.ndarray, code: np.ndarray, k: int, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block's pairs with one group of equal-size competing classes.
+
+    Returns, per block row, the sum of its pair weights w and of its
+    weighted local means w m, and adds ``sum_x w p p^T`` to the group's
+    Gram matrices.  Pairs with the row's own class get weight 0.
+    """
+    cls, cols, members, gram = group
+    mask, d_other = _k_nearest_mask(dists[:, cols].reshape(code.size, cls.size, -1), k)
+    weights = _boundary_weights(d_own[:, None], d_other, alpha)
+    weights[code[:, None] == cls] = 0.0
+    pick = mask / k
+    weighted_pick = pick * weights[:, :, None]
+    gram += np.matmul(weighted_pick.transpose(1, 2, 0), pick.transpose(1, 0, 2))
+    weighted_means = weighted_pick.reshape(code.size, -1) @ members.reshape(-1, members.shape[2])
+    return weights.sum(axis=1), weighted_means
+
+
+def _class_pair_scatter(data: LabeledVectors, k: int, alpha: float) -> np.ndarray:
+    """Sum of ``w (x - m)(x - m)^T`` over every sample x and competing class,
+    with m the mean of x's k nearest members of that class.
+
+    The competing classes are taken in groups of equal size s, so a block's
+    distances to a group are one (rows, C_s, s) array.  Writing m = p^T S_c,
+    with S_c the class's (s, R) members and p the 1/k selection weights,
+    the sum expands to
+
+        sum_x x x^T sum_c w  -  2 sym(sum_x x (sum_c w m)^T)
+                             +  sum_c S_c^T (sum_x w p p^T) S_c,
+
+    so no per-pair mean is built; the (s, s) Gram matrices in the last term
+    are summed over the blocks and applied once per class at the end.
+    """
+    classes = _nda_classes(data, k)
+    order, starts = _class_order(classes)
+    sizes = np.diff(starts)
+    # x - m is unchanged by a translation; centering keeps the expanded
+    # terms from cancelling when the vectors share a large offset.
+    centered = data.vectors - data.vectors.mean(axis=0)
+    groups = []  # (class numbers, member columns, (C_s, s, R) members, (C_s, s, s) Grams)
+    for s in np.unique(sizes):
+        cls = np.flatnonzero(sizes == s)
+        cols = order[starts[cls, None] + np.arange(s)]
+        groups.append((cls, cols.ravel(), centered[cols], np.zeros((cls.size, s, s))))
+    sb = np.zeros((data.dim, data.dim))
+    for rows, code, dists, d_own in _class_blocks(data, classes, k):
+        x = centered[rows]
+        weight_sum = np.zeros(rows.size)
+        weighted_means = np.zeros_like(x)
+        for group in groups:
+            w_sum, w_means = _competing_group_terms(group, dists, d_own, code, k, alpha)
+            weight_sum += w_sum
+            weighted_means += w_means
+        cross = x.T @ weighted_means
+        sb += (x * weight_sum[:, None]).T @ x - cross - cross.T
+    for _, _, members, gram in groups:
+        sb += np.tensordot(members, gram @ members, axes=([0, 1], [0, 1]))
+    return sb
 
 
 def nda_between_scatter(
@@ -257,24 +377,13 @@ def nda_between_scatter(
     One-vs-rest (default): each sample contributes one weighted outer
     product of its offset from the complement's local k-NN mean.  The
     pairwise variant accumulates one term per (sample, competing class)
-    pair instead; it is quadratic in the number of classes and kept mainly
-    for comparison.  Both search one (n_c, N) distance block per class.
+    pair instead.  Both search the same blocks of whole classes.
     """
     if one_vs_rest:
         local = nda_local_stats(data, k, alpha)
         diffs = data.vectors - local.local_means
         return (diffs * local.weights[:, None]).T @ diffs
-    classes = _nda_classes(data, k)
-    sb = np.zeros((data.dim, data.dim))
-    for idx_i, dists, d_own in _class_blocks(data, classes, k):
-        for idx_j in classes.values():
-            if idx_j is idx_i:
-                continue
-            order, d_other = _k_smallest(dists[:, idx_j], k)
-            diffs = data.vectors[idx_i] - data.vectors[idx_j[order]].mean(axis=1)
-            weights = _boundary_weights(d_own, d_other, alpha)
-            sb += (diffs * weights[:, None]).T @ diffs
-    return sb
+    return _class_pair_scatter(data, k, alpha)
 
 
 def compute_projection(
@@ -344,6 +453,8 @@ def compute_nda(
     """Nearest-neighbour discriminant projection."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     proj = compute_projection(
         within_class_scatter(data),
         nda_between_scatter(data, k, alpha, one_vs_rest=one_vs_rest),

@@ -1100,6 +1100,37 @@ class TestExitCodes:
         assert "error: k must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "p.ivda").exists()
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nda_non_finite_alpha_is_usage_error(self, stats_ws, tmp_path, capsys, alpha, source):
+        argv = [
+            "train-da", "--ivectors", str(stats_ws / "train.iviv"),
+            "--manifest", str(stats_ws / "train.manifest"),
+            "--out", str(tmp_path / "p.ivda"), "--method", "nda", "--k", "3",
+        ]
+        if source == "flag":
+            argv += ["--alpha", alpha]
+        else:
+            (tmp_path / "c.ini").write_text(f"[da]\nalpha = {alpha}\n")
+            argv += ["--config", str(tmp_path / "c.ini")]
+        assert main(argv) == EXIT_USAGE
+        assert f"error: alpha must be finite, got {alpha}\n" in capsys.readouterr().err
+        assert not (tmp_path / "p.ivda").exists()
+
+    def test_nda_class_too_small_names_the_label(self, stats_ws, tmp_path, capsys):
+        rc = main(
+            [
+                "train-da", "--ivectors", str(stats_ws / "train.iviv"),
+                "--manifest", str(stats_ws / "train.manifest"),
+                "--out", str(tmp_path / "p.ivda"), "--method", "nda", "--k", "100",
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert (
+            "error: class 'spk0001' has 4 samples; need k + 1 = 101 for within-class neighbours\n"
+            in capsys.readouterr().err
+        )
+
     def test_removed_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train-supervised-ubm", "--help"])

@@ -1,6 +1,7 @@
 """Tests for discriminant analysis: scatters, k-NN machinery, projections."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh as scipy_eigh
 
+from ivnda import da
 from ivnda.da import (
     LabeledVectors,
     Projection,
@@ -151,11 +153,15 @@ def oracle_lda_between(vectors, labels):
 
 
 def random_labeled(gen, num_classes, per_class, dim, spread=1.5):
-    """Gaussian class clouds; returns row lists plus a LabeledVectors."""
+    """Gaussian class clouds; returns row lists plus a LabeledVectors.
+
+    `per_class` is one size for every class or a list of sizes, one per class.
+    """
+    sizes = per_class if isinstance(per_class, list) else [per_class] * num_classes
     vectors, labels = [], []
     for c in range(num_classes):
         centre = gen.normal(0.0, spread, size=dim)
-        for _ in range(per_class):
+        for _ in range(sizes[c]):
             vectors.append(centre + gen.normal(0.0, 1.0, size=dim))
             labels.append(f"spk{c}")
     order = gen.permutation(len(vectors))
@@ -183,6 +189,39 @@ def twinned_labeled(gen, num_classes, per_class, dim):
     labels = [labels[i] for i in order]
     data = LabeledVectors(vectors=np.array(vectors), labels=np.array(labels))
     return vectors, labels, data
+
+
+def shared_labeled(gen, num_classes, per_class, dim):
+    """`twinned_labeled` clouds in which each class also holds an exact copy
+    of one vector of the class before it (the first class holds one of the
+    last class's).
+
+    A copied vector v then sits in two classes, next to its twin 2v, and
+    every distance to it is an exact three-way tie across the two classes:
+    one-vs-rest sees all three, class-pair two of them at a time.
+    """
+    vectors, labels, _ = twinned_labeled(gen, num_classes, per_class, dim)
+    first = {}
+    for row, lab in zip(vectors, labels):
+        first.setdefault(lab, row)
+    names = list(first)
+    vectors = vectors + [list(first[names[c - 1]]) for c in range(len(names))]
+    labels = labels + names
+    order = gen.permutation(len(vectors))
+    vectors = [vectors[i] for i in order]
+    labels = [labels[i] for i in order]
+    data = LabeledVectors(vectors=np.array(vectors), labels=np.array(labels))
+    return vectors, labels, data
+
+
+def complement_straddles(data, k):
+    """Rows whose k-th nearest vector outside their class is tied with the
+    (k + 1)-th."""
+    unit = data.vectors / np.linalg.norm(data.vectors, axis=1)[:, None]
+    dists = 1.0 - unit @ unit.T
+    dists[data.labels[:, None] == data.labels[None, :]] = np.inf
+    ranked = np.sort(dists, axis=1)
+    return int(np.count_nonzero(ranked[:, k - 1] == ranked[:, k]))
 
 
 def assert_matrix_close(got, want_rows, rtol=1e-10):
@@ -264,6 +303,18 @@ class TestKnnCosine:
         ranked = sorted((cosine_distance(qn, unit[j]), j) for j in range(pool.shape[0]))
         assert list(idx) == [j for _, j in ranked[:k]]
 
+    @pytest.mark.parametrize("n,k", [(200, 1), (200, 7), (200, 50), (20, 10), (7, 7)])
+    def test_k_smallest_matches_a_stable_sort(self, rng, n, k):
+        # Few distinct values tie across the k-th place in most rows; the
+        # +inf entries (masked columns) leave some rows fewer than k finite.
+        dists = rng.integers(0, 6, size=(40, n)).astype(float)
+        dists[rng.random(dists.shape) < 0.4] = np.inf
+        dists[:5, 1:] = np.inf
+        idx, kth = da._k_smallest(dists, k)
+        want = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(kth, np.take_along_axis(dists, want[:, -1:], axis=1)[:, 0])
+
     def test_scale_invariance(self, rng):
         pool = rng.normal(0.0, 1.0, size=(10, 4))
         query = rng.normal(0.0, 1.0, size=4)
@@ -321,7 +372,7 @@ class TestClassicalScatters:
         data = LabeledVectors(
             vectors=np.arange(8.0).reshape(4, 2), labels=np.array(["a", "a", "a", "b"])
         )
-        with pytest.raises(DegenerateClassError):
+        with pytest.raises(DegenerateClassError, match=r"^class 'b' has 1 sample\(s\)"):
             within_class_scatter(data)
 
 
@@ -385,13 +436,14 @@ class TestNdaLocalStats:
             vectors=rng.normal(size=(6, 3)),
             labels=np.array(["a", "a", "a", "a", "b", "b"]),
         )
-        with pytest.raises(DegenerateClassError):
+        with pytest.raises(DegenerateClassError, match=r"^class 'b' has 2 samples"):
             nda_local_stats(data, k=2, alpha=2.0)
 
     def test_complement_smaller_than_k_rejected(self, rng):
-        labels = ["big"] * 10 + ["small"] * 2
-        data = LabeledVectors(vectors=rng.normal(size=(12, 3)), labels=np.array(labels))
-        with pytest.raises(DegenerateClassError):
+        # Every class has at least k + 1 members, so only a lone class can
+        # leave fewer than k vectors outside it.
+        data = LabeledVectors(vectors=rng.normal(size=(12, 3)), labels=np.array(["big"] * 12))
+        with pytest.raises(DegenerateClassError, match=r"^complement of class 'big' has 0 samples"):
             nda_local_stats(data, k=3, alpha=2.0)
 
     def test_zero_norm_vector_rejected(self, rng):
@@ -430,6 +482,7 @@ class TestNdaScatter:
             (6, 3, 9, 8, 3, 2.0),
             (7, 4, 8, 5, 1, 0.5),
             (8, 3, 5, 4, 4, 2.0),
+            (9, 4, [5, 9, 6, 9], 4, 3, 2.0),
         ],
     )
     def test_one_vs_rest_matches_oracle(self, seed, num_classes, per_class, dim, k, alpha):
@@ -447,6 +500,9 @@ class TestNdaScatter:
             (3, 5, 4, 4, 2, 3.0),
             (4, 2, 10, 6, 4, 2.0),
             (5, 3, 4, 4, 3, 2.0),
+            (6, 5, [5, 8, 5, 11, 8], 4, 3, 2.0),
+            (7, 4, [4, 12, 6, 4], 5, 1, 0.5),
+            (8, 3, 6, 4, 2, 0.0),
         ],
     )
     def test_all_pairs_matches_oracle(self, seed, num_classes, per_class, dim, k, alpha):
@@ -454,6 +510,16 @@ class TestNdaScatter:
         vectors, labels, data = random_labeled(gen, num_classes, per_class, dim)
         got = nda_between_scatter(data, k=k, alpha=alpha, one_vs_rest=False)
         assert_matrix_close(got, oracle_nda_scatter_all_pairs(vectors, labels, k, alpha))
+
+    @pytest.mark.parametrize("seed", [626, 627, 636])
+    def test_all_pairs_far_from_the_origin_matches_oracle(self, seed):
+        # Offsets x - m are small next to the vectors themselves here.
+        gen = np.random.default_rng(seed)
+        vectors, labels, _ = random_labeled(gen, 4, 7, 4)
+        vectors = [[c + 200.0 for c in row] for row in vectors]
+        data = LabeledVectors(vectors=np.array(vectors), labels=np.array(labels))
+        got = nda_between_scatter(data, k=3, alpha=2.0, one_vs_rest=False)
+        assert_matrix_close(got, oracle_nda_scatter_all_pairs(vectors, labels, 3, 2.0))
 
     @pytest.mark.parametrize("seed,k", [(0, 3), (1, 5)])
     def test_tied_neighbours_match_oracle(self, seed, k):
@@ -465,6 +531,60 @@ class TestNdaScatter:
         ):
             got = nda_between_scatter(data, k=k, alpha=2.0, one_vs_rest=one_vs_rest)
             assert_matrix_close(got, oracle(vectors, labels, k, 2.0), rtol=1e-8)
+
+    @pytest.mark.parametrize(
+        "block_entries,block_rows",
+        [
+            (1, [9] * 5),  # one class per block: a block still holds the largest class
+            (45 * 45, [45]),  # every class in one block
+            (19 * 45, [18, 18, 9]),  # two classes per block, the last alone
+        ],
+        ids=["one-class", "all-classes", "uneven"],
+    )
+    @pytest.mark.parametrize("seed,k", [(0, 3), (1, 5)])
+    def test_blocks_change_no_bit_and_ties_across_blocks_match_oracle(
+        self, monkeypatch, block_entries, block_rows, seed, k
+    ):
+        """Ties straddle the k-th place between classes that the block
+        boundaries split; one-vs-rest gives the same bits for every block
+        size, and both modes match their oracles."""
+        gen = np.random.default_rng(660 + seed)
+        vectors, labels, data = shared_labeled(gen, 5, 4, 4)
+        assert complement_straddles(data, k) > 0
+        default = nda_between_scatter(data, k=k, alpha=2.0)
+        monkeypatch.setattr(da, "BLOCK_ENTRIES", block_entries)
+        blocks = da._class_blocks(data, data.class_indices(), k)
+        assert [rows.size for rows, *_ in blocks] == block_rows
+        got = nda_between_scatter(data, k=k, alpha=2.0)
+        assert np.array_equal(got, default)
+        assert_matrix_close(got, oracle_nda_scatter_one_vs_rest(vectors, labels, k, 2.0))
+        assert_matrix_close(
+            nda_between_scatter(data, k=k, alpha=2.0, one_vs_rest=False),
+            oracle_nda_scatter_all_pairs(vectors, labels, k, 2.0),
+        )
+
+    @pytest.mark.parametrize("one_vs_rest", [True, False], ids=["one-vs-rest", "class-pair"])
+    def test_neighbour_search_memory_is_bounded_by_the_block(self, one_vs_rest):
+        """At 4 000 vectors the N x N distances alone would take 128 MB."""
+        gen = np.random.default_rng(680)
+        n, dim, per_class = 4000, 16, 20
+        labels = np.repeat(np.arange(n // per_class), per_class)
+        vectors = 1.5 * gen.normal(size=(n // per_class, dim))[labels] + gen.normal(size=(n, dim))
+        data = LabeledVectors(vectors=vectors, labels=labels)
+
+        def run():
+            nda_between_scatter(data, k=4, alpha=2.0, one_vs_rest=one_vs_rest)
+
+        run()  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A block's distances and the few block-sized arrays that search it,
+        # plus per-sample arrays.
+        assert peak < 4 * da.BLOCK_ENTRIES * 8 + 16 * n * dim * 8, peak / 2**20
 
     def test_two_classes_make_both_modes_agree(self, rng):
         # With two classes the complement of each class is the other class,
