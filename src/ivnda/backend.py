@@ -21,7 +21,7 @@ remaining work is a few matrix products over all sessions.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -122,7 +122,7 @@ def normalize_rows(vectors: np.ndarray, normalizer: Normalizer) -> np.ndarray:
 
 
 @dataclass
-class _ScoreCache:
+class _ScoreTerms:
     """Precomputed scoring terms (see :meth:`PldaModel.finalize`)."""
 
     diag_term: np.ndarray   # symmetric; 0.5 x' diag_term x per side
@@ -137,9 +137,6 @@ class PldaModel:
     mu: np.ndarray        # (M,)
     b_cov: np.ndarray     # (M, M) between-speaker covariance
     w_cov: np.ndarray     # (M, M) within-speaker covariance
-    _cache: _ScoreCache | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.mu = np.asarray(self.mu, dtype=np.float64)
@@ -156,16 +153,15 @@ class PldaModel:
     def dim(self) -> int:
         return self.mu.shape[0]
 
-    def finalize(self) -> _ScoreCache:
+    def finalize(self) -> _ScoreTerms:
         """Precompute the quadratic-form matrices used by scoring.
 
         With ``S = B + W``:  ``lam = S^-1``, ``Q = (S - B lam B)^-1``,
         the per-side term is ``lam - Q`` and the cross term ``lam B Q``
         (symmetric in exact arithmetic; symmetrised here).  The constant is
-        ``0.5 * (logdet S - logdet(S - B lam B))``.
+        ``0.5 * (logdet S - logdet(S - B lam B))``.  Computed afresh on
+        each call, so a changed covariance changes the scores.
         """
-        if self._cache is not None:
-            return self._cache
         total = self.b_cov + self.w_cov
         lam, logdet_total = _spd_factor(total, "B + W")
         inner = total - self.b_cov @ lam @ self.b_cov
@@ -175,10 +171,7 @@ class PldaModel:
         cross_term = lam @ self.b_cov @ q
         cross_term = (cross_term + cross_term.T) / 2.0
         offset = 0.5 * (logdet_total - logdet_inner)
-        self._cache = _ScoreCache(
-            diag_term=diag_term, cross_term=cross_term, offset=offset
-        )
-        return self._cache
+        return _ScoreTerms(diag_term=diag_term, cross_term=cross_term, offset=offset)
 
 
 @dataclass
@@ -401,16 +394,16 @@ def score_pairs(
             raise RangeError(
                 f"{name} trial indices must lie in [0, {rows.shape[0]})"
             )
-    cache = model.finalize()
+    terms = model.finalize()
     e_c = enroll - model.mu
     t_c = test - model.mu
-    half_e = 0.5 * np.einsum("ij,jk,ik->i", e_c, cache.diag_term, e_c)
-    half_t = 0.5 * np.einsum("ij,jk,ik->i", t_c, cache.diag_term, t_c)
-    e_cross = e_c @ cache.cross_term
+    half_e = 0.5 * np.einsum("ij,jk,ik->i", e_c, terms.diag_term, e_c)
+    half_t = 0.5 * np.einsum("ij,jk,ik->i", t_c, terms.diag_term, t_c)
+    e_cross = e_c @ terms.cross_term
     scores = np.empty(enroll_idx.shape[0])
     for lo in range(0, scores.size, CHUNK_TRIALS):
         e = enroll_idx[lo:lo + CHUNK_TRIALS]
         t = test_idx[lo:lo + CHUNK_TRIALS]
         cross = np.einsum("ij,ij->i", e_cross[e], t_c[t])
-        scores[lo:lo + CHUNK_TRIALS] = half_e[e] + half_t[t] + cross + cache.offset
+        scores[lo:lo + CHUNK_TRIALS] = half_e[e] + half_t[t] + cross + terms.offset
     return scores

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import logging
 import os
 import sys
@@ -250,73 +251,42 @@ def _cmd_sad_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Corpus flags beyond the speaker and session counts that each synth mode uses.
-_CORPUS_FLAGS = ("dim", "channel_std", "domain_offset", "bimodal", "unimodal")
-_SYNTH_FLAGS = {
-    "ivectors": _CORPUS_FLAGS,
-    "stats": (*_CORPUS_FLAGS, "components", "rank", "residual_scale"),
-    "audio": ("contaminate",),
+# Per synth mode: the corpus maker, the writer, and each flag the mode reads
+# with the maker parameter it sets.  An unset flag (None) gives the maker's
+# default (the makers take no default seed; `--seed` defaults to 0).  The
+# corpus fingerprint records every parameter named here (the audio writer
+# records none).  Flags shared by every mode, then by the two vector modes:
+_COMMON_FLAGS = {"seed": "seed", "train_speakers": "num_train_speakers",
+                 "train_sessions": "train_sessions", "eval_speakers": "num_eval_speakers"}
+_VECTOR_FLAGS = {"eval_sessions": "eval_sessions", "dim": "dim", "channel_std": "channel_std",
+                 "domain_offset": "domain_offset", "bimodal": "bimodal", "unimodal": "bimodal"}
+_SYNTH_MODES = {
+    "ivectors": (synth.make_ivector_corpus, pipeline.write_ivector_corpus,
+                 {**_COMMON_FLAGS, **_VECTOR_FLAGS}),
+    "stats": (synth.make_stats_corpus, pipeline.write_stats_corpus,
+              {**_COMMON_FLAGS, **_VECTOR_FLAGS, "components": "num_components", "rank": "rank",
+               "residual_scale": "residual_scale"}),
+    "audio": (synth.make_audio_corpus,
+              lambda corpus, out_dir, _params: pipeline.write_audio_corpus(corpus, out_dir),
+              {**_COMMON_FLAGS, "eval_sessions": "eval_test_sessions", "contaminate": "contaminate"}),
 }
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    maker, write, flags = _SYNTH_MODES[args.mode]
+    every_flag = dict.fromkeys(name for _, _, names in _SYNTH_MODES.values() for name in names)
     unused = [
         "--" + name.replace("_", "-")
-        for name in _SYNTH_FLAGS["stats"] + _SYNTH_FLAGS["audio"]  # all of them
-        if name not in _SYNTH_FLAGS[args.mode] and getattr(args, name) not in (None, False)
+        for name in every_flag
+        if name not in flags and getattr(args, name) is not None
     ]
     if unused:
         raise ValueError(f"synth --mode {args.mode} does not use {', '.join(unused)}")
+    defaults = inspect.signature(maker).parameters
+    params = {param: defaults[param].default for param in flags.values()}
+    params.update((p, getattr(args, f)) for f, p in flags.items() if getattr(args, f) is not None)
     out_dir = Path(args.out_dir)
-    seed = args.seed if args.seed is not None else 0
-
-    def pick(value, default):
-        return default if value is None else value
-
-    if args.mode == "ivectors":
-        params = {
-            "seed": seed,
-            "num_train_speakers": pick(args.train_speakers, 100),
-            "train_sessions": pick(args.train_sessions, 8),
-            "num_eval_speakers": pick(args.eval_speakers, 50),
-            "eval_sessions": pick(args.eval_sessions, 4),
-            "dim": pick(args.dim, 24),
-            "channel_std": pick(args.channel_std, 0.45),
-            "bimodal": not args.unimodal,
-            "domain_offset": pick(args.domain_offset, 1.6),
-        }
-        corpus = synth.make_ivector_corpus(**params)
-        pipeline.write_ivector_corpus(
-            corpus, out_dir, {"mode": "ivectors", **params}
-        )
-    elif args.mode == "stats":
-        params = {
-            "seed": seed,
-            "num_train_speakers": pick(args.train_speakers, 50),
-            "train_sessions": pick(args.train_sessions, 10),
-            "num_eval_speakers": pick(args.eval_speakers, 25),
-            "eval_sessions": pick(args.eval_sessions, 4),
-            "num_components": pick(args.components, 32),
-            "dim": pick(args.dim, 8),
-            "rank": pick(args.rank, 16),
-            "channel_std": pick(args.channel_std, 0.3),
-            "residual_scale": pick(args.residual_scale, 1.0),
-            "bimodal": args.bimodal,
-            "domain_offset": pick(args.domain_offset, 1.5),
-        }
-        corpus = synth.make_stats_corpus(**params)
-        pipeline.write_stats_corpus(corpus, out_dir, {"mode": "stats", **params})
-    else:  # audio
-        params = {
-            "seed": seed,
-            "num_train_speakers": pick(args.train_speakers, 6),
-            "train_sessions": pick(args.train_sessions, 4),
-            "num_eval_speakers": pick(args.eval_speakers, 4),
-            "eval_test_sessions": pick(args.eval_sessions, 2),
-            "contaminate": pick(args.contaminate, 1),
-        }
-        corpus = synth.make_audio_corpus(**params)
-        pipeline.write_audio_corpus(corpus, out_dir)
+    write(maker(**params), out_dir, {"mode": args.mode, **params})
     print(f"wrote synthetic {args.mode} corpus to {out_dir}")
     return EXIT_OK
 
@@ -471,7 +441,7 @@ def build_parser() -> _Parser:
         "--mode", required=True, choices=("stats", "ivectors", "audio")
     )
     sub.add_argument("--out-dir", required=True, metavar="DIR")
-    sub.add_argument("--seed", type=int, metavar="N")
+    sub.add_argument("--seed", type=int, default=0, metavar="N")
     sub.add_argument("--train-speakers", type=int, metavar="N")
     sub.add_argument("--train-sessions", type=int, metavar="N")
     sub.add_argument("--eval-speakers", type=int, metavar="N")
@@ -484,11 +454,11 @@ def build_parser() -> _Parser:
     sub.add_argument("--domain-offset", type=float, metavar="S")
     modality = sub.add_mutually_exclusive_group()
     modality.add_argument(
-        "--bimodal", action="store_true",
+        "--bimodal", action="store_const", const=True,
         help="plant two channel domains (stats mode; default in ivectors mode)",
     )
     modality.add_argument(
-        "--unimodal", action="store_true",
+        "--unimodal", action="store_const", const=False,
         help="disable the two-domain channel structure",
     )
     sub.add_argument("--contaminate", type=int, metavar="N")

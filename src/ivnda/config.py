@@ -12,7 +12,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, read_text
 
 
 @dataclass
@@ -102,100 +102,63 @@ class PipelineConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
 
-_SECTIONS = {
-    "frontend": (FrontendConfig, "frontend"),
-    "sad": (SadConfig, None),        # nested under frontend.sad
-    "ubm": (UbmConfig, "ubm"),
-    "tv": (TvConfig, "tv"),
-    "da": (DaConfig, "da"),
-    "plda": (PldaConfig, "plda"),
-    "run": (RunConfig, "run"),
-}
+def _sections(cfg: PipelineConfig) -> dict:
+    """INI section name -> the config object it sets, in file order."""
+    return {"frontend": cfg.frontend, "sad": cfg.frontend.sad, "ubm": cfg.ubm, "tv": cfg.tv,
+            "da": cfg.da, "plda": cfg.plda, "run": cfg.run}
 
 
-def _parse_value(raw: str, typ: type, section: str, key: str):
-    raw = raw.strip()
-    try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise FormatError(
-            f"config [{section}] {key}: cannot parse {raw!r} as {typ.__name__}"
-        ) from exc
+# The parser's typed getter per settable field type.  Field types are strings
+# because of `from __future__ import annotations`; nested configs have their
+# own section.
+_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean", "str": "get"}
 
 
-_SCALAR_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
-
-
-def _apply_section(obj, parser: configparser.ConfigParser, section: str) -> None:
-    # Field types are strings because of `from __future__ import annotations`;
-    # only scalar fields are settable (nested configs have their own section).
-    known = {
-        f.name: _SCALAR_TYPES[f.type]
-        for f in fields(obj)
-        if f.type in _SCALAR_TYPES
-    }
-    for key, raw in parser.items(section):
-        if key not in known:
-            raise FormatError(f"config [{section}]: unknown key {key!r}")
-        setattr(obj, key, _parse_value(raw, known[key], section, key))
+def _scalar_fields(obj) -> dict[str, str]:
+    return {f.name: f.type for f in fields(obj) if f.type in _GETTERS}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read a pipeline configuration from an INI file.
 
     Missing sections/keys keep their defaults; unknown ones raise
-    :class:`FormatError`.
+    :class:`FormatError`.  Values are literal: ``%`` is not interpolated.
     """
-    parser = configparser.ConfigParser()
-    text = Path(path).read_text()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(read_text(path))
     except configparser.Error as exc:
         raise FormatError(f"config {path}: {exc}") from exc
     cfg = PipelineConfig()
+    sections = _sections(cfg)
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in sections:
             raise FormatError(f"config {path}: unknown section [{section}]")
-        if section == "sad":
-            _apply_section(cfg.frontend.sad, parser, section)
-        else:
-            _apply_section(getattr(cfg, _SECTIONS[section][1]), parser, section)
+        types = _scalar_fields(sections[section])
+        for key, raw in parser.items(section):
+            if key not in types:
+                raise FormatError(f"config [{section}]: unknown key {key!r}")
+            try:
+                value = getattr(parser, _GETTERS[types[key]])(section, key)
+            except ValueError as exc:
+                raise FormatError(
+                    f"config [{section}] {key}: cannot parse {raw!r} as {types[key]}"
+                ) from exc
+            setattr(sections[section], key, value)
     return cfg
 
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Render a configuration as INI text (inverse of :func:`load_config`)."""
     lines: list[str] = []
-
-    def emit(section: str, obj) -> None:
+    for section, obj in _sections(cfg).items():
         lines.append(f"[{section}]")
-        for f in fields(obj):
-            if f.name == "sad":
-                continue
-            value = getattr(obj, f.name)
+        for key in _scalar_fields(obj):
+            value = getattr(obj, key)
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{key} = {value}")
         lines.append("")
-
-    emit("frontend", cfg.frontend)
-    emit("sad", cfg.frontend.sad)
-    emit("ubm", cfg.ubm)
-    emit("tv", cfg.tv)
-    emit("da", cfg.da)
-    emit("plda", cfg.plda)
-    emit("run", cfg.run)
     return "\n".join(lines)
 
 

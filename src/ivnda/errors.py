@@ -6,6 +6,8 @@ mathematical preconditions, exit code 3).  Plain usage mistakes are handled
 by argparse and exit with code 1.
 """
 
+from pathlib import Path
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -100,3 +102,17 @@ class NormalizationError(NumericError):
 
 class UnidentifiableError(NumericError):
     """A model parameter cannot be identified from the provided data."""
+
+
+def read_text(path) -> str:
+    """The text of input file `path`.
+
+    Bytes that do not decode are a :class:`FormatError` naming the file: a
+    bare ``UnicodeDecodeError`` is a ``ValueError``, which the command line
+    reports as a usage error.  Every module imports this one, so text
+    readers share the helper without an import cycle.
+    """
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: cannot decode text ({exc})") from exc

@@ -54,7 +54,7 @@ import numpy as np
 
 from .backend import Normalizer, PldaModel
 from .da import Projection
-from .errors import FormatError, KeyMismatchError
+from .errors import FormatError, KeyMismatchError, read_text
 from .frontend import FeatureMatrix
 from .stats import BwStats
 from .tv import IVector, TvModel
@@ -355,7 +355,7 @@ class ManifestEntry:
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     entries = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -655,7 +655,7 @@ def _columns(
                     pass
                 raise
     except UnicodeDecodeError:
-        Path(path).read_text()  # raises with the position in the whole file
+        read_text(path)  # raises with the position in the whole file
         raise
 
     trials = Trials.from_codes(

@@ -41,6 +41,7 @@ from .errors import (
     NoSpeechError,
     ShapeError,
     UnsupportedFormatError,
+    read_text,
 )
 
 SUPPORTED_RATES = (8000, 16000)
@@ -436,17 +437,27 @@ def apply_fmllr(features: FeatureMatrix, transform: FmllrTransform) -> FeatureMa
     )
 
 
+def _numbered_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, stripped, with their 1-based
+    line numbers in the file."""
+    return [
+        (i, line.strip())
+        for i, line in enumerate(read_text(path).splitlines(), start=1)
+        if line.strip()
+    ]
+
+
 def load_fmllr(path: str | Path) -> FmllrTransform:
     """Read an affine transform from a text file.
 
     Line 1 is the dimension D; the next D lines hold D+1 whitespace-separated
     reals, one row of [A | b] each.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty fMLLR file")
     try:
-        dim = int(lines[0].strip())
+        dim = int(lines[0][1])
     except ValueError as exc:
         raise FormatError(f"{path}: first line must be the dimension") from exc
     if dim <= 0 or len(lines) != dim + 1:
@@ -455,7 +466,7 @@ def load_fmllr(path: str | Path) -> FmllrTransform:
             f"got {len(lines)}"
         )
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split()
         if len(parts) != dim + 1:
             raise FormatError(f"{path}:{i}: expected {dim + 1} values, got {len(parts)}")
@@ -481,13 +492,13 @@ def load_sad_mask(
     * ``start end`` seconds per line (speech segments); a frame is speech
       when its centre falls inside a segment.
     """
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty speech-mask file")
-    first = lines[0].split()
+    first = lines[0][1].split()
     if len(first) == 2:
         segments = []
-        for i, line in enumerate(lines, start=1):
+        for i, line in lines:
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"{path}:{i}: expected 'start end'")
@@ -511,9 +522,9 @@ def load_sad_mask(
                 f"{count} frames"
             )
         mask = np.zeros(count, dtype=bool)
-        for i, line in enumerate(lines):
+        for frame, (i, line) in enumerate(lines):
             if line not in ("0", "1"):
-                raise FormatError(f"{path}:{i + 1}: mask entries must be 0 or 1")
-            mask[i] = line == "1"
+                raise FormatError(f"{path}:{i}: mask entries must be 0 or 1")
+            mask[frame] = line == "1"
         return mask
     raise FormatError(f"{path}: unrecognised speech-mask format")

@@ -307,9 +307,13 @@ class TestPldaScore:
                 idx["enroll"], idx["test"],
             )
 
-    def test_cache_is_computed_once(self, rng):
-        model = random_plda(rng, 3)
-        assert model.finalize() is model.finalize()
+    def test_changed_covariance_changes_the_score(self):
+        model = PldaModel(mu=np.zeros(2), b_cov=np.eye(2), w_cov=np.eye(2))
+        enroll, test = np.array([1.0, 0.5]), np.array([0.8, 0.2])
+        before = plda_score(enroll, test, model)
+        model.b_cov = 4.0 * np.eye(2)
+        fresh = PldaModel(mu=np.zeros(2), b_cov=4.0 * np.eye(2), w_cov=np.eye(2))
+        assert plda_score(enroll, test, model) == plda_score(enroll, test, fresh) != before
 
     def test_shape_mismatch_rejected(self, rng):
         model = random_plda(rng, 3)

@@ -3,7 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
-import re
+import inspect
 import shutil
 from pathlib import Path
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import sparse_random_posteriors
-from ivnda import fileio, frontend, metrics, stats as stats_mod, ubm
+from ivnda import fileio, frontend, metrics, pipeline, stats as stats_mod, synth, ubm
 from ivnda.cli import build_parser, main
 from ivnda.config import PipelineConfig, load_config
 from ivnda.errors import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
@@ -285,20 +285,6 @@ class TestStatsRecipe:
         assert (stats_ws / "tv_rerun.ivtv").read_bytes() == (
             stats_ws / "tv.ivtv"
         ).read_bytes()
-
-    def test_synth_rerun_is_byte_identical(self, stats_ws, tmp_path):
-        run_ok(
-            [
-                "synth", "--mode", "stats", "--out-dir", tmp_path / "again",
-                "--seed", "5", "--train-speakers", "12", "--train-sessions", "4",
-                "--eval-speakers", "6", "--eval-sessions", "3",
-                "--components", "8", "--dim", "4", "--rank", "8",
-            ]
-        )
-        for name in ("ubm.ivgm", "train.ivbw", "trials.txt", "key.txt"):
-            assert (tmp_path / "again" / name).read_bytes() == (
-                stats_ws / name
-            ).read_bytes()
 
     def test_label_filter_restricts_training(self, stats_ws, tmp_path):
         run_ok(
@@ -984,6 +970,66 @@ class TestDefaults:
         assert cfg.da.method == "nda"
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by relative path."""
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+
+SMALL_SYNTH = ["--train-speakers", "4", "--train-sessions", "2",
+               "--eval-speakers", "3", "--eval-sessions", "2"]
+# The corpus parameters each vector mode records in its fingerprint, besides
+# the mode and the seed.
+VECTOR_MODES = {
+    "ivectors": (synth.make_ivector_corpus, fileio.read_ivector_archive, "train.iviv",
+                 ["num_train_speakers", "train_sessions", "num_eval_speakers", "eval_sessions",
+                  "dim", "channel_std", "bimodal", "domain_offset"]),
+    "stats": (synth.make_stats_corpus, fileio.read_stats_archive, "train.ivbw",
+              ["num_train_speakers", "train_sessions", "num_eval_speakers", "eval_sessions",
+               "num_components", "dim", "rank", "channel_std", "residual_scale", "bimodal",
+               "domain_offset"]),
+}
+
+
+class TestSynth:
+    @pytest.mark.parametrize("mode", list(VECTOR_MODES))
+    def test_unset_flags_record_the_makers_defaults(self, tmp_path, mode):
+        run_ok(["synth", "--mode", mode, "--out-dir", tmp_path])
+        maker, read, archive, keys = VECTOR_MODES[mode]
+        _, _, meta = read(tmp_path / archive)
+        defaults = inspect.signature(maker).parameters
+        assert meta["config"] == {
+            "mode": mode, "seed": 0, **{key: defaults[key].default for key in keys}
+        }
+
+    def test_unset_flags_give_the_audio_makers_defaults(self, tmp_path):
+        run_ok(["synth", "--mode", "audio", "--out-dir", tmp_path / "cli"])
+        pipeline.write_audio_corpus(synth.make_audio_corpus(0), tmp_path / "maker")
+        assert tree_bytes(tmp_path / "cli") == tree_bytes(tmp_path / "maker")
+
+    @pytest.mark.parametrize("mode", list(VECTOR_MODES))
+    @pytest.mark.parametrize("flag, bimodal", [("--bimodal", True), ("--unimodal", False)])
+    def test_modality_flags_set_bimodal(self, tmp_path, mode, flag, bimodal):
+        run_ok(["synth", "--mode", mode, "--out-dir", tmp_path, *SMALL_SYNTH, flag])
+        _, read, archive, _ = VECTOR_MODES[mode]
+        assert read(tmp_path / archive)[2]["config"]["bimodal"] is bimodal
+
+    @pytest.mark.parametrize(
+        "mode, flags",
+        [
+            ("stats", ["--seed", "5", "--components", "8", "--dim", "4", "--rank", "8"]),
+            ("ivectors", ["--seed", "5", "--dim", "6", "--unimodal"]),
+            ("audio", ["--seed", "5", "--contaminate", "2"]),
+        ],
+        ids=["stats", "ivectors", "audio"],
+    )
+    def test_synth_rerun_is_byte_identical(self, tmp_path, mode, flags):
+        for name in ("first", "again"):
+            run_ok(["synth", "--mode", mode, "--out-dir", tmp_path / name, *SMALL_SYNTH, *flags])
+        first = tree_bytes(tmp_path / "first")
+        assert first and tree_bytes(tmp_path / "again") == first
+
+
 def subcommands() -> list[str]:
     """Every subcommand `build_parser` lists, in order."""
     (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -998,10 +1044,10 @@ def test_every_subcommand_prints_help(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: ivnda {command} ")
 
 
-def test_ci_help_loop_lists_every_subcommand():
+def test_ci_runs_the_module_entry_point():
+    # Each subcommand's help is checked above; CI runs `python -m ivnda.cli`.
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
-    loop = re.search(r"for cmd in (.*?); do", workflow.read_text(), re.S)
-    assert loop.group(1).replace("\\", " ").split() == subcommands()
+    assert "python -m ivnda.cli --help" in workflow.read_text()
 
 
 class TestExitCodes:
@@ -1214,6 +1260,35 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         assert f"synth --mode {mode} does not use {unused}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("target", ["scores", "manifest", "config"])
+    def test_non_utf8_text_input_is_data_error(self, stats_ws, tmp_path, capsys, target):
+        bad = tmp_path / "bad.txt"
+        valid = {"scores": stats_ws / "scores.txt", "manifest": stats_ws / "train.manifest"}
+        head = valid[target].read_bytes() if target in valid else b"[da]\n"
+        bad.write_bytes(head + b"x \xff y\n")
+        train_da = ["train-da", "--ivectors", stats_ws / "train.iviv", "--out", tmp_path / "proj.ivda"]
+        argv = {
+            "scores": ["evaluate", "--scores", bad, "--key", stats_ws / "key.txt"],
+            "manifest": [*train_da, "--manifest", bad],
+            "config": [*train_da, "--manifest", stats_ws / "train.manifest", "--config", bad],
+        }[target]
+        assert main([str(a) for a in argv]) == EXIT_DATA
+        assert f"error: {bad}: cannot decode text (" in capsys.readouterr().err
+        assert not (tmp_path / "proj.ivda").exists()
+
+    def test_percent_in_config_value_is_literal(self, stats_ws, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[da]\nmethod = n%da\n")
+        rc = main(
+            [
+                "train-da", "--ivectors", str(stats_ws / "train.iviv"), "--manifest",
+                str(stats_ws / "train.manifest"), "--out", str(tmp_path / "proj.ivda"),
+                "--config", str(cfg),
+            ]
+        )
+        assert rc == EXIT_USAGE
+        assert "unknown DA method 'n%da'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["ivectors", "stats"])
     def test_synth_bimodal_with_unimodal_is_usage_error(self, tmp_path, capsys, mode):

@@ -49,6 +49,7 @@ def test_partial_file_keeps_other_defaults(tmp_path):
         "[ubm]\nposterior_file = post.txt\n",   # removed: use --posteriors
         "[run]\nseed = 3\n",                    # removed: use train-tv --seed
         "[frontend]\nfmllr_dir = x\n",          # removed: use the manifest's fMLLR column
+        "[frontend]\nnum_ceps = %(x)s\n",      # literal text, not an interpolation
     ],
 )
 def test_bad_config_rejected(tmp_path, text):
@@ -56,6 +57,20 @@ def test_bad_config_rejected(tmp_path, text):
     path.write_text(text)
     with pytest.raises(FormatError):
         load_config(path)
+
+
+def test_percent_sign_is_literal(tmp_path):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text("[da]\nmethod = n%da\n")
+    assert load_config(path).da.method == "n%da"
+
+
+def test_unparseable_value_names_section_key_and_type(tmp_path):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text("[sad]\nsmooth_frames = 5.5\n")
+    with pytest.raises(FormatError) as exc:
+        load_config(path)
+    assert str(exc.value) == "config [sad] smooth_frames: cannot parse '5.5' as int"
 
 
 @pytest.mark.parametrize(

@@ -662,6 +662,26 @@ def test_sad_mask_rejects_malformed(tmp_path, text):
         load_sad_mask(path, 2, 8000, FrontendConfig())
 
 
+@pytest.mark.parametrize(
+    "load, text, where",
+    [
+        ("mask", "0.1 0.2\n\n\n0.5 0.2\n", ":4: segment end must exceed start"),
+        ("mask", "1\n\n0\n\n2\n", ":5: mask entries must be 0 or 1"),
+        ("fmllr", "2\n\n1 0 0\n\n0 one 0\n", ":5: non-numeric value"),
+    ],
+    ids=["segments", "frames", "fmllr"],
+)
+def test_text_errors_count_blank_lines(tmp_path, load, text, where):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        if load == "mask":
+            load_sad_mask(path, 3, 8000, FrontendConfig())
+        else:
+            load_fmllr(path)
+    assert str(exc.value) == f"{path}{where}"
+
+
 # --- feature matrix container ---------------------------------------------
 
 
