@@ -124,7 +124,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     Missing sections/keys keep their defaults; unknown ones raise
     :class:`FormatError`.  Values are literal: ``%`` is not interpolated.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section header holds a newline: `[DEFAULT]` is an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(read_text(path))
     except configparser.Error as exc:

@@ -122,13 +122,6 @@ def lda_between_scatter(data: LabeledVectors) -> np.ndarray:
     return sb
 
 
-def _unit_rows(x: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0):
-        raise NormalizationError(f"zero-norm vector in {what}; cosine distance undefined")
-    return x / norms[:, None]
-
-
 def _k_smallest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of `dists`: the column indices of its k smallest entries,
     ordered by (distance, index), and the k-th smallest distance.
@@ -153,24 +146,6 @@ def _k_smallest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(values, axis=1, kind="stable")[:, :k]
     kth = np.take_along_axis(values, order[:, -1:], axis=1)[:, 0]
     return np.take_along_axis(cand, order, axis=1), kth
-
-
-def knn_cosine(
-    query: np.ndarray, pool: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the k nearest pool rows to `query`.
-
-    Distance is ``1 - cos(query, row)``; ties are broken toward the lower
-    index.  The query and all pool rows must have non-zero norm.
-    """
-    if k < 1 or k > pool.shape[0]:
-        raise DegenerateClassError(
-            f"k={k} is outside [1, {pool.shape[0]}] for this pool"
-        )
-    query = np.asarray(query, dtype=np.float64)[None, :]
-    dists = 1.0 - _unit_rows(query, "query") @ _unit_rows(pool, "pool").T
-    order, _ = _k_smallest(dists, k)
-    return order[0], dists[0, order[0]]
 
 
 @dataclass
@@ -228,7 +203,10 @@ def _class_blocks(data: LabeledVectors, classes: dict, k: int):
     written into one buffer, so the yielded distances are overwritten by
     the next block.
     """
-    unit = _unit_rows(data.vectors, "training vectors")
+    norms = np.linalg.norm(data.vectors, axis=1)
+    if np.any(norms == 0):
+        raise NormalizationError("zero-norm training vector; cosine distance undefined")
+    unit = data.vectors / norms[:, None]
     order, starts = _class_order(classes)
     sizes = np.diff(starts)
     limit = max(sizes.max(), BLOCK_ENTRIES // data.num_vectors)

@@ -277,7 +277,7 @@ def train_ubm_stage(
         posteriors = PosteriorFiles(posterior_dir, ids, cfg.ubm.num_components)
         gmm = ubm_mod.train_supervised_gaussians(
             records, posteriors, cfg.ubm.num_components,
-            variance_floor_scale=cfg.ubm.variance_floor_scale,
+            variance_floor_scale=cfg.ubm.variance_floor_scale, recording_ids=ids,
         )
         subset = {
             "num_components": cfg.ubm.num_components,

@@ -5,10 +5,11 @@ few EM iterations after every split.  Posteriors are computed in the log
 domain and stored sparsely, keeping only the `top_n` largest entries per
 frame renormalised to sum to one.  Posteriors may instead come from an
 external soft aligner (e.g. a senone network), one text file per recording
-read by :func:`load_external_posteriors`, in which case component
-means/variances can be re-estimated with :func:`train_supervised_gaussians`.
-That walks its recordings once, holding one recording's frames and
-posteriors at a time besides O(G * D) accumulators.
+read by :func:`load_external_posteriors`, in which case
+:func:`train_supervised_gaussians` runs EM's M-step (`_m_step`) once with
+those posteriors given, holding one recording's frames and posteriors at a
+time besides O(G * D) sums.  In both, a component with no occupancy gets
+weight 0 and keeps its previous Gaussian (EM) or the global moments.
 
 EM, alignment and :func:`mean_log_likelihood` share one posterior kernel
 that works on `CHUNK_FRAMES` frames at a time, so no frames x components
@@ -261,6 +262,27 @@ def _split_components(gmm: DiagonalGmm, offset: float = 0.2) -> DiagonalGmm:
     return DiagonalGmm(weights=weights, means=means, variances=variances)
 
 
+def _m_step(sums: np.ndarray, floor: np.ndarray, fallback: DiagonalGmm) -> DiagonalGmm:
+    """Gaussians from the (G, 2D + 1) posterior-weighted sums of `_augment`
+    rows, variances floored at `floor`.  A component with occupancy at most
+    1e-10 keeps `fallback`'s mean and variance with weight 0."""
+    d = fallback.dim
+    occupancy = sums[:, 2 * d]
+    alive = occupancy > 1e-10
+    if not alive.any():
+        raise InsufficientDataError("all components have zero occupancy")
+    if not alive.all():
+        log.warning("%d of %d components have zero occupancy; kept with weight 0",
+                    (~alive).sum(), alive.size)
+    means = fallback.means.copy()
+    variances = fallback.variances.copy()
+    means[alive] = sums[alive, :d] / occupancy[alive, None]
+    second = sums[alive, d : 2 * d] / occupancy[alive, None]
+    variances[alive] = np.maximum(second - means[alive] ** 2, floor)
+    weights = np.where(alive, occupancy, 0.0)
+    return DiagonalGmm(weights=weights / weights.sum(), means=means, variances=variances)
+
+
 def _em_step(
     gmm: DiagonalGmm, frames: np.ndarray, floor: np.ndarray
 ) -> tuple[DiagonalGmm, float]:
@@ -270,18 +292,30 @@ def _em_step(
     for aug, resp, ll in _chunked_posteriors(gmm, frames):
         sums += resp.T @ aug
         total_ll += ll.sum()
-    occupancy = sums[:, 2 * d]
-    safe = occupancy > 1e-10
-    means = gmm.means.copy()
-    variances = gmm.variances.copy()
-    means[safe] = sums[safe, :d] / occupancy[safe, None]
-    second = sums[safe, d : 2 * d] / occupancy[safe, None]
-    variances[safe] = np.maximum(second - means[safe] ** 2, floor)
-    if not safe.all():
-        log.warning("EM step left %d empty components untouched", (~safe).sum())
-    weights = occupancy / occupancy.sum()
-    updated = DiagonalGmm(weights=weights, means=means, variances=variances)
-    return updated, total_ll / frames.shape[0]
+    return _m_step(sums, floor, gmm), total_ll / frames.shape[0]
+
+
+def _require_finite(frames: np.ndarray, offset: int = 0) -> None:
+    """Reject non-finite training frames, naming the first by its index
+    among the pooled speech frames (`frames` start at index `offset`)."""
+    finite = np.isfinite(frames).all(axis=1)
+    if not finite.all():
+        raise NumericError(
+            f"training speech frames contain non-finite values (first at "
+            f"pooled speech frame {offset + int(np.argmin(finite))})"
+        )
+
+
+def _global_gaussian(
+    mean: np.ndarray, var: np.ndarray, variance_floor_scale: float, copies: int = 1
+) -> tuple[DiagonalGmm, np.ndarray]:
+    """`copies` equally weighted copies of the Gaussian of the pooled
+    moments, and the variance floor: `variance_floor_scale` times the pooled
+    variance, 1e-10 where that is not positive."""
+    floor = variance_floor_scale * var
+    floor[floor <= 0] = 1e-10
+    variances = np.tile(np.maximum(var, floor), (copies, 1))
+    return DiagonalGmm(np.full(copies, 1.0 / copies), np.tile(mean, (copies, 1)), variances), floor
 
 
 def train_gmm(
@@ -306,26 +340,13 @@ def train_gmm(
     if iters_per_level < 1:
         raise ValueError("iters_per_level must be >= 1")
     frames = _collect_speech_frames(features)
-    finite = np.isfinite(frames).all(axis=1)
-    if not finite.all():
-        raise NumericError(
-            f"training speech frames contain non-finite values (first at "
-            f"pooled speech frame {int(np.argmin(finite))})"
-        )
+    _require_finite(frames)
     if frames.shape[0] < MIN_FRAMES_PER_COMPONENT * num_components:
         raise InsufficientDataError(
             f"{frames.shape[0]} speech frames is too few for {num_components} "
             f"components (need {MIN_FRAMES_PER_COMPONENT} per component)"
         )
-    global_mean = frames.mean(axis=0)
-    global_var = frames.var(axis=0)
-    floor = variance_floor_scale * global_var
-    floor[floor <= 0] = 1e-10
-    gmm = DiagonalGmm(
-        weights=np.ones(1),
-        means=global_mean[None, :],
-        variances=np.maximum(global_var, floor)[None, :],
-    )
+    gmm, floor = _global_gaussian(frames.mean(axis=0), frames.var(axis=0), variance_floor_scale)
     while gmm.num_components < num_components:
         gmm = _split_components(gmm)
         for i in range(iters_per_level):
@@ -387,14 +408,15 @@ def train_supervised_gaussians(
     posteriors: Sequence[PosteriorMatrix],
     num_components: int,
     variance_floor_scale: float = 1e-3,
+    recording_ids: Sequence[str] | None = None,
 ) -> DiagonalGmm:
     """Estimate Gaussians from externally supplied frame posteriors.
 
-    One weighted-moment pass: component g gets the posterior-weighted mean
-    and variance of the frames aligned to it.  Components with (near-)zero
-    occupancy are left at the global mean/variance with a warning.  With a
-    single component and unit posteriors this reproduces the global sample
-    moments exactly.
+    EM's M-step with the posteriors given, in one pass over the recordings.
+    Components with zero occupancy keep the global mean and variance with
+    weight 0 (and a warning).  With a single component and unit posteriors
+    this reproduces the global sample moments exactly.  `recording_ids`
+    name the recordings in errors (default: their positions).
     """
     if len(features) != len(posteriors):
         raise AlignmentError(
@@ -403,58 +425,34 @@ def train_supervised_gaussians(
     if not features:
         raise InsufficientDataError("no recordings provided")
     dim = features[0].dim
-    occ = np.zeros(num_components)
-    first = np.zeros((num_components, dim))
-    second = np.zeros((num_components, dim))
-    total_frames = 0
-    total_sum = np.zeros(dim)
-    total_sq = np.zeros(dim)
-    for feats, post in zip(features, posteriors):
+    sums = np.zeros((num_components, 2 * dim + 1))
+    pooled = np.zeros(2 * dim + 1)  # unweighted: [sum x, sum x**2, frame count]
+    names = range(len(features)) if recording_ids is None else recording_ids
+    for name, feats, post in zip(names, features, posteriors):
         frames = feats.speech_frames()
         if frames.shape[0] != post.num_frames:
             raise AlignmentError(
-                f"{frames.shape[0]} speech frames vs {post.num_frames} posterior rows"
+                f"recording {name!r}: {frames.shape[0]} speech frames vs "
+                f"{post.num_frames} posterior rows"
             )
         if post.num_components != num_components:
             raise ShapeError(
                 f"posterior set has {post.num_components} components, expected "
                 f"{num_components}"
             )
-        n, sums = post.weighted_sums(np.hstack([frames, frames**2]))
-        occ += n
-        first += sums[:, :dim]
-        second += sums[:, dim:]
-        total_frames += frames.shape[0]
-        total_sum += frames.sum(axis=0)
-        total_sq += (frames**2).sum(axis=0)
-    if total_frames == 0:
+        _require_finite(frames, int(pooled[2 * dim]))
+        aug = _augment(frames)
+        sums += post.weighted_sums(aug)[1]
+        pooled += aug.sum(axis=0)
+    total = pooled[2 * dim]
+    if total == 0:
         raise InsufficientDataError("no speech frames provided")
-    global_mean = total_sum / total_frames
-    global_var = total_sq / total_frames - global_mean**2
-    floor = variance_floor_scale * global_var
-    floor[floor <= 0] = 1e-10
-    means = np.tile(global_mean, (num_components, 1))
-    variances = np.tile(np.maximum(global_var, floor), (num_components, 1))
-    alive = occ > 1e-6
-    if not alive.any():
-        raise InsufficientDataError("all components have zero occupancy")
-    if not alive.all():
-        log.warning(
-            "%d of %d components have zero occupancy; using global moments",
-            (~alive).sum(),
-            num_components,
-        )
-    means[alive] = first[alive] / occ[alive, None]
-    variances[alive] = np.maximum(
-        second[alive] / occ[alive, None] - means[alive] ** 2, floor
+    global_mean = pooled[:dim] / total
+    global_var = pooled[dim : 2 * dim] / total - global_mean**2
+    fallback, floor = _global_gaussian(
+        global_mean, global_var, variance_floor_scale, num_components
     )
-    weights = np.where(alive, occ, 0.0)
-    weights = weights / weights.sum()
-    # Zero weights are not representable; give dead components a vanishing share.
-    if not alive.all():
-        weights = np.maximum(weights, 1e-12)
-        weights = weights / weights.sum()
-    return DiagonalGmm(weights=weights, means=means, variances=variances)
+    return _m_step(sums, floor, fallback)
 
 
 def write_posteriors(path: str | Path, post: PosteriorMatrix) -> None:

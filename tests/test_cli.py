@@ -642,6 +642,29 @@ class TestAudioRecipe:
             assert np.array_equal(got.n, want.n) and np.array_equal(got.f, want.f), rec_id
 
     @pytest.mark.parametrize("command", ["train-ubm", "accumulate-stats"])
+    def test_short_posterior_file_names_the_recording(
+        self, audio_ws, tmp_path, rng, capsys, command
+    ):
+        posteriors = write_audio_posteriors(audio_ws, tmp_path / "post", rng)
+        short = list(posteriors)[1]
+        path = tmp_path / "post" / f"{short}.post"
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(rows[:-1]))
+        argv = [
+            command, "--config", audio_ws / "config.ini", "--features", audio_ws / "feats",
+            "--manifest", audio_ws / "train.manifest", "--posteriors", tmp_path / "post",
+            "--out", tmp_path / "out",
+        ]
+        if command == "accumulate-stats":
+            argv += ["--ubm", audio_ws / "ubm.ivgm"]
+        assert main([str(a) for a in argv]) == EXIT_DATA
+        assert (
+            f"recording {short!r}: {len(rows)} speech frames vs {len(rows) - 1} posterior rows"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train-ubm", "accumulate-stats"])
     def test_missing_posterior_file(self, audio_ws, tmp_path, rng, capsys, monkeypatch, command):
         posteriors = write_audio_posteriors(audio_ws, tmp_path / "post", rng)
         missing = list(posteriors)[1]

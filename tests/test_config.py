@@ -59,6 +59,17 @@ def test_bad_config_rejected(tmp_path, text):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nrank = 32\n", "[DEFAULT]\nrank = 32\n[tv]\niters = 3\n[da]\nk = 4\n"],
+)
+def test_default_section_is_an_unknown_section(tmp_path, text):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=r"unknown section \[DEFAULT\]"):
+        load_config(path)
+
+
 def test_percent_sign_is_literal(tmp_path):
     path = tmp_path / "pipeline.cfg"
     path.write_text("[da]\nmethod = n%da\n")

@@ -16,7 +16,6 @@ from ivnda.da import (
     compute_lda,
     compute_nda,
     compute_projection,
-    knn_cosine,
     lda_between_scatter,
     nda_between_scatter,
     nda_local_stats,
@@ -270,38 +269,7 @@ class TestContainers:
 
 
 class TestKnnCosine:
-    def test_matches_naive_sort(self, rng):
-        for _ in range(5):
-            pool = rng.normal(0.0, 1.0, size=(20, 6))
-            query = rng.normal(0.0, 1.0, size=6)
-            idx, dists = knn_cosine(query, pool, k=7)
-            unit = unit_rows(pool.tolist())
-            qn = [c / math.sqrt(sum(x * x for x in query)) for c in query]
-            ranked = sorted(
-                (cosine_distance(qn, unit[j]), j) for j in range(pool.shape[0])
-            )
-            assert list(idx) == [j for _, j in ranked[:7]]
-            np.testing.assert_allclose(dists, [d for d, _ in ranked[:7]], rtol=1e-12)
-
-    def test_ties_break_toward_lower_index(self):
-        pool = np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        idx, dists = knn_cosine(np.array([3.0, 0.0]), pool, k=2)
-        assert list(idx) == [0, 1]
-        np.testing.assert_allclose(dists, [0.0, 0.0], atol=0.0)
-
-    @pytest.mark.parametrize("k", [1, 4, 9, 16, 30])
-    def test_tied_rows_keep_index_order(self, rng, k):
-        # Five directions, each repeated at scales 1, 2, 4, 8, 16 and 32:
-        # equal unit rows, so distances tie in groups of six.
-        directions = rng.normal(0.0, 1.0, size=(5, 6))
-        pool = np.concatenate([directions * 2.0**p for p in range(6)])
-        pool = pool[rng.permutation(pool.shape[0])]
-        query = rng.normal(0.0, 1.0, size=6)
-        idx, _ = knn_cosine(query, pool, k=k)
-        unit = unit_rows(pool.tolist())
-        qn = [c / math.sqrt(sum(x * x for x in query)) for c in query]
-        ranked = sorted((cosine_distance(qn, unit[j]), j) for j in range(pool.shape[0]))
-        assert list(idx) == [j for _, j in ranked[:k]]
+    """The neighbour selection NDA's cosine k-NN search runs on."""
 
     @pytest.mark.parametrize("n,k", [(200, 1), (200, 7), (200, 50), (20, 10), (7, 7)])
     def test_k_smallest_matches_a_stable_sort(self, rng, n, k):
@@ -314,31 +282,6 @@ class TestKnnCosine:
         want = np.argsort(dists, axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(idx, want)
         np.testing.assert_array_equal(kth, np.take_along_axis(dists, want[:, -1:], axis=1)[:, 0])
-
-    def test_scale_invariance(self, rng):
-        pool = rng.normal(0.0, 1.0, size=(10, 4))
-        query = rng.normal(0.0, 1.0, size=4)
-        idx_a, dists_a = knn_cosine(query, pool, k=4)
-        idx_b, dists_b = knn_cosine(5.0 * query, pool * 0.25, k=4)
-        np.testing.assert_array_equal(idx_a, idx_b)
-        np.testing.assert_allclose(dists_a, dists_b, rtol=1e-12)
-
-    @pytest.mark.parametrize("k", [0, -1, 11])
-    def test_k_out_of_range(self, rng, k):
-        pool = rng.normal(0.0, 1.0, size=(10, 4))
-        with pytest.raises(DegenerateClassError):
-            knn_cosine(pool[0], pool, k=k)
-
-    def test_zero_norm_query_rejected(self, rng):
-        pool = rng.normal(0.0, 1.0, size=(10, 4))
-        with pytest.raises(NormalizationError):
-            knn_cosine(np.zeros(4), pool, k=2)
-
-    def test_zero_norm_pool_row_rejected(self, rng):
-        pool = rng.normal(0.0, 1.0, size=(10, 4))
-        pool[3] = 0.0
-        with pytest.raises(NormalizationError):
-            knn_cosine(np.ones(4), pool, k=2)
 
 
 # --- classical scatters ----------------------------------------------------

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # (layer, function) -> the parameter the tracer reads from its arguments.
 READS = {
@@ -65,3 +66,18 @@ def test_reads_cover_every_argument_the_tracer_reads():
         and ast.unparse(node.value) in ("args", "bound.arguments")
     }
     assert keys == set(READS.values())
+
+
+def test_wrapped_functions_are_called_through_their_module():
+    """``from .<layer> import <name>`` binds the function itself, so a wrapper
+    that replaces the module attribute never sees calls made through it."""
+    wrapped = set(WRAPPED)
+    found = [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for path in sorted((ROOT / "src" / "ivnda").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if (node.module, alias.name) in wrapped
+    ]
+    assert found == []

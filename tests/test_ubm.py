@@ -25,6 +25,7 @@ from ivnda.ubm import (
     DiagonalGmm,
     PosteriorMatrix,
     _em_step,
+    _m_step,
     gmm_posteriors,
     load_external_posteriors,
     mean_log_likelihood,
@@ -275,6 +276,25 @@ def test_chunked_em_step_matches_dense_reference(rng):
         gmm = got
 
 
+@pytest.mark.parametrize("occ, alive", [(0.0, False), (1e-10, False), (2e-10, True)])
+def test_m_step_keeps_unoccupied_components_with_weight_zero(rng, occ, alive, caplog):
+    fallback = make_gmm(rng, 2, 3)
+    mean, var = np.array([1.0, -2.0, 0.5]), np.array([0.5, 2.0, 1.5])
+    sums = np.array([np.concatenate([n * mean, n * (mean**2 + var), [n]]) for n in (10.0, occ)])
+    with caplog.at_level("WARNING"):
+        got = _m_step(sums, np.full(3, 1e-6), fallback)
+    assert ("zero occupancy" in caplog.text) != alive
+    np.testing.assert_allclose(got.means[0], mean, rtol=1e-12)
+    np.testing.assert_allclose(got.variances[0], var, rtol=1e-12)
+    if alive:
+        np.testing.assert_allclose(got.means[1], mean, rtol=1e-12)
+        np.testing.assert_allclose(got.weights, np.array([10.0, occ]) / (10.0 + occ), rtol=1e-12)
+    else:
+        assert np.array_equal(got.means[1], fallback.means[1])
+        assert np.array_equal(got.variances[1], fallback.variances[1])
+        assert got.weights.tolist() == [1.0, 0.0]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_train_gmm_rejects_non_finite_frames(rng, bad):
     feats = make_features(rng, 400, 3)
@@ -424,7 +444,31 @@ def test_supervised_dead_component_gets_global_moments(rng, caplog):
         gmm = train_supervised_gaussians([feats], [post], 3)
     assert "zero occupancy" in caplog.text
     np.testing.assert_allclose(gmm.means[2], feats.frames.mean(axis=0), rtol=1e-12)
-    assert gmm.weights[2] > 0  # representable but vanishing
+    np.testing.assert_allclose(gmm.variances[2], feats.frames.var(axis=0), rtol=1e-10)
+    assert gmm.weights[2] == 0.0  # EM's rule: a dead component keeps weight 0
+    assert np.all(gmm_posteriors(gmm, feats, top_n=3).to_dense()[:, 2] == 0.0)
+
+
+def test_supervised_with_em_responsibilities_is_an_em_step(rng):
+    feats = make_features(rng, 2 * CHUNK_FRAMES + 5, 3)
+    gmm = make_gmm(rng, 4, 3)
+    frames = feats.speech_frames()
+    post = gmm_posteriors(gmm, feats, top_n=gmm.num_components)
+    got = train_supervised_gaussians([feats], [post], 4, variance_floor_scale=1e-12)
+    floor = 1e-12 * frames.var(axis=0)
+    want, _ = _em_step(gmm, frames, floor)
+    assert np.all(want.variances > 1e6 * floor)  # the floor does not bind
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_supervised_rejects_non_finite_frames_by_pooled_index(rng, bad):
+    first, second = make_features(rng, 5, 3), make_features(rng, 10, 3)
+    second.frames[2, 1] = bad
+    posts = [PosteriorMatrix.from_dense(np.ones((t, 1))) for t in (5, 10)]
+    with pytest.raises(NumericError, match=r"\(first at pooled speech frame 7\)"):
+        train_supervised_gaussians([first, second], posts, 1)
 
 
 def test_supervised_moments_match_add_at_reference(rng):
@@ -442,11 +486,27 @@ def test_supervised_moments_match_add_at_reference(rng):
     np.testing.assert_allclose(gmm.variances, variances, rtol=1e-10)
 
 
+def test_supervised_rejects_input_with_nothing_to_estimate(rng):
+    with pytest.raises(InsufficientDataError, match="no recordings provided"):
+        train_supervised_gaussians([], [], 2)
+    silent = make_features(rng, 5, 2, mask=np.zeros(5, dtype=bool))
+    no_rows = PosteriorMatrix.from_dense(np.zeros((0, 2)))
+    with pytest.raises(InsufficientDataError, match="no speech frames provided"):
+        train_supervised_gaussians([silent], [no_rows], 2)
+    zeros = PosteriorMatrix(
+        indptr=np.arange(6), indices=np.zeros(5), values=np.zeros(5), num_components=2
+    )
+    with pytest.raises(InsufficientDataError, match="all components have zero occupancy"):
+        train_supervised_gaussians([make_features(rng, 5, 2)], [zeros], 2)
+
+
 def test_supervised_alignment_error(rng):
     feats = make_features(rng, 30, 2)
     post = PosteriorMatrix.from_dense(np.ones((29, 1)))
-    with pytest.raises(AlignmentError):
+    with pytest.raises(AlignmentError, match="recording 0: 30 speech frames vs 29"):
         train_supervised_gaussians([feats], [post], 1)
+    with pytest.raises(AlignmentError, match="recording 'a': 30 speech frames vs 29"):
+        train_supervised_gaussians([feats], [post], 1, recording_ids=["a"])
 
 
 # --- external posterior files ---------------------------------------------
