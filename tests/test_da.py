@@ -354,6 +354,29 @@ class TestNdaLocalStats:
         np.testing.assert_allclose(local.dist_rest, d_rest, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(local.weights, weights, rtol=1e-8, atol=1e-14)
 
+    def test_outside_tie_breaks_toward_lower_index(self):
+        # Rows 1 and 2 of class b are v and 2v: bitwise-equal unit rows, so
+        # they tie for row 0's nearest outside neighbour and the local mean
+        # is whichever comes first, not the longer vector.
+        v, w = [2.0, 1.0], [4.0, 2.0]
+        for first, second in [(v, w), (w, v)]:
+            data = LabeledVectors(
+                vectors=np.array([[1.0, 0.0], first, second, [1.0, 0.2], [0.0, 1.0]]),
+                labels=np.array(["a", "b", "b", "a", "b"]),
+            )
+            local = nda_local_stats(data, k=1, alpha=2.0)
+            np.testing.assert_array_equal(local.local_means[0], first)
+
+    def test_per_row_rescaling_keeps_distances_and_weights(self, rng):
+        _, _, data = random_labeled(rng, 3, 8, 4)
+        factors = rng.uniform(0.1, 10.0, size=data.num_vectors)
+        scaled = LabeledVectors(vectors=factors[:, None] * data.vectors, labels=data.labels)
+        base = nda_local_stats(data, k=3, alpha=2.0)
+        local = nda_local_stats(scaled, k=3, alpha=2.0)
+        np.testing.assert_allclose(local.dist_own, base.dist_own, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(local.dist_rest, base.dist_rest, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(local.weights, base.weights, rtol=1e-8, atol=1e-14)
+
     def test_weights_within_half_open_interval(self, rng):
         _, _, data = random_labeled(rng, 4, 9, 5)
         local = nda_local_stats(data, k=3, alpha=2.0)
@@ -719,6 +742,12 @@ class TestProjectApi:
         nda = compute_nda(data, k=2, alpha=2.0, out_dim=2)
         assert lda.method == "lda" and lda.k == 0
         assert nda.method == "nda" and nda.k == 2 and nda.alpha == 2.0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nda_k_out_of_range(self, rng, k):
+        _, _, data = random_labeled(rng, 3, 8, 5)
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            compute_nda(data, k=k, alpha=2.0, out_dim=2)
 
     def test_separated_classes_stay_separated(self, rng):
         # Two tight, well-separated clouds: the 1-D LDA axis must keep all
