@@ -16,6 +16,12 @@ A file ends where its payload ends: a reader rejects a truncated file and
 a file with bytes after the payload (two archives concatenated, say) with
 ``FormatError``.
 
+Every writer writes ``<name>.tmp`` and renames it to ``<name>`` when done,
+so a reader never sees a partial file; a write that fails removes the
+``.tmp`` file and leaves ``<name>`` as it was.  Binary writes stream: the
+header and then each part go to the file as they come, each array straight
+from its buffer, so a write holds no copy of the artifact.
+
 Formats:
 
 * ``IVFA``  one recording's features: T, D, frame_shift_ms f32, frames f32
@@ -48,7 +54,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -77,32 +83,44 @@ def fingerprint(stage: str, config: dict, upstream: dict[str, int] | None = None
     return int.from_bytes(digest, "little")
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file and rename, so readers never see partial files."""
+@contextlib.contextmanager
+def _replacing(path: str | Path, mode: str) -> Iterator[IO]:
+    """Open ``<path>.tmp`` in `mode` for the block to write, then rename it
+    to `path`, so readers never see a partial file.  If the block raises,
+    the temporary file is removed and `path` keeps its old bytes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write via a temp file and rename, so readers never see partial files."""
+    with _replacing(path, "wb") as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    with _replacing(path, "w") as fh:
+        fh.write(text)
 
 
 def _write(
     path: str | Path, magic: bytes, fp: int, meta: dict, *parts: bytes | np.ndarray
 ) -> None:
-    """Write the uniform header and then `parts`; arrays are written as f64."""
+    """Write the uniform header and then `parts`; arrays are written as f64,
+    each straight from its buffer."""
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    header = struct.pack("<4sIQI", magic, FORMAT_VERSION, fp, len(meta_bytes))
-    payload = (
-        p if isinstance(p, bytes) else np.ascontiguousarray(p, dtype="<f8").tobytes()
-        for p in parts
-    )
-    atomic_write_bytes(path, b"".join((header, meta_bytes, *payload)))
+    with _replacing(path, "wb") as fh:
+        fh.write(struct.pack("<4sIQI", magic, FORMAT_VERSION, fp, len(meta_bytes)))
+        fh.write(meta_bytes)
+        for p in parts:
+            fh.write(p if isinstance(p, bytes) else np.ascontiguousarray(p, dtype="<f8"))
 
 
 def _pack_str(s: str) -> bytes:
@@ -691,13 +709,11 @@ def _write_rows(
     makes of its value, if given.
 
     Rows are formatted and written ``_WRITE_ROWS`` at a time to a temporary
-    file, which then replaces `path`.
+    file, which then replaces `path` (see `_replacing`).
     """
     enroll = np.array(trials.enroll_vocab, dtype=object)
     test = np.array(trials.test_vocab, dtype=object)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
+    with _replacing(path, "w") as fh:
         for lo in range(0, len(trials), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
             columns = [enroll[trials.enroll_codes[rows]], test[trials.test_codes[rows]]]
@@ -705,7 +721,6 @@ def _write_rows(
                 columns.append(cells(trials.values[rows]))
             block = tuple(chain.from_iterable(zip(*columns)))
             fh.write((row_format * len(columns[0])) % block)
-    os.replace(tmp, path)
 
 
 def read_trials(path: str | Path) -> Trials:

@@ -14,10 +14,11 @@ weight 0 and keeps its previous Gaussian (EM) or the global moments.
 EM, alignment and :func:`mean_log_likelihood` share one posterior kernel
 that works on `CHUNK_FRAMES` frames at a time, so no frames x components
 array is ever built whole.  :func:`train_gmm` walks its recordings once and
-keeps only each one's speech frames, so a lazily read sequence of records
-costs the pooled T x D speech frames twice at most (the per-record blocks
-and their concatenation) plus one record; EM then needs the pooled frames
-plus O(CHUNK_FRAMES * G).  The top-N alignment of a T-frame recording
+copies each one's speech frames into slabs of ``SLAB_CHUNKS * CHUNK_FRAMES``
+rows as it reads it, so a lazily read sequence of records costs the pooled
+T x D speech frames once, plus the last slab's unused rows and one record;
+EM and the global moments walk the `CHUNK_FRAMES`-row views of the slabs,
+adding O(CHUNK_FRAMES * G).  The top-N alignment of a T-frame recording
 needs O(CHUNK_FRAMES * G + T * N).
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +50,15 @@ MAX_ROW_SUM = 1.0 + 1e-6  # the largest row sum a PosteriorMatrix accepts
 # Frames per posterior chunk: the working set of EM and alignment is a few
 # (CHUNK_FRAMES, G) float64 arrays, whatever the number of frames.
 CHUNK_FRAMES = 1024
+
+# Chunks per slab of pooled training frames: a slab holds whole chunks, so
+# EM walks the same chunks as over one pooled array.  The size is set by
+# what it does to glibc's malloc, whose mmap and trim thresholds rise only
+# when a block at least that large is freed: after `train_gmm` frees 5 MB
+# slabs (16 chunks at D = 39), feature extraction run later in the same
+# process reuses heap pages; after slabs of one chunk it could fault in
+# fresh pages for every recording (about 250 000 faults, 50% more time).
+SLAB_CHUNKS = 16
 
 # Callback invoked after each EM iteration:
 # (num_components, iteration, model snapshot, mean per-frame log-likelihood)
@@ -191,12 +201,13 @@ def _density_weights(gmm: DiagonalGmm) -> np.ndarray:
     return np.vstack([(gmm.means * inv_var).T, -0.5 * inv_var.T, const])
 
 
-def _augment(frames: np.ndarray) -> np.ndarray:
-    """Rows ``[x, x**2, 1]``: the log densities are linear in them, and the
-    posterior-weighted sums of them are first moments, second moments and
-    occupancy."""
+def _augment(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``[x, x**2, 1]``, written to `out` if given: the log densities
+    are linear in them, and the posterior-weighted sums of them are first
+    moments, second moments and occupancy."""
     t, d = frames.shape
-    out = np.empty((t, 2 * d + 1))
+    if out is None:
+        out = np.empty((t, 2 * d + 1))
     out[:, :d] = frames
     np.square(frames, out=out[:, d : 2 * d])
     out[:, 2 * d] = 1.0
@@ -224,14 +235,27 @@ def _as_frames(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _chunked_posteriors(gmm: DiagonalGmm, frames: np.ndarray):
+def _chunks(frames: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of at most `CHUNK_FRAMES` rows of `frames`."""
+    return (frames[s : s + CHUNK_FRAMES] for s in range(0, frames.shape[0], CHUNK_FRAMES))
+
+
+def _chunked_posteriors(gmm: DiagonalGmm, chunks: Iterable[np.ndarray]):
     """Yield ``(augmented frames, posteriors, per-frame log-likelihood)`` for
-    consecutive chunks of at most `CHUNK_FRAMES` frames."""
-    frames = _as_frames(gmm, frames)
+    each chunk of at most `CHUNK_FRAMES` (T, gmm.dim) frames.
+
+    The augmented frames and posteriors live in two buffers that the next
+    chunk overwrites.  Allocated afresh per chunk, they are big enough for
+    glibc's malloc to map fresh pages for each one until some larger block
+    has been freed, and faulting those pages in made `_augment` about 30%
+    slower in EM.
+    """
     weights = _density_weights(gmm)
-    for start in range(0, frames.shape[0], CHUNK_FRAMES):
-        aug = _augment(frames[start : start + CHUNK_FRAMES])
-        yield (aug, *_posteriors(aug @ weights))
+    aug_buf = np.empty((CHUNK_FRAMES, weights.shape[0]))
+    dens_buf = np.empty((CHUNK_FRAMES, weights.shape[1]))
+    for chunk in chunks:
+        aug = _augment(chunk, aug_buf[: chunk.shape[0]])
+        yield (aug, *_posteriors(np.matmul(aug, weights, out=dens_buf[: chunk.shape[0]])))
 
 
 def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
@@ -239,15 +263,47 @@ def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
     frames = _as_frames(gmm, frames)
     if frames.shape[0] == 0:
         raise InsufficientDataError("no frames to score")
-    total = sum(ll.sum() for _, _, ll in _chunked_posteriors(gmm, frames))
+    total = sum(ll.sum() for _, _, ll in _chunked_posteriors(gmm, _chunks(frames)))
     return float(total / frames.shape[0])
 
 
-def _collect_speech_frames(features: Sequence[FeatureMatrix]) -> np.ndarray:
-    blocks = [f.speech_frames() for f in features if f.speech_mask.any()]
-    if not blocks:
+def _pool_speech_frames(features: Iterable[FeatureMatrix]) -> tuple[list[np.ndarray], int]:
+    """The speech frames of `features` in order, as `CHUNK_FRAMES`-row views
+    of slabs that each record's frames are copied into as it is read, and
+    their number.  Non-finite frames are rejected record by record."""
+    slab_rows = SLAB_CHUNKS * CHUNK_FRAMES
+    slabs: list[np.ndarray] = []
+    count = 0
+    for f in features:
+        frames = f.speech_frames()
+        _require_finite(frames, count)
+        if slabs and frames.shape[1] != slabs[0].shape[1]:
+            raise ShapeError(
+                f"training records must share one feature dimension, got "
+                f"{slabs[0].shape[1]} and {frames.shape[1]}"
+            )
+        done = 0
+        while done < frames.shape[0]:
+            at = count % slab_rows
+            if at == 0:
+                slabs.append(np.empty((slab_rows, frames.shape[1])))
+            n = min(slab_rows - at, frames.shape[0] - done)
+            slabs[-1][at : at + n] = frames[done : done + n]
+            done += n
+            count += n
+    if not count:
         raise InsufficientDataError("no speech frames in the training set")
-    return np.concatenate(blocks, axis=0)
+    slabs[-1] = slabs[-1][: count - (len(slabs) - 1) * slab_rows]
+    return [chunk for slab in slabs for chunk in _chunks(slab)], count
+
+
+def _row_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of the rows of `blocks`, bit for bit numpy's axis-0 sum of
+    their concatenation, which adds the rows one after another."""
+    total = None
+    for block in blocks:
+        total = block.sum(axis=0) if total is None else np.vstack([total, block]).sum(axis=0)
+    return total
 
 
 def _split_components(gmm: DiagonalGmm, offset: float = 0.2) -> DiagonalGmm:
@@ -284,15 +340,17 @@ def _m_step(sums: np.ndarray, floor: np.ndarray, fallback: DiagonalGmm) -> Diago
 
 
 def _em_step(
-    gmm: DiagonalGmm, frames: np.ndarray, floor: np.ndarray
+    gmm: DiagonalGmm, chunks: Iterable[np.ndarray], floor: np.ndarray
 ) -> tuple[DiagonalGmm, float]:
+    """One EM iteration over the frames in `chunks`."""
     g, d = gmm.means.shape
     sums = np.zeros((g, 2 * d + 1))  # [first moments, second moments, occupancy]
-    total_ll = 0.0
-    for aug, resp, ll in _chunked_posteriors(gmm, frames):
+    total_ll, count = 0.0, 0
+    for aug, resp, ll in _chunked_posteriors(gmm, chunks):
         sums += resp.T @ aug
         total_ll += ll.sum()
-    return _m_step(sums, floor, gmm), total_ll / frames.shape[0]
+        count += ll.shape[0]
+    return _m_step(sums, floor, gmm), total_ll / count
 
 
 def _require_finite(frames: np.ndarray, offset: int = 0) -> None:
@@ -339,18 +397,20 @@ def train_gmm(
         raise ValueError(f"num_components must be a power of two, got {num_components}")
     if iters_per_level < 1:
         raise ValueError("iters_per_level must be >= 1")
-    frames = _collect_speech_frames(features)
-    _require_finite(frames)
-    if frames.shape[0] < MIN_FRAMES_PER_COMPONENT * num_components:
+    chunks, count = _pool_speech_frames(features)
+    if count < MIN_FRAMES_PER_COMPONENT * num_components:
         raise InsufficientDataError(
-            f"{frames.shape[0]} speech frames is too few for {num_components} "
+            f"{count} speech frames is too few for {num_components} "
             f"components (need {MIN_FRAMES_PER_COMPONENT} per component)"
         )
-    gmm, floor = _global_gaussian(frames.mean(axis=0), frames.var(axis=0), variance_floor_scale)
+    # Bit for bit frames.mean(axis=0) and frames.var(axis=0) of the pooled frames.
+    mean = _row_sum(chunks) / count
+    var = _row_sum((c - mean) ** 2 for c in chunks) / count
+    gmm, floor = _global_gaussian(mean, var, variance_floor_scale)
     while gmm.num_components < num_components:
         gmm = _split_components(gmm)
         for i in range(iters_per_level):
-            updated, ll = _em_step(gmm, frames, floor)
+            updated, ll = _em_step(gmm, chunks, floor)
             if on_iteration is not None:
                 on_iteration(gmm.num_components, i, gmm, ll)
             gmm = updated
@@ -383,7 +443,7 @@ def gmm_posteriors(
     indices = np.empty((t, keep), dtype=np.int32)
     values = np.empty((t, keep))
     start = 0
-    for _, post, _ in _chunked_posteriors(gmm, frames):
+    for _, post, _ in _chunked_posteriors(gmm, _chunks(_as_frames(gmm, frames))):
         stop = start + post.shape[0]
         if keep == g:
             indices[start:stop] = np.arange(g)

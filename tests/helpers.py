@@ -4,6 +4,8 @@ Most oracle implementations live next to the tests that use them; this
 module provides random-object constructors reused across files and the
 straightforward versions that the chunked and batched code is checked
 against: :func:`reference_em_step` (one dense frames x components EM step),
+:func:`reference_train_gmm` (UBM training over one concatenated array of
+the pooled speech frames),
 :func:`reference_weighted_sums` (an ``np.add.at`` scatter over CSR
 posteriors), :func:`reference_train_tv` (one-session-at-a-time TV EM) and
 :func:`reference_train_plda` (one-speaker-at-a-time PLDA EM), and the
@@ -26,10 +28,11 @@ from scipy.fft import dct
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import logsumexp
 
+from ivnda import ubm
 from ivnda.backend import PldaModel
 from ivnda.config import FrontendConfig
 from ivnda.da import LabeledVectors
-from ivnda.errors import FormatError
+from ivnda.errors import FormatError, InsufficientDataError
 from ivnda.frontend import (
     AudioSignal,
     FeatureMatrix,
@@ -150,6 +153,46 @@ def reference_em_step(
     return DiagonalGmm(weights=weights, means=means, variances=variances), float(
         norm.mean()
     )
+
+
+def reference_train_gmm(
+    features: list[FeatureMatrix],
+    num_components: int,
+    iters_per_level: int = 5,
+    variance_floor_scale: float = 1e-3,
+    on_iteration=None,
+) -> DiagonalGmm:
+    """`ubm.train_gmm` on the concatenation of every record's speech
+    frames: the global moments from ``frames.mean``/``frames.var``, EM over
+    ``ubm.CHUNK_FRAMES``-row slices of the one array."""
+    blocks = [f.speech_frames() for f in features if f.speech_mask.any()]
+    if not blocks:
+        raise InsufficientDataError("no speech frames in the training set")
+    frames = np.concatenate(blocks, axis=0)
+    ubm._require_finite(frames)
+    if frames.shape[0] < ubm.MIN_FRAMES_PER_COMPONENT * num_components:
+        raise InsufficientDataError(
+            f"{frames.shape[0]} speech frames is too few for {num_components} "
+            f"components (need {ubm.MIN_FRAMES_PER_COMPONENT} per component)"
+        )
+    gmm, floor = ubm._global_gaussian(
+        frames.mean(axis=0), frames.var(axis=0), variance_floor_scale
+    )
+    while gmm.num_components < num_components:
+        gmm = ubm._split_components(gmm)
+        for i in range(iters_per_level):
+            weights = ubm._density_weights(gmm)
+            sums = np.zeros((gmm.num_components, 2 * gmm.dim + 1))
+            total_ll = 0.0
+            for start in range(0, frames.shape[0], ubm.CHUNK_FRAMES):
+                aug = ubm._augment(frames[start : start + ubm.CHUNK_FRAMES])
+                resp, ll = ubm._posteriors(aug @ weights)
+                sums += resp.T @ aug
+                total_ll += ll.sum()
+            if on_iteration is not None:
+                on_iteration(gmm.num_components, i, gmm, total_ll / frames.shape[0])
+            gmm = ubm._m_step(sums, floor, gmm)
+    return gmm
 
 
 def reference_train_tv(

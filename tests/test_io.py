@@ -116,6 +116,19 @@ class TestAtomicWrite:
         with pytest.raises(OSError):
             atomic_write_bytes(target, b"replacement")
         assert target.read_bytes() == b"original"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_write_failing_part_way_leaves_no_temp_file(self, tmp_path):
+        key, binary = tmp_path / "key.txt", tmp_path / "x.ivbw"
+        key.write_bytes(b"old key")
+        binary.write_bytes(b"old archive")
+        with pytest.raises(TypeError):  # a bare trial list has no target column
+            write_key(key, Trials(["a", "b"], ["c", "d"]))
+        with pytest.raises(TypeError):  # fails after the header is written
+            fileio._write(binary, b"IVBW", 0, {}, b"\0" * 8, np.array([object()]))
+        assert key.read_bytes() == b"old key"
+        assert binary.read_bytes() == b"old archive"
+        assert sorted(tmp_path.iterdir()) == [key, binary]
 
 
 # --- binary round trips ----------------------------------------------------
@@ -257,6 +270,22 @@ class TestArchives:
         ]
         with pytest.raises(ValueError):
             write_ivector_archive(tmp_path / "iv.iviv", ivectors, fp=0, meta={})
+
+    def test_stats_archive_is_written_without_a_copy(self, rng, tmp_path):
+        stats = self.make_stats(rng, count=200, g=64, d=20)
+        path = tmp_path / "stats.ivbw"
+        write_stats_archive(tmp_path / "warm.ivbw", stats[:1], fp=0, meta={})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_stats_archive(path, stats, fp=0, meta=META)
+            transient = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # Each array goes to the file from its own buffer, one at a time.
+        assert transient < path.stat().st_size / 8, (transient, path.stat().st_size)
+        loaded, _, _ = read_stats_archive(path)
+        assert all(np.array_equal(a.f, b.f) for a, b in zip(loaded, stats))
 
 
 class TestProjectionFiles:

@@ -8,8 +8,10 @@ from helpers import (
     make_gmm,
     ragged_posteriors,
     reference_em_step,
+    reference_train_gmm,
     reference_weighted_sums,
 )
+from ivnda import ubm
 from ivnda.errors import (
     AlignmentError,
     FormatError,
@@ -24,6 +26,7 @@ from ivnda.ubm import (
     MAX_ROW_SUM,
     DiagonalGmm,
     PosteriorMatrix,
+    _chunks,
     _em_step,
     _m_step,
     gmm_posteriors,
@@ -266,7 +269,7 @@ def test_chunked_em_step_matches_dense_reference(rng):
     gmm = DiagonalGmm(weights=gmm.weights, means=means, variances=gmm.variances)
     floor = 1e-3 * frames.var(axis=0)
     for _ in range(2):
-        got, got_ll = _em_step(gmm, frames, floor)
+        got, got_ll = _em_step(gmm, _chunks(frames), floor)
         want, want_ll = reference_em_step(gmm, frames, floor)
         assert got.weights[3] == 0.0
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-10, atol=0)
@@ -310,6 +313,73 @@ def test_train_gmm_ignores_non_finite_non_speech_frames(rng):
     feats.frames[5, 0] = np.nan
     gmm = train_gmm([feats], 2)
     assert np.isfinite(gmm.means).all()
+
+
+def _records(rng, speech_counts, dim=3):
+    """One record per count, with that many speech frames spread over twice
+    as many frames plus one."""
+    out = []
+    for n in speech_counts:
+        mask = np.zeros(2 * n + 1, dtype=bool)
+        mask[rng.choice(2 * n + 1, size=n, replace=False)] = True
+        out.append(make_features(rng, 2 * n + 1, dim, mask=mask))
+    return out
+
+
+@pytest.mark.parametrize(
+    "chunk, slab_chunks, counts, components",
+    [
+        (CHUNK_FRAMES, ubm.SLAB_CHUNKS, [700, 0, 1500, 333], 1),  # the global Gaussian
+        (CHUNK_FRAMES, 1, [700, 0, 1500, 333], 4),
+        (16, 3, [37, 5, 0, 61, 29, 100], 4),  # chunks cross slab and record ends
+    ],
+)
+def test_train_gmm_is_bit_identical_to_the_concatenated_reference(
+    rng, monkeypatch, chunk, slab_chunks, counts, components
+):
+    monkeypatch.setattr(ubm, "CHUNK_FRAMES", chunk)
+    monkeypatch.setattr(ubm, "SLAB_CHUNKS", slab_chunks)
+    feats = _records(rng, counts)
+    got_ll, want_ll = [], []
+    got = train_gmm(feats, components, iters_per_level=3,
+                    on_iteration=lambda *args: got_ll.append(args[3]))
+    want = reference_train_gmm(feats, components, iters_per_level=3,
+                               on_iteration=lambda *args: want_ll.append(args[3]))
+    for name in ("weights", "means", "variances"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert len(got_ll) == 3 * int(math.log2(components))
+    assert np.array(got_ll).tobytes() == np.array(want_ll).tobytes()
+
+
+@pytest.mark.parametrize("chunk, slab_chunks", [(CHUNK_FRAMES, ubm.SLAB_CHUNKS), (16, 3)])
+@pytest.mark.parametrize(
+    "counts, bad, message",
+    [
+        ([37, 0, 61, 129], (2, 10), r"\(first at pooled speech frame 47\)$"),
+        ([37, 61, 29], None, r"^127 speech frames is too few for 4 components"),
+        ([0, 0], None, r"^no speech frames in the training set$"),
+    ],
+)
+def test_train_gmm_errors_match_the_concatenated_reference(
+    rng, monkeypatch, chunk, slab_chunks, counts, bad, message
+):
+    monkeypatch.setattr(ubm, "CHUNK_FRAMES", chunk)
+    monkeypatch.setattr(ubm, "SLAB_CHUNKS", slab_chunks)
+    feats = _records(rng, counts)
+    if bad is not None:
+        record, row = bad
+        feats[record].frames[np.flatnonzero(feats[record].speech_mask)[row], 1] = np.nan
+    with pytest.raises((NumericError, InsufficientDataError)) as want:
+        reference_train_gmm(feats, 4)
+    with pytest.raises(type(want.value), match=message) as got:
+        train_gmm(feats, 4)
+    assert str(got.value) == str(want.value)
+
+
+def test_train_gmm_rejects_records_of_different_dimensions(rng):
+    feats = [make_features(rng, 300, 3), make_features(rng, 300, 1)]
+    with pytest.raises(ShapeError, match="3 and 1"):
+        train_gmm(feats, 2)
 
 
 def test_train_gmm_requires_power_of_two(rng):
@@ -456,7 +526,7 @@ def test_supervised_with_em_responsibilities_is_an_em_step(rng):
     post = gmm_posteriors(gmm, feats, top_n=gmm.num_components)
     got = train_supervised_gaussians([feats], [post], 4, variance_floor_scale=1e-12)
     floor = 1e-12 * frames.var(axis=0)
-    want, _ = _em_step(gmm, frames, floor)
+    want, _ = _em_step(gmm, _chunks(frames), floor)
     assert np.all(want.variances > 1e6 * floor)  # the floor does not bind
     for name in ("weights", "means", "variances"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-10, atol=0)
