@@ -20,7 +20,14 @@ Every writer writes ``<name>.tmp`` and renames it to ``<name>`` when done,
 so a reader never sees a partial file; a write that fails removes the
 ``.tmp`` file and leaves ``<name>`` as it was.  Binary writes stream: the
 header and then each part go to the file as they come, each array straight
-from its buffer, so a write holds no copy of the artifact.
+from its buffer, so a write holds no copy of the artifact.  A statistics
+archive is written from any iterable of records, each one as it comes, so
+its writer holds one record at a time.
+
+A statistics archive is also read lazily: :class:`StatsArchive` scans the
+record headers once when opened, rejecting a corrupt file then, and reads
+each record, or each chunk of records straight into the caller's rows,
+when asked.  So reading holds one chunk, not the archive.
 
 Formats:
 
@@ -51,6 +58,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -62,7 +70,7 @@ from .backend import Normalizer, PldaModel
 from .da import Projection
 from .errors import FormatError, KeyMismatchError, read_text
 from .frontend import FeatureMatrix
-from .stats import BwStats
+from .stats import BwStats, check_shape
 from .tv import IVector, TvModel
 from .ubm import DiagonalGmm
 
@@ -110,17 +118,38 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _write(
-    path: str | Path, magic: bytes, fp: int, meta: dict, *parts: bytes | np.ndarray
-) -> None:
-    """Write the uniform header and then `parts`; arrays are written as f64,
-    each straight from its buffer."""
+def _header_bytes(magic: bytes, fp: int, meta: dict) -> bytes:
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return struct.pack("<4sIQI", magic, FORMAT_VERSION, fp, len(meta_bytes)) + meta_bytes
+
+
+def _write(
+    path: str | Path,
+    magic: bytes,
+    fp: int,
+    meta: dict,
+    parts: Iterable[bytes | np.ndarray],
+    restamp: Callable[[], tuple[int, dict]] | None = None,
+) -> None:
+    """Write the uniform header and then each of `parts` as it comes; arrays
+    are written as f64, each straight from its buffer.
+
+    `restamp`, if given, is called once every part is written, for a header
+    that depends on what the parts were made from: its (fingerprint,
+    metadata) replace `fp` and `meta`, which must have held placeholders of
+    the same encoded length.
+    """
+    header = _header_bytes(magic, fp, meta)
     with _replacing(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQI", magic, FORMAT_VERSION, fp, len(meta_bytes)))
-        fh.write(meta_bytes)
+        fh.write(header)
         for p in parts:
             fh.write(p if isinstance(p, bytes) else np.ascontiguousarray(p, dtype="<f8"))
+        if restamp is not None:
+            final = _header_bytes(magic, *restamp())
+            if len(final) != len(header):
+                raise ValueError(f"{path}: the final header does not fit its placeholder")
+            fh.seek(0)
+            fh.write(final)
 
 
 def _pack_str(s: str) -> bytes:
@@ -156,6 +185,26 @@ class _Fields:
         return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
 
+def _header(fh: BinaryIO, path: Path, magic: bytes) -> tuple[_Fields, int, dict]:
+    """Check the header of the `magic` artifact open in `fh`; its payload
+    fields, fingerprint and metadata."""
+    fields = _Fields(fh, path)
+    got_magic, version, fp, meta_len = fields.unpack("<4sIQI")
+    if got_magic != magic:
+        raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    try:
+        meta = json.loads(fields.raw(meta_len).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: corrupt metadata block") from exc
+    return fields, fp, meta
+
+
+def _trailing_bytes(path: Path) -> FormatError:
+    return FormatError(f"{path}: unexpected bytes after the payload")
+
+
 @contextlib.contextmanager
 def _reading(path: str | Path, magic: bytes) -> Iterator[tuple[_Fields, int, dict]]:
     """Check the header of the `magic` artifact at `path`, then yield its
@@ -163,19 +212,9 @@ def _reading(path: str | Path, magic: bytes) -> Iterator[tuple[_Fields, int, dic
     payload up to the end of the file."""
     path = Path(path)
     with open(path, "rb") as fh:
-        fields = _Fields(fh, path)
-        got_magic, version, fp, meta_len = fields.unpack("<4sIQI")
-        if got_magic != magic:
-            raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        try:
-            meta = json.loads(fields.raw(meta_len).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: corrupt metadata block") from exc
-        yield fields, fp, meta
+        yield _header(fh, path, magic)
         if fh.read(1):
-            raise FormatError(f"{path}: unexpected bytes after the payload")
+            raise _trailing_bytes(path)
 
 
 # --- features -------------------------------------------------------------
@@ -191,8 +230,8 @@ def write_feature_record(
     t, d = features.frames.shape
     frames = np.ascontiguousarray(features.frames, dtype="<f4").tobytes()
     mask = features.speech_mask.astype(np.uint8).tobytes()
-    _write(path, b"IVFA", fp, meta, struct.pack("<IIf", t, d, features.frame_shift_ms),
-           frames, mask)
+    _write(path, b"IVFA", fp, meta,
+           (struct.pack("<IIf", t, d, features.frame_shift_ms), frames, mask))
 
 
 def read_feature_record(path: str | Path) -> tuple[FeatureMatrix, int, dict]:
@@ -213,8 +252,8 @@ def read_feature_record(path: str | Path) -> tuple[FeatureMatrix, int, dict]:
 
 
 def write_gmm(path: str | Path, gmm: DiagonalGmm, fp: int, meta: dict) -> None:
-    _write(path, b"IVGM", fp, meta, struct.pack("<II", gmm.num_components, gmm.dim),
-           gmm.weights, gmm.means, gmm.variances)
+    _write(path, b"IVGM", fp, meta, (struct.pack("<II", gmm.num_components, gmm.dim),
+           gmm.weights, gmm.means, gmm.variances))
 
 
 def read_gmm(path: str | Path) -> tuple[DiagonalGmm, int, dict]:
@@ -228,25 +267,123 @@ def read_gmm(path: str | Path) -> tuple[DiagonalGmm, int, dict]:
 
 
 def write_stats_archive(
-    path: str | Path, stats: Sequence[BwStats], fp: int, meta: dict
+    path: str | Path,
+    stats: Iterable[BwStats],
+    fp: int,
+    meta: dict,
+    count: int | None = None,
+    restamp: Callable[[], tuple[int, dict]] | None = None,
 ) -> None:
-    parts: list[bytes | np.ndarray] = [struct.pack("<I", len(stats))]
-    for s in stats:
-        parts += [_pack_str(s.recording_id), struct.pack("<II", s.num_components, s.dim),
-                  s.n, s.f]
-    _write(path, b"IVBW", fp, meta, *parts)
+    """Write `stats` as an ``IVBW`` archive, each record as it comes.
+
+    `count` is the number of records, needed when `stats` has no length;
+    for `restamp`, see `_write`.
+    """
+    if count is None:
+        count = len(stats)  # type: ignore[arg-type]
+
+    def parts() -> Iterator[bytes | np.ndarray]:
+        yield struct.pack("<I", count)
+        given = 0
+        for given, s in enumerate(stats, start=1):
+            if given > count:
+                break
+            yield _pack_str(s.recording_id)
+            yield struct.pack("<II", s.num_components, s.dim)
+            yield s.n
+            yield s.f
+        if given != count:
+            raise ValueError(f"{path}: the records given are not the {count} announced")
+
+    _write(path, b"IVBW", fp, meta, parts(), restamp)
 
 
 def read_stats_archive(path: str | Path) -> tuple[list[BwStats], int, dict]:
-    out = []
-    with _reading(path, b"IVBW") as (fields, fp, meta):
+    """Every record of an archive, read at once; see :class:`StatsArchive`
+    for one chunk at a time."""
+    with StatsArchive(path) as archive:
+        return list(archive), archive.fingerprint, archive.meta
+
+
+class StatsArchive(Sequence[BwStats]):
+    """An ``IVBW`` archive opened for reading, one record per access.
+
+    Opening scans the record headers once into an offset table and rejects a
+    corrupt file (bad magic or version, a truncated record, bytes after the
+    last one) with the same ``FormatError`` as the other readers, before any
+    record is read.  ``archive[i]`` then reads record i, and
+    :meth:`read_into` reads consecutive records into rows of the caller's
+    arrays, one positioned read per record, so the archive holds its offset
+    table and record ids, not its statistics.  It can be walked any number
+    of times.  Use it as a context manager, or call :meth:`close`, to close
+    the file.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._fh = open(self.path, "rb")
+        try:
+            self._scan()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _scan(self) -> None:
+        fields, self.fingerprint, self.meta = _header(self._fh, self.path, b"IVBW")
+        size = os.fstat(self._fh.fileno()).st_size
         (count,) = fields.unpack("<I")
+        self.recording_ids: list[str] = []
+        self._shapes: list[tuple[int, int]] = []
+        self._offsets: list[int] = []  # where each record's n starts
         for _ in range(count):
-            rec_id = fields.text()
+            self.recording_ids.append(fields.text())
             g, d = fields.unpack("<II")
-            n, f = fields.f64(g), fields.f64(g, d)
-            out.append(BwStats(n=n, f=f, recording_id=rec_id))
-    return out, fp, meta
+            self._shapes.append((g, d))
+            self._offsets.append(self._fh.tell())
+            if self._fh.seek(8 * g * (d + 1), os.SEEK_CUR) > size:
+                raise FormatError(f"{self.path}: truncated file")
+        if self._fh.tell() != size:
+            raise _trailing_bytes(self.path)
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, i: int) -> BwStats:  # type: ignore[override]
+        g, d = self._shapes[i]
+        n, f = np.empty(g), np.empty((g, d))
+        self._read(self._offsets[i], n, f)
+        return BwStats(n=n, f=f, recording_id=self.recording_ids[i])
+
+    def __iter__(self) -> Iterator[BwStats]:
+        return map(self.__getitem__, range(len(self)))
+
+    def read_into(self, start: int, stop: int, n: np.ndarray, f: np.ndarray) -> list[str]:
+        """Read records `start`..`stop` - 1 into the first rows of `n` (C, G)
+        and `f` (C, G, D); their recording ids.  A record of another (G, D)
+        is a ``ShapeError`` naming it, raised before any row is read."""
+        ids = self.recording_ids[start:stop]
+        for rec_id, shape in zip(ids, self._shapes[start:stop]):
+            check_shape(rec_id, shape, f.shape[1:])
+        for row, offset in enumerate(self._offsets[start:stop]):
+            self._read(offset, n[row], f[row])
+        return ids
+
+    def _read(self, offset: int, n: np.ndarray, f: np.ndarray) -> None:
+        """One record's n and f, stored from `offset` on, into `n` and `f`."""
+        if os.preadv(self._fh.fileno(), [n, f], offset) != n.nbytes + f.nbytes:
+            raise FormatError(f"{self.path}: truncated file")
+        if sys.byteorder == "big":  # the format is little-endian
+            n.byteswap(inplace=True)
+            f.byteswap(inplace=True)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> StatsArchive:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # --- TV model -------------------------------------------------------------
@@ -254,8 +391,8 @@ def read_stats_archive(path: str | Path) -> tuple[list[BwStats], int, dict]:
 
 def write_tv_model(path: str | Path, model: TvModel, fp: int, meta: dict) -> None:
     g, d = model.sigma.shape
-    _write(path, b"IVTV", fp, meta, struct.pack("<III", g, d, model.rank),
-           model.sigma, model.t_matrix)
+    _write(path, b"IVTV", fp, meta, (struct.pack("<III", g, d, model.rank),
+           model.sigma, model.t_matrix))
 
 
 def read_tv_model(path: str | Path) -> tuple[TvModel, int, dict]:
@@ -277,7 +414,7 @@ def write_ivector_archive(
         if iv.rank != rank:
             raise ValueError("all i-vectors in an archive must share a rank")
         parts += [_pack_str(iv.recording_id), iv.w]
-    _write(path, b"IVIV", fp, meta, *parts)
+    _write(path, b"IVIV", fp, meta, parts)
 
 
 def read_ivector_archive(path: str | Path) -> tuple[list[IVector], int, dict]:
@@ -304,7 +441,7 @@ def write_projection(path: str | Path, proj: Projection, fp: int, meta: dict) ->
         proj.k,
         proj.alpha,
     )
-    _write(path, b"IVDA", fp, meta, dims, proj.basis, proj.eigenvalues)
+    _write(path, b"IVDA", fp, meta, (dims, proj.basis, proj.eigenvalues))
 
 
 def read_projection(path: str | Path) -> tuple[Projection, int, dict]:
@@ -327,7 +464,7 @@ def read_projection(path: str | Path) -> tuple[Projection, int, dict]:
 
 
 def write_normalizer(path: str | Path, nz: Normalizer, fp: int, meta: dict) -> None:
-    _write(path, b"IVNZ", fp, meta, struct.pack("<I", nz.dim), nz.mean, nz.whitener)
+    _write(path, b"IVNZ", fp, meta, (struct.pack("<I", nz.dim), nz.mean, nz.whitener))
 
 
 def read_normalizer(path: str | Path) -> tuple[Normalizer, int, dict]:
@@ -341,8 +478,8 @@ def read_normalizer(path: str | Path) -> tuple[Normalizer, int, dict]:
 
 
 def write_plda(path: str | Path, model: PldaModel, fp: int, meta: dict) -> None:
-    _write(path, b"IVPL", fp, meta, struct.pack("<I", model.dim),
-           model.mu, model.b_cov, model.w_cov)
+    _write(path, b"IVPL", fp, meta, (struct.pack("<I", model.dim),
+           model.mu, model.b_cov, model.w_cov))
 
 
 def read_plda(path: str | Path) -> tuple[PldaModel, int, dict]:
@@ -704,13 +841,17 @@ def _write_rows(
     row_format: str,
     trials: Trials,
     cells: Callable[[np.ndarray], Iterable] | None = None,
+    column: str = "",
 ) -> None:
     """One `row_format` line per trial: its ids, then the cell that `cells`
-    makes of its value, if given.
+    makes of its value, if given; the values are the `column` column, which
+    the trials must have.
 
     Rows are formatted and written ``_WRITE_ROWS`` at a time to a temporary
     file, which then replaces `path` (see `_replacing`).
     """
+    if cells is not None and trials.values is None:
+        raise ValueError(f"{path}: the trials have no {column} column to write")
     enroll = np.array(trials.enroll_vocab, dtype=object)
     test = np.array(trials.test_vocab, dtype=object)
     with _replacing(path, "w") as fh:
@@ -738,7 +879,9 @@ def read_key(path: str | Path) -> Trials:
 
 
 def write_key(path: str | Path, key: Trials) -> None:
-    _write_rows(path, "%s %s %s\n", key, lambda t: map(_LABELS.__getitem__, t.tolist()))
+    _write_rows(
+        path, "%s %s %s\n", key, lambda t: map(_LABELS.__getitem__, t.tolist()), "target"
+    )
 
 
 def read_scores(path: str | Path) -> Trials:
@@ -749,7 +892,7 @@ def read_scores(path: str | Path) -> Trials:
 
 def write_scores(path: str | Path, scores: Trials) -> None:
     """Scores printed with ``%.17g``, which reads back to the same double."""
-    _write_rows(path, "%s %s %.17g\n", scores, np.ndarray.tolist)
+    _write_rows(path, "%s %s %.17g\n", scores, np.ndarray.tolist, "score")
 
 
 def match_scores_to_key(scores: Trials, key: Trials) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,12 @@ are one file per recording, read through :class:`FeatureRecords` and
 ``accumulate-stats`` hold one recording's record and posteriors at a time
 (one per worker thread) besides what they keep from each: pooled speech
 frames for EM training, moment sums when the UBM is estimated from
-posteriors, statistics for ``accumulate-stats``.
+posteriors.  ``accumulate-stats`` keeps nothing: it writes each
+recording's statistics to the archive as soon as they and every earlier
+recording's are done (:func:`parallel_map`'s bounded window).
+``train-tv`` and ``extract-ivectors`` open the statistics archive as a
+:class:`~ivnda.fileio.StatsArchive`, which TV reads one chunk at a time,
+so none of the statistics stages holds a whole archive.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ import dataclasses
 import hashlib
 import logging
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -63,12 +69,28 @@ U = TypeVar("U")
 
 def parallel_map(
     fn: Callable[[T], U], items: Sequence[T], workers: int
-) -> list[U]:
-    """Order-preserving map, threaded when `workers` exceeds one."""
+) -> Iterator[U]:
+    """Order-preserving lazy map, threaded when `workers` exceeds one.
+
+    At most 2 * `workers` items are in the pool or done and waiting ahead of
+    the result being consumed, so results are held in a bounded window, not
+    all at once.
+    """
     if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        pending: deque[Future[U]] = deque()
+        try:
+            for item in items:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def resolve_path(base: Path, path: str) -> Path:
@@ -229,6 +251,9 @@ class PosteriorFiles(_RecordFiles[ubm_mod.PosteriorMatrix]):
     """The external frame posteriors ``<id>.post`` of `ids` in `post_dir`,
     one row per speech frame over `num_components` components."""
 
+    # As long as a digest: what a header written before the files are read holds.
+    DIGEST_PLACEHOLDER = "0" * 32
+
     def __init__(self, post_dir: Path, ids: Sequence[str], num_components: int):
         paths = [post_dir / f"{rec_id}.post" for rec_id in ids]
         super().__init__(post_dir, ids, paths, "posterior file")
@@ -316,45 +341,51 @@ def accumulate_stats_stage(
             post = ubm_mod.gmm_posteriors(gmm, feats, cfg.ubm.top_n)
         return stats_mod.accumulate_bw(feats, post, recording_id=ids[i])
 
-    all_stats = parallel_map(work, range(len(ids)), cfg.run.workers)
     subset = {"top_n": cfg.ubm.top_n, "external_posteriors": external is not None}
+    upstream = {"features": records.fingerprint, "ubm": ubm_fp}
+    restamp = None
     if external is not None:
-        subset["posteriors_digest"] = external.digest()
+        # The posteriors' digest is known once every file is read, after the
+        # last record is written: the header holds a placeholder until then.
+        subset["posteriors_digest"] = external.DIGEST_PLACEHOLDER
+
+        def restamp() -> tuple[int, dict]:
+            final = {**subset, "posteriors_digest": external.digest()}
+            return _provenance("stats", final, upstream)
+
     fileio.write_stats_archive(
         out_path,
-        all_stats,
-        *_provenance("stats", subset, {"features": records.fingerprint, "ubm": ubm_fp}),
+        parallel_map(work, range(len(ids)), cfg.run.workers),
+        *_provenance("stats", subset, upstream),
+        count=len(ids),
+        restamp=restamp,
     )
 
 
 def train_tv_stage(
     stats_path: Path, ubm_path: Path, out_path: Path, cfg: PipelineConfig
 ) -> None:
-    all_stats, stats_fp, stats_meta = fileio.read_stats_archive(stats_path)
-    gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
-    _require(stats_path, stats_meta, "ubm", ubm_fp)
-    # every TvConfig field is a train_tv argument, and all are fingerprinted
-    tv_cfg = dataclasses.asdict(cfg.tv)
-    model = tv_mod.train_tv(all_stats, gmm, **tv_cfg)
-    fileio.write_tv_model(
-        out_path, model, *_provenance("tv", tv_cfg, {"stats": stats_fp, "ubm": ubm_fp})
-    )
+    with fileio.StatsArchive(stats_path) as archive:
+        gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
+        _require(stats_path, archive.meta, "ubm", ubm_fp)
+        # every TvConfig field is a train_tv argument, and all are fingerprinted
+        tv_cfg = dataclasses.asdict(cfg.tv)
+        model = tv_mod.train_tv(archive, gmm, **tv_cfg)
+    upstream = {"stats": archive.fingerprint, "ubm": ubm_fp}
+    fileio.write_tv_model(out_path, model, *_provenance("tv", tv_cfg, upstream))
 
 
 def extract_ivectors_stage(
     stats_path: Path, ubm_path: Path, tv_path: Path, out_path: Path
 ) -> None:
-    all_stats, stats_fp, stats_meta = fileio.read_stats_archive(stats_path)
-    gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
-    model, tv_fp, tv_meta = fileio.read_tv_model(tv_path)
-    _require(stats_path, stats_meta, "ubm", ubm_fp)
-    _require(tv_path, tv_meta, "stats", stats_fp)
-    ivectors = tv_mod.extract_ivectors(all_stats, gmm, model)
-    fileio.write_ivector_archive(
-        out_path,
-        ivectors,
-        *_provenance("ivectors", {}, {"stats": stats_fp, "tv": tv_fp, "ubm": ubm_fp}),
-    )
+    with fileio.StatsArchive(stats_path) as archive:
+        gmm, ubm_fp, _ = fileio.read_gmm(ubm_path)
+        model, tv_fp, tv_meta = fileio.read_tv_model(tv_path)
+        _require(stats_path, archive.meta, "ubm", ubm_fp)
+        _require(tv_path, tv_meta, "stats", archive.fingerprint)
+        ivectors = tv_mod.extract_ivectors(archive, gmm, model)
+    upstream = {"stats": archive.fingerprint, "tv": tv_fp, "ubm": ubm_fp}
+    fileio.write_ivector_archive(out_path, ivectors, *_provenance("ivectors", {}, upstream))
 
 
 def _labels_for(

@@ -29,8 +29,16 @@ observed components with batched Cholesky calls, `CHUNK` components each.
 A short chunk is padded with zero-count rows (``L = I``), so every product
 has the same shape and a session's result does not depend on which
 sessions share its chunk (single and batch extraction agree to the bit).
-Entry points take raw statistics and center each chunk as they fill it, so
-no centered copy of the statistics is built.  Besides them, memory is
+Entry points take raw statistics as a sequence: a list of
+:class:`~ivnda.stats.BwStats`, or a :class:`~ivnda.fileio.StatsArchive`,
+which reads each chunk's records from its file straight into the chunk's
+rows.  A chunk is read into a (CHUNK, G) and a (CHUNK, G * D) buffer,
+allocated once per call and reused by every chunk and EM iteration, then
+checked (finite values, non-negative counts, the UBM's (G, D)) and
+centered in place.  So the statistics take one chunk, CHUNK * G * (D + 1)
+doubles (42 MB at G=2048, D=39), whatever the number of sessions; an
+archive adds its record ids and offsets, a list input itself.  Besides
+that and the outputs (an R-vector per session when extracting), memory is
 bounded by the (G, R, R) gram and, in training, the (G, R, R) second-order
 accumulator, plus a few (CHUNK, R, R) and (CHUNK, G * D) arrays.  Each
 chunk adds into the accumulator in place, by one BLAS ``gemm`` with
@@ -54,8 +62,7 @@ from .errors import (
     RankError,
     ShapeError,
 )
-from . import stats as stats_mod  # a wrapper set on stats.center_stats sees TV's calls
-from .stats import BwStats
+from .stats import BwStats, center_in_place, check_shape, check_values
 from .ubm import DiagonalGmm
 
 log = logging.getLogger(__name__)
@@ -113,16 +120,9 @@ class IVector:
         return self.w.shape[0]
 
 
-def _check_stats(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel | None = None) -> None:
-    """Finite statistics and a UBM of the model's shape (`center_stats`
-    checks each session's shape against the UBM as its chunk fills)."""
-    if model is not None and gmm.means.shape != model.sigma.shape:
+def _check_model(gmm: DiagonalGmm, model: TvModel) -> None:
+    if gmm.means.shape != model.sigma.shape:
         raise ShapeError(f"UBM shape {gmm.means.shape} does not match model {model.sigma.shape}")
-    for s in stats:
-        if not (np.isfinite(s.n).all() and np.isfinite(s.f).all()):
-            raise NumericError(
-                f"recording {s.recording_id!r}: statistics contain non-finite values"
-            )
 
 
 @dataclass
@@ -151,21 +151,42 @@ def _precompute(t_matrix: np.ndarray, sigma: np.ndarray) -> _Precomputed:
     )
 
 
-def _chunks(
-    stats: Sequence[BwStats], gmm: DiagonalGmm
-) -> Iterator[tuple[Sequence[BwStats], np.ndarray, np.ndarray]]:
-    """(sessions, n, f) per chunk; n is (CHUNK, G) and f (CHUNK, G * D) the
-    first-order statistics centered around the UBM means, with rows past
-    ``len(sessions)`` zero."""
-    g, d = gmm.num_components, gmm.dim
-    for start in range(0, len(stats), CHUNK):
-        part = stats[start : start + CHUNK]
-        n = np.zeros((CHUNK, g))
-        f = np.zeros((CHUNK, g * d))
+class _Chunks:
+    """The sessions of `stats` in chunks of `CHUNK`, each walk yielding
+    (recording ids, n, f) per chunk: n is (CHUNK, G) and f (CHUNK, G * D)
+    the first-order statistics centered around the UBM means, with rows
+    past the chunk's sessions zero.  Both buffers are allocated once and
+    refilled for each chunk, so a chunk is only valid until the next."""
+
+    def __init__(self, stats: Sequence[BwStats], gmm: DiagonalGmm):
+        g, d = gmm.num_components, gmm.dim
+        self.stats, self.means = stats, gmm.means
+        self.n = np.zeros((CHUNK, g))
+        self.f = np.zeros((CHUNK, g * d))
+        self._products = np.empty((CHUNK, g, d))  # n * means, for centering
+
+    def _fill(self, start: int, stop: int, f3: np.ndarray) -> list[str]:
+        """Raw statistics of sessions `start`..`stop` - 1 into the first rows;
+        their recording ids."""
+        read_into = getattr(self.stats, "read_into", None)
+        if read_into is not None:  # an archive reads its records into the rows
+            return read_into(start, stop, self.n, f3)
+        part = self.stats[start:stop]
         for i, s in enumerate(part):
-            f[i] = stats_mod.center_stats(s, gmm).reshape(-1)
-            n[i] = s.n
-        yield part, n, f
+            check_shape(s.recording_id, s.f.shape, self.means.shape)
+            self.n[i], f3[i] = s.n, s.f
+        return [s.recording_id for s in part]
+
+    def __iter__(self) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+        n, f = self.n, self.f
+        f3 = f.reshape(CHUNK, *self.means.shape)
+        for start in range(0, len(self.stats), CHUNK):
+            ids = self._fill(start, min(start + CHUNK, len(self.stats)), f3)
+            k = len(ids)
+            n[k:], f[k:] = 0.0, 0.0
+            check_values(ids, n[:k], f[:k])
+            center_in_place(n, f3, self.means, self._products)
+            yield ids, n, f
 
 
 def _posterior(
@@ -227,14 +248,14 @@ def _session_lls(
 
 def tv_log_likelihood(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> float:
     """Total marginal log-likelihood over a collection of recordings."""
-    _check_stats(stats, gmm, model)
+    _check_model(gmm, model)
     if not stats:
         return 0.0
     pre = _precompute(model.t_matrix, model.sigma)
     per_session: list[float] = []
-    for part, n, f in _chunks(stats, gmm):
+    for ids, n, f in _Chunks(stats, gmm):
         ew, _, b, logdet_l = _posterior(pre, n, f)
-        per_session.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].tolist())
+        per_session.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].tolist())
     return float(sum(per_session))
 
 
@@ -318,18 +339,18 @@ def train_tv(
         raise RankError(
             f"{len(stats)} recordings cannot support a rank-{rank} subspace"
         )
-    _check_stats(stats, gmm)
+    chunks = _Chunks(stats, gmm)
 
     # One pass before EM: per component, the sessions occupying it and, for
     # the Sigma update, the sum over them of f~^2 / n; is any f~ non-zero?
     active_counts = np.zeros(g, dtype=np.int64)
     f2_over_n = np.zeros((g, d))
     signal = False
-    for part, n, f in _chunks(stats, gmm):
+    for ids, n, f in chunks:
         signal = signal or bool(f.any())
         active_counts += (n > 0).sum(axis=0)
         if reestimate_sigma:
-            for n_s, f_s in zip(n[: len(part)], f.reshape(CHUNK, g, d)):
+            for n_s, f_s in zip(n[: len(ids)], f.reshape(CHUNK, g, d)):
                 f2_over_n[n_s > 0] += f_s[n_s > 0] ** 2 / n_s[n_s > 0, None]
     if not signal:
         raise DegenerateDataError(
@@ -347,7 +368,7 @@ def train_tv(
         c_acc = np.zeros((m, rank))
         a_acc = np.zeros((g, rank * rank))
         total_ll = 0.0
-        for part, n, f in _chunks(stats, gmm):
+        for ids, n, f in chunks:
             ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True)
             # Lower triangle of E[ww'] = Cov[w] + E[w] E[w]'; the upper one
             # is never read and is overwritten by _mirror_lower.
@@ -359,7 +380,7 @@ def train_tv(
                         c=a_acc.T, overwrite_c=True)
             assert np.shares_memory(out, a_acc)
             total_ll += float(
-                _session_lls(pre, n, f, b, ew, logdet_l)[: len(part)].sum()
+                _session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].sum()
             )
         a_acc = a_acc.reshape(g, rank, rank)
         _mirror_lower(a_acc)
@@ -392,14 +413,14 @@ def train_tv(
 
 
 def _extract(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> list[IVector]:
-    _check_stats(stats, gmm, model)
+    _check_model(gmm, model)
     if not stats:
         return []
     pre = _precompute(model.t_matrix, model.sigma)
     out = []
-    for part, n, f in _chunks(stats, gmm):
+    for ids, n, f in _Chunks(stats, gmm):
         ew, _, _, _ = _posterior(pre, n, f)
-        out.extend(IVector(w=w, recording_id=s.recording_id) for s, w in zip(part, ew))
+        out.extend(IVector(w=w, recording_id=rec_id) for rec_id, w in zip(ids, ew))
     return out
 
 

@@ -11,9 +11,10 @@ from helpers import make_gmm, reference_read_key, reference_read_scores, referen
 from ivnda import fileio
 from ivnda.backend import Normalizer, PldaModel
 from ivnda.da import Projection
-from ivnda.errors import FormatError, KeyMismatchError
+from ivnda.errors import FormatError, KeyMismatchError, ShapeError
 from ivnda.fileio import (
     ManifestEntry,
+    StatsArchive,
     Trials,
     atomic_write_bytes,
     atomic_write_text,
@@ -119,16 +120,23 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == [target]
 
     def test_write_failing_part_way_leaves_no_temp_file(self, tmp_path):
-        key, binary = tmp_path / "key.txt", tmp_path / "x.ivbw"
-        key.write_bytes(b"old key")
+        scores, binary = tmp_path / "scores.txt", tmp_path / "x.ivbw"
+        scores.write_bytes(b"old scores")
         binary.write_bytes(b"old archive")
-        with pytest.raises(TypeError):  # a bare trial list has no target column
-            write_key(key, Trials(["a", "b"], ["c", "d"]))
+        with pytest.raises(TypeError):  # a text score is not formatted by %.17g
+            write_scores(scores, Trials(["a", "b"], ["c", "d"], np.array(["1", "x"], object)))
         with pytest.raises(TypeError):  # fails after the header is written
-            fileio._write(binary, b"IVBW", 0, {}, b"\0" * 8, np.array([object()]))
-        assert key.read_bytes() == b"old key"
+            fileio._write(binary, b"IVBW", 0, {}, (b"\0" * 8, np.array([object()])))
+        assert scores.read_bytes() == b"old scores"
         assert binary.read_bytes() == b"old archive"
-        assert sorted(tmp_path.iterdir()) == [key, binary]
+        assert sorted(tmp_path.iterdir()) == [scores, binary]
+
+    @pytest.mark.parametrize("write, column", [(write_key, "target"), (write_scores, "score")])
+    def test_trials_without_values_name_the_missing_column(self, tmp_path, write, column):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=f"{path}: the trials have no {column} column"):
+            write(path, Trials(["a", "b"], ["c", "d"]))
+        assert list(tmp_path.iterdir()) == []
 
 
 # --- binary round trips ----------------------------------------------------
@@ -286,6 +294,81 @@ class TestArchives:
         assert transient < path.stat().st_size / 8, (transient, path.stat().st_size)
         loaded, _, _ = read_stats_archive(path)
         assert all(np.array_equal(a.f, b.f) for a, b in zip(loaded, stats))
+
+
+class TestStatsArchive:
+    def write(self, rng, path, count=5, g=4, d=3):
+        stats = [
+            BwStats(n=rng.uniform(0.0, 9.0, g), f=rng.normal(size=(g, d)), recording_id=f"r{i}")
+            for i in range(count)
+        ]
+        write_stats_archive(path, stats, fp=17, meta=META)
+        return stats
+
+    def test_records_by_index_walk_and_chunk(self, rng, tmp_path):
+        stats = self.write(rng, tmp_path / "s.ivbw")
+        with StatsArchive(tmp_path / "s.ivbw") as archive:
+            assert len(archive) == 5 and archive.fingerprint == 17 and archive.meta == META
+            assert archive.recording_ids == [s.recording_id for s in stats]
+            assert archive[3].f.tobytes() == stats[3].f.tobytes()
+            for _ in range(2):
+                assert [s.n.tobytes() for s in archive] == [s.n.tobytes() for s in stats]
+            n, f = np.full((4, 4), -7.0), np.full((4, 4, 3), -7.0)
+            assert archive.read_into(1, 4, n, f) == ["r1", "r2", "r3"]
+        assert np.array_equal(n[:3], [s.n for s in stats[1:4]]) and (n[3] == -7.0).all()
+        assert np.array_equal(f[:3], [s.f for s in stats[1:4]]) and (f[3] == -7.0).all()
+
+    def test_a_record_of_another_shape_is_named_before_any_row_is_read(self, rng, tmp_path):
+        stats = self.write(rng, tmp_path / "s.ivbw")
+        stats[2] = BwStats(n=np.ones(5), f=np.zeros((5, 3)), recording_id="odd")
+        write_stats_archive(tmp_path / "s.ivbw", stats, fp=17, meta=META)
+        n, f = np.full((4, 4), -7.0), np.full((4, 4, 3), -7.0)
+        with StatsArchive(tmp_path / "s.ivbw") as archive:
+            with pytest.raises(ShapeError, match=r"recording 'odd': stats are \(5, 3\) but the UBM is \(4, 3\)"):
+                archive.read_into(0, 4, n, f)
+        assert (n == -7.0).all() and (f == -7.0).all()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: data[:-1], "truncated file"),
+            (lambda data: data[: len(data) // 2], "truncated file"),
+            (lambda data: data + b"\0", "unexpected bytes after the payload"),
+            (lambda data: b"XXXX" + data[4:], "bad magic b'XXXX', expected b'IVBW'"),
+        ],
+        ids=["last-byte", "half", "trailing", "magic"],
+    )
+    def test_corrupt_file_is_rejected_when_opened(self, rng, tmp_path, damage, message):
+        path = tmp_path / "s.ivbw"
+        self.write(rng, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(FormatError) as exc:
+            StatsArchive(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_written_from_an_iterator_of_announced_length(self, rng, tmp_path):
+        stats = self.write(rng, tmp_path / "list.ivbw")
+        write_stats_archive(tmp_path / "iter.ivbw", iter(stats), 17, META, count=len(stats))
+        assert (tmp_path / "iter.ivbw").read_bytes() == (tmp_path / "list.ivbw").read_bytes()
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_a_count_that_differs_from_the_records_writes_nothing(self, rng, tmp_path, count):
+        stats = self.write(rng, tmp_path / "s.ivbw")
+        before = (tmp_path / "s.ivbw").read_bytes()
+        with pytest.raises(ValueError, match=f"not the {count} announced"):
+            write_stats_archive(tmp_path / "s.ivbw", iter(stats), 17, META, count=count)
+        assert (tmp_path / "s.ivbw").read_bytes() == before
+        assert list(tmp_path.iterdir()) == [tmp_path / "s.ivbw"]
+
+    def test_restamped_header_replaces_a_placeholder_of_its_length(self, rng, tmp_path):
+        stats = self.write(rng, tmp_path / "want.ivbw")
+        write_stats_archive(
+            tmp_path / "s.ivbw", stats, 0, {"stage": "XXXX"}, restamp=lambda: (17, META)
+        )
+        assert (tmp_path / "s.ivbw").read_bytes() == (tmp_path / "want.ivbw").read_bytes()
+        with pytest.raises(ValueError, match="does not fit its placeholder"):
+            write_stats_archive(tmp_path / "s.ivbw", stats, 0, {}, restamp=lambda: (17, META))
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "s.ivbw", tmp_path / "want.ivbw"]
 
 
 class TestProjectionFiles:

@@ -3,9 +3,10 @@
 `train_ubm_stage` and `accumulate_stats_stage` read feature records and
 external posteriors one recording at a time, so their memory does not grow
 with the number of recordings beyond what they keep from each (pooled
-speech frames, statistics).  `train_tv_stage` and `extract_ivectors_stage`
-hand the raw statistics to TV, which centers them chunk by chunk, so
-neither holds a second copy of them.
+speech frames for EM).  `accumulate_stats_stage` writes each recording's
+statistics as it comes.  `train_tv_stage` and `extract_ivectors_stage`
+read the statistics archive one chunk at a time into TV's chunk buffers,
+so neither holds more than one chunk of statistics.
 """
 
 import tracemalloc
@@ -18,24 +19,24 @@ import pytest
 from helpers import make_features, make_gmm, sparse_random_posteriors
 from ivnda import fileio, pipeline, ubm
 from ivnda.config import PipelineConfig
-from ivnda.errors import ContractError, DataError
+from ivnda.errors import ContractError, DataError, NumericError, RangeError, ShapeError
 from ivnda.fileio import ManifestEntry
 from ivnda.stats import BwStats
-from ivnda.tv import TvModel
+from ivnda.tv import CHUNK, TvModel
 
 FRAMES, DIM = 1000, 20
 FEAT_FP = 1234
 
 
-def _write_records(directory, count, rng, fp=FEAT_FP):
-    """`count` records of FRAMES frames, every other frame speech; returns
+def _write_records(directory, count, rng, fp=FEAT_FP, frames=FRAMES):
+    """`count` records of `frames` frames, every other frame speech; returns
     their manifest entries."""
     directory.mkdir(exist_ok=True)
-    mask = np.arange(FRAMES) % 2 == 0
+    mask = np.arange(frames) % 2 == 0
     entries = []
     for i in range(count):
         rec_id = f"rec{i:03d}"
-        feats = make_features(rng, FRAMES, DIM, mask=mask)
+        feats = make_features(rng, frames, DIM, mask=mask)
         fileio.write_feature_record(
             fileio.feature_path(directory, rec_id), feats, fp, {"stage": "features"}
         )
@@ -141,32 +142,103 @@ def test_train_ubm_peak_is_one_copy_of_the_pooled_speech_frames(tmp_path, rng):
     assert peak < pooled + allowance, (peak, pooled)
 
 
-@pytest.mark.parametrize("stage", ["train-tv", "extract-ivectors"])
-def test_tv_stages_hold_no_centered_copy_of_the_statistics(tmp_path, rng, stage):
-    g, count, rank = 16, 1000, 4
-    fileio.write_gmm(tmp_path / "ubm.ivgm", make_gmm(rng, g, DIM), 99, {})
+def test_accumulate_stats_writes_each_record_as_it_comes(tmp_path, rng):
+    components = 64
+    _write_ubm(tmp_path / "ubm.ivgm", rng, components)
+    entries = _write_records(tmp_path / "feats", 400, rng, frames=20)
+    cfg = _config(components)
+
+    def run(count):
+        return _peak(
+            lambda: pipeline.accumulate_stats_stage(
+                tmp_path / "feats", entries[:count], tmp_path / "ubm.ivgm",
+                tmp_path / f"stats{count}.ivbw", cfg,
+            )
+        )
+
+    run(2)  # first-call imports and caches
+    grown = run(400) - run(100)
+    record = components * (DIM + 1) * 8
+    # 300 more recordings add their ids and record paths, under 1 kB each;
+    # holding their statistics would add 300 * `record` bytes, 3.2 MB.
+    assert grown < 300 * 1024, (grown, record)
+
+
+def _write_stats(path, rng, g, count):
     stats = [
         BwStats(n=rng.uniform(1.0, 20.0, g), f=rng.normal(size=(g, DIM)), recording_id=f"r{i}")
         for i in range(count)
     ]
-    fileio.write_stats_archive(tmp_path / "s.ivbw", stats, 7, {"upstream": {"ubm": 99}})
+    fileio.write_stats_archive(path, stats, 7, {"upstream": {"ubm": 99}})
+    return stats
+
+
+def _run_tv_stage(stage, tmp_path, stats_path):
+    cfg = PipelineConfig()
+    cfg.tv.rank, cfg.tv.iters = 4, 1
+    out = tmp_path / "out"
+    if stage == "train-tv":
+        pipeline.train_tv_stage(stats_path, tmp_path / "ubm.ivgm", out, cfg)
+    else:
+        pipeline.extract_ivectors_stage(stats_path, tmp_path / "ubm.ivgm", tmp_path / "tv.ivtv", out)
+    return out
+
+
+@pytest.fixture
+def tv_inputs(tmp_path, rng):
+    """A UBM of G=64 and a rank-4 TV model on statistics fingerprinted 7."""
+    g, rank = 64, 4
+    fileio.write_gmm(tmp_path / "ubm.ivgm", make_gmm(rng, g, DIM), 99, {})
     model = TvModel(rng.normal(size=(g * DIM, rank)), np.ones((g, DIM)), rank)
     fileio.write_tv_model(tmp_path / "tv.ivtv", model, 8, {"upstream": {"stats": 7}})
-    cfg = PipelineConfig()
-    cfg.tv.rank, cfg.tv.iters = rank, 1
+    return g
 
-    def run():
-        if stage == "train-tv":
-            pipeline.train_tv_stage(tmp_path / "s.ivbw", tmp_path / "ubm.ivgm", tmp_path / "o", cfg)
-        else:
-            pipeline.extract_ivectors_stage(
-                tmp_path / "s.ivbw", tmp_path / "ubm.ivgm", tmp_path / "tv.ivtv", tmp_path / "o"
-            )
 
-    run()  # first-call imports and caches
-    raw = count * g * (DIM + 1) * 8
-    # Above the raw statistics: O(CHUNK) arrays, the model and the output.
-    assert _peak(run) - raw < raw, _peak(run) / raw
+@pytest.mark.parametrize("stage", ["train-tv", "extract-ivectors"])
+def test_tv_stages_hold_no_centered_copy_of_the_statistics(tmp_path, rng, tv_inputs, stage):
+    g = tv_inputs
+    for count in (250, 1000):
+        _write_stats(tmp_path / f"s{count}.ivbw", rng, g, count)
+
+    def run(count):
+        return _peak(lambda: _run_tv_stage(stage, tmp_path, tmp_path / f"s{count}.ivbw"))
+
+    run(250)  # first-call imports and caches
+    grown = run(1000) - run(250)
+    chunk = CHUNK * g * (DIM + 1) * 8
+    # 750 more sessions add one chunk at most, plus their record ids and
+    # offsets and, when extracting, their i-vectors; their statistics
+    # (750 * g * (DIM + 1) * 8 bytes, 11 chunks) would add far more.
+    slack = 750 * 512
+    assert grown < chunk + slack, (grown, chunk)
+
+
+@pytest.mark.parametrize("stage", ["train-tv", "extract-ivectors"])
+@pytest.mark.parametrize(
+    "tamper, error, message",
+    [
+        ("nan", NumericError, "recording 'r70': statistics contain non-finite values"),
+        ("negative", RangeError, "zeroth-order statistics must be non-negative"),
+        ("shape", ShapeError, "recording 'r70': stats are (65, 20) but the UBM is (64, 20)"),
+    ],
+)
+def test_bad_statistics_in_a_later_chunk_fail_before_any_output(
+    tmp_path, rng, tv_inputs, stage, tamper, error, message
+):
+    g = tv_inputs
+    stats = _write_stats(tmp_path / "s.ivbw", rng, g, 2 * CHUNK)
+    bad = stats[70]  # in the second chunk
+    if tamper == "nan":
+        bad.f[3, 1] = np.nan
+    elif tamper == "negative":
+        bad.n[5] = -1.0
+    else:
+        stats[70] = BwStats(n=np.ones(g + 1), f=np.zeros((g + 1, DIM)), recording_id="r70")
+    fileio.write_stats_archive(tmp_path / "s.ivbw", stats, 7, {"upstream": {"ubm": 99}})
+    with pytest.raises(error) as exc:
+        _run_tv_stage(stage, tmp_path, tmp_path / "s.ivbw")
+    assert str(exc.value) == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ivbw", "tv.ivtv", "ubm.ivgm"]
 
 
 def test_posterior_content_enters_the_ubm_and_stats_fingerprints(tmp_path, rng, monkeypatch):
@@ -258,3 +330,16 @@ def test_feature_records_can_be_walked_twice(tmp_path, rng):
     assert len(records) == 3 and records.fingerprint == FEAT_FP
     assert [f.frames.tobytes() for f in records] == first
     assert records[1].frames.tobytes() == first[1]
+
+
+def test_parallel_map_keeps_order_within_a_bounded_window():
+    started = []
+
+    def square(i):
+        started.append(i)
+        return i * i
+
+    results = pipeline.parallel_map(square, range(40), workers=2)
+    assert next(results) == 0
+    assert len(started) <= 4  # 2 * workers submitted before the first result
+    assert list(results) == [i * i for i in range(1, 40)]
