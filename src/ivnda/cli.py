@@ -208,9 +208,10 @@ def _dcf_presets(args: argparse.Namespace) -> list[tuple[str, metrics.DcfParams]
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     presets = _dcf_presets(args)
-    scores = fileio.read_scores(Path(args.scores))
-    key = fileio.read_key(Path(args.key))
-    values, targets = fileio.match_scores_to_key(scores, key)
+    # Only the aligned (values, targets) outlive the match, not the two lists.
+    values, targets = fileio.match_scores_to_key(
+        fileio.read_scores(Path(args.scores)), fileio.read_key(Path(args.key))
+    )
     trials = metrics.TrialSet(scores=values, targets=targets)
     num_targets = int(trials.targets.sum())
     eer, threshold = metrics.compute_eer(trials)

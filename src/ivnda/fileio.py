@@ -45,9 +45,14 @@ Formats:
 
 Trial lists, keys and score files are text, held as :class:`Trials`.  They
 are read in blocks of ``_SCAN_CHUNK`` characters and written in blocks of
-``_WRITE_ROWS`` rows, so their memory is the int32 codes, the value and the
-sorted int64 pair code of each trial, one vocabulary per id column, and
-O(block).
+``_WRITE_ROWS`` rows.  A list read keeps, per trial, its two int32 codes and
+its value (16 bytes for scores, 9 for a key, 8 for a bare list), plus one
+vocabulary per id column.  While a list is read, the reader also holds
+each row's int64 line number and, for the duplicate check, its int64 pair
+code (16 bytes more per trial), plus O(block).
+:meth:`Trials.locate` holds the sorted pair codes and rows of the list it
+searches (16 bytes per trial) and an int64 row per trial of the other list,
+which it walks in blocks of ``_LOCATE_ROWS``.
 """
 
 from __future__ import annotations
@@ -621,7 +626,6 @@ class Trials:
         if len(self.test_codes) != n or (values is not None and len(values) != n):
             raise ValueError("trial columns must have equal lengths")
         self.values = values
-        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.enroll_codes)
@@ -646,35 +650,54 @@ class Trials:
             None if self.values is None else self.values[rows],
         )
 
-    def _sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows in a stable sort by pair code, and their codes.
+    def _pair_codes(self) -> np.ndarray:
+        """Each trial's pair code, enroll code * len(test_vocab) + test code,
+        as int64."""
+        codes = self.enroll_codes.astype(np.int64)
+        codes *= len(self.test_vocab)
+        codes += self.test_codes
+        return codes
 
-        A trial's pair code is enroll code * len(test_vocab) + test code,
-        as int64.  Built once and kept.
-        """
-        if self._pairs is None:
-            codes = self.enroll_codes.astype(np.int64) * len(self.test_vocab) + self.test_codes
-            order = np.argsort(codes, kind="stable")
-            self._pairs = order, codes[order]
-        return self._pairs
+    def _sorted_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows in a stable sort by pair code, and their pair codes."""
+        pairs = self._pair_codes()
+        order = np.argsort(pairs, kind="stable")
+        pairs.sort()  # as pairs[order], without a second copy
+        return order, pairs
 
     def locate(self, other: Trials) -> np.ndarray:
-        """Row in this list of each trial of `other`; -1 where it is absent."""
+        """Row in this list of each trial of `other`; -1 where it is absent.
+
+        This list's pair codes are sorted once (16 bytes per trial while the
+        call lasts); `other` is looked up ``_LOCATE_ROWS`` trials at a time,
+        so beyond the int64 result its working memory is O(block).
+        """
         if not len(self):
             return np.full(len(other), -1, dtype=np.int64)
         order, pairs = self._sorted_pairs()
-        e = _recode(other.enroll_vocab, self.enroll_vocab)[other.enroll_codes]
-        t = _recode(other.test_vocab, self.test_vocab)[other.test_codes]
-        codes = np.where((e < 0) | (t < 0), -1, e * len(self.test_vocab) + t)
-        pos = np.minimum(np.searchsorted(pairs, codes), len(self) - 1)
-        return np.where(pairs[pos] == codes, order[pos], -1)
+        rows = np.empty(len(other), dtype=np.int64)
+        enroll = _recode(other.enroll_vocab, self.enroll_vocab)
+        test = _recode(other.test_vocab, self.test_vocab)
+        for lo in range(0, len(other), _LOCATE_ROWS):
+            block = slice(lo, lo + _LOCATE_ROWS)
+            e, t = enroll[other.enroll_codes[block]], test[other.test_codes[block]]
+            codes = np.where((e < 0) | (t < 0), -1, e * len(self.test_vocab) + t)
+            pos = np.minimum(np.searchsorted(pairs, codes), len(self) - 1)
+            rows[block] = np.where(pairs[pos] == codes, order[pos], -1)
+        return rows
+
+
+_LOCATE_ROWS = 1 << 14  # trials of the other list looked up per block by `locate`
 
 
 def _intern(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
     """The int32 code of each of `ids` in `index`; new ids get the next codes."""
-    for s in dict.fromkeys(ids):
-        index.setdefault(s, len(index))
-    return np.fromiter(map(index.__getitem__, ids), dtype=np.int32, count=len(ids))
+    try:  # most blocks of a long list bring no new id
+        return np.fromiter(map(index.__getitem__, ids), dtype=np.int32, count=len(ids))
+    except KeyError:
+        for s in dict.fromkeys(ids):
+            index.setdefault(s, len(index))
+        return np.fromiter(map(index.__getitem__, ids), dtype=np.int32, count=len(ids))
 
 
 def _recode(ids: list[str], vocab: list[str]) -> np.ndarray:
@@ -706,44 +729,73 @@ def _parse_labels(tokens: list[str]) -> tuple[np.ndarray, int]:
     return targets, next(i for i, t in enumerate(tokens) if t not in _LABELS)
 
 
-_SCAN_CHUNK = 1 << 20  # code points read per block of a trial table
+_SCAN_CHUNK = 1 << 16  # code points read per block of a trial table
 
 
 def _blocks(fh: TextIO) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
     """The text of `fh` in blocks, each with the start of each token, whether
     it starts with ``#``, and the position of each line break.
 
-    A block is what is left of the last read plus ``_SCAN_CHUNK`` more code
-    points, cut after its last line break (the last block ends where the
-    text does), so no line is split between blocks.  The scan is array code
-    over the block's code points: one byte each for ASCII text, four
-    otherwise.
+    A block is the text read since the last line break of the previous
+    block up to the last line break of the latest ``_SCAN_CHUNK`` code
+    points read (the last block ends where the text does), so no line is
+    split between blocks.  The scan is array code over code points: each
+    read is scanned once for line breaks and each block once for
+    whitespace, so a line longer than a read costs no rescan.
     """
-    rest = ""
+    texts: list[str] = []  # read since the last line break
+    codes: list[np.ndarray] = []
     while True:
         chunk = fh.read(_SCAN_CHUNK)
-        text = rest + chunk
-        if not text:
-            return
-        codes = (
-            np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-            if text.isascii()
-            else np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        chunk_codes = (  # one byte per code point for ASCII text, four otherwise
+            np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+            if chunk.isascii()
+            else np.frombuffer(chunk.encode("utf-32-le"), dtype=np.uint32)
         )
-        breaks = np.flatnonzero(_in_ranges(codes, _BREAK_RANGES))
-        if not chunk:
-            end = len(text)
-        elif breaks.size:
-            end = int(breaks[-1]) + 1
-        else:  # no line ends in this read yet
-            rest = text
+        breaks = np.flatnonzero(_in_ranges(chunk_codes, _BREAK_RANGES))
+        if chunk and not breaks.size:  # no line ends in this read yet
+            texts.append(chunk)
+            codes.append(chunk_codes)
             continue
-        space = _in_ranges(codes[:end], _SPACE_RANGES)
+        end = int(breaks[-1]) + 1 if chunk else 0
+        texts.append(chunk[:end])
+        codes.append(chunk_codes[:end])
+        block = "".join(texts)
+        if not block:
+            return
+        block_codes = np.concatenate(codes)
+        space = _in_ranges(block_codes, _SPACE_RANGES)
         begins = ~space
         begins[1:] &= space[:-1]  # a block starts a line, so after a break
         starts = np.flatnonzero(begins)
-        yield text[:end], starts, codes[starts] == ord("#"), breaks
-        rest = text[end:]
+        yield block, starts, block_codes[starts] == ord("#"), breaks + (len(block) - end)
+        if not chunk:
+            return
+        texts, codes = [chunk[end:]], [chunk_codes[end:]]
+
+
+class _Column:
+    """A 1-D array built block by block in one buffer, which grows by half
+    when full; resizing lets the allocator grow it in place, so the blocks
+    are not kept apart until the end."""
+
+    def __init__(self, dtype: np.dtype):
+        self._data = np.empty(1 << 12, dtype)
+        self._size = 0
+
+    def append(self, block: np.ndarray) -> None:
+        end = self._size + len(block)
+        if end > len(self._data):
+            # No view of the buffer outlives a call, so nothing refers to it.
+            self._data.resize(max(end, len(self._data) * 3 // 2), refcheck=False)
+        self._data[self._size:end] = block
+        self._size = end
+
+    def array(self) -> np.ndarray:
+        """The column as one array of its length; the buffer is handed over."""
+        data, self._data = self._data, np.empty(0, self._data.dtype)
+        data.resize(self._size, refcheck=False)
+        return data
 
 
 def _columns(
@@ -765,12 +817,10 @@ def _columns(
     rejected row (-1 if none), which raises with the message `rejected`.
     Errors come in file order; a trial listed twice is rejected last.
     """
-    # Each column starts with an empty block, so an empty file gives empty
-    # columns of the right dtypes.
     indexes: tuple[dict[str, int], ...] = ({}, {})
-    codes: tuple[list[np.ndarray], ...] = ([np.zeros(0, np.int32)], [np.zeros(0, np.int32)])
-    values = None if parse is None else [parse([])[0]]
-    row_lines: list[np.ndarray] = []
+    codes = _Column(np.int32), _Column(np.int32)
+    values = None if parse is None else _Column(parse([])[0].dtype)
+    row_lines = _Column(np.int64)
     first_line = 1
     try:
         with open(path) as fh:  # decoded as Path.read_text() decodes
@@ -793,11 +843,12 @@ def _columns(
                     tokens = block.split()
                     if not keep.all():
                         tokens = list(compress(tokens, np.repeat(keep, counts).tolist()))
-                    row_lines.append(lines[keep])
+                    rows = lines[keep]
+                    row_lines.append(rows)
                     if values is not None:
                         block_values, row = parse(tokens[2::ncols])
                         if row >= 0:
-                            raise FormatError(f"{path}:{row_lines[-1][row]}: {rejected}")
+                            raise FormatError(f"{path}:{rows[row]}: {rejected}")
                         values.append(block_values)
                     if bad.size:
                         raise FormatError(f"{path}:{lines[bad[0]]}: {expected}")
@@ -814,17 +865,19 @@ def _columns(
         raise
 
     trials = Trials.from_codes(
-        list(indexes[0]), np.concatenate(codes[0]), list(indexes[1]), np.concatenate(codes[1]),
-        None if values is None else np.concatenate(values),
+        list(indexes[0]), codes[0].array(), list(indexes[1]), codes[1].array(),
+        None if values is None else values.array(),
     )
-    order, pairs = trials._sorted_pairs()
-    same = np.flatnonzero(pairs[1:] == pairs[:-1])
-    if same.size:
-        # The stable sort lists equal pairs in file order, so the repeat
-        # with the lowest row is the first one in the file.
+    pairs = trials._pair_codes()
+    pairs.sort()
+    if (pairs[1:] == pairs[:-1]).any():
+        # A stable sort lists equal pairs in file order, so the repeat with
+        # the lowest row is the first one in the file.
+        order, pairs = trials._sorted_pairs()
+        same = np.flatnonzero(pairs[1:] == pairs[:-1])
         j = same[np.argmin(order[same + 1])]
         row, earlier = order[j + 1], order[j]
-        lines = np.concatenate(row_lines)
+        lines = row_lines.array()
         enroll, test = trials.ids(row)
         raise FormatError(
             f"{path}:{lines[row]}: duplicate trial ({enroll}, {test}), "

@@ -73,29 +73,28 @@ class TrialSet:
 
 
 def _operating_points(trials: TrialSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P_fa, P_miss, threshold) at every distinct score plus the ends.
+    """(P_fa, P_miss, threshold) at every distinct score plus the end.
 
-    The first point is accept-everything (threshold below every score); the
-    last is reject-everything (threshold above every score, represented as
-    +inf).
+    The first point is accept-everything (the lowest score as threshold
+    accepts every trial); the last is reject-everything (threshold above
+    every score, represented as +inf).  Besides the 24 bytes per point of
+    the result, the sweep holds one class's sorted scores at a time.
     """
-    target_scores = np.sort(trials.scores[trials.targets])
-    nontarget_scores = np.sort(trials.scores[~trials.targets])
-    n_t = target_scores.size
-    n_n = nontarget_scores.size
-    thresholds = np.unique(trials.scores)
-    # Accepted iff score >= threshold.
-    misses = np.searchsorted(target_scores, thresholds, side="left")
-    false_accepts = n_n - np.searchsorted(nontarget_scores, thresholds, side="left")
-    p_miss = np.concatenate([[0.0], misses / n_t, [1.0]])
-    p_fa = np.concatenate([[1.0], false_accepts / n_n, [0.0]])
-    theta = np.concatenate(
-        [[thresholds[0] - 1.0], thresholds, [np.inf]]
-    )
-    # The accept-everything point duplicates the lowest threshold's point.
-    keep = np.ones(p_fa.size, dtype=bool)
-    keep[0] = not (p_fa[1] == 1.0 and p_miss[1] == 0.0)
-    return p_fa[keep], p_miss[keep], theta[keep]
+    n_t = int(np.count_nonzero(trials.targets))
+    n_n = trials.num_trials - n_t
+    theta = np.append(np.unique(trials.scores), np.inf)
+    # Accepted iff score >= threshold; every score lies below +inf.
+    p_miss = _count_below(trials.scores[trials.targets], theta) / n_t
+    false_accepts = _count_below(trials.scores[~trials.targets], theta)
+    np.subtract(n_n, false_accepts, out=false_accepts)
+    return false_accepts / n_n, p_miss, theta
+
+
+def _count_below(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of `scores` lie below each of the sorted `thresholds`;
+    `scores` is sorted in place."""
+    scores.sort()
+    return np.searchsorted(scores, thresholds, side="left")
 
 
 def det_points(trials: TrialSet) -> np.ndarray:

@@ -520,7 +520,7 @@ def score_stage(
         """The normalised vectors, and the row in them of each trial's
         recording (-1 where there is none); ids are looked up once each."""
         index = {iv.recording_id: i for i, iv in enumerate(ivs)}
-        rows = np.fromiter(map(index.get, vocab, repeat(-1)), dtype=np.intp, count=len(vocab))
+        rows = np.fromiter(map(index.get, vocab, repeat(-1)), dtype=np.int32, count=len(vocab))
         raw = np.stack([iv.w for iv in ivs]) if ivs else np.zeros((0, proj.input_dim))
         vecs = backend_mod.normalize_rows(da_mod.project(raw, proj), normalizer)
         return vecs, rows[codes]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import make_gmm, reference_read_key, reference_read_scores, reference_read_trials
-from ivnda import fileio
+from ivnda import fileio, metrics
 from ivnda.backend import Normalizer, PldaModel
 from ivnda.da import Projection
 from ivnda.errors import FormatError, KeyMismatchError, ShapeError
@@ -805,6 +805,27 @@ class TestScan:
         path.write_text("\n".join(lines))
         assert_agrees("scores", path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x" * 20_000, "e1 t1 0." + "1" * 5000 + "\ne2 t2 -0." + "2" * 5000 + "\n# c\n" * 3],
+        ids=["one_line_without_a_break", "lines_longer_than_a_read"],
+    )
+    def test_each_code_point_is_scanned_twice(self, tmp_path, monkeypatch, text):
+        # Once in its read for line breaks and once in its block for
+        # whitespace, however many reads a line spans.
+        monkeypatch.setattr(fileio, "_SCAN_CHUNK", 16)
+        scanned = []
+        in_ranges = fileio._in_ranges
+        monkeypatch.setattr(
+            fileio, "_in_ranges",
+            lambda codes, ranges: scanned.append(codes.size) or in_ranges(codes, ranges),
+        )
+        path = tmp_path / "scores.txt"
+        path.write_text(text)
+        outcome(read_scores, path)
+        assert sum(scanned) <= 2 * len(text)
+        assert_agrees("scores", path)
+
 
 class TestDuplicateTrials:
     @pytest.mark.parametrize(
@@ -865,14 +886,47 @@ class TestTextMemory:
             transient = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # Per trial: two int32 codes, a float64 score, an int64 pair code
-        # and its int64 row in the sorted order (32 bytes); plus each
-        # distinct id once, and a list slot for it.
+        # Per trial: two int32 codes and a float64 score (16 bytes); plus
+        # each distinct id once, and a list slot for it.
         vocabularies = sum(sys.getsizeof(s) + 8 for s in enroll + test)
-        assert retained <= 40 * n + vocabularies
+        assert retained <= 16 * n + vocabularies + 65536
         # One block of rows at a time, however many rows there are.
         assert transient <= 256 * fileio._WRITE_ROWS
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    def test_evaluate_path_peak_is_bytes_per_trial_plus_blocks(self, tmp_path, rng):
+        # Read a score file and a shuffled key, align them and sweep the
+        # threshold, as `ivnda evaluate` does; every score is distinct.
+        n = 200_000
+        enroll = [f"enroll{i:04d}" for i in range(n // 1000)]
+        test = [f"test{i:04d}" for i in range(1000)]
+        (tmp_path / "scores.txt").write_text("".join(
+            f"{enroll[i // 1000]} {test[i % 1000]} {i * 0.37 - 1e4:.17g}\n" for i in range(n)
+        ))
+        labels = ("nontarget", "target")
+        (tmp_path / "key.txt").write_text("".join(
+            f"{enroll[i // 1000]} {test[i % 1000]} {labels[i % 1000 == i // 1000]}\n"
+            for i in rng.permutation(n).tolist()
+        ))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            values, targets = match_scores_to_key(
+                read_scores(tmp_path / "scores.txt"), read_key(tmp_path / "key.txt")
+            )
+            trials = metrics.TrialSet(scores=values, targets=targets)
+            metrics.compute_eer(trials)
+            for params in metrics.DCF_PRESETS.values():
+                metrics.compute_min_dcf(trials, params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # The peak is in `locate`: the score list (16 bytes per trial), the
+        # key (9), the key's sorted pair codes and rows (16) and the row of
+        # each score (8), so 49 bytes per trial; the blocks of the text scan
+        # and of `locate` take under 1 MB.  Both files hold each id once.
+        vocabularies = sum(sys.getsizeof(s) + 8 for s in enroll + test)
+        assert peak <= 56 * n + 2 * vocabularies + (2 << 20)
 
 
 class TestMatchScoresToKey:
@@ -928,6 +982,26 @@ class TestMatchScoresToKey:
             KeyMismatchError, match=rf"^trial \({missing[0]}, {missing[1]}\) is scored"
         ):
             match_scores_to_key(scores, key)
+
+    @pytest.mark.parametrize(
+        "missing", [(2, 11), (9, 13)], ids=["in_the_first_block", "in_a_later_block"]
+    )
+    def test_first_missing_trial_named_across_locate_blocks(self, monkeypatch, missing):
+        monkeypatch.setattr(fileio, "_LOCATE_ROWS", 4)
+        n = 14
+        ids = range(n)
+        key = Trials([f"e{i}" for i in ids], [f"t{i}" for i in ids], np.arange(n) % 3 == 0)
+        # The scores list the key's trials backwards, so score order is not
+        # key order, and two of them are not in the key.
+        enroll, test = key.enroll[::-1], key.test[::-1]
+        _, targets = match_scores_to_key(Trials(enroll, test, np.arange(n) * 0.5), key)
+        assert targets.tolist() == key.values[::-1].tolist()
+        for row in missing:
+            test[row] = f"tX{row}"
+        with pytest.raises(
+            KeyMismatchError, match=rf"^trial \({enroll[missing[0]]}, tX{missing[0]}\) is scored"
+        ):
+            match_scores_to_key(Trials(enroll, test, np.zeros(n)), key)
 
     def test_empty_key(self):
         empty_key = Trials([], [], np.zeros(0, dtype=bool))

@@ -170,6 +170,35 @@ class TestDetPoints:
         assert num_points == det_points(TrialSet(scores=scores, targets=targets)).shape[0]
 
 
+class TestSweepEdgeCases:
+    """The whole sweep against the exhaustive oracle on degenerate inputs."""
+
+    @pytest.mark.parametrize(
+        "scores,targets",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 1.0], [True, False, True, False, False]),
+            ([0.0, 1.0, 2.0, 3.0, 1.0], [False, True, False, True, True]),
+            ([1.5] * 5, [True, False, False, True, False]),
+            ([0.3, -1.0, 2.0, 0.5, 1.0, 0.3], [False, False, True, False, False, False]),
+            ([-0.0, 0.0, 1.0, -1.0, 0.0, -0.0], [True, False, True, False, False, True]),
+            ([0.0, -0.0, 0.0, -0.0], [False, True, True, False]),
+        ],
+        ids=["lowest_is_target", "lowest_is_nontarget", "all_equal", "single_target",
+             "signed_zero_ties", "only_signed_zeros"],
+    )
+    def test_matches_exhaustive_oracle(self, scores, targets):
+        trials = TrialSet(scores=scores, targets=targets)
+        want = oracle_points(scores, targets)
+        points = det_points(trials)
+        assert points.tolist() == [[fa, miss] for _, fa, miss in want]
+        eer, theta = compute_eer(trials)
+        want_eer, want_theta = oracle_eer(scores, targets)
+        assert eer == pytest.approx(want_eer, rel=1e-12, abs=1e-15)
+        assert theta == pytest.approx(want_theta, rel=1e-12, abs=1e-15)
+        for params in DCF_PRESETS.values():
+            assert compute_min_dcf(trials, params)[0] == oracle_min_dcf(scores, targets, params)
+
+
 # --- EER -------------------------------------------------------------------
 
 
