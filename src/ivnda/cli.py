@@ -224,9 +224,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         min_dcf, dcf_threshold = metrics.compute_min_dcf(trials, params)
         print(f"min_dcf[{name}]: {min_dcf:.4f} at threshold {dcf_threshold:.6g}")
     if args.det_csv:
-        fileio.atomic_write_text(Path(args.det_csv), metrics.det_csv(trials))
+        with fileio.atomic_text_writer(Path(args.det_csv)) as fh:
+            metrics.det_csv(trials, fh)
     if args.det_svg:
-        fileio.atomic_write_text(Path(args.det_svg), metrics.det_svg(trials))
+        with fileio.atomic_text_writer(Path(args.det_svg)) as fh:
+            metrics.det_svg(trials, fh)
     return EXIT_OK
 
 

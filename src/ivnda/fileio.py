@@ -123,6 +123,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+def atomic_text_writer(path: str | Path) -> contextlib.AbstractContextManager[TextIO]:
+    """A text file to write in a ``with`` block; it replaces `path` when the
+    block ends, so readers never see a partial file (see `_replacing`)."""
+    return _replacing(path, "w")
+
+
 def _header_bytes(magic: bytes, fp: int, meta: dict) -> bytes:
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     return struct.pack("<4sIQI", magic, FORMAT_VERSION, fp, len(meta_bytes)) + meta_bytes

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -76,14 +77,17 @@ def _operating_points(trials: TrialSet) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(P_fa, P_miss, threshold) at every distinct score plus the end.
 
     The first point is accept-everything (the lowest score as threshold
-    accepts every trial); the last is reject-everything (threshold above
-    every score, represented as +inf).  Besides the 24 bytes per point of
-    the result, the sweep holds one class's sorted scores at a time.
+    accepts every trial); the last is reject-everything, whose threshold is
+    the smallest double above every score (+inf above the largest double).
+    Besides the 24 bytes per point of the result, the sweep holds one
+    class's sorted scores at a time.
     """
     n_t = int(np.count_nonzero(trials.targets))
     n_n = trials.num_trials - n_t
-    theta = np.append(np.unique(trials.scores), np.inf)
-    # Accepted iff score >= threshold; every score lies below +inf.
+    theta = np.unique(trials.scores)
+    with np.errstate(over="ignore"):
+        theta = np.append(theta, np.nextafter(theta[-1], np.inf))
+    # Accepted iff score >= threshold; every score lies below the last.
     p_miss = _count_below(trials.scores[trials.targets], theta) / n_t
     false_accepts = _count_below(trials.scores[~trials.targets], theta)
     np.subtract(n_n, false_accepts, out=false_accepts)
@@ -119,15 +123,13 @@ def compute_eer(trials: TrialSet) -> tuple[float, float]:
     # diff is non-decreasing, from -1 (accept all) to +1 (reject all).
     hi = int(np.searchsorted(diff, 0.0, side="left"))
     if diff[hi] == 0.0:
-        return float(p_fa[hi]), float(min(theta[hi], np.max(trials.scores)))
+        return float(p_fa[hi]), float(theta[hi])
     lo = hi - 1
     frac = -diff[lo] / (diff[hi] - diff[lo])
     eer = p_fa[lo] + frac * (p_fa[lo + 1] - p_fa[lo])
     # Interpolating "p_miss at the crossing" instead gives the same value:
     # p_miss - p_fa is zero at the crossing by construction.
-    lo_theta = theta[lo]
-    hi_theta = theta[hi] if np.isfinite(theta[hi]) else float(np.max(trials.scores))
-    threshold = lo_theta + frac * (hi_theta - lo_theta)
+    threshold = theta[lo] + frac * (theta[hi] - theta[lo])
     return float(eer), float(threshold)
 
 
@@ -157,42 +159,47 @@ def compute_min_dcf(trials: TrialSet, params: DcfParams) -> tuple[float, float]:
     p_fa, p_miss, theta = trials._sweep
     costs = compute_dcf(p_miss, p_fa, params)
     best = int(np.argmin(costs))
-    threshold = theta[best] if np.isfinite(theta[best]) else float(np.max(trials.scores))
-    return float(costs[best]), float(threshold)
+    return float(costs[best]), float(theta[best])
 
 
-def det_csv(trials: TrialSet) -> str:
-    """DET curve as CSV text with a `p_fa,p_miss` header."""
-    lines = ["p_fa,p_miss"]
-    for p_fa, p_miss in det_points(trials):
-        lines.append(f"{p_fa:.10g},{p_miss:.10g}")
-    return "\n".join(lines) + "\n"
+# DET points formatted per block of an exported curve.
+DET_BLOCK = 1 << 15
 
 
-def det_svg(trials: TrialSet, size: int = 480) -> str:
-    """A minimal standalone SVG rendering of the DET curve.
+def _det_blocks(trials: TrialSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(P_fa, P_miss) of the DET curve, `DET_BLOCK` points at a time."""
+    p_fa, p_miss, _ = trials._sweep
+    for lo in range(0, p_fa.size, DET_BLOCK):
+        yield p_fa[lo : lo + DET_BLOCK], p_miss[lo : lo + DET_BLOCK]
+
+
+def det_csv(trials: TrialSet, out: TextIO) -> None:
+    """Write the DET curve to `out` as CSV text with a `p_fa,p_miss` header,
+    formatting `DET_BLOCK` points at a time."""
+    out.write("p_fa,p_miss\n")
+    for p_fa, p_miss in _det_blocks(trials):
+        cells = np.column_stack([p_fa, p_miss]).ravel().tolist()
+        out.write(("%.10g,%.10g\n" * p_fa.size) % tuple(cells))
+
+
+def det_svg(trials: TrialSet, out: TextIO, size: int = 480) -> None:
+    """Write a minimal standalone SVG rendering of the DET curve to `out`,
+    formatting `DET_BLOCK` points at a time.
 
     Both axes show error probability on a log scale clipped to
     [1e-4, 1]; the curve is a single polyline.
     """
-    points = det_points(trials)
     lo, hi = 1e-4, 1.0
     margin = 48
+    span = size - 2 * margin
 
-    def to_xy(p_fa: float, p_miss: float) -> tuple[float, float]:
-        fx = (np.log10(max(p_fa, lo)) - np.log10(lo)) / (np.log10(hi) - np.log10(lo))
-        fy = (np.log10(max(p_miss, lo)) - np.log10(lo)) / (np.log10(hi) - np.log10(lo))
-        x = margin + fx * (size - 2 * margin)
-        y = size - margin - fy * (size - 2 * margin)
-        return x, y
+    def fraction(p: float | np.ndarray) -> np.ndarray:
+        """Position of a probability along an axis, from 0 to 1."""
+        return (np.log10(np.maximum(p, lo)) - np.log10(lo)) / (np.log10(hi) - np.log10(lo))
 
-    coords = " ".join(
-        f"{x:.2f},{y:.2f}" for x, y in (to_xy(pf, pm) for pf, pm in points)
-    )
     grid_lines = []
     for decade in (1e-3, 1e-2, 1e-1, 1.0):
-        x, _ = to_xy(decade, lo)
-        _, y = to_xy(lo, decade)
+        x, y = margin + fraction(decade) * span, size - margin - fraction(decade) * span
         grid_lines.append(
             f'<line x1="{x:.2f}" y1="{margin}" x2="{x:.2f}" y2="{size - margin}" '
             f'stroke="#ddd"/>'
@@ -201,13 +208,22 @@ def det_svg(trials: TrialSet, size: int = 480) -> str:
             f'<line x1="{margin}" y1="{y:.2f}" x2="{size - margin}" y2="{y:.2f}" '
             f'stroke="#ddd"/>'
         )
-    return (
+    out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">\n'
         f'<rect width="{size}" height="{size}" fill="white"/>\n'
         + "\n".join(grid_lines)
-        + f'\n<polyline points="{coords}" fill="none" stroke="#336" '
-        f'stroke-width="1.5"/>\n'
+        + '\n<polyline points="'
+    )
+    separator = ""
+    for p_fa, p_miss in _det_blocks(trials):
+        x = margin + fraction(p_fa) * span
+        y = size - margin - fraction(p_miss) * span
+        cells = np.column_stack([x, y]).ravel().tolist()
+        out.write(separator + " ".join(["%.2f,%.2f"] * p_fa.size) % tuple(cells))
+        separator = " "
+    out.write(
+        '" fill="none" stroke="#336" stroke-width="1.5"/>\n'
         f'<text x="{size // 2}" y="{size - 12}" text-anchor="middle" '
         f'font-size="12">false alarm probability</text>\n'
         f'<text x="14" y="{size // 2}" text-anchor="middle" font-size="12" '

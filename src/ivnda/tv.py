@@ -17,15 +17,18 @@ assertion).  The per-iteration objective is the exact marginal
 log-likelihood of the statistics, which is non-decreasing over iterations.
 
 Posteriors are computed for fixed-size chunks of `CHUNK` sessions at a
-time: ``L`` for a chunk is one (C, G) x (G, R^2) product with the
-per-component grams ``T_g' Sigma_g^-1 T_g``, and the E-step accumulators
-are two more products.  Each session's ``L`` is then factored once, in
-place (LAPACK ``potrf``), and every posterior quantity comes from that
-factor: log det ``L`` from its diagonal, E[w] by ``potrs`` and, in
-training, Cov[w] = ``L^-1`` by ``potri``.  Cov[w] is kept as its lower
-triangle; the second-order accumulator sums lower triangles and is
-mirrored once per iteration.  The M-step factors the accumulators of the
-observed components with batched Cholesky calls, `CHUNK` components each.
+time.  The symmetric (R, R) matrices of the E-step are stored packed, as
+R(R+1)/2 rows in LAPACK's rectangular full packed (RFP) layout
+(TRANSR='N', UPLO='L'; see `_rfp_map`): the per-component grams
+``T_g' Sigma_g^-1 T_g`` are a (G, R(R+1)/2) array, so ``L`` for a chunk is
+one (C, G) x (G, R(R+1)/2) product.  Each session's ``L`` is then factored
+once, in place (LAPACK ``pftrf``), and every posterior quantity comes from
+that factor: log det ``L`` from its diagonal, E[w] by ``pftrs`` and, in
+training, Cov[w] = ``L^-1`` by ``pftri``, still packed.  The second-order
+accumulator sums the packed E[ww'] rows, weighted by the counts, in one
+more product.  The M-step unpacks the accumulators of the observed
+components `CHUNK` at a time into one reused (CHUNK, R, R) buffer and
+factors each block with a batched Cholesky call.
 A short chunk is padded with zero-count rows (``L = I``), so every product
 has the same shape and a session's result does not depend on which
 sessions share its chunk (single and batch extraction agree to the bit).
@@ -39,22 +42,26 @@ centered in place.  So the statistics take one chunk, CHUNK * G * (D + 1)
 doubles (42 MB at G=2048, D=39), whatever the number of sessions; an
 archive adds its record ids and offsets, a list input itself.  Besides
 that and the outputs (an R-vector per session when extracting), memory is
-bounded by the (G, R, R) gram and, in training, the (G, R, R) second-order
-accumulator, plus a few (CHUNK, R, R) and (CHUNK, G * D) arrays.  Each
-chunk adds into the accumulator in place, by one BLAS ``gemm`` with
-beta = 1, so no (G, R, R) product is built.  At G=2048, R=500 the gram and
-accumulator alone take about 8 GB.
+bounded by the (G, R(R+1)/2) packed gram and, in training, the packed
+second-order accumulator, plus (G * D, R) arrays for T and the first-order
+accumulator and a few (CHUNK, R, R) and (CHUNK, G * D) ones.  Training
+allocates the gram and both accumulators once and refills them in place
+every iteration; each chunk adds into the accumulators by one BLAS
+``gemm`` with beta = 1, so no (G, R, R) or (G, R^2) array is ever built.
+At G=2048, R=500 the packed gram and accumulator take about 4.1 GB
+together.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpftrf, dpftri, dpftrs, dpotrs, dtrttf
 
 from .errors import (
     DegenerateDataError,
@@ -125,27 +132,64 @@ def _check_model(gmm: DiagonalGmm, model: TvModel) -> None:
         raise ShapeError(f"UBM shape {gmm.means.shape} does not match model {model.sigma.shape}")
 
 
+@functools.cache
+def _rfp_map(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, diag) of LAPACK's rectangular full packed layout of an
+    (r, r) symmetric matrix, with TRANSR='N' and UPLO='L': packed entry k
+    holds the lower-triangle entry (rows[k], cols[k]), and diag[i] is the
+    packed position of (i, i).  Read-only, as every caller shares them."""
+    codes = np.arange(r * r, dtype=np.float64).reshape(r, r)  # (i, j) -> i * r + j
+    packed = dtrttf(codes, transr="N", uplo="L")[0]
+    rows, cols = np.divmod(packed.astype(np.intp), r)
+    on_diag = rows == cols
+    diag = np.empty(r, dtype=np.intp)
+    diag[rows[on_diag]] = np.flatnonzero(on_diag)
+    for index in (rows, cols, diag):
+        index.setflags(write=False)
+    return rows, cols, diag
+
+
+def _unpack(packed: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The symmetric matrices whose RFP rows are `packed` (K, R(R+1)/2),
+    written into the first K of `out` (>= K, R, R) and returned."""
+    rows, cols, _ = _rfp_map(out.shape[-1])
+    full = out[: len(packed)]
+    full[:, rows, cols] = packed
+    full[:, cols, rows] = packed
+    return full
+
+
 @dataclass
 class _Precomputed:
     """Per-model terms shared by every posterior of one (T, Sigma)."""
 
     t_over_sigma: np.ndarray    # (G * D, R)  Sigma^-1 T
-    gram: np.ndarray            # (G, R * R)  T_g' Sigma_g^-1 T_g, flattened
+    gram: np.ndarray            # (G, R(R+1)/2)  T_g' Sigma_g^-1 T_g, RFP rows
     sigma: np.ndarray           # (G, D)
     log_sigma_rows: np.ndarray  # (G,)  log det Sigma_g
 
 
-def _precompute(t_matrix: np.ndarray, sigma: np.ndarray) -> _Precomputed:
+def _precompute(
+    t_matrix: np.ndarray, sigma: np.ndarray, gram: np.ndarray | None = None
+) -> _Precomputed:
+    """The terms of (T, Sigma); the grams are written into `gram` if given,
+    `CHUNK` components at a time."""
     g, d = sigma.shape
     r = t_matrix.shape[1]
+    rows, cols, _ = _rfp_map(r)
     t_over_sigma = t_matrix / sigma.reshape(-1)[:, None]
-    gram = np.matmul(
-        t_matrix.reshape(g, d, r).transpose(0, 2, 1),
-        t_over_sigma.reshape(g, d, r),
-    )
+    if gram is None:
+        gram = np.empty((g, rows.size))
+    t_blocks = t_matrix.reshape(g, d, r).transpose(0, 2, 1)
+    ts_blocks = t_over_sigma.reshape(g, d, r)
+    full = np.empty((min(CHUNK, g), r, r))
+    for start in range(0, g, CHUNK):
+        comps = slice(start, min(start + CHUNK, g))
+        block = np.matmul(t_blocks[comps], ts_blocks[comps], out=full[: comps.stop - start])
+        gram[comps] = block[:, rows, cols]
     return _Precomputed(
         t_over_sigma=t_over_sigma,
-        gram=gram.reshape(g, r * r),
+        gram=gram,
         sigma=sigma,
         log_sigma_rows=np.log(sigma).sum(axis=1),
     )
@@ -195,28 +239,28 @@ def _posterior(
     """(E[w], Cov[w] or None, b, logdet L) for a chunk of sessions.
 
     Rows of `n` (C, G) and `f` (C, G * D) are sessions; E[w] and b are
-    (C, R), Cov[w] (C, R, R) and logdet L (C,).  Cov[w] holds only its
-    lower triangle; the strict upper triangle is zero.
+    (C, R), logdet L (C,) and Cov[w] (C, R(R+1)/2), one RFP row per session
+    (see `_rfp_map`).
     """
-    c = n.shape[0]
     r = pre.t_over_sigma.shape[1]
-    prec = (n @ pre.gram).reshape(c, r, r)
-    prec[:, np.arange(r), np.arange(r)] += 1.0
+    _, _, diag = _rfp_map(r)
+    # Each row is a session's L in RFP, factored and then inverted in place.
+    prec = n @ pre.gram
+    prec[:, diag] += 1.0
     if not np.isfinite(prec).all():
         raise NumericError("i-vector posterior precision is not finite")
-    # prec[i].T is the Fortran-ordered view LAPACK works on: its upper
-    # triangle is prec[i]'s lower one, so the factor and the inverse are
-    # written in place, as lower triangles with zeros above.
     for u in prec:
-        if dpotrf(u.T, lower=0, overwrite_a=1)[1]:
+        if dpftrf(r, u, transr="N", uplo="L", overwrite_a=1)[1]:
             raise NumericError("i-vector posterior precision is not positive definite")
-    logdet_l = 2.0 * np.log(np.diagonal(prec, axis1=1, axis2=2)).sum(axis=1)
+    logdet_l = 2.0 * np.log(prec[:, diag]).sum(axis=1)
     b = f @ pre.t_over_sigma
-    ew = np.stack([dpotrs(u.T, b_i, lower=0)[0] for u, b_i in zip(prec, b)])
+    ew = b.copy()
+    for u, e in zip(prec, ew):
+        dpftrs(r, u, e[:, None], transr="N", uplo="L", overwrite_b=1)
     if not with_cov:
         return ew, None, b, logdet_l
     for u in prec:
-        dpotri(u.T, lower=0, overwrite_c=1)
+        dpftri(r, u, transr="N", uplo="L", overwrite_a=1)
     return ew, prec, b, logdet_l
 
 
@@ -259,14 +303,6 @@ def tv_log_likelihood(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel
     return float(sum(per_session))
 
 
-def _mirror_lower(mats: np.ndarray) -> None:
-    """Copy the strict lower triangle of each (R, R) matrix onto its upper
-    one, in place and one matrix at a time."""
-    upper = np.triu(np.ones(mats.shape[-2:], dtype=bool), 1)
-    for mat in mats:
-        np.copyto(mat, mat.T, where=upper)
-
-
 def _cholesky_each(mats: np.ndarray) -> list[np.ndarray | None]:
     """Lower Cholesky factor of each matrix of a stack, from one batched
     call; None for a matrix that is not numerically positive definite."""
@@ -287,28 +323,64 @@ def _update_t(
 ) -> np.ndarray:
     """M-step for T: solve A_g T_g' = C_g' for each component g.
 
-    `a_acc` is (G, R, R), `c_blocks` (G, D, R) and `observed` (G,) marks the
-    components some session occupies.  Their accumulators are factored
-    `CHUNK` at a time, each block in one batched call.  Unobserved
-    components, and any whose accumulator is not numerically positive
-    definite, take the least-squares solution, which keeps the update
-    defined (zero rows for an unobserved one).
+    `a_acc` is (G, R(R+1)/2), each A_g as an RFP row, `c_blocks` (G, D, R)
+    and `observed` (G,) marks the components some session occupies.  Their
+    accumulators are unpacked `CHUNK` at a time into one (CHUNK, R, R)
+    buffer, and each block is factored in one batched call.  Unobserved components, and any whose accumulator is not
+    numerically positive definite, take the least-squares solution, which
+    keeps the update defined (zero rows for an unobserved one).
     """
     g, d, r = c_blocks.shape
+    full = np.empty((CHUNK, r, r))
     t_blocks = np.empty((g, d, r))
     unsolved = list(np.flatnonzero(~observed))
     comps = np.flatnonzero(observed)
     for start in range(0, comps.size, CHUNK):
         block = comps[start : start + CHUNK]
-        for comp, factor in zip(block, _cholesky_each(a_acc[block])):
+        for comp, factor in zip(block, _cholesky_each(_unpack(a_acc[block], full))):
             if factor is None:
                 unsolved.append(comp)
             else:
                 t_blocks[comp] = dpotrs(factor.T, c_blocks[comp].T, lower=0)[0].T
     for comp in unsolved:
-        sol = np.linalg.lstsq(a_acc[comp], c_blocks[comp].T, rcond=None)[0]
-        t_blocks[comp] = sol.T
+        a_g = _unpack(a_acc[comp : comp + 1], full)[0]
+        t_blocks[comp] = np.linalg.lstsq(a_g, c_blocks[comp].T, rcond=None)[0].T
     return t_blocks.reshape(g * d, r)
+
+
+def _quad(a_acc: np.ndarray, t_blocks: np.ndarray) -> np.ndarray:
+    """(G, D) diagonals of T_g A_g T_g', the RFP rows A_g of `a_acc`
+    unpacked `CHUNK` at a time into one (CHUNK, R, R) buffer."""
+    g, _, r = t_blocks.shape
+    full = np.empty((CHUNK, r, r))
+    quad = np.empty(t_blocks.shape[:2])
+    for start in range(0, g, CHUNK):
+        comps = slice(start, start + CHUNK)
+        a_g = _unpack(a_acc[comps], full)
+        quad[comps] = np.einsum("gdr,grs,gds->gd", t_blocks[comps], a_g, t_blocks[comps])
+    return quad
+
+
+def _accumulate(
+    chunks: _Chunks, pre: _Precomputed, a_acc: np.ndarray, c_acc: np.ndarray
+) -> float:
+    """E-step: refill `a_acc` (G, R(R+1)/2) with the RFP rows of
+    sum_s n_sg E[w_s w_s'] and `c_acc` (G * D, R) with sum_s f~_s E[w_s]';
+    the total marginal log-likelihood.  Each chunk adds into both in place,
+    by one BLAS ``gemm`` with beta = 1 on their Fortran-ordered views."""
+    rows, cols, _ = _rfp_map(c_acc.shape[1])
+    a_acc.fill(0.0)
+    c_acc.fill(0.0)
+    total_ll = 0.0
+    for ids, n, f in chunks:
+        ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True)
+        eww += ew[:, rows] * ew[:, cols]  # E[ww'] = Cov[w] + E[w] E[w]'
+        out = dgemm(1.0, ew.T, f.T, trans_b=1, beta=1.0, c=c_acc.T, overwrite_c=1)
+        assert np.shares_memory(out, c_acc)
+        out = dgemm(1.0, eww.T, n.T, trans_b=1, beta=1.0, c=a_acc.T, overwrite_c=1)
+        assert np.shares_memory(out, a_acc)
+        total_ll += float(_session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].sum())
+    return total_ll
 
 
 def train_tv(
@@ -363,27 +435,12 @@ def train_tv(
     t_matrix = rng.standard_normal((m, rank)) * (0.01 * np.sqrt(sigma0.mean()))
     sigma = sigma0.copy()
 
+    # Allocated once and refilled in place by every iteration.
+    gram = np.empty((g, rank * (rank + 1) // 2))
+    a_acc = np.empty_like(gram)
+    c_acc = np.empty((m, rank))
     for it in range(iters):
-        pre = _precompute(t_matrix, sigma)
-        c_acc = np.zeros((m, rank))
-        a_acc = np.zeros((g, rank * rank))
-        total_ll = 0.0
-        for ids, n, f in chunks:
-            ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True)
-            # Lower triangle of E[ww'] = Cov[w] + E[w] E[w]'; the upper one
-            # is never read and is overwritten by _mirror_lower.
-            eww += ew[:, :, None] * ew[:, None, :]
-            c_acc += f.T @ ew
-            # a_acc += n' eww, in place: BLAS adds into the Fortran-ordered
-            # view a_acc.T, so no (G, R^2) product is built.
-            out = dgemm(1.0, eww.reshape(CHUNK, rank * rank).T, n, beta=1.0,
-                        c=a_acc.T, overwrite_c=True)
-            assert np.shares_memory(out, a_acc)
-            total_ll += float(
-                _session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].sum()
-            )
-        a_acc = a_acc.reshape(g, rank, rank)
-        _mirror_lower(a_acc)
+        total_ll = _accumulate(chunks, _precompute(t_matrix, sigma, gram), a_acc, c_acc)
 
         if on_iteration is not None:
             on_iteration(it, TvModel(t_matrix.copy(), sigma.copy(), rank), total_ll)
@@ -399,7 +456,7 @@ def train_tv(
             # which telescopes to the closed form below.
             t_blocks = t_matrix.reshape(g, d, rank)
             cross = np.einsum("gdr,gdr->gd", c_blocks, t_blocks)
-            quad = np.einsum("gdr,grs,gds->gd", t_blocks, a_acc, t_blocks)
+            quad = _quad(a_acc, t_blocks)
             counts = np.maximum(active_counts, 1)[:, None]
             sigma_new = (f2_over_n - 2.0 * cross + quad) / counts
             keep = active_counts == 0

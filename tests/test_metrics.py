@@ -1,6 +1,8 @@
 """Tests for detection metrics: DET points, EER, minimum detection cost."""
 
+import io
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivnda.errors import EmptyInputError, InsufficientDataError, ShapeError
+from ivnda import metrics
 from ivnda.metrics import (
     DCF_PRESETS,
     DcfParams,
@@ -59,8 +62,8 @@ def oracle_eer(scores, targets):
         return fa_hi, min(theta_hi, max(scores))
     theta_lo, fa_lo, _ = points[hi - 1]
     frac = -diffs[hi - 1] / (diffs[hi] - diffs[hi - 1])
-    if hi == len(points) - 1:
-        theta_hi = max(scores)
+    if hi == len(points) - 1:  # reject all: the smallest double above every score
+        theta_hi = float(np.nextafter(max(scores), np.inf))
     return fa_lo + frac * (fa_hi - fa_lo), theta_lo + frac * (theta_hi - theta_lo)
 
 
@@ -152,16 +155,18 @@ class TestDetPoints:
     def test_csv_round_trip(self, rng):
         scores, targets = random_trials(rng, 50, 1.0, ties=True)
         trials = TrialSet(scores=scores, targets=targets)
-        text = det_csv(trials)
-        lines = text.strip().split("\n")
+        out = io.StringIO()
+        det_csv(trials, out)
+        lines = out.getvalue().strip().split("\n")
         assert lines[0] == "p_fa,p_miss"
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         np.testing.assert_allclose(parsed, det_points(trials), atol=1e-9)
 
     def test_svg_is_well_formed(self, rng):
         scores, targets = random_trials(rng, 50, 1.0, ties=False)
-        svg = det_svg(TrialSet(scores=scores, targets=targets), size=320)
-        root = ET.fromstring(svg)
+        out = io.StringIO()
+        det_svg(TrialSet(scores=scores, targets=targets), out, size=320)
+        root = ET.fromstring(out.getvalue())
         assert root.tag.endswith("svg")
         assert root.get("width") == "320"
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
@@ -170,22 +175,51 @@ class TestDetPoints:
         assert num_points == det_points(TrialSet(scores=scores, targets=targets)).shape[0]
 
 
+    def test_exports_do_not_depend_on_the_block_size(self, rng, monkeypatch):
+        trials = TrialSet(*random_trials(rng, 90, 1.0, ties=False))
+        whole = {}
+        for block in (metrics.DET_BLOCK, 7, 1):
+            monkeypatch.setattr(metrics, "DET_BLOCK", block)
+            csv, svg = io.StringIO(), io.StringIO()
+            det_csv(trials, csv)
+            det_svg(trials, svg)
+            assert whole.setdefault("csv", csv.getvalue()) == csv.getvalue()
+            assert whole.setdefault("svg", svg.getvalue()) == svg.getvalue()
+
+    def test_exports_format_one_block_at_a_time(self, tmp_path):
+        n = 200_000
+        trials = TrialSet(scores=np.arange(n) * 0.37, targets=np.arange(n) % 10 == 0)
+        trials._sweep  # the sweep itself is 24 bytes per point
+        for export in (det_csv, det_svg):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                with open(tmp_path / export.__name__, "w") as fh:
+                    export(trials, fh)
+                transient = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert transient <= 256 * metrics.DET_BLOCK, (export.__name__, transient)
+        lines = (tmp_path / "det_csv").read_text().splitlines()
+        assert len(lines) == 1 + n + 1 and lines[0] == "p_fa,p_miss"
+
+
+EDGE_CASES = [
+    ([0.0, 1.0, 2.0, 3.0, 1.0], [True, False, True, False, False]),
+    ([0.0, 1.0, 2.0, 3.0, 1.0], [False, True, False, True, True]),
+    ([1.5] * 5, [True, False, False, True, False]),
+    ([0.3, -1.0, 2.0, 0.5, 1.0, 0.3], [False, False, True, False, False, False]),
+    ([-0.0, 0.0, 1.0, -1.0, 0.0, -0.0], [True, False, True, False, False, True]),
+    ([0.0, -0.0, 0.0, -0.0], [False, True, True, False]),
+]
+EDGE_IDS = ["lowest_is_target", "lowest_is_nontarget", "all_equal", "single_target",
+            "signed_zero_ties", "only_signed_zeros"]
+
+
 class TestSweepEdgeCases:
     """The whole sweep against the exhaustive oracle on degenerate inputs."""
 
-    @pytest.mark.parametrize(
-        "scores,targets",
-        [
-            ([0.0, 1.0, 2.0, 3.0, 1.0], [True, False, True, False, False]),
-            ([0.0, 1.0, 2.0, 3.0, 1.0], [False, True, False, True, True]),
-            ([1.5] * 5, [True, False, False, True, False]),
-            ([0.3, -1.0, 2.0, 0.5, 1.0, 0.3], [False, False, True, False, False, False]),
-            ([-0.0, 0.0, 1.0, -1.0, 0.0, -0.0], [True, False, True, False, False, True]),
-            ([0.0, -0.0, 0.0, -0.0], [False, True, True, False]),
-        ],
-        ids=["lowest_is_target", "lowest_is_nontarget", "all_equal", "single_target",
-             "signed_zero_ties", "only_signed_zeros"],
-    )
+    @pytest.mark.parametrize("scores,targets", EDGE_CASES, ids=EDGE_IDS)
     def test_matches_exhaustive_oracle(self, scores, targets):
         trials = TrialSet(scores=scores, targets=targets)
         want = oracle_points(scores, targets)
@@ -197,6 +231,28 @@ class TestSweepEdgeCases:
         assert theta == pytest.approx(want_theta, rel=1e-12, abs=1e-15)
         for params in DCF_PRESETS.values():
             assert compute_min_dcf(trials, params)[0] == oracle_min_dcf(scores, targets, params)
+
+    @pytest.mark.parametrize("scores,targets", EDGE_CASES, ids=EDGE_IDS)
+    def test_returned_thresholds_achieve_the_returned_cost(self, scores, targets):
+        """Also where rejecting every trial is optimal: its threshold lies
+        above the top score, so no trial is accepted at it."""
+        trials = TrialSet(scores=scores, targets=targets)
+        for params in [*DCF_PRESETS.values(), DcfParams(cost_miss=1.0, cost_fa=9.0, p_target=0.1)]:
+            cost, threshold = compute_min_dcf(trials, params)
+            p_fa, p_miss = oracle_rates(scores, targets, threshold)
+            assert compute_dcf(p_miss, p_fa, params) == cost
+
+    def test_reject_all_threshold_accepts_nothing(self):
+        trials = TrialSet(scores=[0.0, 1.0, 2.0, 3.0, 1.0], targets=[True, False, True, False, False])
+        for params in DCF_PRESETS.values():
+            cost, threshold = compute_min_dcf(trials, params)
+            assert cost == 1.0
+            assert threshold == np.nextafter(3.0, np.inf)
+        # No double lies above the largest one: reject-all is then +inf.
+        top = np.finfo(np.float64).max
+        trials = TrialSet(scores=[0.0, top, top], targets=[True, False, False])
+        with np.errstate(all="raise"):
+            assert compute_min_dcf(trials, DCF_PRESETS["sre08"]) == (1.0, np.inf)
 
 
 # --- EER -------------------------------------------------------------------
