@@ -8,6 +8,7 @@ mask through ``sad-report`` and prints how the affected trials move.
 
 Example:
     python3 scripts/mask_override_demo.py --workspace /tmp/ivnda-audio
+    python3 scripts/mask_override_demo.py --workspace /tmp/ivnda-audio2 --workers 2
 """
 
 import argparse
@@ -31,6 +32,8 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=911)
     parser.add_argument("--components", type=int, default=8)
     parser.add_argument("--rank", type=int, default=8)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker threads for extract-features and accumulate-stats")
     return parser.parse_args()
 
 
@@ -48,6 +51,7 @@ def main() -> None:
             [
                 "extract-features", "--config", cfg,
                 "--manifest", ws / f"{split}.manifest", "--out-dir", ws / "feats",
+                "--workers", args.workers,
             ]
         )
     run(
@@ -61,7 +65,7 @@ def main() -> None:
             [
                 "accumulate-stats", "--config", cfg, "--features", ws / "feats",
                 "--manifest", ws / f"{split}.manifest", "--ubm", ws / "ubm.ivgm",
-                "--out", ws / f"{split}.ivbw",
+                "--out", ws / f"{split}.ivbw", "--workers", args.workers,
             ]
         )
     run(

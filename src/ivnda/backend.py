@@ -42,8 +42,10 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 # Trials per scoring block: the working set of score_pairs is a few
-# (CHUNK_TRIALS, dim) float64 arrays, whatever the number of trials.
-CHUNK_TRIALS = 1 << 14
+# (CHUNK_TRIALS, dim) float64 arrays, whatever the number of trials.  2^12
+# halves score_pairs' traced peak against 2^14 on 360 000 trials at dim 20
+# (8.3 -> 4.4 MB, the scores included) at the same speed and scores.
+CHUNK_TRIALS = 1 << 12
 
 # Callback per EM iteration: (iteration, model snapshot before the update,
 # total marginal log-likelihood of that snapshot).

@@ -22,6 +22,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio, metrics, pipeline, synth
 from .config import PipelineConfig, default_config_text, load_config
 from .errors import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, IvndaError
@@ -206,6 +208,18 @@ def _dcf_presets(args: argparse.Namespace) -> list[tuple[str, metrics.DcfParams]
     return [("custom", params)]
 
 
+def _threshold_text(threshold: float, scores: np.ndarray) -> str:
+    """The shortest ``%.Ng`` (N >= 6) text of `threshold` that, read back,
+    accepts (score >= threshold) the same trials as `threshold` itself.
+    ``%.17g`` reads back exactly, so it is the last resort."""
+    accepted = np.count_nonzero(scores >= threshold)
+    for digits in range(6, 17):
+        text = f"{threshold:.{digits}g}"
+        if np.count_nonzero(scores >= float(text)) == accepted:
+            return text
+    return f"{threshold:.17g}"
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     presets = _dcf_presets(args)
     # Only the aligned (values, targets) outlive the match, not the two lists.
@@ -219,10 +233,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         f"trials: {trials.num_trials} "
         f"({num_targets} target, {trials.num_trials - num_targets} nontarget)"
     )
-    print(f"eer: {100.0 * eer:.4f}% at threshold {threshold:.6g}")
+    print(f"eer: {100.0 * eer:.4f}% at threshold {_threshold_text(threshold, trials.scores)}")
     for name, params in presets:
         min_dcf, dcf_threshold = metrics.compute_min_dcf(trials, params)
-        print(f"min_dcf[{name}]: {min_dcf:.4f} at threshold {dcf_threshold:.6g}")
+        print(f"min_dcf[{name}]: {min_dcf:.4f} at threshold "
+              f"{_threshold_text(dcf_threshold, trials.scores)}")
     if args.det_csv:
         with fileio.atomic_text_writer(Path(args.det_csv)) as fh:
             metrics.det_csv(trials, fh)

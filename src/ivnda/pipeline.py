@@ -40,6 +40,7 @@ import dataclasses
 import hashlib
 import logging
 import tempfile
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import repeat
@@ -121,9 +122,14 @@ def _require(what: Path, meta: dict, key: str, expected: int) -> None:
 
 
 def compute_features(
-    entry: ManifestEntry, base_dir: Path, cfg: FrontendConfig
+    entry: ManifestEntry,
+    base_dir: Path,
+    cfg: FrontendConfig,
+    *,
+    buffers: frontend.WorkBuffers | None = None,
 ) -> tuple[frontend.FeatureMatrix, list[str]]:
-    """Full frontend chain for one manifest entry.
+    """Full frontend chain for one manifest entry, its temporaries in
+    `buffers` (see :class:`~ivnda.frontend.WorkBuffers`).
 
     Returns the features and the processing chain actually applied (recorded
     in archive metadata): mfcc, deltas, sad or sad-override, cms, fmllr.
@@ -132,7 +138,7 @@ def compute_features(
         raise DataError(f"recording {entry.recording_id!r} has no audio path")
     audio = frontend.read_wav(resolve_path(base_dir, entry.audio_path))
     chain = ["mfcc"]
-    feats = frontend.compute_mfcc(audio, cfg)
+    feats = frontend.compute_mfcc(audio, cfg, buffers=buffers)
     if cfg.include_deltas:
         feats = frontend.append_deltas(feats, cfg.delta_context)
         chain.append("deltas")
@@ -145,7 +151,7 @@ def compute_features(
         )
         chain.append("sad-override")
     else:
-        mask = frontend.detect_speech(audio, cfg)
+        mask = frontend.detect_speech(audio, cfg, buffers=buffers)
         chain.append("sad")
     feats = frontend.FeatureMatrix(
         frames=feats.frames, frame_shift_ms=feats.frame_shift_ms, speech_mask=mask
@@ -176,16 +182,22 @@ def extract_features_stage(
     Returns a per-recording error report (empty when everything succeeded);
     successfully processed recordings are written even when others fail.
     A frontend configuration that would fail every recording raises before
-    any is read.
+    any is read.  Each worker thread reuses one set of frontend work
+    buffers, which are dropped when the stage returns.
     """
     frontend.check_config(cfg.frontend)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = dataclasses.asdict(cfg.frontend)
     feat_fp = fingerprint("frontend", config)
+    per_thread = threading.local()
 
     def work(entry: ManifestEntry) -> tuple[str, str]:
+        if not hasattr(per_thread, "buffers"):
+            per_thread.buffers = frontend.WorkBuffers()
         try:
-            feats, chain = compute_features(entry, base_dir, cfg.frontend)
+            feats, chain = compute_features(
+                entry, base_dir, cfg.frontend, buffers=per_thread.buffers
+            )
             meta = {
                 "stage": "features",
                 "recording_id": entry.recording_id,

@@ -447,6 +447,28 @@ class TestEvaluate:
         assert out == ""
         assert "evaluate uses --p-target, --c-miss only with --dcf-preset custom" in err
 
+    def test_printed_threshold_accepts_the_same_trials(self, tmp_path, capsys):
+        """The reject-all threshold is nextafter(3.0); printed as "3" it would
+        accept the top (non-target) trial, at an sre08 cost of 4.3."""
+        scores = np.array([0.0, 1.0, 2.0, 3.0, 1.0])
+        targets = np.array([True, False, True, False, False])
+        (tmp_path / "scores.txt").write_text(
+            "".join(f"e{i} t{i} {s:g}\n" for i, s in enumerate(scores))
+        )
+        (tmp_path / "key.txt").write_text(
+            "".join(f"e{i} t{i} {'target' if t else 'nontarget'}\n" for i, t in enumerate(targets))
+        )
+        run_ok(["evaluate", "--scores", tmp_path / "scores.txt", "--key", tmp_path / "key.txt"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[1] == "eer: 50.0000% at threshold 1.75"
+        threshold = float(lines[2].split()[-1])
+        assert threshold == np.nextafter(3.0, np.inf)
+        accepted = scores >= threshold
+        cost = metrics.compute_dcf(
+            np.mean(~accepted[targets]), np.mean(accepted[~targets]), metrics.DCF_PRESETS["sre08"]
+        )
+        assert cost == 1.0
+
     def test_det_outputs(self, stats_ws, tmp_path):
         run_ok(
             [

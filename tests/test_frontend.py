@@ -23,6 +23,7 @@ from ivnda.frontend import (
     SUPPORTED_RATES,
     AudioSignal,
     FeatureMatrix,
+    WorkBuffers,
     _energy_and_zcr,
     append_deltas,
     apply_cms,
@@ -315,6 +316,41 @@ def test_frontend_matches_gather_references_bit_for_bit(sr, case):
         deltas = append_deltas(mfcc, cfg.delta_context)
         want = reference_deltas(mfcc.frames, cfg.delta_context)
         assert deltas.frames.tobytes() == want.tobytes()
+
+
+def test_reused_buffers_match_fresh_ones_and_references_bit_for_bit():
+    """One buffer set through long, short and long recordings, then a
+    change of rate and back: each result equals a fresh call's and the
+    gather references'."""
+    cfg = FrontendConfig()
+    buffers = WorkBuffers()
+    for sr, case in [(8000, "bursts"), (8000, "one-frame"), (8000, "bursts"),
+                     (16000, "bursts"), (16000, "zeros"), (8000, "zeros")]:
+        signal = AudioSignal(samples=_reference_case(sr, case), sample_rate_hz=sr)
+        mfcc = compute_mfcc(signal, cfg, buffers=buffers).frames.tobytes()
+        assert mfcc == compute_mfcc(signal, cfg).frames.tobytes()
+        assert mfcc == reference_mfcc(signal, cfg).tobytes()
+        mask = detect_speech(signal, cfg, buffers=buffers).tobytes()
+        assert mask == detect_speech(signal, cfg).tobytes()
+        assert mask == reference_detect_speech(signal, cfg).tobytes()
+
+
+def test_results_share_no_memory_with_the_buffers():
+    """A recording's features and mask survive the next recording computed
+    in the same buffers."""
+    cfg = FrontendConfig()
+    buffers = WorkBuffers()
+    first = AudioSignal(samples=_reference_case(8000, "bursts"), sample_rate_hz=8000)
+    mfcc = compute_mfcc(first, cfg, buffers=buffers)
+    mask = detect_speech(first, cfg, buffers=buffers)
+    kept = mfcc.frames.tobytes(), mask.tobytes()
+    second = AudioSignal(samples=_reference_case(8000, "zeros")[::-1].copy(), sample_rate_hz=8000)
+    compute_mfcc(second, cfg, buffers=buffers)
+    detect_speech(second, cfg, buffers=buffers)
+    assert (mfcc.frames.tobytes(), mask.tobytes()) == kept
+    for buf in buffers._arrays.values():
+        assert not np.shares_memory(buf, mfcc.frames)
+        assert not np.shares_memory(buf, mask)
 
 
 @pytest.mark.parametrize("context", [1, 2, 3])
