@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .da import LabeledVectors
 from .errors import (
@@ -305,12 +304,14 @@ def train_plda(
 
 def _spd_factor(mat: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """(inverse, log-determinant) of a symmetric positive-definite matrix."""
+    if not np.isfinite(mat).all():
+        raise MatrixError(f"{what} has non-finite entries")
     try:
-        cho = cho_factor(mat, lower=True)
-    except LinAlgError as exc:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
         raise MatrixError(f"{what} is not positive definite") from exc
-    logdet = 2.0 * float(np.log(np.diag(cho[0])).sum())
-    return cho_solve(cho, np.eye(mat.shape[0])), logdet
+    chol_inv = np.linalg.inv(chol)
+    return chol_inv.T @ chol_inv, 2.0 * float(np.log(np.diag(chol)).sum())
 
 
 def _spd_inverse(mat: np.ndarray, what: str) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 
 from .errors import (
     DegenerateClassError,
@@ -383,6 +382,8 @@ def compute_projection(
         raise ShapeError("scatter matrices must be square and equal-sized")
     if out_dim < 1 or out_dim > r:
         raise RankError(f"output dimension must be in [1, {r}], got {out_dim}")
+    if not (np.isfinite(sw).all() and np.isfinite(sb).all()):
+        raise MatrixError("scatter matrices have non-finite entries")
     scale = max(np.abs(sw).max(), 1.0)
     if np.abs(sw - sw.T).max() > 1e-8 * scale:
         raise MatrixError("within-class scatter is not symmetric")
@@ -394,15 +395,14 @@ def compute_projection(
     ridge = ridge_scale * np.trace(sw) / r
     sw_reg = (sw + sw.T) / 2.0 + ridge * np.eye(r)
     try:
-        chol = cholesky(sw_reg, lower=True)
-    except LinAlgError as exc:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(sw_reg))
+    except np.linalg.LinAlgError as exc:
         raise MatrixError("regularised within-class scatter is singular") from exc
-    half = solve_triangular(chol, (sb + sb.T) / 2.0, lower=True)
-    whitened = solve_triangular(chol, half.T, lower=True)
+    whitened = chol_inv @ ((sb + sb.T) / 2.0) @ chol_inv.T
     whitened = (whitened + whitened.T) / 2.0
-    values, vectors = eigh(whitened)
+    values, vectors = np.linalg.eigh(whitened)
     order = np.argsort(values, kind="stable")[::-1][:out_dim]
-    basis = solve_triangular(chol.T, vectors[:, order], lower=False)
+    basis = chol_inv.T @ vectors[:, order]
     basis /= np.linalg.norm(basis, axis=0)
     for col in range(basis.shape[1]):
         lead = np.argmax(np.abs(basis[:, col]))

@@ -13,21 +13,22 @@ both supported rates before any recording is read.
 
 Frames are strided views of the signal (``sliding_window_view(x,
 frame_len)[::shift]``), never a (frames x frame_len) index gather; the
-Hamming window and the mel filterbank are built once per (rate,
-frame_len, num_filters) and kept read-only.  The detector takes its
-energies from the same view and its zero-crossing rates from one pass of
-cumulative sign-flip counts over the signal.  Every output is bit for bit
-what the per-frame formulas give.
+Hamming window, the mel filterbank and the truncated DCT-II basis are built
+once per (rate, frame_len, num_filters, num_ceps) and kept read-only, so
+the cepstra are one matrix product with the basis.  The detector takes its
+energies from the same view and its zero-crossing rates from the sorted
+positions of the sign flips in the signal, two binary searches per frame.
+Every output is bit for bit what the per-frame formulas give.
 
 A recording's large temporaries (the pre-emphasised signal, the windowed
-frames zero-padded to the FFT length, the complex spectrum, its power, the
-squared frames and the flip counts) are written into a
+frames zero-padded to the FFT length, the complex spectrum, its power and
+the squared frames) are written into a
 :class:`WorkBuffers` object, which a caller may pass to
 :func:`compute_mfcc` and :func:`detect_speech` to reuse them from one
 recording to the next.  Allocated afresh for every recording, they exceed
 glibc's mmap threshold and are mapped and faulted in each time, about 800
 minor page faults per 4 s recording.  ``extract-features`` keeps one set
-per worker thread, about 5.2 MB for a 4 s 8 kHz recording (10.5 MB at
+per worker thread, about 5.0 MB for a 4 s 8 kHz recording (9.9 MB at
 16 kHz; the set grows with the longest recording seen), and drops them
 when the stage returns.  No returned array shares memory with a buffer.
 """
@@ -43,7 +44,6 @@ from typing import Hashable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .config import FrontendConfig, SadConfig
 from .errors import (
@@ -296,16 +296,31 @@ def mel_filterbank(num_filters: int, nfft: int, sample_rate_hz: int) -> np.ndarr
     return bank
 
 
+def dct_basis(num_filters: int, num_ceps: int) -> np.ndarray:
+    """First `num_ceps` columns of the orthonormal DCT-II matrix, shape
+    (num_filters, num_ceps): ``x @ basis`` is the DCT-II of each row of `x`
+    with ``norm="ortho"``, truncated to `num_ceps` coefficients."""
+    n = np.arange(num_filters)[:, None]
+    k = np.arange(num_ceps)[None, :]
+    basis = np.cos(np.pi * k * (2 * n + 1) / (2 * num_filters)) * math.sqrt(2.0 / num_filters)
+    basis[:, 0] = math.sqrt(1.0 / num_filters)
+    return basis
+
+
 @functools.lru_cache(maxsize=None)
 def _mfcc_constants(
-    sample_rate_hz: int, frame_len: int, num_filters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Hamming window and mel filterbank for one frame geometry."""
-    window = np.hamming(frame_len)
-    bank = mel_filterbank(num_filters, fft_size(sample_rate_hz), sample_rate_hz)
-    window.flags.writeable = False
-    bank.flags.writeable = False
-    return window, bank
+    sample_rate_hz: int, frame_len: int, num_filters: int, num_ceps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Hamming window, mel filterbank and DCT basis for one frame
+    geometry."""
+    constants = (
+        np.hamming(frame_len),
+        mel_filterbank(num_filters, fft_size(sample_rate_hz), sample_rate_hz),
+        dct_basis(num_filters, num_ceps),
+    )
+    for array in constants:
+        array.flags.writeable = False
+    return constants
 
 
 def compute_mfcc(
@@ -314,8 +329,9 @@ def compute_mfcc(
     """MFCCs with c0 as coefficient 0.
 
     Pipeline per frame: pre-emphasis (applied to the whole signal first),
-    Hamming window, power spectrum, mel filterbank, floored log, orthonormal
-    DCT-II, keep the first `num_ceps` coefficients.  The temporaries are
+    Hamming window, power spectrum, mel filterbank, floored log, the first
+    `num_ceps` coefficients of the orthonormal DCT-II (one product with the
+    cached :func:`dct_basis`).  The temporaries are
     written into `buffers` (fresh ones when it is None).
     """
     sr = signal.sample_rate_hz
@@ -327,7 +343,7 @@ def compute_mfcc(
         )
     if buffers is None:
         buffers = WorkBuffers()
-    window, bank = _mfcc_constants(sr, frame_len, cfg.num_filters)
+    window, bank, basis = _mfcc_constants(sr, frame_len, cfg.num_filters, cfg.num_ceps)
     nfft = fft_size(sr)
     emphasized = buffers.array("signal", x.shape)
     emphasized[0] = x[0]
@@ -347,8 +363,7 @@ def compute_mfcc(
     np.square(power, out=power)
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, cfg.log_floor))
-    ceps = dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
-    return FeatureMatrix(frames=ceps, frame_shift_ms=cfg.frame_shift_ms)
+    return FeatureMatrix(frames=log_energies @ basis, frame_shift_ms=cfg.frame_shift_ms)
 
 
 def append_deltas(features: FeatureMatrix, context: int = 2) -> FeatureMatrix:
@@ -397,20 +412,20 @@ def _energy_and_zcr(
 
     The energy is the mean square of each frame of the strided view.  The
     zero-crossing rate counts sign flips between neighbouring samples of a
-    frame (zero counts as positive), as the difference of one cumulative
-    flip count over the whole signal, divided by ``frame_len - 1``; the
-    counts are integers, so the rate is exact.
+    frame (zero counts as positive), divided by ``frame_len - 1``.  The
+    flips of the whole signal are found once; a frame's count is the number
+    of flip positions in its range, by binary search.  The counts are
+    integers, so the rate is exact.
     """
     if buffers is None:
         buffers = WorkBuffers()
     view = _frames(x, frame_len, shift)
     mean_square = np.mean(np.square(view, out=buffers.array("squares", view.shape)), axis=1)
     negative = x < 0
-    flips = buffers.array("flips", x.shape, np.int64)
-    flips[0] = 0
-    np.cumsum(negative[1:] != negative[:-1], out=flips[1:])
+    flips = np.flatnonzero(negative[1:] != negative[:-1])
     starts = np.arange(mean_square.size) * shift
-    zcr = (flips[starts + frame_len - 1] - flips[starts]) / (frame_len - 1)
+    counts = np.searchsorted(flips, starts + frame_len - 1) - np.searchsorted(flips, starts)
+    zcr = counts / (frame_len - 1)
     return 10.0 * np.log10(mean_square + 1e-12), zcr
 
 

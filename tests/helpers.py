@@ -13,8 +13,8 @@ line-by-line readers of trial lists, keys and score files
 (:func:`reference_read_trials`, :func:`reference_read_key`,
 :func:`reference_read_scores`).  The frontend references keep the
 straightforward framing by an index gather, the per-frame energy and
-zero-crossing rate, ``np.pad`` edge replication and filterbank and window
-built per call (:func:`reference_mfcc`, :func:`reference_energy_zcr`,
+zero-crossing rate, ``np.pad`` edge replication and filterbank, window
+and DCT basis built per call (:func:`reference_mfcc`, :func:`reference_energy_zcr`,
 :func:`reference_deltas`, :func:`reference_detect_speech`); the strided
 frontend must match them bit for bit.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import logsumexp
 
@@ -36,6 +35,7 @@ from ivnda.errors import FormatError, InsufficientDataError
 from ivnda.frontend import (
     AudioSignal,
     FeatureMatrix,
+    dct_basis,
     fft_size,
     frame_geometry,
     mel_filterbank,
@@ -412,7 +412,9 @@ def reference_frames(x: np.ndarray, frame_len: int, shift: int) -> np.ndarray:
 
 
 def reference_mfcc(signal: AudioSignal, cfg: FrontendConfig) -> np.ndarray:
-    """MFCCs from gathered frames, with window and filterbank built per call."""
+    """MFCCs from gathered frames, with window, filterbank and DCT basis
+    built per call (the basis is checked against ``scipy.fft.dct`` in
+    test_frontend)."""
     sr = signal.sample_rate_hz
     frame_len, shift = frame_geometry(sr, cfg)
     x = signal.samples
@@ -422,7 +424,7 @@ def reference_mfcc(signal: AudioSignal, cfg: FrontendConfig) -> np.ndarray:
     power = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
     energies = power @ mel_filterbank(cfg.num_filters, nfft, sr).T
     log_energies = np.log(np.maximum(energies, cfg.log_floor))
-    return dct(log_energies, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
+    return log_energies @ dct_basis(cfg.num_filters, cfg.num_ceps)
 
 
 def reference_energy_zcr(

@@ -337,6 +337,16 @@ class TestPldaScore:
         with pytest.raises(MatrixError):
             model.finalize()
 
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1)])
+    def test_non_finite_covariance_rejected(self, entry):
+        """A NaN in either triangle fails finalize with a typed error; the
+        Cholesky factorisation alone would pass an upper-triangle NaN by."""
+        b_cov = np.eye(2)
+        b_cov[entry] = np.nan
+        model = PldaModel(mu=np.zeros(2), b_cov=b_cov, w_cov=np.eye(2))
+        with pytest.raises(MatrixError, match="non-finite"):
+            model.finalize()
+
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6))

@@ -4,7 +4,10 @@ import argparse
 import dataclasses
 import hashlib
 import inspect
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1093,6 +1096,33 @@ def test_ci_runs_the_module_entry_point():
     # Each subcommand's help is checked above; CI runs `python -m ivnda.cli`.
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     assert "python -m ivnda.cli --help" in workflow.read_text()
+
+
+# The scipy modules loaded by importing the modules named in argv.
+_SCIPY_LOADED = """
+import importlib, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_scipy_loads_only_behind_tv():
+    """Numerics outside TV's packed LAPACK kernels are numpy's, so these
+    modules import no scipy at all, and the CLI (which imports tv) never
+    loads scipy's FFT or special functions."""
+    env = {**os.environ, "PYTHONPATH": str(Path(frontend.__file__).parents[1])}
+
+    def scipy_loaded(*modules: str) -> list[str]:
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_LOADED, *modules], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return proc.stdout.split()
+
+    assert scipy_loaded(*(f"ivnda.{m}" for m in (
+        "frontend", "da", "backend", "stats", "ubm", "metrics", "config"))) == []
+    cli = scipy_loaded("ivnda.cli")
+    assert "scipy.linalg" in cli
+    assert not [m for m in cli if m.startswith(("scipy.fft", "scipy.special"))]
 
 
 class TestExitCodes:

@@ -685,6 +685,17 @@ class TestComputeProjection:
         with pytest.raises(MatrixError):
             compute_projection(np.zeros((3, 3)), np.eye(3), out_dim=2)
 
+    @pytest.mark.parametrize("which", ["within", "between"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 1), (1, 2)])
+    def test_non_finite_scatter_rejected(self, rng, which, value, entry):
+        """A non-finite entry in either triangle is a typed error, not a
+        NaN basis: the Cholesky factorisation reads one triangle only."""
+        sw, sb = random_spd(rng, 3), random_spd(rng, 3)
+        (sw if which == "within" else sb)[entry] = value
+        with pytest.raises(MatrixError, match="non-finite"):
+            compute_projection(sw, sb, out_dim=2)
+
 
 class TestScatterRanks:
     """LDA between-class rank saturates at C - 1; the k-NN scatter does not."""

@@ -25,6 +25,7 @@ from ivnda.frontend import (
     FeatureMatrix,
     WorkBuffers,
     _energy_and_zcr,
+    _mfcc_constants,
     append_deltas,
     apply_cms,
     apply_fmllr,
@@ -246,6 +247,23 @@ def test_mfcc_matches_naive_oracle(sr, rng):
     want = oracle_mfcc(samples, sr, cfg)
     assert got.frames.shape == want.shape == (got.num_frames, 13)
     np.testing.assert_allclose(got.frames, want, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("num_filters,num_ceps", [(24, 13), (24, 24), (40, 20), (23, 1)])
+def test_cached_dct_basis_matches_scipy_dct(rng, num_filters, num_ceps):
+    """The basis compute_mfcc multiplies by is scipy's orthonormal DCT-II,
+    truncated to num_ceps coefficients, and cannot be written to."""
+    from scipy.fft import dct
+
+    basis = _mfcc_constants(8000, 200, num_filters, num_ceps)[2]
+    assert basis.shape == (num_filters, num_ceps)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+    log_energies = rng.uniform(-25.0, 10.0, size=(50, num_filters))
+    want = dct(log_energies, type=2, norm="ortho", axis=1)[:, :num_ceps]
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(log_energies @ basis, want, rtol=0, atol=1e-13 * scale)
 
 
 def test_mfcc_flooring_handles_silence():
