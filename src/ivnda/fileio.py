@@ -32,8 +32,10 @@ when asked.  So reading holds one chunk, not the archive.
 Formats:
 
 * ``IVFA``  one recording's features: T, D, frame_shift_ms f32, frames f32
-  row-major, T mask bytes.  A feature *archive* is a directory holding one
-  ``<recording_id>.ivfa`` per recording.
+  row-major, T mask bytes.  A record reads back with float32 frames, at
+  half the bytes of float64; the UBM code widens them a chunk at a time.
+  A feature *archive* is a directory holding one ``<recording_id>.ivfa``
+  per recording.
 * ``IVGM``  diagonal GMM: G, D, weights/means/variances f64.
 * ``IVBW``  stats archive: count; per record id, G, D, n f64[G], f f64[G*D].
 * ``IVTV``  subspace model: G, D, R, sigma f64[G*D], T f64[(G*D)*R].
@@ -248,12 +250,12 @@ def write_feature_record(
 def read_feature_record(path: str | Path) -> tuple[FeatureMatrix, int, dict]:
     with _reading(path, b"IVFA") as (fields, fp, meta):
         t, d, shift = fields.unpack("<IIf")
-        frames = np.frombuffer(fields.raw(4 * t * d), dtype="<f4").reshape(t, d)
+        frames = np.frombuffer(fields.raw(4 * t * d), dtype="<f4").reshape(t, d).copy()
         mask = np.frombuffer(fields.raw(t), dtype=np.uint8)
         if np.any(mask > 1):
             raise FormatError(f"{fields.path}: mask bytes must be 0 or 1")
     features = FeatureMatrix(
-        frames=frames.astype(np.float64), frame_shift_ms=float(shift),
+        frames=frames, frame_shift_ms=float(shift),
         speech_mask=mask.astype(bool),
     )
     return features, fp, meta

@@ -83,12 +83,21 @@ class AudioSignal:
         return self.samples.size / self.sample_rate_hz
 
 
+def frame_array(frames) -> np.ndarray:
+    """`frames` as an array, float32 kept at the precision it was stored in
+    and any other type as float64."""
+    frames = np.asarray(frames)
+    return frames if frames.dtype == np.float32 else frames.astype(np.float64, copy=False)
+
+
 @dataclass
 class FeatureMatrix:
     """A (num_frames, dim) matrix of frame features plus a speech mask.
 
     All frames are kept; non-speech frames are flagged rather than dropped so
-    that frame indices stay aligned with the audio timeline.
+    that frame indices stay aligned with the audio timeline.  Frames are
+    float64, or float32 as read from an ``.ivfa`` record (see
+    :func:`frame_array`); every computation on them is in float64.
     """
 
     frames: np.ndarray
@@ -96,7 +105,7 @@ class FeatureMatrix:
     speech_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.frames = frame_array(self.frames)
         if self.frames.ndim != 2:
             raise ShapeError("feature matrix must be 2-D")
         if self.speech_mask is None:
@@ -395,9 +404,10 @@ def append_deltas(features: FeatureMatrix, context: int = 2) -> FeatureMatrix:
             for j in range(1, context + 1)
         ) / norm
 
-    delta = regress(features.frames)
+    frames = np.asarray(features.frames, dtype=np.float64)
+    delta = regress(frames)
     delta2 = regress(delta)
-    stacked = np.concatenate([features.frames, delta, delta2], axis=1)
+    stacked = np.concatenate([frames, delta, delta2], axis=1)
     return FeatureMatrix(
         frames=stacked,
         frame_shift_ms=features.frame_shift_ms,
@@ -492,7 +502,7 @@ def apply_cms(features: FeatureMatrix) -> FeatureMatrix:
     """
     if not features.speech_mask.any():
         raise NoSpeechError("cannot compute cepstral mean: no speech frames")
-    out = features.frames.copy()
+    out = features.frames.astype(np.float64)
     mean = out[features.speech_mask].mean(axis=0)
     out[features.speech_mask] -= mean
     return FeatureMatrix(

@@ -26,9 +26,9 @@ once, in place (LAPACK ``pftrf``), and every posterior quantity comes from
 that factor: log det ``L`` from its diagonal, E[w] by ``pftrs`` and, in
 training, Cov[w] = ``L^-1`` by ``pftri``, still packed.  The second-order
 accumulator sums the packed E[ww'] rows, weighted by the counts, in one
-more product.  The M-step unpacks the accumulators of the observed
-components `CHUNK` at a time into one reused (CHUNK, R, R) buffer and
-factors each block with a batched Cholesky call.
+more product.  The M-step unpacks nothing: it copies each observed
+component's accumulator row into one R(R+1)/2 buffer, factors it there
+(``pftrf``) and solves for that component's rows of T in place (``pftrs``).
 A short chunk is padded with zero-count rows (``L = I``), so every product
 has the same shape and a session's result does not depend on which
 sessions share its chunk (single and batch extraction agree to the bit).
@@ -61,7 +61,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpftrf, dpftri, dpftrs, dpotrs, dtrttf
+from scipy.linalg.lapack import dpftrf, dpftri, dpftrs, dtrttf
 
 from .errors import (
     DegenerateDataError,
@@ -303,48 +303,32 @@ def tv_log_likelihood(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel
     return float(sum(per_session))
 
 
-def _cholesky_each(mats: np.ndarray) -> list[np.ndarray | None]:
-    """Lower Cholesky factor of each matrix of a stack, from one batched
-    call; None for a matrix that is not numerically positive definite."""
-    try:
-        return list(np.linalg.cholesky(mats))
-    except np.linalg.LinAlgError:
-        factors: list[np.ndarray | None] = []
-        for mat in mats:
-            try:
-                factors.append(np.linalg.cholesky(mat))
-            except np.linalg.LinAlgError:
-                factors.append(None)
-        return factors
-
-
 def _update_t(
     a_acc: np.ndarray, c_blocks: np.ndarray, observed: np.ndarray
 ) -> np.ndarray:
     """M-step for T: solve A_g T_g' = C_g' for each component g.
 
     `a_acc` is (G, R(R+1)/2), each A_g as an RFP row, `c_blocks` (G, D, R)
-    and `observed` (G,) marks the components some session occupies.  Their
-    accumulators are unpacked `CHUNK` at a time into one (CHUNK, R, R)
-    buffer, and each block is factored in one batched call.  Unobserved components, and any whose accumulator is not
-    numerically positive definite, take the least-squares solution, which
-    keeps the update defined (zero rows for an unobserved one).
+    and `observed` (G,) marks the components some session occupies.  Each
+    observed A_g is copied into one R(R+1)/2 buffer and factored there
+    (``pftrf``), and T_g' is solved in place in the output (``pftrs``), so
+    nothing is unpacked.  Unobserved components, and any whose accumulator
+    is not numerically positive definite, take the least-squares solution,
+    which keeps the update defined (zero rows for an unobserved one).
     """
     g, d, r = c_blocks.shape
-    full = np.empty((CHUNK, r, r))
-    t_blocks = np.empty((g, d, r))
-    unsolved = list(np.flatnonzero(~observed))
-    comps = np.flatnonzero(observed)
-    for start in range(0, comps.size, CHUNK):
-        block = comps[start : start + CHUNK]
-        for comp, factor in zip(block, _cholesky_each(_unpack(a_acc[block], full))):
-            if factor is None:
-                unsolved.append(comp)
-            else:
-                t_blocks[comp] = dpotrs(factor.T, c_blocks[comp].T, lower=0)[0].T
-    for comp in unsolved:
-        a_g = _unpack(a_acc[comp : comp + 1], full)[0]
-        t_blocks[comp] = np.linalg.lstsq(a_g, c_blocks[comp].T, rcond=None)[0].T
+    factor = np.empty(a_acc.shape[1])
+    t_blocks = c_blocks.copy()
+    for comp in range(g):
+        t_g = t_blocks[comp].T  # (R, D), Fortran-ordered: solved in place
+        if observed[comp]:
+            factor[:] = a_acc[comp]
+            if not dpftrf(r, factor, transr="N", uplo="L", overwrite_a=1)[1]:
+                out = dpftrs(r, factor, t_g, transr="N", uplo="L", overwrite_b=1)[0]
+                assert np.shares_memory(out, t_blocks)
+                continue
+        a_g = _unpack(a_acc[comp : comp + 1], np.empty((1, r, r)))[0]
+        t_g[:] = np.linalg.lstsq(a_g, c_blocks[comp].T, rcond=None)[0]
     return t_blocks.reshape(g * d, r)
 
 

@@ -20,6 +20,13 @@ T x D speech frames once, plus the last slab's unused rows and one record;
 EM and the global moments walk the `CHUNK_FRAMES`-row views of the slabs,
 adding O(CHUNK_FRAMES * G).  The top-N alignment of a T-frame recording
 needs O(CHUNK_FRAMES * G + T * N).
+
+Frames stay at the precision they are given in: the float32 frames of a
+feature record are pooled as float32 (T * D * 4 bytes), and only float64
+input makes the slabs float64.  The kernels widen one chunk at a time to
+float64 (`_augment`, `_row_sum`) before any arithmetic, and the statistics
+widen each recording once, so every result is bit for bit the one computed
+from float64 copies of the frames.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .frontend import FeatureMatrix
+from .frontend import FeatureMatrix, frame_array
 
 log = logging.getLogger(__name__)
 
@@ -52,12 +59,13 @@ MAX_ROW_SUM = 1.0 + 1e-6  # the largest row sum a PosteriorMatrix accepts
 CHUNK_FRAMES = 1024
 
 # Chunks per slab of pooled training frames: a slab holds whole chunks, so
-# EM walks the same chunks as over one pooled array.  The size is set by
-# what it does to glibc's malloc, whose mmap and trim thresholds rise only
-# when a block at least that large is freed: after `train_gmm` frees 5 MB
-# slabs (16 chunks at D = 39), feature extraction run later in the same
-# process reuses heap pages; after slabs of one chunk it could fault in
-# fresh pages for every recording (about 250 000 faults, 50% more time).
+# EM walks the same chunks as over one pooled array.  Freeing the slabs
+# raises glibc's mmap threshold to their size, which decides whether a
+# later stage in the process maps its large blocks fresh.  Feature
+# extraction allocates its work buffers once per stage, so at D = 39 the
+# 2.5 MB float32 slabs of 16 chunks cost the eval-phase `extract-features`
+# about 1.8k minor faults per stage, not per recording, at no measurable
+# time; 32 chunks avoid them but add 1.5 MB to the audio-front peak.
 SLAB_CHUNKS = 16
 
 # Callback invoked after each EM iteration:
@@ -157,6 +165,7 @@ class PosteriorMatrix:
         from scipy.sparse import csr_matrix
 
         self._check_indices()  # the sparse product does not bounds-check them
+        frames = np.asarray(frames, dtype=np.float64)  # widens float32 once
         n = np.bincount(
             self.indices, weights=self.values, minlength=self.num_components
         )
@@ -202,14 +211,15 @@ def _density_weights(gmm: DiagonalGmm) -> np.ndarray:
 
 
 def _augment(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``[x, x**2, 1]``, written to `out` if given: the log densities
-    are linear in them, and the posterior-weighted sums of them are first
-    moments, second moments and occupancy."""
+    """Rows ``[x, x**2, 1]`` in float64, written to `out` if given: the log
+    densities are linear in them, and the posterior-weighted sums of them
+    are first moments, second moments and occupancy.  Float32 frames are
+    widened first, so the square is the float64 one."""
     t, d = frames.shape
     if out is None:
         out = np.empty((t, 2 * d + 1))
     out[:, :d] = frames
-    np.square(frames, out=out[:, d : 2 * d])
+    np.square(out[:, :d], out=out[:, d : 2 * d])
     out[:, 2 * d] = 1.0
     return out
 
@@ -229,7 +239,7 @@ def _posteriors(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_frames(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = frame_array(frames)
     if frames.ndim != 2 or frames.shape[1] != gmm.dim:
         raise ShapeError(f"frames must be (T, {gmm.dim})")
     return frames
@@ -270,7 +280,10 @@ def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
 def _pool_speech_frames(features: Iterable[FeatureMatrix]) -> tuple[list[np.ndarray], int]:
     """The speech frames of `features` in order, as `CHUNK_FRAMES`-row views
     of slabs that each record's frames are copied into as it is read, and
-    their number.  Non-finite frames are rejected record by record."""
+    their number.  The slabs keep the records' precision: float32 while
+    every record so far is float32, widened once to float64 when a float64
+    record comes, never narrowed.  Non-finite frames are rejected record by
+    record."""
     slab_rows = SLAB_CHUNKS * CHUNK_FRAMES
     slabs: list[np.ndarray] = []
     count = 0
@@ -282,11 +295,14 @@ def _pool_speech_frames(features: Iterable[FeatureMatrix]) -> tuple[list[np.ndar
                 f"training records must share one feature dimension, got "
                 f"{slabs[0].shape[1]} and {frames.shape[1]}"
             )
+        dtype = np.promote_types(slabs[0].dtype, frames.dtype) if slabs else frames.dtype
+        if slabs and slabs[0].dtype != dtype:
+            slabs = [slab.astype(dtype) for slab in slabs]  # widen once, never narrow
         done = 0
         while done < frames.shape[0]:
             at = count % slab_rows
             if at == 0:
-                slabs.append(np.empty((slab_rows, frames.shape[1])))
+                slabs.append(np.empty((slab_rows, frames.shape[1]), dtype))
             n = min(slab_rows - at, frames.shape[0] - done)
             slabs[-1][at : at + n] = frames[done : done + n]
             done += n
@@ -298,11 +314,13 @@ def _pool_speech_frames(features: Iterable[FeatureMatrix]) -> tuple[list[np.ndar
 
 
 def _row_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """The sum of the rows of `blocks`, bit for bit numpy's axis-0 sum of
-    their concatenation, which adds the rows one after another."""
+    """The float64 sum of the rows of `blocks`, bit for bit numpy's axis-0
+    sum of their concatenation widened to float64, which adds the rows one
+    after another."""
     total = None
     for block in blocks:
-        total = block.sum(axis=0) if total is None else np.vstack([total, block]).sum(axis=0)
+        rows = block if total is None else np.vstack([total, block])
+        total = rows.astype(np.float64, copy=False).sum(axis=0)
     return total
 
 

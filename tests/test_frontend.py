@@ -747,6 +747,27 @@ def test_speech_frames_filters_rows(rng):
     np.testing.assert_array_equal(feats.speech_frames(), feats.frames[[0, 2]])
 
 
+def test_feature_matrix_keeps_float32_and_widens_everything_else(rng):
+    assert FeatureMatrix(np.ones((3, 2), np.float32), 10.0).frames.dtype == np.float32
+    for dtype in (np.float16, np.int32, np.float64):
+        frames = FeatureMatrix(np.ones((3, 2), dtype), 10.0).frames
+        assert frames.dtype == np.float64
+
+
+def test_transforms_of_float32_frames_are_float64(rng):
+    """Deltas, CMS and fMLLR of a float32 record (as read from ``.ivfa``)
+    compute in float64, bit for bit as on the widened frames."""
+    from ivnda.frontend import FmllrTransform
+
+    mask = rng.random(40) < 0.7
+    single = FeatureMatrix(rng.normal(size=(40, 4)).astype(np.float32), 10.0, mask)
+    double = FeatureMatrix(single.frames.astype(np.float64), 10.0, mask)
+    transform = FmllrTransform(a=np.eye(4) + 0.1 * rng.normal(size=(4, 4)), b=rng.normal(size=4))
+    for apply in (lambda f: append_deltas(f, 2), apply_cms, lambda f: apply_fmllr(f, transform)):
+        got, want = apply(single).frames, apply(double).frames
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def test_feature_matrix_rejects_mismatched_mask(rng):
     with pytest.raises(AlignmentError):
         FeatureMatrix(

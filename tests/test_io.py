@@ -156,10 +156,9 @@ class TestFeatureRecords:
         write_feature_record(path, features, fp=42, meta=META)
         loaded, fp, meta = read_feature_record(path)
         assert fp == 42 and meta == META
-        # Frames are stored at single precision.
-        np.testing.assert_array_equal(
-            loaded.frames, features.frames.astype(np.float32).astype(np.float64)
-        )
+        # Frames are stored, and read back, at single precision.
+        assert loaded.frames.dtype == np.float32 and loaded.frames.flags.writeable
+        assert loaded.frames.tobytes() == features.frames.astype(np.float32).tobytes()
         np.testing.assert_array_equal(loaded.speech_mask, features.speech_mask)
         assert loaded.frame_shift_ms == 10.0
 

@@ -299,12 +299,13 @@ def per_component_update(a_acc, c_blocks):
     return t_blocks.reshape(g * d, r)
 
 
+@pytest.mark.parametrize("r", [4, 5])  # RFP lays out even and odd orders differently
 @pytest.mark.parametrize("singular_observed", [False, True])
-def test_batched_m_step_matches_per_component_loop(rng, singular_observed):
-    """Batched M-step == the per-component loop; an unobserved component
-    gets exactly zero rows, and an observed one whose accumulator cannot be
-    factored takes the per-component fallback."""
-    g, d, r = 7, 3, 4
+def test_packed_m_step_matches_per_component_loop(rng, singular_observed, r):
+    """The packed M-step == the per-component loop on unpacked matrices; an
+    unobserved component gets exactly zero rows, and an observed one whose
+    accumulator cannot be factored takes the least-squares fallback."""
+    g, d = 7, 3
     x = rng.normal(size=(g, r, 3 * r))
     a_acc = x @ x.transpose(0, 2, 1)
     c_blocks = rng.normal(size=(g, d, r))
@@ -319,6 +320,26 @@ def test_batched_m_step_matches_per_component_loop(rng, singular_observed):
     want = per_component_update(a_acc, c_blocks)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     assert not got[2 * d : 3 * d].any()
+
+
+def test_packed_m_step_allocates_only_its_output(rng):
+    g, d, r = 64, 3, 40
+    x = rng.normal(size=(g, r, 2 * r))
+    rows, cols, _ = _rfp_map(r)
+    a_acc = (x @ x.transpose(0, 2, 1))[:, rows, cols]
+    c_blocks = rng.normal(size=(g, d, r))
+    observed = np.ones(g, dtype=bool)
+    _update_t(a_acc, c_blocks, observed)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _update_t(a_acc, c_blocks, observed)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # T itself and one packed factor; a (R, R) matrix per component
+    # unpacked at once would be 64 * 12.8 kB.
+    assert peak < g * d * r * 8 + a_acc.shape[1] * 8 + 16384, peak
 
 
 # --- training --------------------------------------------------------------

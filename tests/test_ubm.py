@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,124 @@ def test_train_gmm_errors_match_the_concatenated_reference(
     with pytest.raises(type(want.value), match=message) as got:
         train_gmm(feats, 4)
     assert str(got.value) == str(want.value)
+
+
+def _as_float32(feats):
+    return [
+        FeatureMatrix(f.frames.astype(np.float32), f.frame_shift_ms, f.speech_mask)
+        for f in feats
+    ]
+
+
+def _upcast(feats):
+    return [
+        FeatureMatrix(f.frames.astype(np.float64), f.frame_shift_ms, f.speech_mask)
+        for f in feats
+    ]
+
+
+def _train_with_lls(feats, components):
+    lls = []
+    gmm = train_gmm(feats, components, iters_per_level=3,
+                    on_iteration=lambda *args: lls.append(args[3]))
+    return gmm, np.array(lls)
+
+
+def _assert_same_gmm(got, want):
+    for name in ("weights", "means", "variances"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "chunk, slab_chunks", [(CHUNK_FRAMES, ubm.SLAB_CHUNKS), (16, 3)]
+)
+def test_train_gmm_on_float32_records_matches_their_float64_upcast(
+    rng, monkeypatch, chunk, slab_chunks
+):
+    monkeypatch.setattr(ubm, "CHUNK_FRAMES", chunk)
+    monkeypatch.setattr(ubm, "SLAB_CHUNKS", slab_chunks)
+    single = _as_float32(_records(rng, [700, 0, 1500, 333]))
+    assert all(f.frames.dtype == np.float32 for f in single)
+    got, got_ll = _train_with_lls(single, 4)
+    want, want_ll = _train_with_lls(_upcast(single), 4)
+    _assert_same_gmm(got, want)
+    assert got_ll.tobytes() == want_ll.tobytes()
+
+
+def test_pooled_slabs_keep_float32_and_are_widened_not_narrowed(rng, monkeypatch):
+    monkeypatch.setattr(ubm, "CHUNK_FRAMES", 16)
+    monkeypatch.setattr(ubm, "SLAB_CHUNKS", 3)
+    feats = _records(rng, [37, 61, 29, 100])  # the float64 records cross slab ends
+    single = _as_float32(feats[:2])
+
+    def pooled(records):
+        chunks, count = ubm._pool_speech_frames(records)
+        return np.concatenate(chunks), count
+
+    frames, count = pooled(single)
+    assert frames.dtype == np.float32 and count == 98
+    # A float64 record after float32 ones widens the slabs: no value rounds.
+    mixed = single + feats[2:]
+    frames, count = pooled(mixed)
+    want = np.concatenate([f.speech_frames().astype(np.float64) for f in mixed])
+    assert frames.dtype == np.float64 and frames.tobytes() == want.tobytes()
+    # Float32 records after float64 ones are widened as they are copied.
+    frames, _ = pooled(feats[2:] + single)
+    assert frames.dtype == np.float64
+    _assert_same_gmm(train_gmm(mixed, 4), train_gmm(_upcast(mixed), 4))
+    # Pure float64 input stays float64, bit for bit the concatenated reference.
+    frames, _ = pooled(feats)
+    want = np.concatenate([f.speech_frames() for f in feats])
+    assert frames.dtype == np.float64 and frames.tobytes() == want.tobytes()
+    _assert_same_gmm(train_gmm(feats, 4), reference_train_gmm(feats, 4))
+
+
+def test_augment_squares_float32_frames_in_float64():
+    x = np.float32(1.1)
+    assert np.float64(x * x) != np.float64(x) ** 2  # the float32 square rounds
+    for out in (None, np.empty((1, 3))):
+        aug = ubm._augment(np.array([[x]], dtype=np.float32), out)
+        assert aug.dtype == np.float64
+        assert aug[0].tolist() == [float(x), float(x) ** 2, 1.0]
+
+
+def test_alignment_and_statistics_of_float32_records_match_their_upcast(rng):
+    gmm = make_gmm(rng, 8, 3)
+    feats = _as_float32(_records(rng, [300, 1500]))
+    for single, double in zip(feats, _upcast(feats)):
+        got = gmm_posteriors(gmm, single, top_n=3)
+        want = gmm_posteriors(gmm, double, top_n=3)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.indices, want.indices)
+        n, f = got.weighted_sums(single.speech_frames())
+        assert f.dtype == np.float64
+        assert f.tobytes() == want.weighted_sums(double.speech_frames())[1].tobytes()
+        assert mean_log_likelihood(gmm, single.speech_frames()) == mean_log_likelihood(
+            gmm, double.speech_frames()
+        )
+    posts = [gmm_posteriors(gmm, f, top_n=8) for f in feats]
+    _assert_same_gmm(
+        train_supervised_gaussians(feats, posts, 8),
+        train_supervised_gaussians(_upcast(feats), posts, 8),
+    )
+
+
+def test_train_gmm_pools_float32_records_in_four_bytes_per_value(rng):
+    dim, per_record = 8, 1000
+    feats = _as_float32(_records(rng, [per_record] * 100, dim=dim))
+    train_gmm(feats[:2], 2, iters_per_level=1)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_gmm(feats, 2, iters_per_level=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    pooled = 100 * per_record * dim * 4
+    # The pooled frames at float32, the last slab's unused rows, one
+    # record's speech frames and a few chunk-sized float64 arrays.
+    slab = ubm.SLAB_CHUNKS * CHUNK_FRAMES * dim * 4
+    assert peak < pooled + slab + 8 * CHUNK_FRAMES * (2 * dim + 1) * 8, peak / pooled
 
 
 def test_train_gmm_rejects_records_of_different_dimensions(rng):
