@@ -70,13 +70,14 @@ class LabeledVectors:
 
 @dataclass
 class Projection:
-    """Column basis of discriminant directions, highest eigenvalue first."""
+    """Column basis of discriminant directions, highest eigenvalue first.
+
+    The settings that made it (method, k, alpha, pairing) are recorded in
+    the header metadata of its ``.ivda`` file, not here.
+    """
 
     basis: np.ndarray            # (R, M), unit-norm columns
     eigenvalues: np.ndarray      # (M,), non-increasing
-    method: str = ""
-    k: int = 0
-    alpha: float = 0.0
 
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=np.float64)
@@ -413,11 +414,8 @@ def compute_projection(
 
 def compute_lda(data: LabeledVectors, out_dim: int) -> Projection:
     """Classical LDA projection (between-scatter rank is at most C - 1)."""
-    proj = compute_projection(
+    return compute_projection(
         within_class_scatter(data), lda_between_scatter(data), out_dim
-    )
-    return Projection(
-        basis=proj.basis, eigenvalues=proj.eigenvalues, method="lda"
     )
 
 
@@ -433,17 +431,10 @@ def compute_nda(
         raise ValueError("k must be >= 1")
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    proj = compute_projection(
+    return compute_projection(
         within_class_scatter(data),
         nda_between_scatter(data, k, alpha, one_vs_rest=one_vs_rest),
         out_dim,
-    )
-    return Projection(
-        basis=proj.basis,
-        eigenvalues=proj.eigenvalues,
-        method="nda",
-        k=k,
-        alpha=alpha,
     )
 
 

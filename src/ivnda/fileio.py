@@ -10,7 +10,10 @@ producing stage's configuration subset plus the fingerprints of its
 upstream artifacts, so stages can reject mixed-provenance inputs without
 re-reading them.  The meta JSON (canonical key order, no timestamps)
 records the stage name, the config subset, and upstream fingerprints;
-reruns with identical inputs produce byte-identical files.
+reruns with identical inputs produce byte-identical files.  This JSON is
+the one record of the settings that made an artifact (a projection's
+method, k and alpha; a feature record's frame shift): each ``read_*``
+returns it, and the payload holds only data.
 
 A file ends where its payload ends: a reader rejects a truncated file and
 a file with bytes after the payload (two archives concatenated, say) with
@@ -31,17 +34,16 @@ when asked.  So reading holds one chunk, not the archive.
 
 Formats:
 
-* ``IVFA``  one recording's features: T, D, frame_shift_ms f32, frames f32
-  row-major, T mask bytes.  A record reads back with float32 frames, at
-  half the bytes of float64; the UBM code widens them a chunk at a time.
+* ``IVFA``  one recording's features: T, D, frames f32 row-major, T mask
+  bytes.  A record reads back with float32 frames, at half the bytes of
+  float64; the UBM code widens them a chunk at a time.
   A feature *archive* is a directory holding one ``<recording_id>.ivfa``
   per recording.
 * ``IVGM``  diagonal GMM: G, D, weights/means/variances f64.
 * ``IVBW``  stats archive: count; per record id, G, D, n f64[G], f f64[G*D].
 * ``IVTV``  subspace model: G, D, R, sigma f64[G*D], T f64[(G*D)*R].
 * ``IVIV``  i-vector archive: count, R; per record id, w f64[R].
-* ``IVDA``  projection: R, M, method tag, k, alpha f64, basis f64[R*M],
-  eigenvalues f64[M].
+* ``IVDA``  projection: R, M, basis f64[R*M], eigenvalues f64[M].
 * ``IVNZ``  normaliser: M, mean f64[M], whitener f64[M*M].
 * ``IVPL``  PLDA model: M, mu f64[M], B f64[M*M], W f64[M*M].
 
@@ -82,9 +84,6 @@ from .tv import IVector, TvModel
 from .ubm import DiagonalGmm
 
 FORMAT_VERSION = 1
-
-_METHOD_TAGS = {"lda": 0, "nda": 1}
-_METHOD_NAMES = {v: k for k, v in _METHOD_TAGS.items()}
 
 
 def fingerprint(stage: str, config: dict, upstream: dict[str, int] | None = None) -> int:
@@ -243,22 +242,17 @@ def write_feature_record(
     t, d = features.frames.shape
     frames = np.ascontiguousarray(features.frames, dtype="<f4").tobytes()
     mask = features.speech_mask.astype(np.uint8).tobytes()
-    _write(path, b"IVFA", fp, meta,
-           (struct.pack("<IIf", t, d, features.frame_shift_ms), frames, mask))
+    _write(path, b"IVFA", fp, meta, (struct.pack("<II", t, d), frames, mask))
 
 
 def read_feature_record(path: str | Path) -> tuple[FeatureMatrix, int, dict]:
     with _reading(path, b"IVFA") as (fields, fp, meta):
-        t, d, shift = fields.unpack("<IIf")
+        t, d = fields.unpack("<II")
         frames = np.frombuffer(fields.raw(4 * t * d), dtype="<f4").reshape(t, d).copy()
         mask = np.frombuffer(fields.raw(t), dtype=np.uint8)
         if np.any(mask > 1):
             raise FormatError(f"{fields.path}: mask bytes must be 0 or 1")
-    features = FeatureMatrix(
-        frames=frames, frame_shift_ms=float(shift),
-        speech_mask=mask.astype(bool),
-    )
-    return features, fp, meta
+    return FeatureMatrix(frames=frames, speech_mask=mask.astype(bool)), fp, meta
 
 
 # --- GMM ------------------------------------------------------------------
@@ -412,7 +406,7 @@ def read_tv_model(path: str | Path) -> tuple[TvModel, int, dict]:
     with _reading(path, b"IVTV") as (fields, fp, meta):
         g, d, r = fields.unpack("<III")
         sigma, t_matrix = fields.f64(g, d), fields.f64(g * d, r)
-    return TvModel(t_matrix=t_matrix, sigma=sigma, rank=r), fp, meta
+    return TvModel(t_matrix=t_matrix, sigma=sigma), fp, meta
 
 
 # --- i-vectors ------------------------------------------------------------
@@ -444,33 +438,15 @@ def read_ivector_archive(path: str | Path) -> tuple[list[IVector], int, dict]:
 
 
 def write_projection(path: str | Path, proj: Projection, fp: int, meta: dict) -> None:
-    if proj.method not in _METHOD_TAGS:
-        raise ValueError(f"projection method must be lda or nda, got {proj.method!r}")
-    dims = struct.pack(
-        "<IIIId",
-        proj.input_dim,
-        proj.output_dim,
-        _METHOD_TAGS[proj.method],
-        proj.k,
-        proj.alpha,
-    )
+    dims = struct.pack("<II", proj.input_dim, proj.output_dim)
     _write(path, b"IVDA", fp, meta, (dims, proj.basis, proj.eigenvalues))
 
 
 def read_projection(path: str | Path) -> tuple[Projection, int, dict]:
     with _reading(path, b"IVDA") as (fields, fp, meta):
-        r, m, tag, k, alpha = fields.unpack("<IIIId")
-        if tag not in _METHOD_NAMES:
-            raise FormatError(f"{fields.path}: unknown projection method tag {tag}")
+        r, m = fields.unpack("<II")
         basis, eigenvalues = fields.f64(r, m), fields.f64(m)
-    proj = Projection(
-        basis=basis,
-        eigenvalues=eigenvalues,
-        method=_METHOD_NAMES[tag],
-        k=k,
-        alpha=alpha,
-    )
-    return proj, fp, meta
+    return Projection(basis=basis, eigenvalues=eigenvalues), fp, meta
 
 
 # --- normaliser -----------------------------------------------------------

@@ -97,11 +97,12 @@ class FeatureMatrix:
     All frames are kept; non-speech frames are flagged rather than dropped so
     that frame indices stay aligned with the audio timeline.  Frames are
     float64, or float32 as read from an ``.ivfa`` record (see
-    :func:`frame_array`); every computation on them is in float64.
+    :func:`frame_array`); every computation on them is in float64.  The
+    frontend settings that made them (frame shift and the rest) are recorded
+    in the header metadata of their ``.ivfa`` record, not here.
     """
 
     frames: np.ndarray
-    frame_shift_ms: float
     speech_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -372,7 +373,7 @@ def compute_mfcc(
     np.square(power, out=power)
     energies = power @ bank.T
     log_energies = np.log(np.maximum(energies, cfg.log_floor))
-    return FeatureMatrix(frames=log_energies @ basis, frame_shift_ms=cfg.frame_shift_ms)
+    return FeatureMatrix(frames=log_energies @ basis)
 
 
 def append_deltas(features: FeatureMatrix, context: int = 2) -> FeatureMatrix:
@@ -408,11 +409,7 @@ def append_deltas(features: FeatureMatrix, context: int = 2) -> FeatureMatrix:
     delta = regress(frames)
     delta2 = regress(delta)
     stacked = np.concatenate([frames, delta, delta2], axis=1)
-    return FeatureMatrix(
-        frames=stacked,
-        frame_shift_ms=features.frame_shift_ms,
-        speech_mask=features.speech_mask.copy(),
-    )
+    return FeatureMatrix(frames=stacked, speech_mask=features.speech_mask.copy())
 
 
 def _energy_and_zcr(
@@ -505,11 +502,7 @@ def apply_cms(features: FeatureMatrix) -> FeatureMatrix:
     out = features.frames.astype(np.float64)
     mean = out[features.speech_mask].mean(axis=0)
     out[features.speech_mask] -= mean
-    return FeatureMatrix(
-        frames=out,
-        frame_shift_ms=features.frame_shift_ms,
-        speech_mask=features.speech_mask.copy(),
-    )
+    return FeatureMatrix(frames=out, speech_mask=features.speech_mask.copy())
 
 
 def apply_fmllr(features: FeatureMatrix, transform: FmllrTransform) -> FeatureMatrix:
@@ -519,11 +512,7 @@ def apply_fmllr(features: FeatureMatrix, transform: FmllrTransform) -> FeatureMa
             f"fMLLR dimension {transform.dim} does not match feature dim {features.dim}"
         )
     out = features.frames @ transform.a.T + transform.b
-    return FeatureMatrix(
-        frames=out,
-        frame_shift_ms=features.frame_shift_ms,
-        speech_mask=features.speech_mask.copy(),
-    )
+    return FeatureMatrix(frames=out, speech_mask=features.speech_mask.copy())
 
 
 def _numbered_lines(path: str | Path) -> list[tuple[int, str]]:

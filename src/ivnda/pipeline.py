@@ -153,9 +153,7 @@ def compute_features(
     else:
         mask = frontend.detect_speech(audio, cfg, buffers=buffers)
         chain.append("sad")
-    feats = frontend.FeatureMatrix(
-        frames=feats.frames, frame_shift_ms=feats.frame_shift_ms, speech_mask=mask
-    )
+    feats = frontend.FeatureMatrix(frames=feats.frames, speech_mask=mask)
     if not mask.any():
         raise NoSpeechError(
             f"recording {entry.recording_id!r} has no speech frames"
@@ -279,7 +277,8 @@ class PosteriorFiles(_RecordFiles[ubm_mod.PosteriorMatrix]):
 
     def digest(self) -> str:
         """Digest of every file's bytes in manifest order, once all are read."""
-        assert all(self._digests), "digest of posterior files not all read"
+        if not all(self._digests):
+            raise ContractError("digest of posterior files not all read")
         return hashlib.blake2b(b"".join(self._digests), digest_size=16).hexdigest()
 
 

@@ -184,7 +184,7 @@ def make_stats_corpus(
     variances = rng.uniform(0.5, 1.5, size=(num_components, dim))
     gmm = DiagonalGmm(weights=weights, means=means, variances=variances)
     t_true = 0.4 * rng.standard_normal((num_components * dim, rank))
-    tv_true = TvModel(t_matrix=t_true, sigma=variances.copy(), rank=rank)
+    tv_true = TvModel(t_matrix=t_true, sigma=variances.copy())
     axis = rng.standard_normal(rank)
     axis /= np.linalg.norm(axis)
 

@@ -84,22 +84,24 @@ CHUNK = 64
 
 @dataclass
 class TvModel:
-    """Total-variability subspace with residual covariances."""
+    """Total-variability subspace with residual covariances; its rank R is
+    the number of columns of T."""
 
     t_matrix: np.ndarray   # (G * D, R); rows grouped by component
     sigma: np.ndarray      # (G, D) diagonal residual variances
-    rank: int
 
     def __post_init__(self) -> None:
         self.t_matrix = np.asarray(self.t_matrix, dtype=np.float64)
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
         g, d = self.sigma.shape
-        if self.t_matrix.shape != (g * d, self.rank):
-            raise ShapeError(
-                f"T must be ({g * d}, {self.rank}), got {self.t_matrix.shape}"
-            )
+        if self.t_matrix.ndim != 2 or self.t_matrix.shape[0] != g * d:
+            raise ShapeError(f"T must have {g * d} rows, got {self.t_matrix.shape}")
         if np.any(self.sigma <= 0):
             raise ShapeError("residual variances must be strictly positive")
+
+    @property
+    def rank(self) -> int:
+        return self.t_matrix.shape[1]
 
     @property
     def num_components(self) -> int:
@@ -303,6 +305,13 @@ def tv_log_likelihood(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel
     return float(sum(per_session))
 
 
+def _check_in_place(out: np.ndarray, target: np.ndarray, routine: str) -> None:
+    """`routine` was asked to write its result into `target`; a copy it
+    returned instead would leave `target` unchanged."""
+    if not np.shares_memory(out, target):
+        raise NumericError(f"{routine} returned a copy instead of writing in place")
+
+
 def _update_t(
     a_acc: np.ndarray, c_blocks: np.ndarray, observed: np.ndarray
 ) -> np.ndarray:
@@ -325,7 +334,7 @@ def _update_t(
             factor[:] = a_acc[comp]
             if not dpftrf(r, factor, transr="N", uplo="L", overwrite_a=1)[1]:
                 out = dpftrs(r, factor, t_g, transr="N", uplo="L", overwrite_b=1)[0]
-                assert np.shares_memory(out, t_blocks)
+                _check_in_place(out, t_blocks, "dpftrs")
                 continue
         a_g = _unpack(a_acc[comp : comp + 1], np.empty((1, r, r)))[0]
         t_g[:] = np.linalg.lstsq(a_g, c_blocks[comp].T, rcond=None)[0]
@@ -360,9 +369,9 @@ def _accumulate(
         ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True)
         eww += ew[:, rows] * ew[:, cols]  # E[ww'] = Cov[w] + E[w] E[w]'
         out = dgemm(1.0, ew.T, f.T, trans_b=1, beta=1.0, c=c_acc.T, overwrite_c=1)
-        assert np.shares_memory(out, c_acc)
+        _check_in_place(out, c_acc, "dgemm")
         out = dgemm(1.0, eww.T, n.T, trans_b=1, beta=1.0, c=a_acc.T, overwrite_c=1)
-        assert np.shares_memory(out, a_acc)
+        _check_in_place(out, a_acc, "dgemm")
         total_ll += float(_session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].sum())
     return total_ll
 
@@ -427,7 +436,7 @@ def train_tv(
         total_ll = _accumulate(chunks, _precompute(t_matrix, sigma, gram), a_acc, c_acc)
 
         if on_iteration is not None:
-            on_iteration(it, TvModel(t_matrix.copy(), sigma.copy(), rank), total_ll)
+            on_iteration(it, TvModel(t_matrix.copy(), sigma.copy()), total_ll)
 
         c_blocks = c_acc.reshape(g, d, rank)
         t_matrix = _update_t(a_acc, c_blocks, active_counts > 0)
@@ -450,7 +459,7 @@ def train_tv(
 
         log.debug("tv iteration %d: log-likelihood %.6f", it, total_ll)
 
-    return TvModel(t_matrix=t_matrix, sigma=sigma, rank=rank)
+    return TvModel(t_matrix=t_matrix, sigma=sigma)
 
 
 def _extract(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> list[IVector]:

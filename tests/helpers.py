@@ -63,14 +63,11 @@ def make_features(
     num_frames: int,
     dim: int,
     mask: np.ndarray | None = None,
-    frame_shift_ms: float = 10.0,
 ) -> FeatureMatrix:
     frames = rng.normal(0.0, 1.5, size=(num_frames, dim))
     if mask is None:
         mask = np.ones(num_frames, dtype=bool)
-    return FeatureMatrix(
-        frames=frames, frame_shift_ms=frame_shift_ms, speech_mask=mask
-    )
+    return FeatureMatrix(frames=frames, speech_mask=mask)
 
 
 def dense_random_posteriors(

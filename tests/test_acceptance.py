@@ -104,9 +104,7 @@ def test_criterion_03_tv_em_recovers_planted_subspace():
         gen = np.random.default_rng(930_000)
         g, d, r = 8, 4, 2
         sigma = gen.uniform(0.5, 1.5, size=(g, d))
-        truth = TvModel(
-            t_matrix=gen.normal(0.0, 1.0, size=(g * d, r)), sigma=sigma, rank=r
-        )
+        truth = TvModel(t_matrix=gen.normal(0.0, 1.0, size=(g * d, r)), sigma=sigma)
         stats = planted_stats(gen, truth, 300, residual=0.0)
         gmm = make_gmm(gen, g, d)
         gmm.variances[:] = sigma

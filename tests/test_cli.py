@@ -258,9 +258,11 @@ class TestStatsRecipe:
         assert len(scores) == 6 * 12
 
     def test_projection_matches_requested_settings(self, stats_ws):
-        proj, _, _ = fileio.read_projection(stats_ws / "proj.ivda")
-        assert proj.method == "nda"
-        assert proj.k == 3
+        proj, _, meta = fileio.read_projection(stats_ws / "proj.ivda")
+        assert meta["stage"] == "da"
+        assert meta["config"] == {
+            "method": "nda", "k": 3, "alpha": 2.0, "dim": 6, "all_pairs": False
+        }
         assert proj.input_dim == 8 and proj.output_dim == 6
 
     def test_scoring_rerun_is_byte_identical(self, stats_ws):
@@ -298,8 +300,10 @@ class TestStatsRecipe:
                 "--label-filter", "spk000[1-6]$",
             ]
         )
-        proj, _, _ = fileio.read_projection(tmp_path / "lda.ivda")
-        assert proj.method == "lda" and proj.output_dim == 4
+        proj, _, meta = fileio.read_projection(tmp_path / "lda.ivda")
+        assert proj.output_dim == 4
+        assert meta["config"]["method"] == "lda" and meta["config"]["all_pairs"] is False
+        assert meta["config"]["label_filter"] == "spk000[1-6]$"
 
     def test_label_filter_matching_nothing(self, stats_ws, tmp_path, capsys):
         rc = main(

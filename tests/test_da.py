@@ -747,13 +747,6 @@ class TestProjectApi:
         with pytest.raises(ShapeError):
             project(np.zeros((4, 5)), proj)
 
-    def test_method_tags(self, rng):
-        _, _, data = random_labeled(rng, 3, 8, 5)
-        lda = compute_lda(data, out_dim=2)
-        nda = compute_nda(data, k=2, alpha=2.0, out_dim=2)
-        assert lda.method == "lda" and lda.k == 0
-        assert nda.method == "nda" and nda.k == 2 and nda.alpha == 2.0
-
     @pytest.mark.parametrize("k", [0, -1])
     def test_nda_k_out_of_range(self, rng, k):
         _, _, data = random_labeled(rng, 3, 8, 5)

@@ -376,7 +376,7 @@ def test_deltas_match_padded_reference_bit_for_bit(rng, context):
     for t in (2 * context + 1, 2 * context + 2, 40):
         frames = rng.normal(size=(t, 5))
         frames[t // 2] = frames[t // 2 - 1]  # exact zero differences
-        got = append_deltas(FeatureMatrix(frames=frames, frame_shift_ms=10.0), context)
+        got = append_deltas(FeatureMatrix(frames=frames), context)
         assert got.frames.tobytes() == reference_deltas(frames, context).tobytes()
 
 
@@ -421,9 +421,7 @@ def test_check_config_frame_geometry_at_both_rates(changes, key):
 
 
 def test_deltas_triple_dimension(rng):
-    feats = FeatureMatrix(
-        frames=rng.normal(size=(40, 13)), frame_shift_ms=10.0
-    )
+    feats = FeatureMatrix(frames=rng.normal(size=(40, 13)))
     out = append_deltas(feats, context=2)
     assert out.frames.shape == (40, 39)
     np.testing.assert_array_equal(out.frames[:, :13], feats.frames)
@@ -434,7 +432,7 @@ def test_delta_of_linear_ramp_is_slope():
     slope = np.array([0.7, -1.2, 3.0])
     frames = t[:, None] * slope[None, :] + 5.0
     out = append_deltas(
-        FeatureMatrix(frames=frames, frame_shift_ms=10.0), context=2
+        FeatureMatrix(frames=frames), context=2
     )
     dim = 3
     deltas = out.frames[:, dim : 2 * dim]
@@ -448,7 +446,7 @@ def test_delta_of_linear_ramp_is_slope():
 def test_delta_matches_direct_regression(rng):
     frames = rng.normal(size=(25, 4))
     out = append_deltas(
-        FeatureMatrix(frames=frames, frame_shift_ms=10.0), context=2
+        FeatureMatrix(frames=frames), context=2
     )
     denom = 2.0 * (1 + 4)
     for t in range(25):
@@ -463,15 +461,13 @@ def test_delta_matches_direct_regression(rng):
 def test_deltas_need_five_frames():
     with pytest.raises(InsufficientDataError):
         append_deltas(
-            FeatureMatrix(frames=np.zeros((4, 3)), frame_shift_ms=10.0), context=2
+            FeatureMatrix(frames=np.zeros((4, 3))), context=2
         )
 
 
 def test_deltas_preserve_mask(rng):
     mask = np.array([True, False, True, True, False, True, True, True])
-    feats = FeatureMatrix(
-        frames=rng.normal(size=(8, 3)), frame_shift_ms=10.0, speech_mask=mask
-    )
+    feats = FeatureMatrix(frames=rng.normal(size=(8, 3)), speech_mask=mask)
     out = append_deltas(feats, context=2)
     np.testing.assert_array_equal(out.speech_mask, mask)
 
@@ -579,7 +575,6 @@ def test_cms_zeroes_speech_mean(rng):
     mask = np.concatenate([np.ones(30, bool), np.zeros(10, bool)])
     feats = FeatureMatrix(
         frames=rng.normal(2.0, 1.0, size=(40, 13)),
-        frame_shift_ms=10.0,
         speech_mask=mask,
     )
     out = apply_cms(feats)
@@ -590,9 +585,7 @@ def test_cms_zeroes_speech_mean(rng):
 
 
 def test_cms_is_idempotent(rng):
-    feats = FeatureMatrix(
-        frames=rng.normal(1.0, 2.0, size=(25, 6)), frame_shift_ms=10.0
-    )
+    feats = FeatureMatrix(frames=rng.normal(1.0, 2.0, size=(25, 6)))
     once = apply_cms(feats)
     twice = apply_cms(once)
     np.testing.assert_allclose(twice.frames, once.frames, atol=1e-12)
@@ -601,7 +594,6 @@ def test_cms_is_idempotent(rng):
 def test_cms_requires_speech(rng):
     feats = FeatureMatrix(
         frames=rng.normal(size=(10, 3)),
-        frame_shift_ms=10.0,
         speech_mask=np.zeros(10, dtype=bool),
     )
     with pytest.raises(NoSpeechError):
@@ -616,7 +608,7 @@ def test_fmllr_applies_affine_map(rng):
 
     a = rng.normal(size=(5, 5)) + 3 * np.eye(5)
     b = rng.normal(size=5)
-    feats = FeatureMatrix(frames=rng.normal(size=(12, 5)), frame_shift_ms=10.0)
+    feats = FeatureMatrix(frames=rng.normal(size=(12, 5)))
     out = apply_fmllr(feats, FmllrTransform(a=a, b=b))
     want = feats.frames @ a.T + b
     np.testing.assert_allclose(out.frames, want, rtol=1e-12)
@@ -626,7 +618,7 @@ def test_fmllr_dim_mismatch(rng):
     from ivnda.frontend import FmllrTransform
 
     tr = FmllrTransform(a=np.eye(4), b=np.zeros(4))
-    feats = FeatureMatrix(frames=rng.normal(size=(6, 5)), frame_shift_ms=10.0)
+    feats = FeatureMatrix(frames=rng.normal(size=(6, 5)))
     with pytest.raises(ShapeError):
         apply_fmllr(feats, tr)
 
@@ -741,16 +733,14 @@ def test_text_errors_count_blank_lines(tmp_path, load, text, where):
 
 def test_speech_frames_filters_rows(rng):
     mask = np.array([True, False, True])
-    feats = FeatureMatrix(
-        frames=rng.normal(size=(3, 2)), frame_shift_ms=10.0, speech_mask=mask
-    )
+    feats = FeatureMatrix(frames=rng.normal(size=(3, 2)), speech_mask=mask)
     np.testing.assert_array_equal(feats.speech_frames(), feats.frames[[0, 2]])
 
 
 def test_feature_matrix_keeps_float32_and_widens_everything_else(rng):
-    assert FeatureMatrix(np.ones((3, 2), np.float32), 10.0).frames.dtype == np.float32
+    assert FeatureMatrix(np.ones((3, 2), np.float32)).frames.dtype == np.float32
     for dtype in (np.float16, np.int32, np.float64):
-        frames = FeatureMatrix(np.ones((3, 2), dtype), 10.0).frames
+        frames = FeatureMatrix(np.ones((3, 2), dtype)).frames
         assert frames.dtype == np.float64
 
 
@@ -760,8 +750,8 @@ def test_transforms_of_float32_frames_are_float64(rng):
     from ivnda.frontend import FmllrTransform
 
     mask = rng.random(40) < 0.7
-    single = FeatureMatrix(rng.normal(size=(40, 4)).astype(np.float32), 10.0, mask)
-    double = FeatureMatrix(single.frames.astype(np.float64), 10.0, mask)
+    single = FeatureMatrix(rng.normal(size=(40, 4)).astype(np.float32), mask)
+    double = FeatureMatrix(single.frames.astype(np.float64), mask)
     transform = FmllrTransform(a=np.eye(4) + 0.1 * rng.normal(size=(4, 4)), b=rng.normal(size=4))
     for apply in (lambda f: append_deltas(f, 2), apply_cms, lambda f: apply_fmllr(f, transform)):
         got, want = apply(single).frames, apply(double).frames
@@ -772,7 +762,6 @@ def test_feature_matrix_rejects_mismatched_mask(rng):
     with pytest.raises(AlignmentError):
         FeatureMatrix(
             frames=rng.normal(size=(4, 2)),
-            frame_shift_ms=10.0,
             speech_mask=np.ones(3, dtype=bool),
         )
 
@@ -781,6 +770,6 @@ def test_feature_matrix_rejects_mismatched_mask(rng):
 @given(st.integers(min_value=5, max_value=60), st.integers(min_value=1, max_value=8))
 def test_delta_dimension_property(t, d):
     gen = np.random.default_rng(t * 100 + d)
-    feats = FeatureMatrix(frames=gen.normal(size=(t, d)), frame_shift_ms=10.0)
+    feats = FeatureMatrix(frames=gen.normal(size=(t, d)))
     out = append_deltas(feats, context=2)
     assert out.frames.shape == (t, 3 * d)

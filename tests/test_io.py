@@ -146,7 +146,6 @@ class TestFeatureRecords:
     def make_features(self, rng, t=30, d=13):
         return FeatureMatrix(
             frames=rng.normal(size=(t, d)),
-            frame_shift_ms=10.0,
             speech_mask=rng.random(t) < 0.7,
         )
 
@@ -160,7 +159,6 @@ class TestFeatureRecords:
         assert loaded.frames.dtype == np.float32 and loaded.frames.flags.writeable
         assert loaded.frames.tobytes() == features.frames.astype(np.float32).tobytes()
         np.testing.assert_array_equal(loaded.speech_mask, features.speech_mask)
-        assert loaded.frame_shift_ms == 10.0
 
     def test_path_naming(self, tmp_path):
         assert feature_path(tmp_path, "abc").name == "abc.ivfa"
@@ -194,7 +192,7 @@ class TestModelFiles:
 
     def test_tv_round_trip(self, rng, tmp_path):
         model = TvModel(
-            t_matrix=rng.normal(size=(12, 4)), sigma=rng.uniform(0.5, 2.0, size=(3, 4)), rank=4
+            t_matrix=rng.normal(size=(12, 4)), sigma=rng.uniform(0.5, 2.0, size=(3, 4))
         )
         path = tmp_path / "tv.ivtv"
         write_tv_model(path, model, fp=9, meta=META)
@@ -371,41 +369,24 @@ class TestStatsArchive:
 
 
 class TestProjectionFiles:
-    def make_projection(self, rng, method="nda", k=8, alpha=2.0):
+    def make_projection(self, rng):
         basis = rng.normal(size=(10, 4))
         basis /= np.linalg.norm(basis, axis=0)
         return Projection(
-            basis=basis,
-            eigenvalues=np.sort(rng.uniform(0.1, 5.0, size=4))[::-1],
-            method=method,
-            k=k,
-            alpha=alpha,
+            basis=basis, eigenvalues=np.sort(rng.uniform(0.1, 5.0, size=4))[::-1]
         )
 
     @pytest.mark.parametrize("method,k,alpha", [("lda", 0, 0.0), ("nda", 8, 2.0)])
     def test_round_trip(self, rng, tmp_path, method, k, alpha):
-        proj = self.make_projection(rng, method, k, alpha)
+        # The settings travel in the header metadata; the payload is data.
+        proj = self.make_projection(rng)
+        meta = {"stage": "da", "config": {"method": method, "k": k, "alpha": alpha}}
         path = tmp_path / "proj.ivda"
-        write_projection(path, proj, fp=13, meta=META)
-        loaded, fp, _ = read_projection(path)
-        assert fp == 13
-        assert loaded.method == method and loaded.k == k and loaded.alpha == alpha
+        write_projection(path, proj, fp=13, meta=meta)
+        loaded, fp, loaded_meta = read_projection(path)
+        assert fp == 13 and loaded_meta == meta
         np.testing.assert_array_equal(loaded.basis, proj.basis)
         np.testing.assert_array_equal(loaded.eigenvalues, proj.eigenvalues)
-
-    def test_untagged_method_rejected(self, rng, tmp_path):
-        proj = self.make_projection(rng, method="")
-        with pytest.raises(ValueError):
-            write_projection(tmp_path / "proj.ivda", proj, fp=0, meta={})
-
-    def test_unknown_method_tag_rejected(self, rng, tmp_path):
-        path = tmp_path / "proj.ivda"
-        write_projection(path, self.make_projection(rng), fp=0, meta={})
-        meta_len = struct.unpack_from("<I", path.read_bytes(), 16)[0]
-        tag_offset = HEADER_FIXED + meta_len + 8
-        corrupt(path, tag_offset, struct.pack("<I", 99))
-        with pytest.raises(FormatError):
-            read_projection(path)
 
 
 # --- corrupt headers -------------------------------------------------------
@@ -419,19 +400,17 @@ def _plda(rng, m=3):
 # One small artifact of each binary format: (writer, reader, make(rng)).
 FORMATS = {
     "ivfa": (write_feature_record, read_feature_record, lambda rng: FeatureMatrix(
-        frames=rng.normal(size=(5, 3)), frame_shift_ms=10.0,
-        speech_mask=np.array([1, 0, 1, 1, 0], dtype=bool))),
+        frames=rng.normal(size=(5, 3)), speech_mask=np.array([1, 0, 1, 1, 0], dtype=bool))),
     "ivgm": (write_gmm, read_gmm, lambda rng: make_gmm(rng, 4, 3)),
     "ivbw": (write_stats_archive, read_stats_archive, lambda rng: [
         BwStats(n=rng.uniform(1.0, 5.0, size=4), f=rng.normal(size=(4, 2)),
                 recording_id=f"rec{i}") for i in range(2)]),
     "ivtv": (write_tv_model, read_tv_model, lambda rng: TvModel(
-        t_matrix=rng.normal(size=(6, 2)), sigma=rng.uniform(0.5, 2.0, size=(3, 2)), rank=2)),
+        t_matrix=rng.normal(size=(6, 2)), sigma=rng.uniform(0.5, 2.0, size=(3, 2)))),
     "iviv": (write_ivector_archive, read_ivector_archive, lambda rng: [
         IVector(w=rng.normal(size=3), recording_id=f"rec{i}") for i in range(2)]),
     "ivda": (write_projection, read_projection, lambda rng: Projection(
-        basis=np.eye(4)[:, :2], eigenvalues=np.array([2.0, 1.0]), method="nda", k=3,
-        alpha=2.0)),
+        basis=np.eye(4)[:, :2], eigenvalues=np.array([2.0, 1.0]))),
     "ivnz": (write_normalizer, read_normalizer, lambda rng: Normalizer(
         mean=rng.normal(size=3), whitener=rng.normal(size=(3, 3)))),
     "ivpl": (write_plda, read_plda, _plda),
@@ -515,6 +494,45 @@ class TestCorruptFiles:
         path.write_bytes(b"")
         with pytest.raises(FormatError):
             read_gmm(path)
+
+
+def _earlier_layout(magic, dims, *parts):
+    """An artifact in the layout written before projections and feature
+    records dropped the settings block from their payloads."""
+    meta = b'{"stage":"test"}'
+    header = struct.pack("<4sIQI", magic, 1, 1, len(meta)) + meta
+    return header + dims + b"".join(parts)
+
+
+class TestEarlierLayouts:
+    """Version 1 files whose payload still holds the settings (a projection's
+    method tag, k and alpha; a feature record's frame shift) are rejected,
+    never misread."""
+
+    # Zero frames read as valid mask bytes, so only the trailing bytes tell.
+    @pytest.mark.parametrize("frames", ["zeros", "normal"])
+    def test_feature_record_with_frame_shift(self, rng, tmp_path, frames):
+        t, d = 6, 3
+        values = np.zeros((t, d)) if frames == "zeros" else rng.normal(size=(t, d))
+        path = feature_path(tmp_path, "rec1")
+        path.write_bytes(_earlier_layout(
+            b"IVFA", struct.pack("<IIf", t, d, 10.0),
+            values.astype("<f4").tobytes(), bytes([1, 0, 1, 1, 0, 1]),
+        ))
+        with pytest.raises(FormatError) as exc:
+            read_feature_record(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_projection_with_method_block(self, tmp_path):
+        r, m = 4, 2
+        path = tmp_path / "proj.ivda"
+        path.write_bytes(_earlier_layout(
+            b"IVDA", struct.pack("<IIIId", r, m, 1, 3, 2.0),  # nda, k=3, alpha=2
+            np.eye(r)[:, :m].astype("<f8").tobytes(), np.array([2.0, 1.0]).tobytes(),
+        ))
+        with pytest.raises(FormatError) as exc:
+            read_projection(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 # --- manifests -------------------------------------------------------------

@@ -126,6 +126,18 @@ def test_train_ubm_from_posteriors_memory_does_not_grow_with_recordings(tmp_path
     assert grown < post_bytes, (grown, post_bytes)
 
 
+def test_posterior_digest_needs_every_file_read(tmp_path, rng):
+    """An explicit check, so it holds under ``python -O`` as well."""
+    entries = [ManifestEntry(recording_id=f"rec{i}", audio_path="") for i in range(2)]
+    _write_posteriors(tmp_path / "post", entries, rng, 4)
+    files = pipeline.PosteriorFiles(tmp_path / "post", ["rec0", "rec1"], 4)
+    files[0]
+    with pytest.raises(ContractError, match="not all read"):
+        files.digest()
+    files[1]
+    assert len(files.digest()) == len(pipeline.PosteriorFiles.DIGEST_PLACEHOLDER)
+
+
 def test_train_ubm_peak_is_one_copy_of_the_pooled_speech_frames(tmp_path, rng):
     count = 128
     entries = _write_records(tmp_path / "feats", count, rng)
@@ -195,7 +207,7 @@ def tv_inputs(tmp_path, rng):
     """A UBM of G=64 and a rank-4 TV model on statistics fingerprinted 7."""
     g, rank = 64, 4
     fileio.write_gmm(tmp_path / "ubm.ivgm", make_gmm(rng, g, DIM), 99, {})
-    model = TvModel(rng.normal(size=(g * DIM, rank)), np.ones((g, DIM)), rank)
+    model = TvModel(rng.normal(size=(g * DIM, rank)), np.ones((g, DIM)))
     fileio.write_tv_model(tmp_path / "tv.ivtv", model, 8, {"upstream": {"stats": 7}})
     return g
 

@@ -36,7 +36,7 @@ from ivnda.tv import (
 def random_model(gen: np.random.Generator, g: int, d: int, r: int) -> TvModel:
     t = gen.normal(0.0, 0.8, size=(g * d, r))
     sigma = gen.uniform(0.4, 1.6, size=(g, d))
-    return TvModel(t_matrix=t, sigma=sigma, rank=r)
+    return TvModel(t_matrix=t, sigma=sigma)
 
 
 def random_centered_stats(
@@ -350,7 +350,7 @@ def test_training_recovers_planted_subspace():
     g, d, r = 6, 3, 2
     sigma = np.full((g, d), 0.8)
     t_true = gen.normal(0.0, 1.0, size=(g * d, r))
-    truth = TvModel(t_matrix=t_true, sigma=sigma, rank=r)
+    truth = TvModel(t_matrix=t_true, sigma=sigma)
     stats = planted_stats(gen, truth, 150, residual=0.0)
     gmm = make_gmm(gen, g, d)
     gmm.variances[:] = sigma
@@ -371,9 +371,7 @@ def test_training_with_sigma_reestimation_tightens_residuals():
     gen = np.random.default_rng(78)
     g, d, r = 5, 2, 2
     sigma = np.full((g, d), 1.0)
-    truth = TvModel(
-        t_matrix=gen.normal(size=(g * d, r)), sigma=sigma, rank=r
-    )
+    truth = TvModel(t_matrix=gen.normal(size=(g * d, r)), sigma=sigma)
     stats = planted_stats(gen, truth, 120, residual=0.0)
     gmm = make_gmm(gen, g, d)
     gmm.variances[:] = 1.0
@@ -392,7 +390,6 @@ def test_training_ll_monotone_with_noise():
     truth = TvModel(
         t_matrix=gen.normal(size=(g * d, r)),
         sigma=gen.uniform(0.5, 1.2, size=(g, d)),
-        rank=r,
     )
     stats = planted_stats(gen, truth, 60, residual=1.0)
     gmm = make_gmm(gen, g, d)
@@ -481,6 +478,20 @@ def test_non_finite_model_rejected(rng):
         extract_ivector(random_centered_stats(rng, 3, 2), zero_mean_gmm(3, 2), model)
 
 
+@pytest.mark.parametrize("routine,overwrite", [("dgemm", "overwrite_c"), ("dpftrs", "overwrite_b")])
+def test_blas_result_not_written_in_place_raises(rng, monkeypatch, routine, overwrite):
+    """A routine that returns a copy leaves the accumulator or T unchanged;
+    that is an error, also under ``python -O``, not an all-zero model."""
+    from ivnda import tv
+
+    real = getattr(tv, routine)
+    monkeypatch.setattr(tv, routine, lambda *a, **kw: real(*a, **{**kw, overwrite: 0}))
+    gmm = make_gmm(rng, 3, 2)
+    stats = [random_centered_stats(rng, 3, 2) for _ in range(5)]
+    with pytest.raises(NumericError, match=f"{routine} returned a copy"):
+        train_tv(stats, gmm, rank=2, iters=1)
+
+
 def test_train_rejects_bad_rank(rng):
     gmm = make_gmm(rng, 3, 2)
     stats = [random_centered_stats(rng, 3, 2) for _ in range(10)]
@@ -546,9 +557,12 @@ def test_tv_log_likelihood_sums_sessions(rng):
 
 def test_model_validates_shapes():
     with pytest.raises(ShapeError):
-        TvModel(t_matrix=np.zeros((5, 2)), sigma=np.ones((2, 2)), rank=2)
+        TvModel(t_matrix=np.zeros((5, 2)), sigma=np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        TvModel(t_matrix=np.zeros((4, 2)), sigma=np.zeros((2, 2)), rank=2)
+        TvModel(t_matrix=np.zeros(4), sigma=np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        TvModel(t_matrix=np.zeros((4, 2)), sigma=np.zeros((2, 2)))
+    assert TvModel(t_matrix=np.zeros((4, 3)), sigma=np.ones((2, 2))).rank == 3
 
 
 def test_ivector_container():

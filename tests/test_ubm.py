@@ -379,14 +379,14 @@ def test_train_gmm_errors_match_the_concatenated_reference(
 
 def _as_float32(feats):
     return [
-        FeatureMatrix(f.frames.astype(np.float32), f.frame_shift_ms, f.speech_mask)
+        FeatureMatrix(f.frames.astype(np.float32), f.speech_mask)
         for f in feats
     ]
 
 
 def _upcast(feats):
     return [
-        FeatureMatrix(f.frames.astype(np.float64), f.frame_shift_ms, f.speech_mask)
+        FeatureMatrix(f.frames.astype(np.float64), f.speech_mask)
         for f in feats
     ]
 
@@ -522,7 +522,7 @@ def test_train_gmm_finds_separated_clusters():
         [gen.normal(c, 1.0, size=(300, 2)) for c in centers]
     )
     gen.shuffle(frames)
-    feats = FeatureMatrix(frames=frames, frame_shift_ms=10.0)
+    feats = FeatureMatrix(frames=frames)
     gmm = train_gmm([feats], 4, iters_per_level=10)
     assert gmm.num_components == 4
     np.testing.assert_allclose(gmm.weights.sum(), 1.0, rtol=1e-12)
@@ -548,7 +548,7 @@ def test_train_gmm_respects_variance_floor():
     base = gen.normal(size=(1, 2))
     frames = np.repeat(base, 220, axis=0) + gen.normal(0, 1e-9, size=(220, 2))
     frames[:110] += 5.0
-    feats = FeatureMatrix(frames=frames, frame_shift_ms=10.0)
+    feats = FeatureMatrix(frames=frames)
     gmm = train_gmm([feats], 2)
     floor = 1e-3 * frames.var(axis=0)
     assert np.all(gmm.variances >= floor * (1 - 1e-12))
@@ -576,7 +576,7 @@ def test_train_gmm_improves_over_single_gaussian(rng):
             rng.normal(4.0, 0.5, size=(300, 2)),
         ]
     )
-    feats = FeatureMatrix(frames=frames, frame_shift_ms=10.0)
+    feats = FeatureMatrix(frames=frames)
     g1 = train_gmm([feats], 1)
     g2 = train_gmm([feats], 2)
     assert mean_log_likelihood(g2, frames) > mean_log_likelihood(g1, frames) + 0.5
@@ -589,7 +589,7 @@ def test_supervised_hard_assignments_recover_cluster_moments(rng):
     frames_a = rng.normal(-3.0, 0.7, size=(60, 2))
     frames_b = rng.normal(3.0, 1.1, size=(40, 2))
     frames = np.concatenate([frames_a, frames_b])
-    feats = FeatureMatrix(frames=frames, frame_shift_ms=10.0)
+    feats = FeatureMatrix(frames=frames)
     dense = np.zeros((100, 2))
     dense[:60, 0] = 1.0
     dense[60:, 1] = 1.0
