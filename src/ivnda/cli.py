@@ -224,7 +224,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     presets = _dcf_presets(args)
     # Only the aligned (values, targets) outlive the match, not the two lists.
     values, targets = fileio.match_scores_to_key(
-        fileio.read_scores(Path(args.scores)), fileio.read_key(Path(args.key))
+        fileio.read_scores(Path(args.scores)), fileio.read_key(Path(args.key)), args.scores
     )
     trials = metrics.TrialSet(scores=values, targets=targets)
     num_targets = int(trials.targets.sum())

@@ -42,7 +42,8 @@ Formats:
 * ``IVGM``  diagonal GMM: G, D, weights/means/variances f64.
 * ``IVBW``  stats archive: count; per record id, G, D, n f64[G], f f64[G*D].
 * ``IVTV``  subspace model: G, D, R, sigma f64[G*D], T f64[(G*D)*R].
-* ``IVIV``  i-vector archive: count, R; per record id, w f64[R].
+* ``IVIV``  i-vector archive: count N, R; per record id, w f64[R].  It is
+  read and written as (ids, vectors), the i-vectors one (N, R) array.
 * ``IVDA``  projection: R, M, basis f64[R*M], eigenvalues f64[M].
 * ``IVNZ``  normaliser: M, mean f64[M], whitener f64[M*M].
 * ``IVPL``  PLDA model: M, mu f64[M], B f64[M*M], W f64[M*M].
@@ -77,10 +78,10 @@ import numpy as np
 
 from .backend import Normalizer, PldaModel
 from .da import Projection
-from .errors import FormatError, KeyMismatchError, read_text
+from .errors import DataError, FormatError, KeyMismatchError, read_text
 from .frontend import FeatureMatrix
 from .stats import BwStats, check_shape
-from .tv import IVector, TvModel
+from .tv import TvModel
 from .ubm import DiagonalGmm
 
 FORMAT_VERSION = 1
@@ -181,6 +182,11 @@ class _Fields:
         if len(data) != n:
             raise FormatError(f"{self.path}: truncated file")
         return data
+
+    def require(self, n: int) -> None:
+        """A truncated file unless `n` more bytes are left (checked before allocating)."""
+        if os.fstat(self._fh.fileno()).st_size - self._fh.tell() < n:
+            raise FormatError(f"{self.path}: truncated file")
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
@@ -413,25 +419,30 @@ def read_tv_model(path: str | Path) -> tuple[TvModel, int, dict]:
 
 
 def write_ivector_archive(
-    path: str | Path, ivectors: Sequence[IVector], fp: int, meta: dict
+    path: str | Path, ivectors: tuple[Sequence[str], np.ndarray], fp: int, meta: dict
 ) -> None:
-    rank = ivectors[0].rank if ivectors else 0
-    parts: list[bytes | np.ndarray] = [struct.pack("<II", len(ivectors), rank)]
-    for iv in ivectors:
-        if iv.rank != rank:
-            raise ValueError("all i-vectors in an archive must share a rank")
-        parts += [_pack_str(iv.recording_id), iv.w]
+    """Write i-vectors given as (ids, vectors): row i of the (N, R)
+    `vectors` is the i-vector of recording ``ids[i]``."""
+    ids, vectors = ivectors
+    if vectors.ndim != 2 or len(vectors) != len(ids):
+        raise ValueError(f"{path}: i-vectors of shape {vectors.shape} are not one row per id")
+    parts: list[bytes | np.ndarray] = [struct.pack("<II", *vectors.shape)]
+    for rec_id, w in zip(ids, vectors):
+        parts += [_pack_str(rec_id), w]
     _write(path, b"IVIV", fp, meta, parts)
 
 
-def read_ivector_archive(path: str | Path) -> tuple[list[IVector], int, dict]:
-    out = []
+def read_ivector_archive(path: str | Path) -> tuple[tuple[list[str], np.ndarray], int, dict]:
+    """((ids, vectors), fingerprint, metadata), with the i-vectors as the
+    rows of one (N, R) array."""
     with _reading(path, b"IVIV") as (fields, fp, meta):
         count, rank = fields.unpack("<II")
-        for _ in range(count):
-            rec_id = fields.text()
-            out.append(IVector(w=fields.f64(rank), recording_id=rec_id))
-    return out, fp, meta
+        fields.require(count * (4 + 8 * rank))
+        ids, vectors = [], np.empty((count, rank))
+        for row in vectors:
+            ids.append(fields.text())
+            row[:] = fields.f64(rank)
+    return (ids, vectors), fp, meta
 
 
 # --- projection -----------------------------------------------------------
@@ -932,8 +943,18 @@ def write_scores(path: str | Path, scores: Trials) -> None:
     _write_rows(path, "%s %s %.17g\n", scores, np.ndarray.tolist, "score")
 
 
-def match_scores_to_key(scores: Trials, key: Trials) -> tuple[np.ndarray, np.ndarray]:
-    """Align a score list with a key; every scored trial must be in the key."""
+def match_scores_to_key(
+    scores: Trials, key: Trials, source: str | Path = "scores"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Align a score list, read from `source`, with a key; every scored
+    trial must have a finite score and be in the key."""
+    bad = np.flatnonzero(~np.isfinite(scores.values))
+    if bad.size:
+        enroll, test = scores.ids(bad[0])
+        raise DataError(
+            f"{source}: trial ({enroll}, {test}) has a non-finite score "
+            f"{float(scores.values[bad[0]])}"
+        )
     rows = key.locate(scores)
     missing = np.flatnonzero(rows < 0)
     if missing.size:

@@ -145,6 +145,8 @@ class FmllrTransform:
             raise ShapeError("fMLLR A must be square")
         if self.b.shape != (self.a.shape[0],):
             raise ShapeError("fMLLR b must match A's dimension")
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+            raise MatrixError("fMLLR A and b must be finite")
         sign, logdet = np.linalg.slogdet(self.a)
         if sign == 0 or not np.isfinite(logdet) or np.linalg.cond(self.a) > 1e12:
             raise MatrixError("fMLLR A is singular or numerically non-invertible")
@@ -529,7 +531,7 @@ def load_fmllr(path: str | Path) -> FmllrTransform:
     """Read an affine transform from a text file.
 
     Line 1 is the dimension D; the next D lines hold D+1 whitespace-separated
-    reals, one row of [A | b] each.
+    finite reals, one row of [A | b] each.
     """
     lines = _numbered_lines(path)
     if not lines:
@@ -552,6 +554,8 @@ def load_fmllr(path: str | Path) -> FmllrTransform:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise FormatError(f"{path}:{i}: non-numeric value") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise FormatError(f"{path}:{i}: non-finite value")
     matrix = np.asarray(rows)
     return FmllrTransform(a=matrix[:, :dim], b=matrix[:, dim])
 
@@ -568,7 +572,8 @@ def load_sad_mask(
 
     * one ``0``/``1`` per line, exactly `count` lines (frame mask);
     * ``start end`` seconds per line (speech segments); a frame is speech
-      when its centre falls inside a segment.
+      when its centre falls inside a segment.  An ``inf`` end runs to the
+      end of the recording; a ``nan`` bound is rejected.
     """
     lines = _numbered_lines(path)
     if not lines:
@@ -584,6 +589,8 @@ def load_sad_mask(
                 start, end = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise FormatError(f"{path}:{i}: non-numeric segment bound") from exc
+            if math.isnan(start) or math.isnan(end):
+                raise FormatError(f"{path}:{i}: segment bound is not a number")
             if end <= start:
                 raise FormatError(f"{path}:{i}: segment end must exceed start")
             segments.append((start, end))

@@ -394,13 +394,13 @@ def extract_ivectors_stage(
         model, tv_fp, tv_meta = fileio.read_tv_model(tv_path)
         _require(stats_path, archive.meta, "ubm", ubm_fp)
         _require(tv_path, tv_meta, "stats", archive.fingerprint)
-        ivectors = tv_mod.extract_ivectors(archive, gmm, model)
+        ivectors = (archive.recording_ids, tv_mod.extract_ivectors(archive, gmm, model))
     upstream = {"stats": archive.fingerprint, "tv": tv_fp, "ubm": ubm_fp}
     fileio.write_ivector_archive(out_path, ivectors, *_provenance("ivectors", {}, upstream))
 
 
 def _labels_for(
-    ivectors: Sequence[tv_mod.IVector], manifest_path: Path, label_filter: str = ""
+    ivectors: tuple[list[str], np.ndarray], manifest_path: Path, label_filter: str = ""
 ) -> da_mod.LabeledVectors:
     import re
 
@@ -409,26 +409,20 @@ def _labels_for(
     except re.error as exc:
         raise ValueError(f"label filter {label_filter!r} is not a valid pattern: {exc}") from exc
     entries = {e.recording_id: e for e in fileio.read_manifest(manifest_path)}
-    vectors, labels = [], []
-    for iv in ivectors:
-        entry = entries.get(iv.recording_id)
+    ids, vectors = ivectors
+    keep, labels = np.zeros(len(ids), dtype=bool), []
+    for i, rec_id in enumerate(ids):
+        entry = entries.get(rec_id)
         if entry is None:
-            raise DataError(
-                f"recording {iv.recording_id!r} is not in the manifest"
-            )
+            raise DataError(f"recording {rec_id!r} is not in the manifest")
         if not entry.speaker:
-            raise DataError(
-                f"recording {iv.recording_id!r} has no speaker label"
-            )
-        if pattern is not None and not pattern.search(entry.speaker):
-            continue
-        vectors.append(iv.w)
-        labels.append(entry.speaker)
-    if not vectors:
+            raise DataError(f"recording {rec_id!r} has no speaker label")
+        if pattern is None or pattern.search(entry.speaker):
+            keep[i] = True
+            labels.append(entry.speaker)
+    if not labels:
         raise InsufficientDataError("label filter left no training vectors")
-    return da_mod.LabeledVectors(
-        vectors=np.asarray(vectors), labels=np.asarray(labels)
-    )
+    return da_mod.LabeledVectors(vectors=vectors[keep], labels=np.asarray(labels))
 
 
 def _filtered(config: dict, label_filter: str) -> dict:
@@ -526,13 +520,15 @@ def score_stage(
     trials = fileio.read_trials(trials_path)
 
     def prepare(
-        ivs: Sequence[tv_mod.IVector], vocab: list[str], codes: np.ndarray
+        ivs: tuple[list[str], np.ndarray], vocab: list[str], codes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The normalised vectors, and the row in them of each trial's
         recording (-1 where there is none); ids are looked up once each."""
-        index = {iv.recording_id: i for i, iv in enumerate(ivs)}
+        ids, raw = ivs
+        index = {rec_id: i for i, rec_id in enumerate(ids)}
         rows = np.fromiter(map(index.get, vocab, repeat(-1)), dtype=np.int32, count=len(vocab))
-        raw = np.stack([iv.w for iv in ivs]) if ivs else np.zeros((0, proj.input_dim))
+        # an empty archive may record R = 0; it has no rows to project either way
+        raw = raw if ids else np.empty((0, proj.input_dim))
         vecs = backend_mod.normalize_rows(da_mod.project(raw, proj), normalizer)
         return vecs, rows[codes]
 
@@ -721,13 +717,7 @@ def write_ivector_corpus(
         ("test", corpus.test),
     ):
         fileio.write_ivector_archive(
-            out_dir / f"{name}.iviv",
-            [
-                tv_mod.IVector(w=vec, recording_id=rid)
-                for rid, vec in zip(split.ids, split.vectors)
-            ],
-            iv_fp,
-            meta,
+            out_dir / f"{name}.iviv", (split.ids, split.vectors), iv_fp, meta
         )
         fileio.write_manifest(
             out_dir / f"{name}.manifest",

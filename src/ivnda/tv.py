@@ -32,6 +32,8 @@ component's accumulator row into one R(R+1)/2 buffer, factors it there
 A short chunk is padded with zero-count rows (``L = I``), so every product
 has the same shape and a session's result does not depend on which
 sessions share its chunk (single and batch extraction agree to the bit).
+Extraction outputs one (N, R) array, each chunk's posterior means copied
+into its rows, so row i is the i-vector of the i-th session.
 Entry points take raw statistics as a sequence: a list of
 :class:`~ivnda.stats.BwStats`, or a :class:`~ivnda.fileio.StatsArchive`,
 which reads each chunk's records from its file straight into the chunk's
@@ -41,7 +43,7 @@ checked (finite values, non-negative counts, the UBM's (G, D)) and
 centered in place.  So the statistics take one chunk, CHUNK * G * (D + 1)
 doubles (42 MB at G=2048, D=39), whatever the number of sessions; an
 archive adds its record ids and offsets, a list input itself.  Besides
-that and the outputs (an R-vector per session when extracting), memory is
+that and the outputs (the (N, R) array when extracting), memory is
 bounded by the (G, R(R+1)/2) packed gram and, in training, the packed
 second-order accumulator, plus (G * D, R) arrays for T and the first-order
 accumulator and a few (CHUNK, R, R) and (CHUNK, G * D) ones.  Training
@@ -110,23 +112,6 @@ class TvModel:
     @property
     def dim(self) -> int:
         return self.sigma.shape[1]
-
-
-@dataclass
-class IVector:
-    """Posterior-mean subspace coordinates of one recording."""
-
-    w: np.ndarray
-    recording_id: str = ""
-
-    def __post_init__(self) -> None:
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.ndim != 1:
-            raise ShapeError("i-vector must be 1-D")
-
-    @property
-    def rank(self) -> int:
-        return self.w.shape[0]
 
 
 def _check_model(gmm: DiagonalGmm, model: TvModel) -> None:
@@ -462,23 +447,19 @@ def train_tv(
     return TvModel(t_matrix=t_matrix, sigma=sigma)
 
 
-def _extract(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> list[IVector]:
+def extract_ivector(stats: BwStats, gmm: DiagonalGmm, model: TvModel) -> np.ndarray:
+    """Posterior-mean i-vector (R,) of one recording's raw statistics."""
+    return extract_ivectors([stats], gmm, model)[0]
+
+
+def extract_ivectors(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> np.ndarray:
+    """Posterior-mean i-vectors of many recordings, `CHUNK` sessions at a
+    time: a (len(stats), R) array whose row i belongs to ``stats[i]``."""
     _check_model(gmm, model)
-    if not stats:
-        return []
     pre = _precompute(model.t_matrix, model.sigma)
-    out = []
+    out = np.empty((len(stats), model.rank))
+    start = 0
     for ids, n, f in _Chunks(stats, gmm):
-        ew, _, _, _ = _posterior(pre, n, f)
-        out.extend(IVector(w=w, recording_id=rec_id) for rec_id, w in zip(ids, ew))
+        out[start : start + len(ids)] = _posterior(pre, n, f)[0][: len(ids)]
+        start += len(ids)
     return out
-
-
-def extract_ivector(stats: BwStats, gmm: DiagonalGmm, model: TvModel) -> IVector:
-    """Posterior-mean i-vector of one recording's raw statistics."""
-    return _extract([stats], gmm, model)[0]
-
-
-def extract_ivectors(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel) -> list[IVector]:
-    """Extract i-vectors for many recordings, `CHUNK` sessions at a time."""
-    return _extract(stats, gmm, model)

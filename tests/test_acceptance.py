@@ -163,7 +163,7 @@ def test_criterion_04_ivector_matches_map_oracle():
                 gen, g, d, zero_components=int(gen.integers(0, 2))
             )
             got = extract_ivector(stats, zero_mean_gmm(g, d), model)
-            np.testing.assert_allclose(got.w, map_oracle(model, stats), atol=1e-6)
+            np.testing.assert_allclose(got, map_oracle(model, stats), atol=1e-6)
 
 
 # --- 5. nearest-neighbour scatter ------------------------------------------

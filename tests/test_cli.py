@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -380,6 +381,36 @@ class TestStatsRecipe:
         assert "ghost" in capsys.readouterr().err
         assert len(fileio.read_scores(tmp_path / "scores.txt")) == 3
 
+    @pytest.mark.parametrize("recorded_rank", ["R", "zero"])
+    def test_empty_enroll_archive_skips_every_trial(
+        self, stats_ws, tmp_path, capsys, recorded_rank
+    ):
+        """An enroll archive without i-vectors leaves every trial unknown,
+        whether it records the rank R of its (0, R) array or R = 0."""
+        (_, vectors), fp, meta = fileio.read_ivector_archive(stats_ws / "enroll.iviv")
+        empty = tmp_path / "enroll.iviv"
+        fileio.write_ivector_archive(empty, ([], vectors[:0]), fp, meta)
+        if recorded_rank == "zero":
+            data = bytearray(empty.read_bytes())
+            assert struct.unpack_from("<II", data, len(data) - 8) == (0, vectors.shape[1])
+            struct.pack_into("<I", data, len(data) - 4, 0)
+            empty.write_bytes(bytes(data))
+            assert fileio.read_ivector_archive(empty)[0][1].shape == (0, 0)
+        rc = main(
+            [
+                "score", "--enroll", str(empty),
+                "--test", str(stats_ws / "test.iviv"), "--trials", str(stats_ws / "trials.txt"),
+                "--projection", str(stats_ws / "proj.ivda"),
+                "--normalizer", str(stats_ws / "norm.ivnz"),
+                "--plda", str(stats_ws / "plda.ivpl"),
+                "--out", str(tmp_path / "scores.txt"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        num_trials = len(fileio.read_trials(stats_ws / "trials.txt"))
+        assert f"\n{num_trials} trial(s) skipped" in capsys.readouterr().err
+        assert len(fileio.read_scores(tmp_path / "scores.txt")) == 0
+
     def test_duplicate_trial_is_a_data_error(self, stats_ws, tmp_path, capsys):
         lines = (stats_ws / "trials.txt").read_text().splitlines()
         dup_trials = tmp_path / "trials.txt"
@@ -475,6 +506,19 @@ class TestEvaluate:
             np.mean(~accepted[targets]), np.mean(accepted[~targets]), metrics.DCF_PRESETS["sre08"]
         )
         assert cost == 1.0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_a_data_error(self, tmp_path, capsys, bad):
+        """Named with its file and the first such trial; a second one
+        (e3, t3) is not the one reported."""
+        scores, key = tmp_path / "scores.txt", tmp_path / "key.txt"
+        scores.write_text(f"e0 t0 0.5\ne1 t1 {bad}\ne2 t2 1.5\ne3 t3 nan\n")
+        key.write_text("e0 t0 target\ne1 t1 nontarget\ne2 t2 target\ne3 t3 nontarget\n")
+        rc = main(["evaluate", "--scores", str(scores), "--key", str(key)])
+        assert rc == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {scores}: trial (e1, t1) has a non-finite score {float(bad)}\n"
 
     def test_det_outputs(self, stats_ws, tmp_path):
         run_ok(
@@ -1302,8 +1346,8 @@ class TestExitCodes:
         assert not (tmp_path / "scores.txt").exists()
 
     def test_non_utf8_record_id_rejected(self, stats_ws, tmp_path, capsys):
-        records, _, _ = fileio.read_ivector_archive(stats_ws / "train.iviv")
-        rec_id = records[0].recording_id.encode()
+        (ids, _), _, _ = fileio.read_ivector_archive(stats_ws / "train.iviv")
+        rec_id = ids[0].encode()
         bad = tmp_path / "train.iviv"
         bad.write_bytes(
             (stats_ws / "train.iviv").read_bytes().replace(rec_id, rec_id[:-1] + b"\xff", 1)

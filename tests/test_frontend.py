@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 import wave
 
 import numpy as np
@@ -630,6 +631,21 @@ def test_fmllr_singular_matrix_rejected():
         FmllrTransform(a=np.zeros((3, 3)), b=np.zeros(3))
 
 
+@pytest.mark.parametrize("where", ["a", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fmllr_non_finite_entries_rejected_without_a_warning(where, bad):
+    """Checked before the determinant, which would warn on an infinite A
+    and then call it singular."""
+    from ivnda.frontend import FmllrTransform
+
+    a, b = np.eye(3), np.zeros(3)
+    (a[1] if where == "a" else b)[2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixError, match="must be finite"):
+            FmllrTransform(a=a, b=b)
+
+
 def test_load_fmllr_round_trip(tmp_path, rng):
     a = rng.normal(size=(3, 3)) + 2 * np.eye(3)
     b = rng.normal(size=3)
@@ -651,6 +667,9 @@ def test_load_fmllr_round_trip(tmp_path, rng):
         "2\n1 0 0\n",                 # missing row
         "2\n1 0 0\n0 1\n",            # short row
         "2\n1 0 0\n0 one 0\n",        # non-numeric
+        "2\n1 0 nan\n0 1 0\n",        # NaN offset
+        "2\n1 0 0\n0 1 -inf\n",       # infinite offset
+        "2\ninf 0 0\n0 1 0\n",        # infinite entry of A
     ],
 )
 def test_load_fmllr_rejects_malformed(tmp_path, text):
@@ -677,6 +696,18 @@ def test_sad_mask_binary_count_mismatch(tmp_path):
         load_sad_mask(path, 5, 8000, FrontendConfig())
 
 
+def test_sad_mask_infinite_end_runs_to_the_last_frame(tmp_path):
+    cfg = FrontendConfig()
+    path = tmp_path / "m.sad"
+    path.write_text("0.10 inf\n")
+    count = 60
+    mask = load_sad_mask(path, count, 8000, cfg)
+    frame_len, shift = frame_geometry(8000, cfg)
+    centers = (np.arange(count) * shift + frame_len / 2.0) / 8000.0
+    np.testing.assert_array_equal(mask, centers >= 0.10)
+    assert mask[-1] and not mask[0]
+
+
 def test_sad_mask_segments_select_frame_centers(tmp_path):
     cfg = FrontendConfig()
     path = tmp_path / "m.sad"
@@ -699,6 +730,9 @@ def test_sad_mask_segments_select_frame_centers(tmp_path):
         "0.5 0.2\n",         # end before start
         "0.1 0.2 0.3\n",     # three columns
         "2\n1\n",            # binary but bad symbol
+        "0.1 nan\n",         # NaN end
+        "nan 0.2\n",         # NaN start
+        "0.1 0.2\nnan nan\n",  # NaN segment after a good one
     ],
 )
 def test_sad_mask_rejects_malformed(tmp_path, text):
@@ -714,8 +748,10 @@ def test_sad_mask_rejects_malformed(tmp_path, text):
         ("mask", "0.1 0.2\n\n\n0.5 0.2\n", ":4: segment end must exceed start"),
         ("mask", "1\n\n0\n\n2\n", ":5: mask entries must be 0 or 1"),
         ("fmllr", "2\n\n1 0 0\n\n0 one 0\n", ":5: non-numeric value"),
+        ("mask", "0.1 0.2\n\n0.5 nan\n", ":3: segment bound is not a number"),
+        ("fmllr", "2\n\n1 0 0\n0 1 nan\n", ":4: non-finite value"),
     ],
-    ids=["segments", "frames", "fmllr"],
+    ids=["segments", "frames", "fmllr", "nan-segment", "nan-fmllr"],
 )
 def test_text_errors_count_blank_lines(tmp_path, load, text, where):
     path = tmp_path / "input.txt"

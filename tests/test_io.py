@@ -48,7 +48,7 @@ from ivnda.fileio import (
 )
 from ivnda.frontend import FeatureMatrix
 from ivnda.stats import BwStats
-from ivnda.tv import IVector, TvModel
+from ivnda.tv import TvModel
 
 META = {"stage": "test"}
 
@@ -254,27 +254,43 @@ class TestArchives:
         assert loaded == []
 
     def test_ivector_round_trip(self, rng, tmp_path):
-        ivectors = [IVector(w=rng.normal(size=5), recording_id=f"r{i}") for i in range(4)]
+        vectors = rng.normal(size=(4, 5))
         path = tmp_path / "iv.iviv"
-        write_ivector_archive(path, ivectors, fp=33, meta=META)
-        loaded, fp, _ = read_ivector_archive(path)
+        write_ivector_archive(path, ([f"r{i}" for i in range(4)], vectors), fp=33, meta=META)
+        (ids, loaded), fp, _ = read_ivector_archive(path)
         assert fp == 33
-        assert [iv.recording_id for iv in loaded] == ["r0", "r1", "r2", "r3"]
-        for got, want in zip(loaded, ivectors):
-            np.testing.assert_array_equal(got.w, want.w)
+        assert ids == ["r0", "r1", "r2", "r3"]
+        np.testing.assert_array_equal(loaded, vectors)
 
-    def test_empty_ivector_archive(self, tmp_path):
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_empty_ivector_archive(self, tmp_path, rank):
         path = tmp_path / "iv.iviv"
-        write_ivector_archive(path, [], fp=0, meta={})
-        assert read_ivector_archive(path)[0] == []
+        write_ivector_archive(path, ([], np.zeros((0, rank))), fp=0, meta={})
+        (ids, vectors), _, _ = read_ivector_archive(path)
+        assert ids == [] and vectors.shape == (0, rank)
 
-    def test_mixed_rank_archive_rejected(self, rng, tmp_path):
-        ivectors = [
-            IVector(w=rng.normal(size=5), recording_id="a"),
-            IVector(w=rng.normal(size=6), recording_id="b"),
-        ]
-        with pytest.raises(ValueError):
-            write_ivector_archive(tmp_path / "iv.iviv", ivectors, fp=0, meta={})
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.zeros(3), np.zeros((2, 3)), np.zeros((4, 3))],
+        ids=["1-D", "2-rows", "4-rows"],
+    )
+    def test_ivectors_must_be_one_row_per_id(self, tmp_path, vectors):
+        path = tmp_path / "iv.iviv"
+        with pytest.raises(ValueError, match="not one row per id"):
+            write_ivector_archive(path, (["a", "b", "c"], vectors), fp=0, meta={})
+        assert not path.exists()
+
+    def test_corrupt_ivector_count_is_a_truncated_file(self, rng, tmp_path):
+        """A count far beyond the payload fails before rows are allocated."""
+        path = tmp_path / "iv.iviv"
+        write_ivector_archive(path, (["a", "b"], rng.normal(size=(2, 3))), fp=0, meta={})
+        data = bytearray(path.read_bytes())
+        count_at = len(data) - 2 * (4 + 1 + 8 * 3) - 8
+        assert struct.unpack_from("<II", data, count_at) == (2, 3)
+        struct.pack_into("<I", data, count_at, 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="truncated"):
+            read_ivector_archive(path)
 
     def test_stats_archive_is_written_without_a_copy(self, rng, tmp_path):
         stats = self.make_stats(rng, count=200, g=64, d=20)
@@ -407,8 +423,8 @@ FORMATS = {
                 recording_id=f"rec{i}") for i in range(2)]),
     "ivtv": (write_tv_model, read_tv_model, lambda rng: TvModel(
         t_matrix=rng.normal(size=(6, 2)), sigma=rng.uniform(0.5, 2.0, size=(3, 2)))),
-    "iviv": (write_ivector_archive, read_ivector_archive, lambda rng: [
-        IVector(w=rng.normal(size=3), recording_id=f"rec{i}") for i in range(2)]),
+    "iviv": (write_ivector_archive, read_ivector_archive, lambda rng: (
+        ["rec0", "rec1"], rng.normal(size=(2, 3)))),
     "ivda": (write_projection, read_projection, lambda rng: Projection(
         basis=np.eye(4)[:, :2], eigenvalues=np.array([2.0, 1.0]))),
     "ivnz": (write_normalizer, read_normalizer, lambda rng: Normalizer(

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
 from helpers import make_gmm, reference_train_tv, zero_mean_gmm
+from ivnda import fileio
 from ivnda.errors import (
     DegenerateDataError,
     NumericError,
@@ -17,7 +18,6 @@ from ivnda.errors import (
 from ivnda.stats import BwStats, center_stats
 from ivnda.tv import (
     CHUNK,
-    IVector,
     TvModel,
     _posterior,
     _precompute,
@@ -102,7 +102,7 @@ def test_ivector_matches_dense_linear_solve(case):
     stats = random_centered_stats(gen, g, d)
     got = extract_ivector(stats, zero_mean_gmm(g, d), model)
     want = dense_posterior_mean(model, stats)
-    np.testing.assert_allclose(got.w, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -138,7 +138,7 @@ def test_ivector_matches_map_oracle(case):
         options={"gtol": 1e-12, "maxiter": 500},
     )
     got = extract_ivector(stats, zero_mean_gmm(g, d), model)
-    np.testing.assert_allclose(got.w, res.x, atol=1e-6)
+    np.testing.assert_allclose(got, res.x, atol=1e-6)
 
 
 def test_ll_matches_dense_gaussian_oracle():
@@ -179,16 +179,31 @@ def test_ll_with_inactive_components(rng):
 
 
 @pytest.mark.parametrize("count", [6, 2 * CHUNK + 3])
-def test_batch_extraction_matches_single(rng, count):
+def test_batch_extraction_matches_single(rng, tmp_path, count):
+    """Row i of the batch is, bit for bit, the i-vector of stats[i] alone,
+    whether the statistics are a list or an archive read chunk by chunk."""
     model = random_model(rng, 4, 3, 2)
     stats = [random_centered_stats(rng, 4, 3) for _ in range(count)]
     gmm = make_gmm(rng, 4, 3)
     for i, s in enumerate(stats):
         s.recording_id = f"rec{i}"
+    fileio.write_stats_archive(tmp_path / "s.ivbw", stats, fp=0, meta={})
+    with fileio.StatsArchive(tmp_path / "s.ivbw") as archive:
+        from_archive = extract_ivectors(archive, gmm, model)
     batch = extract_ivectors(stats, gmm, model)
-    assert [iv.recording_id for iv in batch] == [f"rec{i}" for i in range(count)]
-    for s, iv in zip(stats, batch):
-        np.testing.assert_array_equal(iv.w, extract_ivector(s, gmm, model).w)
+    assert batch.shape == (count, 2)
+    np.testing.assert_array_equal(from_archive, batch)
+    for s, row in zip(stats, batch):
+        np.testing.assert_array_equal(row, extract_ivector(s, gmm, model))
+
+
+def test_extract_from_no_sessions_has_rank_columns(rng, tmp_path):
+    model = random_model(rng, 4, 3, 2)
+    ivectors = extract_ivectors([], make_gmm(rng, 4, 3), model)
+    assert ivectors.shape == (0, 2)
+    fileio.write_ivector_archive(tmp_path / "iv.iviv", ([], ivectors), fp=0, meta={})
+    (ids, vectors), _, _ = fileio.read_ivector_archive(tmp_path / "iv.iviv")
+    assert ids == [] and vectors.shape == (0, 2)
 
 
 def test_raw_statistics_are_centered_at_the_ubm_means(rng):
@@ -200,8 +215,9 @@ def test_raw_statistics_are_centered_at_the_ubm_means(rng):
     raw = uncenter([random_centered_stats(rng, g, d) for _ in range(CHUNK + 5)], gmm)
     pre = [BwStats(n=s.n, f=center_stats(s, gmm)) for s in raw]
     zero = zero_mean_gmm(g, d)
-    for got, want in zip(extract_ivectors(raw, gmm, model), extract_ivectors(pre, zero, model)):
-        np.testing.assert_array_equal(got.w, want.w)
+    np.testing.assert_array_equal(
+        extract_ivectors(raw, gmm, model), extract_ivectors(pre, zero, model)
+    )
     assert tv_log_likelihood(raw, gmm, model) == tv_log_likelihood(pre, zero, model)
     zero.variances[:] = gmm.variances
     for reestimate_sigma in (False, True):
@@ -564,8 +580,3 @@ def test_model_validates_shapes():
         TvModel(t_matrix=np.zeros((4, 2)), sigma=np.zeros((2, 2)))
     assert TvModel(t_matrix=np.zeros((4, 3)), sigma=np.ones((2, 2))).rank == 3
 
-
-def test_ivector_container():
-    with pytest.raises(ShapeError):
-        IVector(w=np.zeros((2, 2)))
-    assert IVector(w=np.zeros(5)).rank == 5
