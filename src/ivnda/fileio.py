@@ -176,16 +176,23 @@ class _Fields:
     def __init__(self, fh: BinaryIO, path: Path):
         self._fh = fh
         self.path = path
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes not yet read
 
     def raw(self, n: int) -> bytes:
-        data = self._fh.read(n)
-        if len(data) != n:
+        # Checked before `read` allocates n bytes from a corrupt size field.
+        if n > self.left or len(data := self._fh.read(n)) != n:
             raise FormatError(f"{self.path}: truncated file")
+        self.left -= n
         return data
+
+    def skip(self, n: int) -> None:
+        self.require(n)
+        self._fh.seek(n, os.SEEK_CUR)
+        self.left -= n
 
     def require(self, n: int) -> None:
         """A truncated file unless `n` more bytes are left (checked before allocating)."""
-        if os.fstat(self._fh.fileno()).st_size - self._fh.tell() < n:
+        if n > self.left:
             raise FormatError(f"{self.path}: truncated file")
 
     def unpack(self, fmt: str) -> tuple:
@@ -343,7 +350,6 @@ class StatsArchive(Sequence[BwStats]):
 
     def _scan(self) -> None:
         fields, self.fingerprint, self.meta = _header(self._fh, self.path, b"IVBW")
-        size = os.fstat(self._fh.fileno()).st_size
         (count,) = fields.unpack("<I")
         self.recording_ids: list[str] = []
         self._shapes: list[tuple[int, int]] = []
@@ -353,9 +359,8 @@ class StatsArchive(Sequence[BwStats]):
             g, d = fields.unpack("<II")
             self._shapes.append((g, d))
             self._offsets.append(self._fh.tell())
-            if self._fh.seek(8 * g * (d + 1), os.SEEK_CUR) > size:
-                raise FormatError(f"{self.path}: truncated file")
-        if self._fh.tell() != size:
+            fields.skip(8 * g * (d + 1))
+        if fields.left:
             raise _trailing_bytes(self.path)
 
     def __len__(self) -> int:
@@ -441,7 +446,7 @@ def read_ivector_archive(path: str | Path) -> tuple[tuple[list[str], np.ndarray]
         ids, vectors = [], np.empty((count, rank))
         for row in vectors:
             ids.append(fields.text())
-            row[:] = fields.f64(rank)
+            row[:] = np.frombuffer(fields.raw(8 * rank), dtype="<f8")
     return (ids, vectors), fp, meta
 
 

@@ -13,13 +13,17 @@ weight 0 and keeps its previous Gaussian (EM) or the global moments.
 
 EM, alignment and :func:`mean_log_likelihood` share one posterior kernel
 that works on `CHUNK_FRAMES` frames at a time, so no frames x components
-array is ever built whole.  :func:`train_gmm` walks its recordings once and
-copies each one's speech frames into slabs of ``SLAB_CHUNKS * CHUNK_FRAMES``
-rows as it reads it, so a lazily read sequence of records costs the pooled
-T x D speech frames once, plus the last slab's unused rows and one record;
-EM and the global moments walk the `CHUNK_FRAMES`-row views of the slabs,
+array is ever built whole.  It is component-major: a chunk of T frames
+becomes (G, T) log densities, and each frame is normalised down its column,
+across G contiguous rows, rather than along a row of only G entries.
+:func:`train_gmm` walks its recordings once and copies each one's speech
+frames into slabs of ``SLAB_CHUNKS * CHUNK_FRAMES`` rows as it reads it, so
+a lazily read sequence of records costs the pooled T x D speech frames
+once, plus the last slab's unused rows and one record; EM and the global
+moments walk the `CHUNK_FRAMES`-row views of the slabs,
 adding O(CHUNK_FRAMES * G).  The top-N alignment of a T-frame recording
-needs O(CHUNK_FRAMES * G + T * N).
+needs O(min(T, CHUNK_FRAMES) * G + T * N): the kernel's buffers are sized
+to the longest chunk it is given.
 
 Frames stay at the precision they are given in: the float32 frames of a
 feature record are pooled as float32 (T * D * 4 bytes), and only float64
@@ -34,7 +38,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -197,8 +201,11 @@ class PosteriorMatrix:
         )
 
 
-def _density_weights(gmm: DiagonalGmm) -> np.ndarray:
-    """(2D + 1, G) matrix W with ``_augment(x) @ W`` the log densities."""
+def _density_weights(gmm: DiagonalGmm) -> tuple[np.ndarray, np.ndarray]:
+    """(G, 2D) matrix W and (G,) column c with ``W @ _augment(x)[:2D] + c``
+    the log densities.  The log weights are in `c`, which is added after
+    the product: a zero weight is -inf there, and a BLAS kernel that
+    multiplies it by zero raises an invalid-value warning."""
     inv_var = 1.0 / gmm.variances
     with np.errstate(divide="ignore"):  # zero weights map to -inf cleanly
         log_w = np.log(gmm.weights)
@@ -207,34 +214,36 @@ def _density_weights(gmm: DiagonalGmm) -> np.ndarray:
         - 0.5 * (gmm.dim * np.log(2.0 * np.pi) + np.log(gmm.variances).sum(axis=1))
         - 0.5 * np.sum(gmm.means**2 * inv_var, axis=1)
     )
-    return np.vstack([(gmm.means * inv_var).T, -0.5 * inv_var.T, const])
+    return np.hstack([gmm.means * inv_var, -0.5 * inv_var]), const
 
 
 def _augment(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``[x, x**2, 1]`` in float64, written to `out` if given: the log
-    densities are linear in them, and the posterior-weighted sums of them
-    are first moments, second moments and occupancy.  Float32 frames are
-    widened first, so the square is the float64 one."""
+    """Columns ``[x; x**2; 1]`` of the (T, D) `frames` as a (2D + 1, T)
+    float64 array, written to `out` if given: the log densities are linear
+    in them, and the posterior-weighted sums of them are first moments,
+    second moments and occupancy.  Float32 frames are widened first, so the
+    square is the float64 one."""
     t, d = frames.shape
     if out is None:
-        out = np.empty((t, 2 * d + 1))
-    out[:, :d] = frames
-    np.square(out[:, :d], out=out[:, d : 2 * d])
-    out[:, 2 * d] = 1.0
+        out = np.empty((2 * d + 1, t))
+    out[:d] = frames.T
+    np.square(out[:d], out=out[d : 2 * d])
+    out[2 * d] = 1.0
     return out
 
 
 def _posteriors(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalise one chunk of log densities into posteriors, in place.
+    """Normalise one (G, T) chunk of log densities into posteriors, in
+    place, each frame across the G rows of its column.
 
     Returns the posteriors (the same array) and the per-frame mixture
     log-likelihood ``max + log(sum)``.
     """
-    top = log_dens.max(axis=1)
-    log_dens -= top[:, None]
+    top = log_dens.max(axis=0)
+    log_dens -= top
     post = np.exp(log_dens, out=log_dens)
-    total = post.sum(axis=1)
-    post /= total[:, None]
+    total = post.sum(axis=0)
+    post /= total
     return post, top + np.log(total)
 
 
@@ -245,27 +254,33 @@ def _as_frames(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _chunks(frames: np.ndarray) -> Iterator[np.ndarray]:
+def _chunks(frames: np.ndarray) -> list[np.ndarray]:
     """Consecutive views of at most `CHUNK_FRAMES` rows of `frames`."""
-    return (frames[s : s + CHUNK_FRAMES] for s in range(0, frames.shape[0], CHUNK_FRAMES))
+    return [frames[s : s + CHUNK_FRAMES] for s in range(0, frames.shape[0], CHUNK_FRAMES)]
 
 
-def _chunked_posteriors(gmm: DiagonalGmm, chunks: Iterable[np.ndarray]):
+def _chunked_posteriors(gmm: DiagonalGmm, chunks: Sequence[np.ndarray]):
     """Yield ``(augmented frames, posteriors, per-frame log-likelihood)`` for
-    each chunk of at most `CHUNK_FRAMES` (T, gmm.dim) frames.
+    each chunk of at most `CHUNK_FRAMES` (T, gmm.dim) frames: a (2D + 1, T)
+    `_augment` array, (G, T) posteriors and (T,) log-likelihoods.
 
-    The augmented frames and posteriors live in two buffers that the next
-    chunk overwrites.  Allocated afresh per chunk, they are big enough for
-    glibc's malloc to map fresh pages for each one until some larger block
-    has been freed, and faulting those pages in made `_augment` about 30%
-    slower in EM.
+    The augmented frames and posteriors live in two buffers, sized to the
+    longest chunk, that the next chunk overwrites.  Allocated afresh per
+    chunk, they are big enough for glibc's malloc to map fresh pages for
+    each one until some larger block has been freed, and faulting those
+    pages in made `_augment` about 30% slower in EM.
     """
-    weights = _density_weights(gmm)
-    aug_buf = np.empty((CHUNK_FRAMES, weights.shape[0]))
-    dens_buf = np.empty((CHUNK_FRAMES, weights.shape[1]))
+    weights, const = _density_weights(gmm)
+    g, two_d = weights.shape
+    longest = max((chunk.shape[0] for chunk in chunks), default=0)
+    aug_buf = np.empty((two_d + 1) * longest)
+    dens_buf = np.empty(g * longest)
     for chunk in chunks:
-        aug = _augment(chunk, aug_buf[: chunk.shape[0]])
-        yield (aug, *_posteriors(np.matmul(aug, weights, out=dens_buf[: chunk.shape[0]])))
+        t = chunk.shape[0]
+        aug = _augment(chunk, aug_buf[: (two_d + 1) * t].reshape(two_d + 1, t))
+        dens = np.matmul(weights, aug[:two_d], out=dens_buf[: g * t].reshape(g, t))
+        dens += const[:, None]
+        yield (aug, *_posteriors(dens))
 
 
 def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
@@ -338,7 +353,7 @@ def _split_components(gmm: DiagonalGmm, offset: float = 0.2) -> DiagonalGmm:
 
 def _m_step(sums: np.ndarray, floor: np.ndarray, fallback: DiagonalGmm) -> DiagonalGmm:
     """Gaussians from the (G, 2D + 1) posterior-weighted sums of `_augment`
-    rows, variances floored at `floor`.  A component with occupancy at most
+    columns, variances floored at `floor`.  A component with occupancy at most
     1e-10 keeps `fallback`'s mean and variance with weight 0."""
     d = fallback.dim
     occupancy = sums[:, 2 * d]
@@ -358,14 +373,14 @@ def _m_step(sums: np.ndarray, floor: np.ndarray, fallback: DiagonalGmm) -> Diago
 
 
 def _em_step(
-    gmm: DiagonalGmm, chunks: Iterable[np.ndarray], floor: np.ndarray
+    gmm: DiagonalGmm, chunks: Sequence[np.ndarray], floor: np.ndarray
 ) -> tuple[DiagonalGmm, float]:
     """One EM iteration over the frames in `chunks`."""
     g, d = gmm.means.shape
     sums = np.zeros((g, 2 * d + 1))  # [first moments, second moments, occupancy]
     total_ll, count = 0.0, 0
-    for aug, resp, ll in _chunked_posteriors(gmm, chunks):
-        sums += resp.T @ aug
+    for aug, post, ll in _chunked_posteriors(gmm, chunks):
+        sums += post @ aug.T
         total_ll += ll.sum()
         count += ll.shape[0]
     return _m_step(sums, floor, gmm), total_ll / count
@@ -462,11 +477,12 @@ def gmm_posteriors(
     values = np.empty((t, keep))
     start = 0
     for _, post, _ in _chunked_posteriors(gmm, _chunks(_as_frames(gmm, frames))):
-        stop = start + post.shape[0]
+        stop = start + post.shape[1]
         if keep == g:
             indices[start:stop] = np.arange(g)
-            values[start:stop] = post
+            values[start:stop] = post.T
         else:
+            post = post.T.copy()  # (T, G) rows: argpartition is slow on a strided view
             picked = np.argpartition(post, g - keep, axis=1)[:, g - keep :]
             picked.sort(axis=1)
             vals = np.take_along_axis(post, picked, axis=1)
@@ -519,7 +535,9 @@ def train_supervised_gaussians(
                 f"{num_components}"
             )
         _require_finite(frames, int(pooled[2 * dim]))
-        aug = _augment(frames)
+        # (T, 2D + 1) rows, so the pooled sum adds frames one after another,
+        # as frames.sum(axis=0) does, not pairwise along a row.
+        aug = np.ascontiguousarray(_augment(frames).T)
         sums += post.weighted_sums(aug)[1]
         pooled += aug.sum(axis=0)
     total = pooled[2 * dim]

@@ -161,7 +161,9 @@ def reference_train_gmm(
 ) -> DiagonalGmm:
     """`ubm.train_gmm` on the concatenation of every record's speech
     frames: the global moments from ``frames.mean``/``frames.var``, EM over
-    ``ubm.CHUNK_FRAMES``-row slices of the one array."""
+    ``ubm.CHUNK_FRAMES``-row slices of the one array.  It runs the same
+    posterior kernel, ``ubm._chunked_posteriors``, so it pins the pooling,
+    not the numerics."""
     blocks = [f.speech_frames() for f in features if f.speech_mask.any()]
     if not blocks:
         raise InsufficientDataError("no speech frames in the training set")
@@ -178,13 +180,14 @@ def reference_train_gmm(
     while gmm.num_components < num_components:
         gmm = ubm._split_components(gmm)
         for i in range(iters_per_level):
-            weights = ubm._density_weights(gmm)
             sums = np.zeros((gmm.num_components, 2 * gmm.dim + 1))
             total_ll = 0.0
-            for start in range(0, frames.shape[0], ubm.CHUNK_FRAMES):
-                aug = ubm._augment(frames[start : start + ubm.CHUNK_FRAMES])
-                resp, ll = ubm._posteriors(aug @ weights)
-                sums += resp.T @ aug
+            slices = [
+                frames[start : start + ubm.CHUNK_FRAMES]
+                for start in range(0, frames.shape[0], ubm.CHUNK_FRAMES)
+            ]
+            for aug, post, ll in ubm._chunked_posteriors(gmm, slices):
+                sums += post @ aug.T
                 total_ll += ll.sum()
             if on_iteration is not None:
                 on_iteration(gmm.num_components, i, gmm, total_ll / frames.shape[0])

@@ -1327,6 +1327,24 @@ class TestExitCodes:
         )
         assert rc == EXIT_DATA
 
+    def test_corrupt_size_field_is_a_data_error(self, stats_ws, tmp_path, capsys):
+        """A component count far beyond the file is a truncated file, not a
+        `MemoryError` from allocating it."""
+        data = bytearray((stats_ws / "ubm.ivgm").read_bytes())
+        (meta_len,) = struct.unpack_from("<I", data, 16)  # after magic, version, fp
+        struct.pack_into("<I", data, 20 + meta_len, 0xFFFFFFFF)  # G
+        bad = tmp_path / "ubm.ivgm"
+        bad.write_bytes(bytes(data))
+        rc = main(
+            [
+                "train-tv", "--stats", str(stats_ws / "train.ivbw"),
+                "--ubm", str(bad), "--out", str(tmp_path / "tv.ivtv"),
+            ]
+        )
+        assert rc == EXIT_DATA
+        assert f"{bad}: truncated file" in capsys.readouterr().err
+        assert not (tmp_path / "tv.ivtv").exists()
+
     def test_concatenated_archive_rejected(self, stats_ws, tmp_path, capsys):
         both = tmp_path / "both.iviv"
         both.write_bytes(

@@ -463,6 +463,29 @@ class TestCorruptFiles:
             reader(path)
         assert str(path) in str(exc.value)
 
+    # Where each size field sits, counted from the end of the header: the
+    # first payload field of every format is a size (a frame, component,
+    # record or dimension count), and archives give each record id a length.
+    SIZE_FIELDS = [(fmt, 0) for fmt in sorted(FORMATS)] + [("ivbw", 4), ("iviv", 8)]
+
+    @pytest.mark.parametrize("fmt, at", SIZE_FIELDS)
+    def test_corrupt_size_field_is_a_truncated_file(self, fmt, at, rng, tmp_path):
+        """A size far beyond the file fails before the reader allocates it."""
+        writer, reader, make = FORMATS[fmt]
+        path = tmp_path / f"artifact.{fmt}"
+        writer(path, make(rng), fp=1, meta=META)
+        (meta_len,) = struct.unpack_from("<I", path.read_bytes(), HEADER_FIXED - 4)
+        corrupt(path, HEADER_FIXED + meta_len + at, struct.pack("<I", 0xFFFFFFFF))
+        with pytest.raises(FormatError, match="truncated file") as exc:
+            reader(path)
+        assert str(path) in str(exc.value)
+
+    def test_corrupt_metadata_length_is_a_truncated_file(self, artifact):
+        path, reader = artifact
+        corrupt(path, HEADER_FIXED - 4, struct.pack("<I", 0xFFFFFFFF))
+        with pytest.raises(FormatError, match="truncated file"):
+            reader(path)
+
     @pytest.mark.parametrize("fmt", ["ivbw", "iviv"])
     def test_record_id_not_utf8(self, fmt, rng, tmp_path):
         writer, reader, make = FORMATS[fmt]

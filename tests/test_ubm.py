@@ -248,6 +248,43 @@ def test_posterior_matrix_validate_rejects_out_of_range_index():
         post.validate()
 
 
+@pytest.mark.parametrize("t", [1, 7, CHUNK_FRAMES + 3])
+def test_dead_component_gets_exact_zeros_without_a_warning(rng, t):
+    """A zero-weight component (log weight -inf) is aligned like a mixture
+    without it, and no floating-point exception is raised on the way."""
+    gmm = make_gmm(rng, 4, 3)
+    weights = gmm.weights.copy()
+    weights[2] = 0.0
+    weights /= weights.sum()
+    dead = DiagonalGmm(weights=weights, means=gmm.means, variances=gmm.variances)
+    alive = [0, 1, 3]
+    live = DiagonalGmm(
+        weights=weights[alive], means=gmm.means[alive], variances=gmm.variances[alive]
+    )
+    feats = make_features(rng, t, 3)
+    with np.errstate(all="raise"):
+        got = gmm_posteriors(dead, feats, top_n=4).to_dense()
+    assert np.all(got[:, 2] == 0.0)
+    want = oracle_posteriors(live, feats.frames)
+    np.testing.assert_allclose(got[:, alive], want, rtol=1e-10, atol=0)
+
+
+def test_alignment_memory_follows_the_recording_not_the_chunk(rng):
+    """Aligning a short recording allocates for its own frames, well under
+    one full (CHUNK_FRAMES, G) float64 buffer."""
+    g = 256
+    gmm = make_gmm(rng, g, 13)
+    feats = make_features(rng, 100, 13)
+    gmm_posteriors(gmm, feats, top_n=10)  # warm-up
+    tracemalloc.start()
+    try:
+        gmm_posteriors(gmm, feats, top_n=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK_FRAMES * g * 8 / 2
+
+
 # --- GMM training ----------------------------------------------------------
 
 
@@ -450,10 +487,10 @@ def test_pooled_slabs_keep_float32_and_are_widened_not_narrowed(rng, monkeypatch
 def test_augment_squares_float32_frames_in_float64():
     x = np.float32(1.1)
     assert np.float64(x * x) != np.float64(x) ** 2  # the float32 square rounds
-    for out in (None, np.empty((1, 3))):
+    for out in (None, np.empty((3, 1))):
         aug = ubm._augment(np.array([[x]], dtype=np.float32), out)
         assert aug.dtype == np.float64
-        assert aug[0].tolist() == [float(x), float(x) ** 2, 1.0]
+        assert aug[:, 0].tolist() == [float(x), float(x) ** 2, 1.0]
 
 
 def test_alignment_and_statistics_of_float32_records_match_their_upcast(rng):
@@ -636,6 +673,15 @@ def test_supervised_dead_component_gets_global_moments(rng, caplog):
     np.testing.assert_allclose(gmm.variances[2], feats.frames.var(axis=0), rtol=1e-10)
     assert gmm.weights[2] == 0.0  # EM's rule: a dead component keeps weight 0
     assert np.all(gmm_posteriors(gmm, feats, top_n=3).to_dense()[:, 2] == 0.0)
+
+
+def test_supervised_global_mean_is_bit_for_bit_the_frame_mean(rng):
+    """A dead component's fallback mean adds the frames in order, as
+    ``frames.mean(axis=0)`` does."""
+    feats = make_features(rng, 1500, 3)
+    post = PosteriorMatrix.from_dense(np.ones((1500, 1)), num_components=2)
+    gmm = train_supervised_gaussians([feats], [post], 2)
+    assert gmm.means[1].tobytes() == feats.frames.mean(axis=0).tobytes()
 
 
 def test_supervised_with_em_responsibilities_is_an_em_step(rng):
