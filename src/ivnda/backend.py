@@ -233,7 +233,8 @@ def train_plda(
     relative ridge (``reg_scale`` times the mean diagonal) to keep both
     covariances invertible even for degenerate data.  `on_iteration`
     observes each pre-update model with its exact marginal log-likelihood;
-    that sequence is non-decreasing.
+    that sequence is non-decreasing.  Debug logging writes the same values.
+    The log-likelihood is evaluated only when one of them reads it.
 
     Speakers are grouped by session count once: each EM step factorises
     the posterior precision ``B^-1 + n W^-1`` once per distinct count n and
@@ -269,11 +270,14 @@ def train_plda(
     b_cov = ridge((b_cov + b_cov.T) / 2.0)
     w_cov = ridge((w_cov + w_cov.T) / 2.0)
 
+    observed = on_iteration is not None or log.isEnabledFor(logging.DEBUG)
     for it in range(iters):
-        model = PldaModel(mu=mu.copy(), b_cov=b_cov.copy(), w_cov=w_cov.copy())
-        total_ll = _log_likelihood(model, spk)
-        if on_iteration is not None:
-            on_iteration(it, model, total_ll)
+        if observed:
+            model = PldaModel(mu=mu.copy(), b_cov=b_cov.copy(), w_cov=w_cov.copy())
+            total_ll = _log_likelihood(model, spk)
+            if on_iteration is not None:
+                on_iteration(it, model, total_ll)
+            log.debug("plda iteration %d: log-likelihood %.6f", it, total_ll)
 
         b_inv = _spd_inverse(b_cov, "between-speaker covariance")
         w_inv = _spd_inverse(w_cov, "within-speaker covariance")
@@ -297,7 +301,6 @@ def train_plda(
         w_cov = w_new / n_total
         b_cov = ridge((b_cov + b_cov.T) / 2.0)
         w_cov = ridge((w_cov + w_cov.T) / 2.0)
-        log.debug("plda iteration %d: log-likelihood %.6f", it, total_ll)
 
     return PldaModel(mu=mu, b_cov=b_cov, w_cov=w_cov)
 

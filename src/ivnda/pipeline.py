@@ -340,16 +340,18 @@ def accumulate_stats_stage(
     records = FeatureRecords(feat_dir, ids)
     gmm, ubm_fp, ubm_meta = fileio.read_gmm(ubm_path)
     _require(ubm_path, ubm_meta, "features", records.fingerprint)
-    external = None
+    external = density = None
     if posterior_dir is not None:
         external = PosteriorFiles(posterior_dir, ids, gmm.num_components)
+    else:
+        density = ubm_mod.density_weights(gmm)  # one model aligns every recording
 
     def work(i: int) -> stats_mod.BwStats:
         feats = records[i]
         if external is not None:
             post = external[i]
         else:
-            post = ubm_mod.gmm_posteriors(gmm, feats, cfg.ubm.top_n)
+            post = ubm_mod.gmm_posteriors(gmm, feats, cfg.ubm.top_n, density=density)
         return stats_mod.accumulate_bw(feats, post, recording_id=ids[i])
 
     subset = {"top_n": cfg.ubm.top_n, "external_posteriors": external is not None}

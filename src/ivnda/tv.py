@@ -169,11 +169,15 @@ def _precompute(
         gram = np.empty((g, rows.size))
     t_blocks = t_matrix.reshape(g, d, r).transpose(0, 2, 1)
     ts_blocks = t_over_sigma.reshape(g, d, r)
+    flat = rows * r + cols  # each RFP entry's offset in a flattened (R, R) block
     full = np.empty((min(CHUNK, g), r, r))
     for start in range(0, g, CHUNK):
         comps = slice(start, min(start + CHUNK, g))
-        block = np.matmul(t_blocks[comps], ts_blocks[comps], out=full[: comps.stop - start])
-        gram[comps] = block[:, rows, cols]
+        k = comps.stop - start
+        block = np.matmul(t_blocks[comps], ts_blocks[comps], out=full[:k])
+        # mode="clip": every index is in range by construction, and the
+        # default mode="raise" writes `out` through a temporary copy of it.
+        np.take(block.reshape(k, r * r), flat, axis=1, out=gram[comps], mode="clip")
     return _Precomputed(
         t_over_sigma=t_over_sigma,
         gram=gram,
@@ -221,9 +225,13 @@ class _Chunks:
 
 
 def _posterior(
-    pre: _Precomputed, n: np.ndarray, f: np.ndarray, with_cov: bool = False
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """(E[w], Cov[w] or None, b, logdet L) for a chunk of sessions.
+    pre: _Precomputed,
+    n: np.ndarray,
+    f: np.ndarray,
+    with_cov: bool = False,
+    with_logdet: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """(E[w], Cov[w] or None, b, logdet L or None) for a chunk of sessions.
 
     Rows of `n` (C, G) and `f` (C, G * D) are sessions; E[w] and b are
     (C, R), logdet L (C,) and Cov[w] (C, R(R+1)/2), one RFP row per session
@@ -239,7 +247,7 @@ def _posterior(
     for u in prec:
         if dpftrf(r, u, transr="N", uplo="L", overwrite_a=1)[1]:
             raise NumericError("i-vector posterior precision is not positive definite")
-    logdet_l = 2.0 * np.log(prec[:, diag]).sum(axis=1)
+    logdet_l = 2.0 * np.log(prec[:, diag]).sum(axis=1) if with_logdet else None
     b = f @ pre.t_over_sigma
     ew = b.copy()
     for u, e in zip(prec, ew):
@@ -340,25 +348,37 @@ def _quad(a_acc: np.ndarray, t_blocks: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(
-    chunks: _Chunks, pre: _Precomputed, a_acc: np.ndarray, c_acc: np.ndarray
-) -> float:
+    chunks: _Chunks,
+    pre: _Precomputed,
+    a_acc: np.ndarray,
+    c_acc: np.ndarray,
+    with_ll: bool,
+) -> float | None:
     """E-step: refill `a_acc` (G, R(R+1)/2) with the RFP rows of
     sum_s n_sg E[w_s w_s'] and `c_acc` (G * D, R) with sum_s f~_s E[w_s]';
-    the total marginal log-likelihood.  Each chunk adds into both in place,
-    by one BLAS ``gemm`` with beta = 1 on their Fortran-ordered views."""
+    the total marginal log-likelihood if `with_ll`, else None.  Each chunk
+    adds into both in place, by one BLAS ``gemm`` with beta = 1 on their
+    Fortran-ordered views; E[w] E[w]' is packed into two buffers allocated
+    once per call."""
     rows, cols, _ = _rfp_map(c_acc.shape[1])
     a_acc.fill(0.0)
     c_acc.fill(0.0)
+    outer = np.empty((CHUNK, rows.size))
+    right = np.empty_like(outer)
     total_ll = 0.0
     for ids, n, f in chunks:
-        ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True)
-        eww += ew[:, rows] * ew[:, cols]  # E[ww'] = Cov[w] + E[w] E[w]'
+        ew, eww, b, logdet_l = _posterior(pre, n, f, with_cov=True, with_logdet=with_ll)
+        # mode="clip" as in `_precompute`: no temporary copy of the output
+        np.take(ew, rows, axis=1, out=outer, mode="clip")
+        outer *= np.take(ew, cols, axis=1, out=right, mode="clip")
+        eww += outer  # E[ww'] = Cov[w] + E[w] E[w]'
         out = dgemm(1.0, ew.T, f.T, trans_b=1, beta=1.0, c=c_acc.T, overwrite_c=1)
         _check_in_place(out, c_acc, "dgemm")
         out = dgemm(1.0, eww.T, n.T, trans_b=1, beta=1.0, c=a_acc.T, overwrite_c=1)
         _check_in_place(out, a_acc, "dgemm")
-        total_ll += float(_session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].sum())
-    return total_ll
+        if with_ll:
+            total_ll += float(_session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].sum())
+    return total_ll if with_ll else None
 
 
 def train_tv(
@@ -377,7 +397,9 @@ def train_tv(
     it to the data).  Residual covariances start from the UBM variances and
     are only re-estimated when `reestimate_sigma` is set.  `on_iteration`
     observes each iteration's pre-update model and its total marginal
-    log-likelihood; the sequence it sees is non-decreasing.
+    log-likelihood; the sequence it sees is non-decreasing.  Debug logging
+    writes the same values.  The log-likelihood is evaluated only when one
+    of them reads it.
     """
     g, d = gmm.num_components, gmm.dim
     m = g * d
@@ -417,11 +439,14 @@ def train_tv(
     gram = np.empty((g, rank * (rank + 1) // 2))
     a_acc = np.empty_like(gram)
     c_acc = np.empty((m, rank))
+    observed = on_iteration is not None or log.isEnabledFor(logging.DEBUG)
     for it in range(iters):
-        total_ll = _accumulate(chunks, _precompute(t_matrix, sigma, gram), a_acc, c_acc)
-
+        pre = _precompute(t_matrix, sigma, gram)
+        total_ll = _accumulate(chunks, pre, a_acc, c_acc, observed)
         if on_iteration is not None:
             on_iteration(it, TvModel(t_matrix.copy(), sigma.copy()), total_ll)
+        if observed:
+            log.debug("tv iteration %d: log-likelihood %.6f", it, total_ll)
 
         c_blocks = c_acc.reshape(g, d, rank)
         t_matrix = _update_t(a_acc, c_blocks, active_counts > 0)
@@ -441,8 +466,6 @@ def train_tv(
             sigma = np.maximum(sigma_new, sigma_floor)
             if keep.any():
                 sigma[keep] = sigma0[keep]
-
-        log.debug("tv iteration %d: log-likelihood %.6f", it, total_ll)
 
     return TvModel(t_matrix=t_matrix, sigma=sigma)
 

@@ -17,13 +17,18 @@ array is ever built whole.  It is component-major: a chunk of T frames
 becomes (G, T) log densities, and each frame is normalised down its column,
 across G contiguous rows, rather than along a row of only G entries.
 :func:`train_gmm` walks its recordings once and copies each one's speech
-frames into slabs of ``SLAB_CHUNKS * CHUNK_FRAMES`` rows as it reads it, so
-a lazily read sequence of records costs the pooled T x D speech frames
-once, plus the last slab's unused rows and one record; EM and the global
-moments walk the `CHUNK_FRAMES`-row views of the slabs,
-adding O(CHUNK_FRAMES * G).  The top-N alignment of a T-frame recording
-needs O(min(T, CHUNK_FRAMES) * G + T * N): the kernel's buffers are sized
-to the longest chunk it is given.
+frames, transposed, into column-major slabs of D rows and ``SLAB_CHUNKS *
+CHUNK_FRAMES`` columns as it reads it, so a lazily read sequence of records
+costs the pooled T x D speech frames once, plus the last slab's unused
+columns and one record.  EM and the global moments walk (T, D) views of
+`CHUNK_FRAMES` columns of the slabs, adding O(CHUNK_FRAMES * G).  Each row
+of a view's (D, T) transpose is contiguous, so `_augment` widens contiguous
+rows on every EM iteration, and the one transposing copy of each frame is
+made once, when the records are pooled.  The per-frame log-likelihood
+(the EM objective) is computed only when an ``on_iteration`` observer or
+debug logging reads it.  The top-N alignment of a T-frame recording needs
+O(min(T, CHUNK_FRAMES) * G + T * N): the kernel's buffers are sized to the
+longest chunk it is given.
 
 Frames stay at the precision they are given in: the float32 frames of a
 feature record are pooled as float32 (T * D * 4 bytes), and only float64
@@ -201,11 +206,12 @@ class PosteriorMatrix:
         )
 
 
-def _density_weights(gmm: DiagonalGmm) -> tuple[np.ndarray, np.ndarray]:
+def density_weights(gmm: DiagonalGmm) -> tuple[np.ndarray, np.ndarray]:
     """(G, 2D) matrix W and (G,) column c with ``W @ _augment(x)[:2D] + c``
-    the log densities.  The log weights are in `c`, which is added after
-    the product: a zero weight is -inf there, and a BLAS kernel that
-    multiplies it by zero raises an invalid-value warning."""
+    the log densities of `gmm`, computed afresh on each call.  The log
+    weights are in `c`, which is added after the product: a zero weight is
+    -inf there, and a BLAS kernel that multiplies it by zero raises an
+    invalid-value warning."""
     inv_var = 1.0 / gmm.variances
     with np.errstate(divide="ignore"):  # zero weights map to -inf cleanly
         log_w = np.log(gmm.weights)
@@ -232,19 +238,20 @@ def _augment(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _posteriors(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _posteriors(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalise one (G, T) chunk of log densities into posteriors, in
     place, each frame across the G rows of its column.
 
-    Returns the posteriors (the same array) and the per-frame mixture
-    log-likelihood ``max + log(sum)``.
+    Returns the posteriors (the same array) and, per frame, the largest log
+    density and the sum it was normalised by: the frame's mixture
+    log-likelihood is ``top + log(total)``.
     """
     top = log_dens.max(axis=0)
     log_dens -= top
     post = np.exp(log_dens, out=log_dens)
     total = post.sum(axis=0)
     post /= total
-    return post, top + np.log(total)
+    return post, top, total
 
 
 def _as_frames(gmm: DiagonalGmm, frames: np.ndarray) -> np.ndarray:
@@ -259,10 +266,17 @@ def _chunks(frames: np.ndarray) -> list[np.ndarray]:
     return [frames[s : s + CHUNK_FRAMES] for s in range(0, frames.shape[0], CHUNK_FRAMES)]
 
 
-def _chunked_posteriors(gmm: DiagonalGmm, chunks: Sequence[np.ndarray]):
+def _chunked_posteriors(
+    gmm: DiagonalGmm,
+    chunks: Sequence[np.ndarray],
+    with_ll: bool = True,
+    density: tuple[np.ndarray, np.ndarray] | None = None,
+):
     """Yield ``(augmented frames, posteriors, per-frame log-likelihood)`` for
     each chunk of at most `CHUNK_FRAMES` (T, gmm.dim) frames: a (2D + 1, T)
-    `_augment` array, (G, T) posteriors and (T,) log-likelihoods.
+    `_augment` array, (G, T) posteriors and (T,) log-likelihoods, or None
+    for them unless `with_ll`.  `density` is `density_weights(gmm)`,
+    computed here if not given.
 
     The augmented frames and posteriors live in two buffers, sized to the
     longest chunk, that the next chunk overwrites.  Allocated afresh per
@@ -270,7 +284,7 @@ def _chunked_posteriors(gmm: DiagonalGmm, chunks: Sequence[np.ndarray]):
     each one until some larger block has been freed, and faulting those
     pages in made `_augment` about 30% slower in EM.
     """
-    weights, const = _density_weights(gmm)
+    weights, const = density_weights(gmm) if density is None else density
     g, two_d = weights.shape
     longest = max((chunk.shape[0] for chunk in chunks), default=0)
     aug_buf = np.empty((two_d + 1) * longest)
@@ -280,7 +294,8 @@ def _chunked_posteriors(gmm: DiagonalGmm, chunks: Sequence[np.ndarray]):
         aug = _augment(chunk, aug_buf[: (two_d + 1) * t].reshape(two_d + 1, t))
         dens = np.matmul(weights, aug[:two_d], out=dens_buf[: g * t].reshape(g, t))
         dens += const[:, None]
-        yield (aug, *_posteriors(dens))
+        post, top, total = _posteriors(dens)
+        yield aug, post, top + np.log(total) if with_ll else None
 
 
 def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
@@ -293,49 +308,51 @@ def mean_log_likelihood(gmm: DiagonalGmm, frames: np.ndarray) -> float:
 
 
 def _pool_speech_frames(features: Iterable[FeatureMatrix]) -> tuple[list[np.ndarray], int]:
-    """The speech frames of `features` in order, as `CHUNK_FRAMES`-row views
-    of slabs that each record's frames are copied into as it is read, and
-    their number.  The slabs keep the records' precision: float32 while
-    every record so far is float32, widened once to float64 when a float64
-    record comes, never narrowed.  Non-finite frames are rejected record by
+    """The speech frames of `features` in order, as (T, D) views of
+    `CHUNK_FRAMES` columns of column-major (D, slab columns) slabs that each
+    record's frames are copied into, transposed, as it is read, and their
+    number.  The slabs keep the records' precision: float32 while every
+    record so far is float32, widened once to float64 when a float64 record
+    comes, never narrowed.  Non-finite frames are rejected record by
     record."""
-    slab_rows = SLAB_CHUNKS * CHUNK_FRAMES
+    slab_cols = SLAB_CHUNKS * CHUNK_FRAMES
     slabs: list[np.ndarray] = []
     count = 0
     for f in features:
         frames = f.speech_frames()
         _require_finite(frames, count)
-        if slabs and frames.shape[1] != slabs[0].shape[1]:
+        if slabs and frames.shape[1] != slabs[0].shape[0]:
             raise ShapeError(
                 f"training records must share one feature dimension, got "
-                f"{slabs[0].shape[1]} and {frames.shape[1]}"
+                f"{slabs[0].shape[0]} and {frames.shape[1]}"
             )
         dtype = np.promote_types(slabs[0].dtype, frames.dtype) if slabs else frames.dtype
         if slabs and slabs[0].dtype != dtype:
             slabs = [slab.astype(dtype) for slab in slabs]  # widen once, never narrow
         done = 0
         while done < frames.shape[0]:
-            at = count % slab_rows
+            at = count % slab_cols
             if at == 0:
-                slabs.append(np.empty((slab_rows, frames.shape[1]), dtype))
-            n = min(slab_rows - at, frames.shape[0] - done)
-            slabs[-1][at : at + n] = frames[done : done + n]
+                slabs.append(np.empty((frames.shape[1], slab_cols), dtype))
+            n = min(slab_cols - at, frames.shape[0] - done)
+            slabs[-1][:, at : at + n] = frames[done : done + n].T
             done += n
             count += n
     if not count:
         raise InsufficientDataError("no speech frames in the training set")
-    slabs[-1] = slabs[-1][: count - (len(slabs) - 1) * slab_rows]
-    return [chunk for slab in slabs for chunk in _chunks(slab)], count
+    slabs[-1] = slabs[-1][:, : count - (len(slabs) - 1) * slab_cols]
+    return [chunk for slab in slabs for chunk in _chunks(slab.T)], count
 
 
 def _row_sum(blocks: Iterable[np.ndarray]) -> np.ndarray:
     """The float64 sum of the rows of `blocks`, bit for bit numpy's axis-0
     sum of their concatenation widened to float64, which adds the rows one
-    after another."""
+    after another.  Each block is summed as a C-contiguous copy: summed
+    down a contiguous column, numpy would add it pairwise instead."""
     total = None
     for block in blocks:
         rows = block if total is None else np.vstack([total, block])
-        total = rows.astype(np.float64, copy=False).sum(axis=0)
+        total = np.ascontiguousarray(rows, dtype=np.float64).sum(axis=0)
     return total
 
 
@@ -373,17 +390,19 @@ def _m_step(sums: np.ndarray, floor: np.ndarray, fallback: DiagonalGmm) -> Diago
 
 
 def _em_step(
-    gmm: DiagonalGmm, chunks: Sequence[np.ndarray], floor: np.ndarray
-) -> tuple[DiagonalGmm, float]:
-    """One EM iteration over the frames in `chunks`."""
+    gmm: DiagonalGmm, chunks: Sequence[np.ndarray], floor: np.ndarray, with_ll: bool = True
+) -> tuple[DiagonalGmm, float | None]:
+    """One EM iteration over the frames in `chunks`: the updated model and,
+    if `with_ll`, the mean per-frame log-likelihood of `gmm` (else None)."""
     g, d = gmm.means.shape
     sums = np.zeros((g, 2 * d + 1))  # [first moments, second moments, occupancy]
     total_ll, count = 0.0, 0
-    for aug, post, ll in _chunked_posteriors(gmm, chunks):
+    for aug, post, ll in _chunked_posteriors(gmm, chunks, with_ll):
         sums += post @ aug.T
-        total_ll += ll.sum()
-        count += ll.shape[0]
-    return _m_step(sums, floor, gmm), total_ll / count
+        if with_ll:
+            total_ll += ll.sum()
+            count += ll.shape[0]
+    return _m_step(sums, floor, gmm), total_ll / count if with_ll else None
 
 
 def _require_finite(frames: np.ndarray, offset: int = 0) -> None:
@@ -424,7 +443,8 @@ def train_gmm(
     floored at ``variance_floor_scale`` times the global per-dimension
     variance throughout.  `on_iteration`, when given, observes every EM
     iteration together with the average per-frame log-likelihood of the
-    model *before* that iteration's update.
+    model *before* that iteration's update; debug logging writes the same
+    value.  That objective is evaluated only when one of them reads it.
     """
     if num_components < 1 or num_components & (num_components - 1):
         raise ValueError(f"num_components must be a power of two, got {num_components}")
@@ -440,25 +460,35 @@ def train_gmm(
     mean = _row_sum(chunks) / count
     var = _row_sum((c - mean) ** 2 for c in chunks) / count
     gmm, floor = _global_gaussian(mean, var, variance_floor_scale)
+    observed = on_iteration is not None or log.isEnabledFor(logging.DEBUG)
     while gmm.num_components < num_components:
         gmm = _split_components(gmm)
         for i in range(iters_per_level):
-            updated, ll = _em_step(gmm, chunks, floor)
+            updated, ll = _em_step(gmm, chunks, floor, observed)
             if on_iteration is not None:
                 on_iteration(gmm.num_components, i, gmm, ll)
+            if observed:
+                log.debug(
+                    "ubm iteration %d at %d components: mean log-likelihood %.6f",
+                    i, gmm.num_components, ll,
+                )
             gmm = updated
         log.info("trained level with %d components", gmm.num_components)
     return gmm
 
 
 def gmm_posteriors(
-    gmm: DiagonalGmm, features: FeatureMatrix, top_n: int
+    gmm: DiagonalGmm,
+    features: FeatureMatrix,
+    top_n: int,
+    density: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PosteriorMatrix:
     """Per-frame component posteriors for the speech frames of a recording.
 
     Posteriors are computed exactly in the log domain, then truncated to the
     `top_n` largest per frame and renormalised to sum to one.  ``top_n >=
-    num_components`` keeps everything.
+    num_components`` keeps everything.  `density`, if given, is
+    :func:`density_weights` of `gmm`, computed once for many recordings.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -476,7 +506,8 @@ def gmm_posteriors(
     indices = np.empty((t, keep), dtype=np.int32)
     values = np.empty((t, keep))
     start = 0
-    for _, post, _ in _chunked_posteriors(gmm, _chunks(_as_frames(gmm, frames))):
+    chunks = _chunks(_as_frames(gmm, frames))
+    for _, post, _ in _chunked_posteriors(gmm, chunks, with_ll=False, density=density):
         stop = start + post.shape[1]
         if keep == g:
             indices[start:stop] = np.arange(g)

@@ -1,6 +1,8 @@
 """Tests for the scoring backend: normalisation and two-covariance PLDA."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from helpers import reference_train_plda
+from ivnda import backend
 from ivnda.backend import (
     CHUNK_TRIALS,
     Normalizer,
@@ -423,6 +426,34 @@ class TestTrainPlda:
         diffs = np.diff(lls)
         assert np.all(diffs >= -1e-8 * np.abs(lls[0]))
         assert lls[-1] > lls[0]
+
+    def test_objective_is_evaluated_only_when_observed(self, monkeypatch, caplog):
+        """The same bytes with and without an observer or debug logging;
+        with neither, the log-likelihood is never evaluated, and debug lines
+        show the values the observer sees."""
+        data = mixed_count_sessions(np.random.default_rng(870), 4)
+        lls = []
+        observed = train_plda(data, iters=6, on_iteration=lambda it, mdl, ll: lls.append(ll))
+
+        def same(model):
+            return all(
+                getattr(model, name).tobytes() == getattr(observed, name).tobytes()
+                for name in ("mu", "b_cov", "w_cov")
+            )
+
+        log_likelihood = backend._log_likelihood
+
+        def never(*args):
+            raise AssertionError("the objective was evaluated")
+
+        monkeypatch.setattr(backend, "_log_likelihood", never)
+        with caplog.at_level(logging.INFO, logger="ivnda.backend"):
+            assert same(train_plda(data, iters=6))
+        monkeypatch.setattr(backend, "_log_likelihood", log_likelihood)
+        with caplog.at_level(logging.DEBUG, logger="ivnda.backend"):
+            assert same(train_plda(data, iters=6))
+        logged = re.findall(r"plda iteration \d+: log-likelihood (\S+)", caplog.text)
+        assert logged == [f"{ll:.6f}" for ll in lls]
 
     def test_final_model_fits_training_data_better_than_init(self, rng):
         data = sample_sessions(rng, num_speakers=10, sessions=4, m=2)

@@ -24,6 +24,7 @@ import pytest
 from helpers import make_features, make_gmm, sparse_random_posteriors
 import ivnda
 from ivnda import fileio, pipeline, ubm
+from ivnda import stats as stats_mod
 from ivnda.config import PipelineConfig
 from ivnda.errors import ContractError, DataError, NumericError, RangeError, ShapeError
 from ivnda.fileio import ManifestEntry
@@ -180,6 +181,39 @@ def test_accumulate_stats_writes_each_record_as_it_comes(tmp_path, rng):
     # 300 more recordings add their ids and record paths, under 1 kB each;
     # holding their statistics would add 300 * `record` bytes, 3.2 MB.
     assert grown < 300 * 1024, (grown, record)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_accumulate_stats_computes_the_density_weights_once(tmp_path, rng, monkeypatch, workers):
+    """The UBM's density weights are computed once per stage, not per
+    recording, and the statistics are those of aligning each recording
+    through `gmm_posteriors` alone."""
+    _write_ubm(tmp_path / "ubm.ivgm", rng, 8)
+    entries = _write_records(tmp_path / "feats", 5, rng, frames=40)
+    cfg = _config(8)
+    cfg.ubm.top_n = 3
+    cfg.run.workers = workers
+    calls = Counter()
+    density_weights, gmm_posteriors = ubm.density_weights, ubm.gmm_posteriors
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ubm, "density_weights", counted("density", density_weights))
+    monkeypatch.setattr(ubm, "gmm_posteriors", counted("align", gmm_posteriors))
+    out = tmp_path / "stats.ivbw"
+    pipeline.accumulate_stats_stage(tmp_path / "feats", entries, tmp_path / "ubm.ivgm", out, cfg)
+    assert calls == {"density": 1, "align": 5}
+    gmm = fileio.read_gmm(tmp_path / "ubm.ivgm")[0]
+    with fileio.StatsArchive(out) as archive:
+        for entry, got in zip(entries, archive):
+            path = fileio.feature_path(tmp_path / "feats", entry.recording_id)
+            feats = fileio.read_feature_record(path)[0]
+            want = stats_mod.accumulate_bw(feats, gmm_posteriors(gmm, feats, 3))
+            assert got.n.tobytes() == want.n.tobytes() and got.f.tobytes() == want.f.tobytes()
 
 
 def _write_stats(path, rng, g, count):

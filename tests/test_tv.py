@@ -1,3 +1,5 @@
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
 from helpers import make_gmm, reference_train_tv, zero_mean_gmm
-from ivnda import fileio
+from ivnda import fileio, tv
 from ivnda.errors import (
     DegenerateDataError,
     NumericError,
@@ -250,6 +252,24 @@ def test_rfp_map_lists_the_lower_triangle_once(r, rng):
         np.testing.assert_array_equal(mat, np.tril(lower) + np.tril(lower, -1).T)
 
 
+@pytest.mark.parametrize("r", [1, 2, 5, 16, 17])
+def test_gram_packing_matches_the_fancy_index_gather(rng, r):
+    """The flat-index packing of the grams is, bit for bit, the 2-D gather
+    of the same (CHUNK, R, R) blocks, over a short last block too."""
+    g, d = CHUNK + 5, 2
+    model = random_model(rng, g, d, r)
+    rows, cols, _ = _rfp_map(r)
+    t_blocks = model.t_matrix.reshape(g, d, r)
+    ts_blocks = (model.t_matrix / model.sigma.reshape(-1)[:, None]).reshape(g, d, r)
+    want = np.concatenate([
+        np.matmul(t_blocks[s : s + CHUNK].transpose(0, 2, 1), ts_blocks[s : s + CHUNK])[
+            :, rows, cols
+        ]
+        for s in range(0, g, CHUNK)
+    ])
+    assert _precompute(model.t_matrix, model.sigma).gram.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_posterior_matches_dense_inverse_solve_and_slogdet(case):
     """One RFP factor per session gives Cov[w], E[w] and log det L; padded
@@ -448,6 +468,52 @@ def test_training_matches_per_session_reference(reestimate_sigma):
     np.testing.assert_allclose(model.sigma, sigma_ref, rtol=1e-9)
     np.testing.assert_allclose(lls, lls_ref, rtol=1e-9)
     assert not model.t_matrix[(g - 1) * d :].any()
+
+
+@pytest.mark.parametrize("reestimate_sigma", [False, True])
+@pytest.mark.parametrize("source", ["list", "archive"])
+def test_training_evaluates_its_objective_only_when_observed(
+    tmp_path, monkeypatch, caplog, source, reestimate_sigma
+):
+    """The same bytes with and without an observer or debug logging; with
+    neither, the marginal log-likelihood is never evaluated, and debug lines
+    show the values the observer sees."""
+    gen = np.random.default_rng(81)
+    g, d, r = 5, 3, 3
+    gmm = make_gmm(gen, g, d)
+    stats = uncenter(planted_stats(gen, random_model(gen, g, d, r), CHUNK + 9, 1.0), gmm)
+    for i, s in enumerate(stats):
+        s.recording_id = f"rec{i}"
+    fileio.write_stats_archive(tmp_path / "s.ivbw", stats, fp=0, meta={})
+
+    def train(on_iteration=None):
+        kwargs = dict(rank=r, iters=4, seed=3, reestimate_sigma=reestimate_sigma,
+                      on_iteration=on_iteration)
+        if source == "list":
+            return train_tv(stats, gmm, **kwargs)
+        with fileio.StatsArchive(tmp_path / "s.ivbw") as archive:
+            return train_tv(archive, gmm, **kwargs)
+
+    def same(a, b):
+        return a.t_matrix.tobytes() == b.t_matrix.tobytes() and (
+            a.sigma.tobytes() == b.sigma.tobytes()
+        )
+
+    lls: list[float] = []
+    observed = train(lambda it, m, ll: lls.append(ll))
+    session_lls = tv._session_lls
+
+    def never(*args):
+        raise AssertionError("the objective was evaluated")
+
+    monkeypatch.setattr(tv, "_session_lls", never)
+    with caplog.at_level(logging.INFO, logger="ivnda.tv"):
+        assert same(train(), observed)
+    monkeypatch.setattr(tv, "_session_lls", session_lls)
+    with caplog.at_level(logging.DEBUG, logger="ivnda.tv"):
+        assert same(train(), observed)
+    logged = re.findall(r"tv iteration \d+: log-likelihood (\S+)", caplog.text)
+    assert logged == [f"{ll:.6f}" for ll in lls]
 
 
 def test_training_accumulates_in_place(rng):

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -491,6 +493,60 @@ def test_augment_squares_float32_frames_in_float64():
         aug = ubm._augment(np.array([[x]], dtype=np.float32), out)
         assert aug.dtype == np.float64
         assert aug[:, 0].tolist() == [float(x), float(x) ** 2, 1.0]
+
+
+def test_pooled_chunks_transpose_to_contiguous_rows(rng, monkeypatch):
+    """Each pooled (T, D) chunk views D rows of a column-major slab, so the
+    (D, T) copy `_augment` makes of it on every EM iteration reads
+    contiguous rows, across slab and record ends and for both precisions."""
+    monkeypatch.setattr(ubm, "CHUNK_FRAMES", 16)
+    monkeypatch.setattr(ubm, "SLAB_CHUNKS", 3)
+    feats = _records(rng, [37, 61, 29, 100])
+    for records in (feats, _as_float32(feats), _as_float32(feats[:2]) + feats[2:]):
+        chunks, count = ubm._pool_speech_frames(records)
+        assert [c.shape[0] for c in chunks] == [16] * (count // 16) + [count % 16]
+        for chunk in chunks:
+            assert chunk.T.strides[1] == chunk.itemsize
+            assert all(row.flags.c_contiguous for row in chunk.T)
+        want = np.concatenate([f.speech_frames() for f in records])
+        assert np.concatenate(chunks).tobytes() == want.astype(chunks[0].dtype).tobytes()
+
+
+def test_train_gmm_evaluates_its_objective_only_when_observed(rng, monkeypatch, caplog):
+    """The same bytes with and without an observer or debug logging, and
+    without them EM never computes the per-frame log-likelihood; debug
+    lines show the values the observer sees."""
+    feats = _records(rng, [700, 0, 1500, 333])
+    flags = []
+    kernel = ubm._chunked_posteriors
+
+    def recording(gmm, chunks, with_ll=True, density=None):
+        flags.append(with_ll)
+        return kernel(gmm, chunks, with_ll, density)
+
+    monkeypatch.setattr(ubm, "_chunked_posteriors", recording)
+    observed, lls = _train_with_lls(feats, 4)
+    assert flags == [True] * 6
+    flags.clear()
+    with caplog.at_level(logging.INFO, logger="ivnda.ubm"):
+        unobserved = train_gmm(feats, 4, iters_per_level=3)
+    assert flags == [False] * 6
+    assert "ubm iteration" not in caplog.text
+    _assert_same_gmm(unobserved, observed)
+    for observe in (True, False):
+        flags.clear()
+        caplog.clear()
+        seen = []
+        observer = (lambda *args: seen.append(args[3])) if observe else None
+        with caplog.at_level(logging.DEBUG, logger="ivnda.ubm"):
+            gmm = train_gmm(feats, 4, iters_per_level=3, on_iteration=observer)
+        logged = re.findall(
+            r"ubm iteration \d+ at \d+ components: mean log-likelihood (\S+)", caplog.text
+        )
+        _assert_same_gmm(gmm, observed)
+        assert flags == [True] * 6
+        assert logged == [f"{ll:.6f}" for ll in lls]
+        assert seen == (lls.tolist() if observe else [])
 
 
 def test_alignment_and_statistics_of_float32_records_match_their_upcast(rng):
