@@ -16,8 +16,11 @@ from pathlib import Path
 
 from ivnda.cli import main as ivnda
 
+SPLITS = ("train", "enroll", "test")
+
 
 def run(argv: list) -> None:
+    """Run one ``ivnda`` command, echoed first; exit with its code if it fails."""
     argv = [str(a) for a in argv]
     print("+ ivnda " + " ".join(argv))
     rc = ivnda(argv)
@@ -25,7 +28,7 @@ def run(argv: list) -> None:
         sys.exit(rc)
 
 
-def parse_args() -> argparse.Namespace:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workspace", required=True, type=Path)
     parser.add_argument("--seed", type=int, default=910)
@@ -39,13 +42,16 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--k", type=int, default=9)
     parser.add_argument("--alpha", type=float, default=2.0)
     parser.add_argument("--dim", type=int, default=8)
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main() -> None:
-    args = parse_args()
+def stages(args: argparse.Namespace) -> list[list]:
+    """The recipe's ``ivnda`` commands in order, from ``synth`` to ``evaluate``."""
     ws = args.workspace
-    run(
+    da = ["--method", args.method, "--dim", args.dim]
+    if args.method == "nda":
+        da += ["--k", args.k, "--alpha", args.alpha]
+    return [
         [
             "synth", "--mode", "stats", "--out-dir", ws, "--seed", args.seed,
             "--train-speakers", args.train_speakers,
@@ -53,52 +59,45 @@ def main() -> None:
             "--eval-speakers", args.eval_speakers,
             "--eval-sessions", args.eval_sessions,
             "--rank", args.rank,
-        ]
-    )
-    run(
+        ],
         [
             "train-tv", "--stats", ws / "train.ivbw", "--ubm", ws / "ubm.ivgm",
             "--out", ws / "tv.ivtv", "--rank", args.rank,
             "--iters", args.tv_iters, "--seed", args.seed,
-        ]
-    )
-    for split in ("train", "enroll", "test"):
-        run(
+        ],
+        *(
             [
                 "extract-ivectors", "--stats", ws / f"{split}.ivbw",
                 "--ubm", ws / "ubm.ivgm", "--tv", ws / "tv.ivtv",
                 "--out", ws / f"{split}.iviv",
             ]
-        )
-    da_args = [
-        "train-da", "--ivectors", ws / "train.iviv",
-        "--manifest", ws / "train.manifest", "--out", ws / "proj.ivda",
-        "--method", args.method, "--dim", args.dim,
-    ]
-    if args.method == "nda":
-        da_args += ["--k", args.k, "--alpha", args.alpha]
-    run(da_args)
-    run(
+            for split in SPLITS
+        ),
+        [
+            "train-da", "--ivectors", ws / "train.iviv",
+            "--manifest", ws / "train.manifest", "--out", ws / "proj.ivda", *da,
+        ],
         [
             "train-plda", "--ivectors", ws / "train.iviv",
             "--manifest", ws / "train.manifest", "--projection", ws / "proj.ivda",
             "--out", ws / "plda.ivpl", "--normalizer-out", ws / "norm.ivnz",
-        ]
-    )
-    run(
+        ],
         [
             "score", "--enroll", ws / "enroll.iviv", "--test", ws / "test.iviv",
             "--trials", ws / "trials.txt", "--projection", ws / "proj.ivda",
             "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
             "--out", ws / "scores.txt",
-        ]
-    )
-    run(
+        ],
         [
             "evaluate", "--scores", ws / "scores.txt", "--key", ws / "key.txt",
             "--det-csv", ws / "det.csv", "--det-svg", ws / "det.svg",
-        ]
-    )
+        ],
+    ]
+
+
+def main() -> None:
+    for argv in stages(parse_args()):
+        run(argv)
 
 
 if __name__ == "__main__":

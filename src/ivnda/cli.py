@@ -193,19 +193,20 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dcf_presets(args: argparse.Namespace) -> list[tuple[str, metrics.DcfParams]]:
+def _dcf_presets(args: argparse.Namespace) -> dict[str, metrics.DcfParams]:
     flags = {"--p-target": args.p_target, "--c-miss": args.c_miss, "--c-fa": args.c_fa}
     given = [flag for flag, value in flags.items() if value is not None]
     if args.dcf_preset != "custom":
         if given:
             raise ValueError(f"evaluate uses {', '.join(given)} only with --dcf-preset custom")
-        names = (args.dcf_preset,) if args.dcf_preset else ("sre08", "sre10")
-        return [(name, metrics.DCF_PRESETS[name]) for name in names]
+        if args.dcf_preset is None:
+            return metrics.DCF_PRESETS
+        return {args.dcf_preset: metrics.DCF_PRESETS[args.dcf_preset]}
     missing = [flag for flag in flags if flag not in given]
     if missing:
         raise ValueError(f"--dcf-preset custom requires {', '.join(missing)}")
-    params = metrics.DcfParams(cost_miss=args.c_miss, cost_fa=args.c_fa, p_target=args.p_target)
-    return [("custom", params)]
+    return {"custom": metrics.DcfParams(cost_miss=args.c_miss, cost_fa=args.c_fa,
+                                        p_target=args.p_target)}
 
 
 def _threshold_text(threshold: float, scores: np.ndarray) -> str:
@@ -221,21 +222,16 @@ def _threshold_text(threshold: float, scores: np.ndarray) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    presets = _dcf_presets(args)
-    # Only the aligned (values, targets) outlive the match, not the two lists.
-    values, targets = fileio.match_scores_to_key(
-        fileio.read_scores(Path(args.scores)), fileio.read_key(Path(args.key)), args.scores
-    )
-    trials = metrics.TrialSet(scores=values, targets=targets)
+    report = pipeline.evaluate_stage(Path(args.scores), Path(args.key), _dcf_presets(args))
+    trials = report.trials
     num_targets = int(trials.targets.sum())
-    eer, threshold = metrics.compute_eer(trials)
     print(
         f"trials: {trials.num_trials} "
         f"({num_targets} target, {trials.num_trials - num_targets} nontarget)"
     )
+    eer, threshold = report.eer
     print(f"eer: {100.0 * eer:.4f}% at threshold {_threshold_text(threshold, trials.scores)}")
-    for name, params in presets:
-        min_dcf, dcf_threshold = metrics.compute_min_dcf(trials, params)
+    for name, (min_dcf, dcf_threshold) in report.min_dcf.items():
         print(f"min_dcf[{name}]: {min_dcf:.4f} at threshold "
               f"{_threshold_text(dcf_threshold, trials.scores)}")
     if args.det_csv:

@@ -45,13 +45,13 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from . import backend as backend_mod
 from . import da as da_mod
-from . import fileio, frontend, stats as stats_mod, synth, tv as tv_mod, ubm as ubm_mod
+from . import fileio, frontend, metrics, stats as stats_mod, synth, tv as tv_mod, ubm as ubm_mod
 from .config import FrontendConfig, PipelineConfig
 from .errors import (
     ContractError,
@@ -546,6 +546,34 @@ def score_stage(
     )
     fileio.write_scores(out_path, trials)
     return unknown
+
+
+@dataclasses.dataclass
+class Evaluation:
+    """A score list's trials aligned with its key, their EER and their
+    minimum DCF under each preset by name, each as (value, threshold)."""
+
+    trials: metrics.TrialSet
+    eer: tuple[float, float]
+    min_dcf: dict[str, tuple[float, float]]
+
+
+def evaluate_stage(
+    scores_path: Path,
+    key_path: Path,
+    presets: Mapping[str, metrics.DcfParams] = metrics.DCF_PRESETS,
+) -> Evaluation:
+    """Evaluate a score list against its key; every scored trial must be
+    in the key.  Only the aligned scores and labels outlive the match."""
+    values, targets = fileio.match_scores_to_key(
+        fileio.read_scores(scores_path), fileio.read_key(key_path), scores_path
+    )
+    trials = metrics.TrialSet(scores=values, targets=targets)
+    return Evaluation(
+        trials,
+        metrics.compute_eer(trials),
+        {name: metrics.compute_min_dcf(trials, p) for name, p in presets.items()},
+    )
 
 
 # --- SAD-override rescoring ----------------------------------------------

@@ -229,7 +229,7 @@ def _posterior(
     n: np.ndarray,
     f: np.ndarray,
     with_cov: bool = False,
-    with_logdet: bool = True,
+    with_logdet: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
     """(E[w], Cov[w] or None, b, logdet L or None) for a chunk of sessions.
 
@@ -293,7 +293,7 @@ def tv_log_likelihood(stats: Sequence[BwStats], gmm: DiagonalGmm, model: TvModel
     pre = _precompute(model.t_matrix, model.sigma)
     per_session: list[float] = []
     for ids, n, f in _Chunks(stats, gmm):
-        ew, _, b, logdet_l = _posterior(pre, n, f)
+        ew, _, b, logdet_l = _posterior(pre, n, f, with_logdet=True)
         per_session.extend(_session_lls(pre, n, f, b, ew, logdet_l)[: len(ids)].tolist())
     return float(sum(per_session))
 

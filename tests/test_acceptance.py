@@ -23,10 +23,13 @@ from test_stats import oracle_bw
 from test_tv import planted_stats, random_centered_stats, random_model, uncenter
 from test_ubm import oracle_posteriors
 
-from ivnda import fileio
-from ivnda.backend import fit_normalizer, normalize_rows, plda_score, score_pairs, train_plda
+import mask_override_demo
+import nda_vs_lda
+import run_synthetic_pipeline
+from ivnda import fileio, pipeline
+from ivnda.backend import plda_score
 from ivnda.cli import main as cli_main
-from ivnda.da import LabeledVectors, compute_lda, compute_nda, nda_between_scatter, project
+from ivnda.da import LabeledVectors, compute_lda, compute_nda, nda_between_scatter
 from ivnda.errors import EXIT_OK
 from ivnda.metrics import (
     DCF_PRESETS,
@@ -38,7 +41,6 @@ from ivnda.metrics import (
     det_points,
 )
 from ivnda.stats import accumulate_bw
-from ivnda.synth import make_ivector_corpus
 from ivnda.tv import TvModel, extract_ivector, train_tv
 from ivnda.ubm import PosteriorMatrix, gmm_posteriors
 
@@ -231,51 +233,25 @@ def test_criterion_06_nda_rank_exceeds_lda_class_cap():
 # --- 7. bimodal-channel comparison -----------------------------------------
 
 
-def recipe_eer(corpus, projection) -> float:
-    """Project, whiten+length-normalise, train PLDA, score all trials."""
-    train_rows = project(corpus.train.vectors, projection)
-    norm = fit_normalizer(train_rows)
-    train_n = normalize_rows(train_rows, norm)
-    plda = train_plda(
-        LabeledVectors(vectors=train_n, labels=np.asarray(corpus.train.speakers)),
-        iters=10,
-    )
-    enroll_n = normalize_rows(project(corpus.enroll.vectors, projection), norm)
-    test_n = normalize_rows(project(corpus.test.vectors, projection), norm)
-    enroll_row = {rid: i for i, rid in enumerate(corpus.enroll.ids)}
-    test_row = {rid: i for i, rid in enumerate(corpus.test.ids)}
-    scores = score_pairs(
-        plda,
-        enroll_n,
-        test_n,
-        np.array([enroll_row[e] for e in corpus.trials.enroll]),
-        np.array([test_row[t] for t in corpus.trials.test]),
-    )
-    targets = corpus.key.values[corpus.key.locate(corpus.trials)]
-    return compute_eer(TrialSet(scores=scores, targets=targets))[0]
-
-
-def test_criterion_07_nda_not_worse_than_lda_on_bimodal_channels():
-    """Two-domain channel offsets: mean EER(NDA) <= mean EER(LDA) + 0.2 pp.
+def test_criterion_07_nda_not_worse_than_lda_on_bimodal_channels(tmp_path):
+    """Two-domain channel offsets: mean EER(NDA) <= mean EER(LDA) + 0.2 pp,
+    through the recipe's back-end stages as ``scripts/nda_vs_lda.py`` runs them.
 
     Training speakers carry 12 sessions each because the one-vs-rest
     neighbourhood needs k + 1 = 11 same-class sessions at k = 10.
     """
     with budget(180.0):
+        args = nda_vs_lda.parse_args(
+            ["--train-speakers", "100", "--train-sessions", "12", "--eval-speakers", "50",
+             "--eval-sessions", "4", "--k", "10", "--alpha", "2", "--dim", "12"]
+        )
+        configs = nda_vs_lda.variants(args)
         nda_eers, lda_eers = [], []
         for seed in range(5):
-            corpus = make_ivector_corpus(
-                970_000 + seed,
-                num_train_speakers=100,
-                train_sessions=12,
-                num_eval_speakers=50,
-                eval_sessions=4,
-            )
-            train = corpus.train.labeled()
-            nda_eers.append(
-                recipe_eer(corpus, compute_nda(train, k=10, alpha=2.0, out_dim=12))
-            )
-            lda_eers.append(recipe_eer(corpus, compute_lda(train, out_dim=12)))
+            corpus = tmp_path / f"seed{seed}"
+            nda_vs_lda.write_corpus(corpus, 970_000 + seed, args)
+            nda_eers.append(nda_vs_lda.run_variant(corpus, configs["nda"])[0])
+            lda_eers.append(nda_vs_lda.run_variant(corpus, configs["lda"])[0])
         assert np.mean(nda_eers) <= np.mean(lda_eers) + 0.002, (
             f"NDA {nda_eers} vs LDA {lda_eers}"
         )
@@ -378,49 +354,16 @@ def test_criterion_09_metrics_match_exhaustive_sweep():
 
 
 def run_stats_recipe(ws, seed: int) -> None:
-    """Synthetic stats corpus through subspace, projection, PLDA, scoring.
+    """The stages of ``scripts/run_synthetic_pipeline.py``: a synthetic stats
+    corpus through subspace, projection, PLDA, scoring and evaluation.
 
     The corpus defaults plant a rank-16 subspace under 50x10 train and
     25x4 eval sessions; k = 9 because each training speaker has exactly
     10 sessions and the own-class neighbourhood excludes the query.
     """
-    run_cli(["synth", "--mode", "stats", "--out-dir", ws, "--seed", seed])
-    run_cli(
-        [
-            "train-tv", "--stats", ws / "train.ivbw", "--ubm", ws / "ubm.ivgm",
-            "--out", ws / "tv.ivtv", "--rank", 16, "--iters", 10, "--seed", seed,
-        ]
-    )
-    for split in ("train", "enroll", "test"):
-        run_cli(
-            [
-                "extract-ivectors", "--stats", ws / f"{split}.ivbw",
-                "--ubm", ws / "ubm.ivgm", "--tv", ws / "tv.ivtv",
-                "--out", ws / f"{split}.iviv",
-            ]
-        )
-    run_cli(
-        [
-            "train-da", "--ivectors", ws / "train.iviv",
-            "--manifest", ws / "train.manifest", "--out", ws / "proj.ivda",
-            "--method", "nda", "--k", 9, "--alpha", 2.0, "--dim", 8,
-        ]
-    )
-    run_cli(
-        [
-            "train-plda", "--ivectors", ws / "train.iviv",
-            "--manifest", ws / "train.manifest", "--projection", ws / "proj.ivda",
-            "--out", ws / "plda.ivpl", "--normalizer-out", ws / "norm.ivnz",
-        ]
-    )
-    run_cli(
-        [
-            "score", "--enroll", ws / "enroll.iviv", "--test", ws / "test.iviv",
-            "--trials", ws / "trials.txt", "--projection", ws / "proj.ivda",
-            "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
-            "--out", ws / "scores.txt",
-        ]
-    )
+    args = run_synthetic_pipeline.parse_args(["--workspace", str(ws), "--seed", str(seed)])
+    for argv in run_synthetic_pipeline.stages(args):
+        run_cli(argv)
 
 
 def test_criterion_10_end_to_end_synthetic_pipeline(tmp_path):
@@ -428,12 +371,9 @@ def test_criterion_10_end_to_end_synthetic_pipeline(tmp_path):
     with budget(600.0):
         ws = tmp_path / "run_a"
         run_stats_recipe(ws, 910)
-        values, targets = fileio.match_scores_to_key(
-            fileio.read_scores(ws / "scores.txt"), fileio.read_key(ws / "key.txt")
-        )
-        trials = TrialSet(scores=values, targets=targets)
-        eer = compute_eer(trials)[0]
-        min_dcf = compute_min_dcf(trials, DCF_PRESETS["sre10"])[0]
+        report = pipeline.evaluate_stage(ws / "scores.txt", ws / "key.txt")
+        eer = report.eer[0]
+        min_dcf = report.min_dcf["sre10"][0]
         assert eer <= 0.05, f"EER {eer:.4f}"
         assert min_dcf <= 0.6, f"minDCF {min_dcf:.4f}"
 
@@ -455,79 +395,10 @@ def test_criterion_11_mask_override_rescores_contaminated_trial(tmp_path):
     and leaves every non-overridden trial's score line byte-identical."""
     with budget(120.0):
         ws = tmp_path / "audio"
-        run_cli(["synth", "--mode", "audio", "--out-dir", ws, "--seed", 911])
-        cfg = ws / "config.ini"
-        cfg.write_text(
-            "[ubm]\nnum_components = 8\niters_per_level = 3\ntop_n = 8\n"
-        )
-        for split in ("train", "enroll", "test"):
-            run_cli(
-                [
-                    "extract-features", "--config", cfg,
-                    "--manifest", ws / f"{split}.manifest",
-                    "--out-dir", ws / "feats",
-                ]
-            )
-        run_cli(
-            [
-                "train-ubm", "--config", cfg, "--features", ws / "feats",
-                "--manifest", ws / "train.manifest", "--out", ws / "ubm.ivgm",
-            ]
-        )
-        for split in ("train", "enroll", "test"):
-            run_cli(
-                [
-                    "accumulate-stats", "--config", cfg, "--features", ws / "feats",
-                    "--manifest", ws / f"{split}.manifest", "--ubm", ws / "ubm.ivgm",
-                    "--out", ws / f"{split}.ivbw",
-                ]
-            )
-        run_cli(
-            [
-                "train-tv", "--stats", ws / "train.ivbw", "--ubm", ws / "ubm.ivgm",
-                "--out", ws / "tv.ivtv", "--rank", 8, "--iters", 4, "--seed", 911,
-            ]
-        )
-        for split in ("train", "enroll", "test"):
-            run_cli(
-                [
-                    "extract-ivectors", "--stats", ws / f"{split}.ivbw",
-                    "--ubm", ws / "ubm.ivgm", "--tv", ws / "tv.ivtv",
-                    "--out", ws / f"{split}.iviv",
-                ]
-            )
-        run_cli(
-            [
-                "train-da", "--ivectors", ws / "train.iviv",
-                "--manifest", ws / "train.manifest", "--out", ws / "proj.ivda",
-                "--method", "lda", "--dim", 4,
-            ]
-        )
-        run_cli(
-            [
-                "train-plda", "--ivectors", ws / "train.iviv",
-                "--manifest", ws / "train.manifest", "--projection", ws / "proj.ivda",
-                "--out", ws / "plda.ivpl", "--normalizer-out", ws / "norm.ivnz",
-            ]
-        )
-        run_cli(
-            [
-                "score", "--enroll", ws / "enroll.iviv", "--test", ws / "test.iviv",
-                "--trials", ws / "trials.txt", "--projection", ws / "proj.ivda",
-                "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
-                "--out", ws / "scores.txt",
-            ]
-        )
-        run_cli(
-            [
-                "sad-report", "--config", cfg, "--scores", ws / "scores.txt",
-                "--manifest", ws / "override.manifest", "--trials", ws / "trials.txt",
-                "--key", ws / "key.txt", "--ubm", ws / "ubm.ivgm",
-                "--tv", ws / "tv.ivtv", "--projection", ws / "proj.ivda",
-                "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
-                "--out-csv", ws / "sad.csv", "--out-scores", ws / "rescored.txt",
-            ]
-        )
+        for argv in mask_override_demo.stages(
+            mask_override_demo.parse_args(["--workspace", str(ws)])
+        ):
+            run_cli(argv)
 
         overridden = {
             e.recording_id

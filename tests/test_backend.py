@@ -130,14 +130,22 @@ class TestNormalizer:
             np.testing.assert_allclose(normalize(vectors[i], norm), rows[i], rtol=1e-12)
 
     def test_rank_deficient_training_data_is_floored(self, rng):
-        # All vectors in a 2-D subspace of R^5: flat directions are floored
-        # rather than dividing by zero.
+        # All vectors in a 2-D subspace of R^5: the three flat directions
+        # are floored at floor_scale * max(e) (1e-10 by default) rather than
+        # dividing by zero, and the other two eigenvalues are kept.
         basis = rng.normal(size=(2, 5))
         vectors = rng.normal(size=(40, 2)) @ basis
-        norm = fit_normalizer(vectors)
-        assert np.isfinite(norm.whitener).all()
-        out = normalize_rows(vectors, norm)
-        assert np.isfinite(out).all()
+        centered = vectors - vectors.mean(axis=0)
+        values = np.linalg.eigvalsh(centered.T @ centered / len(vectors))
+        for norm, floor_scale in ((fit_normalizer(vectors), 1e-10),
+                                  (fit_normalizer(vectors, floor_scale=1e-4), 1e-4)):
+            assert np.isfinite(norm.whitener).all()
+            out = normalize_rows(vectors, norm)
+            assert np.isfinite(out).all()
+            # whitener = diag(1/sqrt(e_floored)) U', so W W' = diag(1/e_floored)
+            floored = 1.0 / np.diag(norm.whitener @ norm.whitener.T)
+            want = np.concatenate([np.full(3, floor_scale * values[-1]), values[3:]])
+            np.testing.assert_allclose(floored, want, rtol=1e-9)
 
     def test_mean_vector_cannot_be_normalised(self, rng):
         vectors = rng.normal(size=(20, 3))

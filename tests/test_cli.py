@@ -14,6 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mask_override_demo
+import nda_vs_lda
+import run_synthetic_pipeline
 from helpers import sparse_random_posteriors
 from ivnda import fileio, frontend, metrics, pipeline, stats as stats_mod, synth, ubm
 from ivnda.cli import build_parser, main
@@ -30,52 +33,20 @@ def run_ok(argv):
 
 @pytest.fixture(scope="module")
 def stats_ws(tmp_path_factory):
-    """A small statistics-level corpus taken through the whole recipe."""
+    """A small statistics-level corpus taken through the whole recipe of
+    scripts/run_synthetic_pipeline.py."""
     ws = tmp_path_factory.mktemp("stats_ws")
-    run_ok(
+    args = run_synthetic_pipeline.parse_args(
         [
-            "synth", "--mode", "stats", "--out-dir", ws, "--seed", "5",
+            "--workspace", str(ws), "--seed", "5",
             "--train-speakers", "12", "--train-sessions", "4",
             "--eval-speakers", "6", "--eval-sessions", "3",
-            "--components", "8", "--dim", "4", "--rank", "8",
+            "--rank", "8", "--tv-iters", "5", "--k", "3", "--dim", "6",
         ]
     )
-    run_ok(
-        [
-            "train-tv", "--stats", ws / "train.ivbw", "--ubm", ws / "ubm.ivgm",
-            "--out", ws / "tv.ivtv", "--rank", "8", "--iters", "5", "--seed", "5",
-        ]
-    )
-    for split in ("train", "enroll", "test"):
-        run_ok(
-            [
-                "extract-ivectors", "--stats", ws / f"{split}.ivbw",
-                "--ubm", ws / "ubm.ivgm", "--tv", ws / "tv.ivtv",
-                "--out", ws / f"{split}.iviv",
-            ]
-        )
-    run_ok(
-        [
-            "train-da", "--ivectors", ws / "train.iviv",
-            "--manifest", ws / "train.manifest", "--out", ws / "proj.ivda",
-            "--method", "nda", "--k", "3", "--dim", "6",
-        ]
-    )
-    run_ok(
-        [
-            "train-plda", "--ivectors", ws / "train.iviv",
-            "--manifest", ws / "train.manifest", "--projection", ws / "proj.ivda",
-            "--out", ws / "plda.ivpl", "--normalizer-out", ws / "norm.ivnz",
-        ]
-    )
-    run_ok(
-        [
-            "score", "--enroll", ws / "enroll.iviv", "--test", ws / "test.iviv",
-            "--trials", ws / "trials.txt", "--projection", ws / "proj.ivda",
-            "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
-            "--out", ws / "scores.txt",
-        ]
-    )
+    synth, *rest = run_synthetic_pipeline.stages(args)
+    for argv in [[*synth, "--components", "8", "--dim", "4"], *rest]:
+        run_ok(argv)
     return ws
 
 
@@ -121,67 +92,12 @@ def audio_ws(tmp_path_factory):
 def demo_ws(tmp_path_factory):
     """The recipe of scripts/mask_override_demo.py, taken to scores."""
     ws = tmp_path_factory.mktemp("demo_ws")
-    run_ok(["synth", "--mode", "audio", "--out-dir", ws, "--seed", "911"])
-    cfg = ws / "config.ini"
-    cfg.write_text("[ubm]\nnum_components = 8\niters_per_level = 3\ntop_n = 8\n")
-    splits = ("train", "enroll", "test")
-    for split in splits:
-        run_ok(
-            [
-                "extract-features", "--config", cfg,
-                "--manifest", ws / f"{split}.manifest", "--out-dir", ws / "feats",
-            ]
-        )
-    run_ok(
-        [
-            "train-ubm", "--config", cfg, "--features", ws / "feats",
-            "--manifest", ws / "train.manifest", "--out", ws / "ubm.ivgm",
-        ]
+    *to_scores, report = mask_override_demo.stages(
+        mask_override_demo.parse_args(["--workspace", str(ws)])
     )
-    for split in splits:
-        run_ok(
-            [
-                "accumulate-stats", "--config", cfg, "--features", ws / "feats",
-                "--manifest", ws / f"{split}.manifest", "--ubm", ws / "ubm.ivgm",
-                "--out", ws / f"{split}.ivbw",
-            ]
-        )
-    run_ok(
-        [
-            "train-tv", "--stats", ws / "train.ivbw", "--ubm", ws / "ubm.ivgm",
-            "--out", ws / "tv.ivtv", "--rank", "8", "--iters", "4", "--seed", "911",
-        ]
-    )
-    for split in splits:
-        run_ok(
-            [
-                "extract-ivectors", "--stats", ws / f"{split}.ivbw",
-                "--ubm", ws / "ubm.ivgm", "--tv", ws / "tv.ivtv",
-                "--out", ws / f"{split}.iviv",
-            ]
-        )
-    run_ok(
-        [
-            "train-da", "--ivectors", ws / "train.iviv",
-            "--manifest", ws / "train.manifest", "--out", ws / "proj.ivda",
-            "--method", "lda", "--dim", "4",
-        ]
-    )
-    run_ok(
-        [
-            "train-plda", "--ivectors", ws / "train.iviv",
-            "--manifest", ws / "train.manifest", "--projection", ws / "proj.ivda",
-            "--out", ws / "plda.ivpl", "--normalizer-out", ws / "norm.ivnz",
-        ]
-    )
-    run_ok(
-        [
-            "score", "--enroll", ws / "enroll.iviv", "--test", ws / "test.iviv",
-            "--trials", ws / "trials.txt", "--projection", ws / "proj.ivda",
-            "--normalizer", ws / "norm.ivnz", "--plda", ws / "plda.ivpl",
-            "--out", ws / "scores.txt",
-        ]
-    )
+    assert report[0] == "sad-report"
+    for argv in to_scores:
+        run_ok(argv)
     return ws
 
 
@@ -562,6 +478,52 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f":{len(lines) + 1}: duplicate trial" in err
         assert "first listed on line 1" in err
+
+
+def test_nda_vs_lda_variant_matches_the_cli_recipe(tmp_path, capsys):
+    """scripts/nda_vs_lda.py's per-variant run reports, at the printed
+    digits, the EER and minDCF that ``evaluate`` prints after the CLI's
+    ``train-da``, ``train-plda`` and ``score`` on the same corpus and config
+    (the back-end commands of scripts/run_synthetic_pipeline.py)."""
+    ws = tmp_path
+    run_ok(
+        [
+            "synth", "--mode", "ivectors", "--out-dir", ws, "--seed", "7",
+            "--train-speakers", "30", "--train-sessions", "6",
+            "--eval-speakers", "10", "--eval-sessions", "3", "--dim", "10",
+        ]
+    )
+    da_flags = ["--k", "4", "--alpha", "1.5", "--dim", "6"]
+    cfg = nda_vs_lda.variants(nda_vs_lda.parse_args(da_flags))["nda"]
+    eer, min_dcf, _ = nda_vs_lda.run_variant(ws, cfg)
+    recipe = run_synthetic_pipeline.stages(
+        run_synthetic_pipeline.parse_args(["--workspace", str(ws), *da_flags])
+    )
+    backend = recipe[-4:]
+    assert [argv[0] for argv in backend] == ["train-da", "train-plda", "score", "evaluate"]
+    for argv in backend[:-1]:
+        run_ok(argv)
+    assert fileio.read_projection(ws / "proj.ivda")[2]["config"] == dataclasses.asdict(cfg.da)
+    assert fileio.read_plda(ws / "plda.ivpl")[2]["config"] == dataclasses.asdict(cfg.plda)
+    capsys.readouterr()
+    run_ok(backend[-1])
+    lines = capsys.readouterr().out.splitlines()
+    assert eer > 0.0
+    assert lines[1].startswith(f"eer: {100.0 * eer:.4f}% at threshold ")
+    assert lines[3].startswith(f"min_dcf[sre10]: {min_dcf:.4f} at threshold ")
+
+
+def test_nda_vs_lda_corpus_is_the_cli_synth_corpus(tmp_path):
+    """scripts/nda_vs_lda.py writes a seed's corpus, provenance headers
+    included, byte for byte as ``ivnda synth --mode ivectors`` does with the
+    same settings."""
+    sizes = ["--train-speakers", "6", "--train-sessions", "3",
+             "--eval-speakers", "3", "--eval-sessions", "2"]
+    args = nda_vs_lda.parse_args([*sizes, "--ivector-dim", "5", "--unimodal"])
+    nda_vs_lda.write_corpus(tmp_path / "script", 11, args)
+    run_ok(["synth", "--mode", "ivectors", "--out-dir", tmp_path / "cli", "--seed", "11",
+            *sizes, "--dim", "5", "--unimodal"])
+    assert tree_bytes(tmp_path / "script") == tree_bytes(tmp_path / "cli")
 
 
 # --- audio-level steps -----------------------------------------------------

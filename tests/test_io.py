@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import make_gmm, reference_read_key, reference_read_scores, reference_read_trials
-from ivnda import fileio, metrics
+from ivnda import fileio, pipeline
 from ivnda.backend import Normalizer, PldaModel
 from ivnda.da import Projection
 from ivnda.errors import FormatError, KeyMismatchError, ShapeError
@@ -951,8 +951,8 @@ class TestTextMemory:
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     def test_evaluate_path_peak_is_bytes_per_trial_plus_blocks(self, tmp_path, rng):
-        # Read a score file and a shuffled key, align them and sweep the
-        # threshold, as `ivnda evaluate` does; every score is distinct.
+        # The stage `ivnda evaluate` runs: read a score file and a shuffled
+        # key, align them and sweep the threshold; every score is distinct.
         n = 200_000
         enroll = [f"enroll{i:04d}" for i in range(n // 1000)]
         test = [f"test{i:04d}" for i in range(1000)]
@@ -967,13 +967,7 @@ class TestTextMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            values, targets = match_scores_to_key(
-                read_scores(tmp_path / "scores.txt"), read_key(tmp_path / "key.txt")
-            )
-            trials = metrics.TrialSet(scores=values, targets=targets)
-            metrics.compute_eer(trials)
-            for params in metrics.DCF_PRESETS.values():
-                metrics.compute_min_dcf(trials, params)
+            pipeline.evaluate_stage(tmp_path / "scores.txt", tmp_path / "key.txt")
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

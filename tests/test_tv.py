@@ -18,6 +18,7 @@ from ivnda.errors import (
     ShapeError,
 )
 from ivnda.stats import BwStats, center_stats
+from ivnda.synth import make_stats_corpus
 from ivnda.tv import (
     CHUNK,
     TvModel,
@@ -199,6 +200,28 @@ def test_batch_extraction_matches_single(rng, tmp_path, count):
         np.testing.assert_array_equal(row, extract_ivector(s, gmm, model))
 
 
+def test_extraction_leaves_the_log_determinant_uncomputed(rng, monkeypatch):
+    """Only the objective reads log det L; extraction does not ask for it,
+    and asking would not change a byte of the i-vectors."""
+    g, d = 4, 3
+    model = random_model(rng, g, d, 3)
+    gmm = make_gmm(rng, g, d)
+    stats = uncenter([random_centered_stats(rng, g, d) for _ in range(CHUNK + 5)], gmm)
+    posterior = tv._posterior
+    logdets = []
+
+    def spy(*args, **kwargs):
+        out = posterior(*args, **kwargs)
+        logdets.append(out[3])
+        return out
+
+    monkeypatch.setattr(tv, "_posterior", spy)
+    ivectors = extract_ivectors(stats, gmm, model)
+    assert logdets == [None, None]
+    monkeypatch.setattr(tv, "_posterior", lambda *a, **k: posterior(*a, **k, with_logdet=True))
+    assert extract_ivectors(stats, gmm, model).tobytes() == ivectors.tobytes()
+
+
 def test_extract_from_no_sessions_has_rank_columns(rng, tmp_path):
     model = random_model(rng, 4, 3, 2)
     ivectors = extract_ivectors([], make_gmm(rng, 4, 3), model)
@@ -284,7 +307,7 @@ def test_posterior_matches_dense_inverse_solve_and_slogdet(case):
         s = random_centered_stats(gen, g, d, zero_components=int(gen.integers(0, 3)))
         n[i], f[i] = s.n, s.f.reshape(-1)
     pre = _precompute(model.t_matrix, model.sigma)
-    ew, packed_cov, b, logdet_l = _posterior(pre, n, f, with_cov=True)
+    ew, packed_cov, b, logdet_l = _posterior(pre, n, f, with_cov=True, with_logdet=True)
     cov = _unpack(packed_cov, np.empty((CHUNK, r, r)))
     ew_only, no_cov, _, _ = _posterior(pre, n, f)
     assert no_cov is None
@@ -418,6 +441,17 @@ def test_training_with_sigma_reestimation_tightens_residuals():
     assert np.median(adapted.sigma) < 0.1 * np.median(fixed.sigma)
     angles = subspace_angles(adapted.t_matrix, truth.t_matrix)
     assert angles.max() < 0.05
+
+
+def test_noise_free_residuals_sit_at_the_floor():
+    """With no planted residual, every re-estimated variance falls to its
+    floor, 1e-3 of the UBM's, and stays there exactly."""
+    corpus = make_stats_corpus(
+        82, num_train_speakers=20, train_sessions=5, num_components=8, dim=4, rank=4,
+        residual_scale=0.0,
+    )
+    model = train_tv(corpus.train, corpus.gmm, rank=4, iters=8, seed=3, reestimate_sigma=True)
+    assert model.sigma.tobytes() == (1e-3 * corpus.gmm.variances).tobytes()
 
 
 def test_training_ll_monotone_with_noise():
