@@ -142,27 +142,13 @@ def _write(
     fp: int,
     meta: dict,
     parts: Iterable[bytes | np.ndarray],
-    restamp: Callable[[], tuple[int, dict]] | None = None,
 ) -> None:
     """Write the uniform header and then each of `parts` as it comes; arrays
-    are written as f64, each straight from its buffer.
-
-    `restamp`, if given, is called once every part is written, for a header
-    that depends on what the parts were made from: its (fingerprint,
-    metadata) replace `fp` and `meta`, which must have held placeholders of
-    the same encoded length.
-    """
-    header = _header_bytes(magic, fp, meta)
+    are written as f64, each straight from its buffer."""
     with _replacing(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_header_bytes(magic, fp, meta))
         for p in parts:
             fh.write(p if isinstance(p, bytes) else np.ascontiguousarray(p, dtype="<f8"))
-        if restamp is not None:
-            final = _header_bytes(magic, *restamp())
-            if len(final) != len(header):
-                raise ValueError(f"{path}: the final header does not fit its placeholder")
-            fh.seek(0)
-            fh.write(final)
 
 
 def _pack_str(s: str) -> bytes:
@@ -292,12 +278,10 @@ def write_stats_archive(
     fp: int,
     meta: dict,
     count: int | None = None,
-    restamp: Callable[[], tuple[int, dict]] | None = None,
 ) -> None:
     """Write `stats` as an ``IVBW`` archive, each record as it comes.
 
-    `count` is the number of records, needed when `stats` has no length;
-    for `restamp`, see `_write`.
+    `count` is the number of records, needed when `stats` has no length.
     """
     if count is None:
         count = len(stats)  # type: ignore[arg-type]
@@ -315,7 +299,7 @@ def write_stats_archive(
         if given != count:
             raise ValueError(f"{path}: the records given are not the {count} announced")
 
-    _write(path, b"IVBW", fp, meta, parts(), restamp)
+    _write(path, b"IVBW", fp, meta, parts())
 
 
 def read_stats_archive(path: str | Path) -> tuple[list[BwStats], int, dict]:

@@ -206,14 +206,6 @@ def frame_geometry(sample_rate_hz: int, cfg: FrontendConfig) -> tuple[int, int]:
     return frame_len, shift
 
 
-def num_frames(num_samples: int, sample_rate_hz: int, cfg: FrontendConfig) -> int:
-    """Number of frames produced for a signal of `num_samples` samples."""
-    frame_len, shift = frame_geometry(sample_rate_hz, cfg)
-    if num_samples < frame_len:
-        return 0
-    return (num_samples - frame_len) // shift + 1
-
-
 class WorkBuffers:
     """Work arrays that :func:`compute_mfcc` and :func:`detect_speech` reuse
     across calls.

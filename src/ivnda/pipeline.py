@@ -8,9 +8,13 @@ Fingerprints hash a stage's configuration subset together with the
 fingerprints of its upstream artifacts — not file contents — so artifacts
 produced by the *same* configuration from different data splits (train /
 enroll / test) are interchangeable where that is meaningful, while any
-configuration drift is caught immediately.  External posteriors, which no
-stage makes, are the one input fingerprinted by content: with them, the
-``ubm`` and ``stats`` subsets hold a digest of their files' bytes.
+configuration drift is caught immediately.  Statistics aligned by external
+posteriors follow the same rule: their subset records that the posteriors
+were external, not which files, so each split's statistics carry the
+fingerprint ``train-tv`` recorded for the train split.  One model is the
+exception: a UBM estimated from external posteriors is one model made from
+one posterior set, so its subset holds a digest of those files' bytes, and
+two posterior directories give two UBM fingerprints.
 
 One rule covers every stage.  :func:`_provenance` builds an output's
 fingerprint and its ``{"stage", "config", "upstream"}`` header metadata, and
@@ -261,9 +265,6 @@ class PosteriorFiles(_RecordFiles[ubm_mod.PosteriorMatrix]):
     """The external frame posteriors ``<id>.post`` of `ids` in `post_dir`,
     one row per speech frame over `num_components` components."""
 
-    # As long as a digest: what a header written before the files are read holds.
-    DIGEST_PLACEHOLDER = "0" * 32
-
     def __init__(self, post_dir: Path, ids: Sequence[str], num_components: int):
         paths = [post_dir / f"{rec_id}.post" for rec_id in ids]
         super().__init__(post_dir, ids, paths, "posterior file")
@@ -354,24 +355,15 @@ def accumulate_stats_stage(
             post = ubm_mod.gmm_posteriors(gmm, feats, cfg.ubm.top_n, density=density)
         return stats_mod.accumulate_bw(feats, post, recording_id=ids[i])
 
+    # configuration and upstreams, not the posteriors' bytes: as feature
+    # records do, train, enroll and test statistics share one fingerprint
     subset = {"top_n": cfg.ubm.top_n, "external_posteriors": external is not None}
     upstream = {"features": records.fingerprint, "ubm": ubm_fp}
-    restamp = None
-    if external is not None:
-        # The posteriors' digest is known once every file is read, after the
-        # last record is written: the header holds a placeholder until then.
-        subset["posteriors_digest"] = external.DIGEST_PLACEHOLDER
-
-        def restamp() -> tuple[int, dict]:
-            final = {**subset, "posteriors_digest": external.digest()}
-            return _provenance("stats", final, upstream)
-
     fileio.write_stats_archive(
         out_path,
         parallel_map(work, range(len(ids)), cfg.run.workers),
         *_provenance("stats", subset, upstream),
         count=len(ids),
-        restamp=restamp,
     )
 
 

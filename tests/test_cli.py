@@ -140,12 +140,13 @@ def demo_argv(ws, out):
     }
 
 
-def write_audio_posteriors(ws, post_dir, rng):
+def write_audio_posteriors(ws, post_dir, rng, splits=("train",)):
     """Random 4-component posteriors, two entries per speech frame, as one
-    ``<id>.post`` file per training recording of `ws`; returns them by id."""
+    ``<id>.post`` file per recording of `ws`'s `splits`; returns them by id."""
     post_dir.mkdir()
     posteriors = {}
-    for entry in fileio.read_manifest(ws / "train.manifest"):
+    entries = [e for split in splits for e in fileio.read_manifest(ws / f"{split}.manifest")]
+    for entry in entries:
         features, _, _ = fileio.read_feature_record(
             fileio.feature_path(ws / "feats", entry.recording_id)
         )
@@ -669,12 +670,65 @@ class TestAudioRecipe:
             ]
         )
         archive, _, meta = fileio.read_stats_archive(tmp_path / "train.ivbw")
-        assert meta["config"]["external_posteriors"] is True
+        # the posterior files are not recorded, so every split has this subset
+        assert meta["config"] == {"top_n": 4, "external_posteriors": True}
         assert [s.recording_id for s in archive] == list(posteriors)
         for got, (rec_id, post) in zip(archive, posteriors.items()):
             features, _, _ = fileio.read_feature_record(audio_ws / "feats" / f"{rec_id}.ivfa")
             want = stats_mod.accumulate_bw(features, post, recording_id=rec_id)
             assert np.array_equal(got.n, want.n) and np.array_equal(got.f, want.f), rec_id
+
+    def test_recipe_from_posteriors_scores_every_split(self, demo_ws, tmp_path, rng):
+        """Statistics aligned by external posteriors carry one fingerprint in
+        every split, so the TV model trained on train extracts enroll and test."""
+        splits = ("train", "enroll", "test")
+        write_audio_posteriors(demo_ws, tmp_path / "post", rng, splits)
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[ubm]\nnum_components = 4\n")
+        inputs = ["--config", cfg, "--features", demo_ws / "feats"]
+        ubm_path, tv_path = tmp_path / "ubm.ivgm", tmp_path / "tv.ivtv"
+        train = ["--ivectors", tmp_path / "train.iviv", "--manifest", demo_ws / "train.manifest"]
+        recipe = [
+            [
+                "train-ubm", *inputs, "--manifest", demo_ws / "train.manifest",
+                "--posteriors", tmp_path / "post", "--out", ubm_path,
+            ],
+            *(
+                [
+                    "accumulate-stats", *inputs, "--manifest", demo_ws / f"{split}.manifest",
+                    "--ubm", ubm_path, "--posteriors", tmp_path / "post",
+                    "--out", tmp_path / f"{split}.ivbw",
+                ]
+                for split in splits
+            ),
+            [
+                "train-tv", "--stats", tmp_path / "train.ivbw", "--ubm", ubm_path,
+                "--out", tv_path, "--rank", "4", "--iters", "2",
+            ],
+            *(
+                [
+                    "extract-ivectors", "--stats", tmp_path / f"{split}.ivbw", "--ubm", ubm_path,
+                    "--tv", tv_path, "--out", tmp_path / f"{split}.iviv",
+                ]
+                for split in splits
+            ),
+            ["train-da", *train, "--out", tmp_path / "proj.ivda", "--method", "lda", "--dim", "2"],
+            [
+                "train-plda", *train, "--projection", tmp_path / "proj.ivda",
+                "--out", tmp_path / "plda.ivpl", "--normalizer-out", tmp_path / "norm.ivnz",
+            ],
+            [
+                "score", "--enroll", tmp_path / "enroll.iviv", "--test", tmp_path / "test.iviv",
+                "--trials", demo_ws / "trials.txt", "--projection", tmp_path / "proj.ivda",
+                "--normalizer", tmp_path / "norm.ivnz", "--plda", tmp_path / "plda.ivpl",
+                "--out", tmp_path / "scores.txt",
+            ],
+            ["evaluate", "--scores", tmp_path / "scores.txt", "--key", demo_ws / "key.txt"],
+        ]
+        for argv in recipe:
+            run_ok(argv)
+        fps = {fileio.read_stats_archive(tmp_path / f"{split}.ivbw")[1] for split in splits}
+        assert len(fps) == 1
 
     @pytest.mark.parametrize("command", ["train-ubm", "accumulate-stats"])
     def test_short_posterior_file_names_the_recording(

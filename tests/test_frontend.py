@@ -40,7 +40,6 @@ from ivnda.frontend import (
     load_sad_mask,
     mel_filterbank,
     mel_to_hz,
-    num_frames,
     read_wav,
     smooth_mask,
     write_wav,
@@ -199,7 +198,9 @@ def test_frame_geometry(sr, expected_len, expected_shift):
 
 @pytest.mark.parametrize("sr", [8000, 16000])
 def test_one_second_yields_98_frames(sr):
-    assert num_frames(sr, sr, FrontendConfig()) == 98
+    signal = AudioSignal(samples=np.full(sr, 0.1), sample_rate_hz=sr)
+    assert compute_mfcc(signal, FrontendConfig()).num_frames == 98
+    assert detect_speech(signal, FrontendConfig()).size == 98
 
 
 def test_fft_sizes():
@@ -521,12 +522,13 @@ def test_detect_speech_homogeneous_recording_is_all_speech():
     assert mask.all()
 
 
-def test_detect_speech_zcr_rescue():
-    # quiet white-noise (high ZCR) segment just below the energy threshold:
-    # kept with the default margin, dropped when the margin is zero.
-    # Levels: bed -65 dB, noise segment -52 dB, tone -9 dB; the adaptive
-    # threshold lands near -48 dB, so the segment only survives via the
-    # 6 dB zero-crossing rescue.
+def _rescue_signal():
+    """A quiet white-noise (high ZCR) segment just below the energy threshold.
+
+    Levels: bed -65 dB, noise segment (1.0-1.5 s) -52 dB, tone -9 dB; the
+    adaptive threshold lands near -48 dB, so the segment only survives via
+    the 6 dB zero-crossing rescue.
+    """
     sr = 8000
     gen = np.random.default_rng(99)
     n = 3 * sr
@@ -536,8 +538,14 @@ def test_detect_speech_zcr_rescue():
     x[tone] = 0.5 * np.sin(2 * np.pi * 200 * t[tone])
     noise = (t >= 1.0) & (t < 1.5)
     x[noise] = gen.normal(0.0, 10 ** (-52 / 20), size=noise.sum())
-    signal = AudioSignal(samples=x, sample_rate_hz=sr)
+    return AudioSignal(samples=x, sample_rate_hz=sr)
 
+
+def test_detect_speech_zcr_rescue():
+    # the noise segment is kept with the default margin, dropped when the
+    # margin is zero
+    signal = _rescue_signal()
+    sr = signal.sample_rate_hz
     cfg = FrontendConfig()
     with_rescue = detect_speech(signal, cfg)
     cfg_no = FrontendConfig(sad=SadConfig(zcr_margin_db=0.0))
@@ -548,6 +556,35 @@ def test_detect_speech_zcr_rescue():
     noise_interior = (centers > 1.1) & (centers < 1.4)
     assert with_rescue[noise_interior].all()
     assert not without[noise_interior].any()
+
+
+def test_detect_speech_frame_at_the_floor_is_not_speech():
+    # A DC signal gives every frame one energy; with the floor set to it,
+    # no frame is above the floor.
+    sr = 8000
+    signal = AudioSignal(samples=np.full(sr, 0.1), sample_rate_hz=sr)
+    frame_len, shift = frame_geometry(sr, FrontendConfig())
+    energy, _ = _energy_and_zcr(signal.samples, frame_len, shift)
+    assert np.unique(energy).size == 1
+    cfg = FrontendConfig(sad=SadConfig(floor_db=float(energy[0])))
+    mask = detect_speech(signal, cfg)
+    assert mask.size == energy.size and not mask.any()
+
+
+def test_detect_speech_rescues_a_frame_at_the_zcr_threshold():
+    # The quiet noise frames of _rescue_signal survive only by the
+    # zero-crossing rescue; a threshold equal to one frame's own rate keeps it.
+    signal = _rescue_signal()
+    frame_len, shift = frame_geometry(signal.sample_rate_hz, FrontendConfig())
+    _, zcr = _energy_and_zcr(signal.samples, frame_len, shift)
+    unsmoothed = dict(smooth_frames=1)
+    rescued = detect_speech(signal, FrontendConfig(sad=SadConfig(**unsmoothed)))
+    loud = detect_speech(signal, FrontendConfig(sad=SadConfig(zcr_margin_db=0.0, **unsmoothed)))
+    quiet = np.flatnonzero(rescued & ~loud)
+    assert quiet.size > 0
+    i = quiet[np.argmax(zcr[quiet])]
+    at_threshold = SadConfig(zcr_threshold=float(zcr[i]), **unsmoothed)
+    assert detect_speech(signal, FrontendConfig(sad=at_threshold))[i]
 
 
 @pytest.mark.parametrize(

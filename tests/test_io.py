@@ -373,16 +373,6 @@ class TestStatsArchive:
         assert (tmp_path / "s.ivbw").read_bytes() == before
         assert list(tmp_path.iterdir()) == [tmp_path / "s.ivbw"]
 
-    def test_restamped_header_replaces_a_placeholder_of_its_length(self, rng, tmp_path):
-        stats = self.write(rng, tmp_path / "want.ivbw")
-        write_stats_archive(
-            tmp_path / "s.ivbw", stats, 0, {"stage": "XXXX"}, restamp=lambda: (17, META)
-        )
-        assert (tmp_path / "s.ivbw").read_bytes() == (tmp_path / "want.ivbw").read_bytes()
-        with pytest.raises(ValueError, match="does not fit its placeholder"):
-            write_stats_archive(tmp_path / "s.ivbw", stats, 0, {}, restamp=lambda: (17, META))
-        assert sorted(tmp_path.iterdir()) == [tmp_path / "s.ivbw", tmp_path / "want.ivbw"]
-
 
 class TestProjectionFiles:
     def make_projection(self, rng):

@@ -290,6 +290,15 @@ def test_alignment_memory_follows_the_recording_not_the_chunk(rng):
 # --- GMM training ----------------------------------------------------------
 
 
+def test_constant_feature_variance_sits_at_the_positive_floor(rng):
+    # The pooled variance of a constant column is 0, so its floor is 1e-10.
+    feats = make_features(rng, 400, 3)
+    feats.frames[:, 1] = 0.5
+    gmm = train_gmm([feats], 4, iters_per_level=2)
+    assert np.all(gmm.variances[:, 1] == 1e-10)
+    assert np.all(gmm.variances[:, [0, 2]] > 1e-3)
+
+
 def test_single_component_is_global_moments(rng):
     feats = make_features(rng, 400, 3)
     gmm = train_gmm([feats], 1)
